@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .estimator import EstimateReport, error_estimator
-from .grid import Grid1D, build_grid
+from .grid import Grid1D, TimeLevels, build_grid
 from .models import make_model, normalize_flux_kind
 from .riemann import WaveFan, cell_average_exact, solve_riemann
 from .solver import SpaceTimeSolution, march, run, save_solution
@@ -162,18 +162,19 @@ class SolutionReference:
         return restrict_to_coarse(states, self.fine.grid, grid)
 
 
-class TabulatedReference:
-    """Coarse-grid averages precomputed at fixed times (streaming fine run)."""
+class LevelError:
+    """Running L-inf/L1 error of one recorded run, fed one time level of
+    reference averages at a time, so one streamed reference serves many runs."""
 
-    def __init__(self, times: np.ndarray, averages: list[np.ndarray]):
-        self.times = np.asarray(times, dtype=float)
-        self.averages = averages
+    def __init__(self, grid: Grid1D, times: TimeLevels, states: np.ndarray):
+        self.grid = grid
+        self.times = times
+        self.states = states
+        self.value = 0.0
 
-    def cell_averages(self, t: float, grid: Grid1D) -> np.ndarray:
-        idx = int(np.argmin(np.abs(self.times - t)))
-        if abs(self.times[idx] - t) > 1e-9 * max(1.0, abs(t)):
-            raise ConfigError(f"no tabulated reference at t={t}")
-        return self.averages[idx]
+    def add(self, n: int, averages: np.ndarray) -> None:
+        err = float((np.abs(self.states[n] - averages).sum(axis=0) * self.grid.dx).max())
+        self.value = max(self.value, err)
 
 
 def streamed_fine_reference(
@@ -184,43 +185,40 @@ def streamed_fine_reference(
     cfl: float,
     t0: float,
     t_final: float,
-    eval_times: np.ndarray,
-    coarse_grid: Grid1D,
-) -> TabulatedReference:
-    """March a fine run without storing it, capturing restricted averages at
-    the requested times (linear interpolation between fine levels)."""
-    eval_times = np.asarray(eval_times, dtype=float)
-    averages: list[np.ndarray | None] = [None] * len(eval_times)
-    pending = 0
+    targets: list,
+) -> None:
+    """March a fine run once without storing it.  Each target (with `grid`,
+    `times` and `add`, like LevelError) gets add(n, averages) for each of its
+    levels in order: the fine solution at t^n (linear interpolation between
+    fine levels) restricted to its grid."""
+    pending = [0] * len(targets)
     prev_t = None
     prev_states = None
     slop = 1e-12 * max(1.0, abs(t_final))
     for t, states in march(initial_fine, model, flux_kind, fine_grid, cfl, t0, t_final):
-        while pending < len(eval_times) and eval_times[pending] <= t + slop:
-            target = eval_times[pending]
-            if prev_t is None or abs(t - target) <= slop:
-                snap = states
-            else:
-                w = (target - prev_t) / (t - prev_t)
-                snap = (1.0 - w) * prev_states + w * states
-            averages[pending] = restrict_to_coarse(snap, fine_grid, coarse_grid)
-            pending += 1
+        for k, target in enumerate(targets):
+            eval_times = target.times.t
+            while pending[k] < len(eval_times) and eval_times[pending[k]] <= t + slop:
+                wanted = eval_times[pending[k]]
+                if prev_t is None or abs(t - wanted) <= slop:
+                    snap = states
+                else:
+                    w = (wanted - prev_t) / (t - prev_t)
+                    snap = (1.0 - w) * prev_states + w * states
+                target.add(pending[k], restrict_to_coarse(snap, fine_grid, target.grid))
+                pending[k] += 1
         prev_t, prev_states = t, states
-    if pending < len(eval_times):
+    if any(done < len(target.times.t) for done, target in zip(pending, targets)):
         raise ConfigError("fine reference run ended before the last eval time")
-    return TabulatedReference(eval_times, averages)
 
 
 def linf_l1_error(sol: SpaceTimeSolution, reference) -> float:
     """max over time levels of the componentwise L1 distance to the
     reference averages, reduced by the sup norm over components."""
-    dx = sol.grid.dx
-    worst = 0.0
+    error = LevelError(sol.grid, sol.times, sol.states)
     for n, t in enumerate(sol.times.t):
-        ref = reference.cell_averages(float(t), sol.grid)
-        err = float((np.abs(sol.states[n] - ref).sum(axis=0) * dx).max())
-        worst = max(worst, err)
-    return worst
+        error.add(n, reference.cell_averages(float(t), sol.grid))
+    return error.value
 
 
 def eoc(values) -> list[float | None]:
@@ -235,50 +233,36 @@ def eoc(values) -> list[float | None]:
     return out
 
 
-def _reference_for(config: CaseConfig, sol: SpaceTimeSolution, fan: WaveFan | None):
-    if config.ref == "none":
+def _fine_level(config: CaseConfig, top_level: int) -> int | None:
+    """The level of a fine:<L> reference, None for exact or none.  Refuses an
+    unknown mode, or a fine level not above every run level up to top_level."""
+    if config.ref in ("none", "exact"):
         return None
-    if config.ref == "exact":
-        if fan is None:
-            raise ConfigError("no exact solution available for this case")
-        return ExactFanReference(fan, config.origin)
-    if config.ref.startswith("fine:"):
-        ref_level = int(config.ref.split(":", 1)[1])
-        fine_grid = build_grid(config.x_min, config.x_max, ref_level)
-        if fine_grid.J <= sol.grid.J:
-            raise ConfigError("fine reference level must exceed the run level")
-        model, initial, _ = _case_setup(config, fine_grid)
-        return streamed_fine_reference(
-            initial, model, config.flux, fine_grid, config.cfl,
-            config.t0, config.t_final, sol.times.t, sol.grid,
-        )
-    raise ConfigError(f"unknown reference mode '{config.ref}'")
+    level = config.ref.removeprefix("fine:")
+    if level == config.ref or not level.isdigit():
+        raise ConfigError(f"unknown reference mode '{config.ref}'")
+    if int(level) <= top_level:
+        raise ConfigError(f"fine reference level {level} must exceed every run level "
+                          f"(up to {top_level})")
+    return int(level)
 
 
-def run_case(config: CaseConfig):
-    """Build, march, estimate and (optionally) write the report files.
-
-    Returns (solution, estimate report, error or None, written paths).
-    """
-    config = _resolve(config)
+def _march_and_estimate(config: CaseConfig):
+    """March and estimate one level of a resolved case and write its output
+    files but the report, which waits for the error.  Returns (solution,
+    estimate, exact fan or None, written paths)."""
     grid = build_grid(config.x_min, config.x_max, config.level)
     model, initial, fan = _case_setup(config, grid)
+    if config.ref == "exact" and fan is None:
+        raise ConfigError("no exact solution available for this case")
     flux_kind = normalize_flux_kind(config.flux)
     sol = run(initial, model, flux_kind, grid, config.cfl, config.t0, config.t_final)
     estimate = error_estimator(sol, config.sigma0, config.slab_mode)
-    reference = _reference_for(config, sol, fan)
-    err = linf_l1_error(sol, reference) if reference is not None else None
 
     paths: dict[str, str] = {}
     if config.out_dir:
         os.makedirs(config.out_dir, exist_ok=True)
         tag = f"{config.case}_L{config.level}"
-        report_path = os.path.join(config.out_dir, f"{tag}_report.json")
-        with open(report_path, "w") as fh:
-            json.dump(_report_dict(config, estimate, err), fh, indent=2)
-            fh.write("\n")
-        paths["report"] = report_path
-
         res = estimate.residual
         if res.cells_kept and res.bounds.shape[0] * res.bounds.shape[1] <= MAX_RESIDUAL_CSV_CELLS:
             csv_path = os.path.join(config.out_dir, f"{tag}_residuals.csv")
@@ -298,6 +282,44 @@ def run_case(config: CaseConfig):
             dump_path = os.path.join(config.out_dir, f"{tag}_solution.csv")
             save_solution(sol, dump_path)
             paths["solution"] = dump_path
+    return sol, estimate, fan, paths
+
+
+def _errors(config: CaseConfig, fan: WaveFan | None, fine_level: int | None,
+            runs: list[LevelError]) -> list[float | None]:
+    """Each run's L-inf/L1 error against the case reference; a fine-grid
+    reference is marched once for all runs."""
+    if fine_level is not None:
+        fine_grid = build_grid(config.x_min, config.x_max, fine_level)
+        model, initial, _ = _case_setup(config, fine_grid)
+        streamed_fine_reference(initial, model, config.flux, fine_grid, config.cfl,
+                                config.t0, config.t_final, runs)
+        return [r.value for r in runs]
+    if config.ref == "exact":
+        reference = ExactFanReference(fan, config.origin)
+        return [linf_l1_error(r, reference) for r in runs]
+    return [None] * len(runs)
+
+
+def _write_report(config: CaseConfig, report: dict) -> str:
+    path = os.path.join(config.out_dir, f"{config.case}_L{config.level}_report.json")
+    with open(path, "w") as fh:
+        json.dump(report, fh, indent=2)
+        fh.write("\n")
+    return path
+
+
+def run_case(config: CaseConfig):
+    """Build, march, estimate and (optionally) write the report files.
+
+    Returns (solution, estimate report, error or None, written paths).
+    """
+    config = _resolve(config)
+    fine_level = _fine_level(config, config.level)
+    sol, estimate, fan, paths = _march_and_estimate(config)
+    (err,) = _errors(config, fan, fine_level, [LevelError(sol.grid, sol.times, sol.states)])
+    if config.out_dir:
+        paths = {"report": _write_report(config, _report_dict(config, estimate, err)), **paths}
     return sol, estimate, err, paths
 
 
@@ -389,20 +411,34 @@ def _format_value(v) -> str:
 
 
 def converge(config: CaseConfig, l_min: int, l_max: int) -> EoCTable:
-    """Run the case at levels l_min..l_max and assemble the EoC table."""
+    """Run the case at levels l_min..l_max and assemble the EoC table.
+
+    Every level is marched and estimated first, keeping only its time levels
+    and states; then one pass of the reference gives every level's error.
+    """
     if l_max < l_min + 1:
         raise ConfigError("need at least two levels for a convergence table")
+    config = _resolve(config)
+    fine_level = _fine_level(config, l_max)
     levels = list(range(l_min, l_max + 1))
-    eps_vals, es_vals, eg_vals, errs = [], [], [], []
+    eps_vals, es_vals, eg_vals, runs, reports = [], [], [], [], []
     for level in levels:
-        _, estimate, err, _ = run_case(replace(config, level=level))
+        level_config = replace(config, level=level)
+        sol, estimate, fan, _ = _march_and_estimate(level_config)
+        runs.append(LevelError(sol.grid, sol.times, sol.states))
         eps_vals.append(estimate.epsilon_t)
         es_vals.append(estimate.e_surge)
         eg_vals.append(estimate.e_smooth)
-        errs.append(err)
+        if config.out_dir:
+            reports.append((level_config, _report_dict(level_config, estimate, None)))
+        # drop the flux memo and the per-cell residual arrays before the next level
+        del sol, estimate
+    errs = _errors(config, fan, fine_level, runs)
+    for (level_config, report), err in zip(reports, errs):
+        report["linf_l1_error"] = err
+        _write_report(level_config, report)
     table = EoCTable(levels, eps_vals, es_vals, eg_vals, errs)
     if config.out_dir:
-        os.makedirs(config.out_dir, exist_ok=True)
         path = os.path.join(config.out_dir, f"{config.case}_eoc.csv")
         table.to_csv(path)
     return table
@@ -511,6 +547,13 @@ def render_decomposition_svg(sol: SpaceTimeSolution, estimate: EstimateReport,
 
 def _parse_state(text: str) -> tuple:
     return tuple(float(tok) for tok in text.split(","))
+
+
+def _parse_levels(text: str) -> tuple[int, int]:
+    lo, _, hi = text.partition("..")
+    if not (lo.isdigit() and hi.isdigit() and int(lo) < int(hi)):
+        raise ConfigError(f"--levels takes the form A..B with integers A < B, e.g. 7..10; got '{text}'")
+    return int(lo), int(hi)
 
 
 def _load_config_file(path: str) -> dict:
@@ -630,9 +673,9 @@ def main(argv=None) -> int:
             for kind, path in paths.items():
                 print(f"  wrote {kind}: {path}")
         else:
-            lo, hi = args.levels.split("..")
-            config = _config_from_args(args, config_file, int(lo))
-            table = converge(config, int(lo), int(hi))
+            lo, hi = _parse_levels(args.levels)
+            config = _config_from_args(args, config_file, lo)
+            table = converge(config, lo, hi)
             print(table.format())
     except Exception as exc:  # surfaced as exit status for scripting
         print(f"error: {exc}", file=sys.stderr)

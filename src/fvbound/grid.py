@@ -62,20 +62,6 @@ class TimeLevels:
         return float(self.t[n + 1] - self.t[n])
 
 
-@dataclass(frozen=True)
-class SpaceTimeCell:
-    """Cell (j, n): [t^n, t^{n+1}) x (x_{j-1/2}, x_{j+1/2})."""
-
-    j: int
-    n: int
-
-    def validate(self, grid: Grid1D, times: TimeLevels) -> None:
-        if not 0 <= self.j < grid.J:
-            raise IndexError(f"cell index j={self.j} outside 0..{grid.J - 1}")
-        if not 0 <= self.n < times.n_steps:
-            raise IndexError(f"time index n={self.n} outside 0..{times.n_steps - 1}")
-
-
 def build_grid(x_min: float, x_max: float, level: int) -> Grid1D:
     """Grid with 2 * 2**level cells; level 0 gives the two-cell grid."""
     if level < 0:

@@ -2,7 +2,8 @@
 
 States are arrays whose last axis holds the m conserved components, so the
 scalar Burgers equation uses shape (..., 1).  All model operations are
-vectorized over leading axes.
+vectorized over leading axes.  `flux` and `max_wave_speed` take check=False
+from the stepping core, which checks every new level once itself.
 """
 
 from __future__ import annotations
@@ -24,13 +25,13 @@ class Burgers:
     m = 1
     name = "burgers"
 
-    def flux(self, u: np.ndarray) -> np.ndarray:
+    def flux(self, u: np.ndarray, check: bool = True) -> np.ndarray:
         return 0.5 * u * u
 
     def wave_speeds(self, u: np.ndarray) -> np.ndarray:
         return np.array(u, dtype=float, copy=True)
 
-    def max_wave_speed(self, u: np.ndarray) -> np.ndarray:
+    def max_wave_speed(self, u: np.ndarray, check: bool = True) -> np.ndarray:
         """Sup-norm of the wave speeds, shape = leading axes of u."""
         return np.abs(u[..., 0])
 
@@ -38,7 +39,8 @@ class Burgers:
         return 0.5 * u[..., 0] ** 2
 
     def entropy_flux(self, u: np.ndarray) -> np.ndarray:
-        return u[..., 0] ** 3 / 3.0
+        u = u[..., 0]
+        return u * u * u / 3.0  # u**3 takes numpy's much slower pow path
 
     def in_domain(self, u: np.ndarray) -> np.ndarray:
         return np.isfinite(u[..., 0])
@@ -76,8 +78,9 @@ class PSystem:
     def sound_speed(self, rho: np.ndarray) -> np.ndarray:
         return np.sqrt(self.C * self.gamma * rho ** (self.gamma - 1.0))
 
-    def flux(self, u: np.ndarray) -> np.ndarray:
-        self.check_domain(u)
+    def flux(self, u: np.ndarray, check: bool = True) -> np.ndarray:
+        if check:
+            self.check_domain(u)
         rho, q = u[..., 0], u[..., 1]
         return np.stack([q, q * q / rho + self.pressure(rho)], axis=-1)
 
@@ -88,8 +91,9 @@ class PSystem:
         c = self.sound_speed(rho)
         return np.stack([v - c, v + c], axis=-1)
 
-    def max_wave_speed(self, u: np.ndarray) -> np.ndarray:
-        self.check_domain(u)
+    def max_wave_speed(self, u: np.ndarray, check: bool = True) -> np.ndarray:
+        if check:
+            self.check_domain(u)
         rho, q = u[..., 0], u[..., 1]
         return np.abs(q / rho) + self.sound_speed(rho)
 

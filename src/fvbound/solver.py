@@ -7,7 +7,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grid import Grid1D, TimeLevels, SpaceTimeCell, cfl_timestep
+# perfbench/tracing.py wraps cfl_timestep here; the stepping core fuses its scan.
+from .grid import Grid1D, TimeLevels, cfl_timestep  # noqa: F401
 from .models import DomainError, make_model, normalize_flux_kind, numerical_flux
 
 
@@ -57,13 +58,6 @@ class SpaceTimeSolution:
         ext = self.extended_states(n)
         return numerical_flux(kind, self.model, ext[:-1], ext[1:])
 
-    def is_constant(self) -> bool:
-        return bool(
-            np.all(self.states == self.states[0, 0])
-            and np.all(self.ghost_left == self.states[0, 0])
-            and np.all(self.ghost_right == self.states[0, 0])
-        )
-
 
 def step(
     states: np.ndarray,
@@ -73,12 +67,87 @@ def step(
     dt: float,
     ghost_left: np.ndarray,
     ghost_right: np.ndarray,
+    padded: np.ndarray | None = None,
+    speeds: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """One conservative update; returns (new states, interface fluxes)."""
-    ext = np.vstack([np.asarray(ghost_left)[None, :], states, np.asarray(ghost_right)[None, :]])
-    fluxes = numerical_flux(flux_kind, model, ext[:-1], ext[1:])
+    """One conservative update; returns (new states, interface fluxes).
+
+    LLF evaluates each cell's flux and max wave speed once for its two
+    interfaces.  The stepping core passes its ghost-padded copy of the states
+    and their speeds, already scanned for the CFL step and checked.
+    """
+    if padded is None:
+        padded = np.vstack([np.asarray(ghost_left)[None, :], states,
+                            np.asarray(ghost_right)[None, :]])
+    if normalize_flux_kind(flux_kind) == "llf":
+        check = speeds is None
+        if check:
+            speeds = model.max_wave_speed(padded)
+        f = model.flux(padded, check=check)
+        lam = np.maximum(speeds[:-1], speeds[1:])
+        fluxes = 0.5 * (f[:-1] + f[1:]) - 0.5 * lam[..., None] * (padded[1:] - padded[:-1])
+    else:
+        fluxes = numerical_flux(flux_kind, model, padded[:-1], padded[1:])
     new = states - (dt / grid.dx) * (fluxes[1:] - fluxes[:-1])
     return new, fluxes
+
+
+def march(
+    initial: np.ndarray,
+    model,
+    flux_kind: str,
+    grid: Grid1D,
+    cfl: float,
+    t0: float,
+    t_final: float,
+    max_steps: int = 10_000_000,
+    fluxes: list | None = None,
+):
+    """The stepping core: yield (t, states) for every level from t0 to
+    exactly t_final (last step clipped) without storing the history, and
+    append each step's interface fluxes to `fluxes` when a list is given.
+
+    One max-wave-speed scan of the ghost-padded states per step gives both
+    dt and the LLF lambda; each new level is checked against the domain once.
+    """
+    if not 0.0 < cfl <= 1.0:
+        raise ValueError(f"cfl must lie in (0, 1], got {cfl!r}")
+    flux_kind = normalize_flux_kind(flux_kind)
+    states = np.array(initial, dtype=float)
+    if states.ndim == 1:
+        states = states[:, None]
+    if states.shape != (grid.J, model.m):
+        raise ValueError(f"initial states have shape {states.shape}, expected {(grid.J, model.m)}")
+    model.check_domain(states)
+    padded = np.empty((grid.J + 2, model.m))
+    padded[0] = states[0]
+    padded[-1] = states[-1]
+    ghost_left, ghost_right = padded[0], padded[-1]
+    tol = 1e-14 * max(1.0, abs(t_final))
+    t = t0
+    yield t, states
+    n = 0
+    while t < t_final - tol:
+        if n >= max_steps:
+            raise RuntimeError(f"exceeded {max_steps} time steps before reaching t={t_final}")
+        padded[1:-1] = states
+        speeds = model.max_wave_speed(padded, check=False)
+        lam = float(speeds.max())
+        dt = t_final - t if lam == 0.0 else min(cfl * grid.dx / lam, t_final - t)
+        states, step_fluxes = step(states, model, flux_kind, grid, dt, ghost_left, ghost_right,
+                                   padded, speeds)
+        bad = ~model.in_domain(states)
+        if bad.any():
+            j = int(np.argmax(bad))
+            raise DomainError(
+                f"state left the model domain at cell j={j}, step n={n}, "
+                f"t={t + dt:.6g}: {states[j]}"
+            )
+        if fluxes is not None:
+            fluxes.append(step_fluxes)
+        t = t_final if t_final - (t + dt) <= tol else t + dt
+        n += 1
+        yield t, states
 
 
 def run(
@@ -92,46 +161,17 @@ def run(
     store_fluxes: bool = True,
     max_steps: int = 10_000_000,
 ) -> SpaceTimeSolution:
-    """March from t0 to exactly t_final (last step clipped)."""
-    flux_kind = normalize_flux_kind(flux_kind)
-    states = np.array(initial, dtype=float)
-    if states.ndim == 1:
-        states = states[:, None]
-    if states.shape != (grid.J, model.m):
-        raise ValueError(f"initial states have shape {states.shape}, expected {(grid.J, model.m)}")
-    model.check_domain(states)
-    ghost_left = states[0].copy()
-    ghost_right = states[-1].copy()
-
-    levels = [states]
-    times = [t0]
+    """March from t0 to exactly t_final (last step clipped) and record every
+    level, with the marching fluxes as the solution's flux memo."""
     caches = [] if store_fluxes else None
-    t = t0
-    n = 0
-    while t < t_final - 1e-14 * max(1.0, abs(t_final)):
-        if n >= max_steps:
-            raise RuntimeError(f"exceeded {max_steps} time steps before reaching t={t_final}")
-        dt = cfl_timestep(states, model, grid, cfl, ghost_left, ghost_right,
-                          max_dt=t_final - t)
-        new, fluxes = step(states, model, flux_kind, grid, dt, ghost_left, ghost_right)
-        bad = ~model.in_domain(new)
-        if np.any(bad):
-            j = int(np.nonzero(bad)[0][0])
-            cell = SpaceTimeCell(j=j, n=n)
-            raise DomainError(
-                f"state left the model domain at cell j={cell.j}, step n={cell.n}, "
-                f"t={t + dt:.6g}: {new[j]}"
-            )
-        if caches is not None:
-            caches.append(fluxes)
-        states = new
-        t = t_final if t_final - (t + dt) <= 1e-14 * max(1.0, abs(t_final)) else t + dt
-        levels.append(states)
+    times, levels = [], []
+    for t, states in march(initial, model, flux_kind, grid, cfl, t0, t_final, max_steps, caches):
         times.append(t)
-        n += 1
-
+        levels.append(states)
     history = np.array(levels)
     history.setflags(write=False)  # levels are frozen once recorded
+    ghost_left = history[0, 0].copy()
+    ghost_right = history[0, -1].copy()
     ghost_left.setflags(write=False)
     ghost_right.setflags(write=False)
     return SpaceTimeSolution(
@@ -141,43 +181,10 @@ def run(
         ghost_left=ghost_left,
         ghost_right=ghost_right,
         model=model,
-        flux_kind=flux_kind,
+        flux_kind=normalize_flux_kind(flux_kind),
         cfl=cfl,
         flux_cache=caches,
     )
-
-
-def march(
-    initial: np.ndarray,
-    model,
-    flux_kind: str,
-    grid: Grid1D,
-    cfl: float,
-    t0: float,
-    t_final: float,
-):
-    """Generator yielding (t, states) per level without storing the history.
-
-    Used for fine-grid reference runs that would not fit in memory as a full
-    SpaceTimeSolution.
-    """
-    flux_kind = normalize_flux_kind(flux_kind)
-    states = np.array(initial, dtype=float)
-    if states.ndim == 1:
-        states = states[:, None]
-    model.check_domain(states)
-    ghost_left = states[0].copy()
-    ghost_right = states[-1].copy()
-    t = t0
-    yield t, states
-    while t < t_final - 1e-14 * max(1.0, abs(t_final)):
-        dt = cfl_timestep(states, model, grid, cfl, ghost_left, ghost_right,
-                          max_dt=t_final - t)
-        states, _ = step(states, model, flux_kind, grid, dt, ghost_left, ghost_right)
-        if not np.all(model.in_domain(states)):
-            raise DomainError(f"state left the model domain near t={t + dt:.6g}")
-        t = t_final if t_final - (t + dt) <= 1e-14 * max(1.0, abs(t_final)) else t + dt
-        yield t, states
 
 
 def save_solution(sol: SpaceTimeSolution, path: str) -> None:

@@ -1,9 +1,11 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from fvbound import CaseConfig, build_grid, converge, eoc, linf_l1_error, make_model, run_case
+from fvbound import cli
 from fvbound.cli import (
     ConfigError,
     SolutionReference,
@@ -92,12 +94,36 @@ class TestReferences:
         initial = cell_average_exact(fan, 0.0, 0.0, fine)
         sol_c = run(cell_average_exact(fan, 0.0, 0.0, coarse), model, "llf", coarse, 0.9, 0.0, 0.5)
         stored = run(initial, model, "llf", fine, 0.9, 0.0, 0.5, store_fluxes=False)
-        streamed = streamed_fine_reference(initial, model, "llf", fine, 0.9, 0.0, 0.5,
-                                           sol_c.times.t, coarse)
-        for t in sol_c.times.t:
-            a = streamed.cell_averages(float(t), coarse)
+
+        class Capture:
+            grid = coarse
+            times = sol_c.times
+
+            def __init__(self):
+                self.averages = []
+
+            def add(self, n, averages):
+                assert n == len(self.averages)
+                self.averages.append(averages)
+
+        streamed = Capture()
+        streamed_fine_reference(initial, model, "llf", fine, 0.9, 0.0, 0.5, [streamed])
+        assert len(streamed.averages) == len(sol_c.times.t)
+        for t, a in zip(sol_c.times.t, streamed.averages):
             b = SolutionReference(stored).cell_averages(float(t), coarse)
             assert np.all(np.abs(a - b) <= 1e-12)
+
+    def test_level_error_matches_linf_l1_error(self):
+        model = make_model("burgers")
+        grid = build_grid(-5.0, 5.0, 4)
+        sol = run(_burgers_curved_averages(grid), model, "llf", grid, 0.9, 0.0, 0.2)
+        reference = SolutionReference(run(np.full((grid.J, 1), 0.5), model, "llf", grid,
+                                          0.9, 0.0, 0.2))
+        worst = 0.0
+        for n, t in enumerate(sol.times.t):
+            diff = np.abs(sol.states[n] - reference.cell_averages(float(t), grid))
+            worst = max(worst, float((diff.sum(axis=0) * grid.dx).max()))
+        assert linf_l1_error(sol, reference) == worst > 0.0
 
 
 class TestRunCase:
@@ -167,6 +193,35 @@ class TestConverge:
         with pytest.raises(ConfigError):
             converge(CaseConfig(case="psys-2raref", level=4), 4, 4)
 
+    def test_shared_fine_reference_matches_separate_runs(self):
+        config = CaseConfig(case="burgers-curved", level=4, ref="fine:8")
+        table = converge(config, 4, 6)
+        for level, err in zip(table.levels, table.error):
+            _, _, alone, _ = run_case(replace(config, level=level))
+            assert err == alone
+        assert table.error[0] > table.error[1] > table.error[2] > 0.0
+
+    @pytest.mark.parametrize("ref", ["fine:6", "fine:5"])
+    def test_fine_reference_below_a_level_is_refused_before_marching(self, ref, monkeypatch):
+        def no_marching(*args, **kwargs):
+            raise AssertionError("marched before the reference was checked")
+
+        monkeypatch.setattr(cli, "run", no_marching)
+        monkeypatch.setattr(cli, "march", no_marching)
+        with pytest.raises(ConfigError, match="must exceed every run level"):
+            converge(CaseConfig(case="burgers-curved", level=4, ref=ref), 4, 6)
+
+    def test_report_files_match_single_runs(self, tmp_path):
+        config = CaseConfig(case="burgers-curved", level=3, ref="fine:6")
+        converge(replace(config, out_dir=str(tmp_path / "study")), 3, 4)
+        for level in (3, 4):
+            _, _, _, paths = run_case(replace(config, level=level,
+                                              out_dir=str(tmp_path / f"L{level}")))
+            for path in paths.values():
+                name = path.rsplit("/", 1)[1]
+                with open(path, "rb") as alone, open(tmp_path / "study" / name, "rb") as study:
+                    assert alone.read() == study.read(), name
+
 
 class TestSvg:
     def test_render_contains_overlay(self):
@@ -213,6 +268,13 @@ class TestMain:
         code = main(["run", "--case", "custom", "--level", "3"])
         assert code == 1
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("levels", ["6-8", "8..6", "7..7", "a..b", "6.5..8", "7.."])
+    def test_malformed_levels(self, capsys, levels):
+        code = main(["converge", "--case", "psys-2raref", "--levels", levels])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "A..B" in err and repr(levels) in err
 
     def test_audit_command(self, capsys, tmp_path):
         out = tmp_path / "case"

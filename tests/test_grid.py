@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from fvbound import Grid1D, SpaceTimeCell, TimeLevels, build_grid, cfl_timestep, make_model
+from fvbound import Grid1D, TimeLevels, build_grid, cfl_timestep, make_model
 from fvbound.solver import run
 
 
@@ -45,16 +45,6 @@ def test_time_levels_validation():
     TimeLevels(np.array([0.0, 0.1, 0.2]))
     with pytest.raises(ValueError):
         TimeLevels(np.array([0.0, 0.2, 0.1]))
-
-
-def test_space_time_cell_bounds():
-    grid = Grid1D(0.0, 1.0, 4)
-    times = TimeLevels(np.array([0.0, 0.5, 1.0]))
-    SpaceTimeCell(3, 1).validate(grid, times)
-    with pytest.raises(IndexError):
-        SpaceTimeCell(4, 0).validate(grid, times)
-    with pytest.raises(IndexError):
-        SpaceTimeCell(0, 2).validate(grid, times)
 
 
 def test_cfl_burgers_constant_state():

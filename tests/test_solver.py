@@ -12,7 +12,7 @@ from fvbound import (
     save_solution,
     solve_riemann,
 )
-from fvbound.grid import Grid1D
+from fvbound.grid import Grid1D, cfl_timestep
 from fvbound.solver import march, run, step
 
 
@@ -77,10 +77,12 @@ def test_domain_exit_aborts_with_diagnostics():
     states = np.array([[1.0, 0.0], [1.0, 10.0], [1.0, 0.0]])
     new, _ = step(states, model, "llf", grid, 0.3, states[0], states[-1])
     assert not np.all(model.in_domain(new))
-    with pytest.raises(DomainError, match="cell j="):
-        # dt chosen so the big momentum drains cell 0 below vacuum in one step
-        run_states = states.copy()
-        run(run_states, model, "llf", grid, 4.0, 0.0, 1.0)
+    with pytest.raises(DomainError, match="cell j=0, step n=0"):
+        # at an admissible CFL number LLF keeps rho > 0, so the run leaves the
+        # domain through a momentum flux that overflows to a non-finite state
+        run_states = np.array([[1.0, 0.0], [1.0, 1e200], [1.0, 0.0]])
+        with np.errstate(over="ignore", invalid="ignore"):
+            run(run_states, model, "llf", grid, 0.9, 0.0, 1.0)
 
 
 def test_recorded_levels_are_immutable():
@@ -128,6 +130,77 @@ def test_march_agrees_with_run():
     for (t, u), n in zip(streamed, range(sol.n_steps + 1)):
         assert t == pytest.approx(float(sol.times.t[n]), abs=1e-15)
         assert np.array_equal(u, sol.states[n])
+
+
+def _hand_march(states, model, kind, grid, cfl, t0, t_final):
+    """Reference loop: a separate CFL scan, then a step that pads and scans
+    on its own; its fluxes must equal the pairwise numerical flux."""
+    ghost_left, ghost_right = states[0].copy(), states[-1].copy()
+    tol = 1e-14 * max(1.0, abs(t_final))
+    t, out, fluxes = t0, [(t0, states)], []
+    while t < t_final - tol:
+        dt = cfl_timestep(states, model, grid, cfl, ghost_left, ghost_right, max_dt=t_final - t)
+        ext = np.vstack([ghost_left[None, :], states, ghost_right[None, :]])
+        new, flux = step(states, model, kind, grid, dt, ghost_left, ghost_right)
+        assert np.array_equal(flux, numerical_flux(kind, model, ext[:-1], ext[1:]))
+        states = new
+        fluxes.append(flux)
+        t = t_final if t_final - (t + dt) <= tol else t + dt
+        out.append((t, states))
+    return out, fluxes
+
+
+@pytest.mark.parametrize("name,kind", [
+    ("burgers", "llf"), ("psystem", "llf"), ("burgers", "godunov"), ("burgers", "eo"),
+])
+def test_stepping_core_matches_hand_loop(name, kind):
+    model = make_model(name)
+    grid = build_grid(-5.0, 5.0, 6)
+    if name == "burgers":
+        x = grid.centers()[:, None]
+        states = np.where(x < 0.0, 1.5, -0.5) + 0.1 * np.sin(x)
+    else:
+        states = cell_average_exact(solve_riemann(model, [0.15, 0.0], [0.1, 0.0]), 0.0, 0.0, grid)
+    expected, expected_fluxes = _hand_march(states, model, kind, grid, 0.9, 0.0, 1.0)
+    fluxes = []
+    streamed = list(march(states, model, kind, grid, 0.9, 0.0, 1.0, fluxes=fluxes))
+    assert len(streamed) == len(expected) > 10
+    for (t, u), (t_ref, u_ref) in zip(streamed, expected):
+        assert t == t_ref
+        assert np.array_equal(u, u_ref)
+    assert all(np.array_equal(a, b) for a, b in zip(fluxes, expected_fluxes))
+    sol = run(states, model, kind, grid, 0.9, 0.0, 1.0)
+    assert np.array_equal(sol.times.t, [t for t, _ in expected])
+    assert np.array_equal(sol.states, np.array([u for _, u in expected]))
+
+
+@pytest.mark.parametrize("cfl", [1.5, 4.0, 0.0, -0.5, float("nan")])
+def test_cfl_outside_unit_interval_is_refused(cfl):
+    grid = build_grid(-5.0, 5.0, 3)
+    model = make_model("burgers")
+    states = np.linspace(2.0, -2.0, grid.J)[:, None]
+    with pytest.raises(ValueError, match=f"got {cfl!r}"):
+        run(states, model, "llf", grid, cfl, 0.0, 0.5)
+    with pytest.raises(ValueError, match=f"got {cfl!r}"):
+        next(march(states, model, "llf", grid, cfl, 0.0, 0.5))
+
+
+def test_cfl_one_is_accepted():
+    grid = build_grid(-5.0, 5.0, 3)
+    model = make_model("burgers")
+    sol = run(np.linspace(2.0, -2.0, grid.J), model, "llf", grid, 1.0, 0.0, 0.5)
+    assert sol.t_final == 0.5
+
+
+def test_streamed_domain_exit_reports_cell_and_step():
+    model = make_model("burgers")
+    grid = Grid1D(0.0, 1.0, 4)
+    states = np.array([[0.0], [0.0], [1e200], [0.0]])
+    with np.errstate(over="ignore", invalid="ignore"):
+        levels = march(states, model, "llf", grid, 0.9, 0.0, 1.0)
+        assert next(levels)[0] == 0.0
+        with pytest.raises(DomainError, match="cell j=1, step n=0"):
+            next(levels)
 
 
 def test_solution_dump_roundtrip(tmp_path):
