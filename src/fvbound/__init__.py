@@ -25,11 +25,8 @@ from .residual import (
     ResidualReport,
     SlabTestFunction,
     TestFunctionCoefficients,
-    corner_norm_oracle,
     epsilon,
     global_weak_residual,
-    local_entropy_triplet,
-    local_residual_bound,
     projection_coefficients,
     total_variation,
 )

@@ -257,16 +257,16 @@ def _march_and_estimate(config: CaseConfig):
         raise ConfigError("no exact solution available for this case")
     flux_kind = normalize_flux_kind(config.flux)
     sol = run(initial, model, flux_kind, grid, config.cfl, config.t0, config.t_final)
-    estimate = error_estimator(sol, config.sigma0, config.slab_mode)
+    write_cells = bool(config.out_dir) and sol.n_steps * grid.J <= MAX_RESIDUAL_CSV_CELLS
+    estimate = error_estimator(sol, config.sigma0, config.slab_mode, keep_cells=write_cells)
 
     paths: dict[str, str] = {}
     if config.out_dir:
         os.makedirs(config.out_dir, exist_ok=True)
         tag = f"{config.case}_L{config.level}"
-        res = estimate.residual
-        if res.cells_kept and res.bounds.shape[0] * res.bounds.shape[1] <= MAX_RESIDUAL_CSV_CELLS:
+        if write_cells:
             csv_path = os.path.join(config.out_dir, f"{tag}_residuals.csv")
-            res.write_cells_csv(csv_path)
+            estimate.residual.write_cells_csv(csv_path)
             paths["residuals"] = csv_path
 
         slab_path = os.path.join(config.out_dir, f"{tag}_slabs.csv")
@@ -431,7 +431,7 @@ def converge(config: CaseConfig, l_min: int, l_max: int) -> EoCTable:
         eg_vals.append(estimate.e_smooth)
         if config.out_dir:
             reports.append((level_config, _report_dict(level_config, estimate, None)))
-        # drop the flux memo and the per-cell residual arrays before the next level
+        # drop the history and any per-cell residual arrays before the next level
         del sol, estimate
     errs = _errors(config, fan, fine_level, runs)
     for (level_config, report), err in zip(reports, errs):

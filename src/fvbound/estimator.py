@@ -137,7 +137,7 @@ def error_estimator(
     sol: SpaceTimeSolution,
     sigma0: float,
     slab_mode: str = "eps13",
-    keep_cells: bool | str = "auto",
+    keep_cells: bool = False,
     keep_partitions: bool = True,
 ) -> EstimateReport:
     """Full a-posteriori estimate: epsilon over the whole domain, slab covers,

@@ -42,11 +42,17 @@ class Burgers:
         u = u[..., 0]
         return u * u * u / 3.0  # u**3 takes numpy's much slower pow path
 
+    def level_terms(self, u: np.ndarray):
+        """(flux, entropy, entropy flux, max wave speed) of u after one domain check."""
+        self.check_domain(u)
+        v = u[..., 0]
+        return 0.5 * u * u, 0.5 * v**2, v * v * v / 3.0, np.abs(v)
+
     def in_domain(self, u: np.ndarray) -> np.ndarray:
         return np.isfinite(u[..., 0])
 
     def check_domain(self, u: np.ndarray) -> None:
-        if not np.all(np.isfinite(u)):
+        if not np.isfinite(u).all():
             raise DomainError("non-finite Burgers state")
 
     def params(self) -> dict:
@@ -106,11 +112,23 @@ class PSystem:
         rho, q = u[..., 0], u[..., 1]
         return (q / rho) * (self.entropy(u) + self.pressure(rho))
 
+    def level_terms(self, u: np.ndarray):
+        """(flux, entropy, entropy flux, max wave speed) of u after one domain
+        check; the flux and the entropy share one pressure C*rho^gamma."""
+        self.check_domain(u)
+        rho, q = u[..., 0], u[..., 1]
+        v = q / rho
+        p = self.C * rho**self.gamma
+        eta = 0.5 * q * q / rho + p / (self.gamma - 1.0)
+        f = np.stack([q, q * q / rho + p], axis=-1)
+        return f, eta, v * (eta + p), np.abs(v) + self.sound_speed(rho)
+
     def in_domain(self, u: np.ndarray) -> np.ndarray:
-        return np.isfinite(u).all(axis=-1) & (u[..., 0] > 0.0)
+        rho, q = u[..., 0], u[..., 1]
+        return np.isfinite(rho) & np.isfinite(q) & (rho > 0.0)
 
     def check_domain(self, u: np.ndarray) -> None:
-        if not np.all(self.in_domain(u)):
+        if not self.in_domain(u).all():
             raise DomainError("p-system state with rho <= 0 or non-finite entries")
 
     def params(self) -> dict:
@@ -145,6 +163,13 @@ def normalize_flux_kind(kind: str) -> str:
 
 def _llf_lambda(model, uL: np.ndarray, uR: np.ndarray) -> np.ndarray:
     return np.maximum(model.max_wave_speed(uL), model.max_wave_speed(uR))
+
+
+def llf_interface_fluxes(padded: np.ndarray, f: np.ndarray, speeds: np.ndarray) -> np.ndarray:
+    """LLF fluxes at the interfaces of a ghost-padded level from each cell's
+    flux and max wave speed; bit-identical to the pairwise numerical_flux."""
+    lam = np.maximum(speeds[:-1], speeds[1:])
+    return 0.5 * (f[:-1] + f[1:]) - 0.5 * lam[..., None] * (padded[1:] - padded[:-1])
 
 
 def numerical_flux(kind: str, model, uL: np.ndarray, uR: np.ndarray) -> np.ndarray:

@@ -17,16 +17,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .models import normalize_flux_kind, numerical_entropy_flux
+from .models import llf_interface_fluxes, normalize_flux_kind, numerical_entropy_flux
 from .solver import SpaceTimeSolution
 
 # Maps the edge averages (left, top, right) of an affine test function
 # a1 + a2*(t^{n+1}-t)/dt + a3*(x-x_center)/dx  to its coefficients and back.
 PROJECTION_MATRIX = np.array([[1.0, 0.5, -0.5], [1.0, 0.0, 0.0], [1.0, 0.5, 0.5]])
 PROJECTION_INV = np.array([[0.0, 1.0, 0.0], [1.0, -2.0, 1.0], [-1.0, 0.0, 1.0]])
-
-# Per-cell arrays are kept in the report only below this entry count.
-CELL_KEEP_LIMIT = 4_000_000
 
 
 @dataclass(frozen=True)
@@ -77,48 +74,39 @@ def _b_edge_form(dx, dt, u_n, u_np1, f_center, flux_l, flux_r, avg_l, avg_top, a
     )
 
 
-def _level_fluxes(sol: SpaceTimeSolution, kind: str, n: int):
-    fluxes = sol.interface_fluxes(n, kind)
-    return fluxes[:-1], fluxes[1:]  # (F_l, F_r) per cell
-
-
-def level_residual_bounds(sol: SpaceTimeSolution, kind: str, n: int) -> np.ndarray:
-    """Componentwise operator-norm bounds for every cell of level n, (J, m)."""
-    dt = sol.times.dt(n)
-    dx = sol.grid.dx
-    flux_l, flux_r = _level_fluxes(sol, kind, n)
-    f_center = sol.model.flux(sol.states[n])
+def _cell_bounds(dx, dt, fluxes, f_center):
+    """Operator-norm bound per cell from the J+1 interface fluxes."""
+    flux_l, flux_r = fluxes[:-1], fluxes[1:]
     return 0.5 * dt * dt * np.abs(flux_l - flux_r) + 0.5 * dx * dt * np.abs(
         flux_l + flux_r - 2.0 * f_center
     )
 
 
-def local_residual_bound(sol: SpaceTimeSolution, kind: str, j: int, n: int) -> np.ndarray:
-    return level_residual_bounds(sol, kind, n)[j]
+def level_residual_bounds(sol: SpaceTimeSolution, kind: str, n: int) -> np.ndarray:
+    """Componentwise operator-norm bounds for every cell of level n, (J, m)."""
+    return _cell_bounds(sol.grid.dx, sol.times.dt(n), sol.interface_fluxes(n, kind),
+                        sol.model.flux(sol.states[n]))
+
+
+def _entropy_triplets(dx, dt, q_hat, de, q_center):
+    """(E1, E2, E3) per cell from the J+1 numerical entropy fluxes, the
+    entropy decrease over the step and the cell entropy flux."""
+    dq = q_hat[:-1] - q_hat[1:]
+    e3 = 0.5 * dx * dx * de + dt * dx * (q_hat[:-1] - q_center)
+    return dx * de + dt * dq, 0.5 * dt * dt * dq, e3
 
 
 def level_entropy_triplets(sol: SpaceTimeSolution, n: int):
     """(E1, E2, E3) per cell of level n plus the lower bound
     min{0,E1} + min{0,E2} + min{0,E3}."""
     model = sol.model
-    dt = sol.times.dt(n)
-    dx = sol.grid.dx
     ext = sol.extended_states(n)
-    q_hat = numerical_entropy_flux(model, ext[:-1], ext[1:])
-    dq = q_hat[:-1] - q_hat[1:]
-    de = model.entropy(sol.states[n]) - model.entropy(sol.states[n + 1])
-    e1 = dx * de + dt * dq
-    e2 = 0.5 * dt * dt * dq
-    e3 = 0.5 * dx * dx * de + dt * dx * (q_hat[:-1] - model.entropy_flux(sol.states[n]))
-    lower = np.minimum(e1, 0.0) + np.minimum(e2, 0.0) + np.minimum(e3, 0.0)
-    return e1, e2, e3, lower
-
-
-def local_entropy_triplet(sol: SpaceTimeSolution, kind: str, j: int, n: int):
-    """(E1, E2, E3, lower bound) for one cell; the flux kind only selects the
-    cached marching fluxes and does not enter the entropy flux."""
-    e1, e2, e3, lower = level_entropy_triplets(sol, n)
-    return float(e1[j]), float(e2[j]), float(e3[j]), float(lower[j])
+    e1, e2, e3 = _entropy_triplets(
+        sol.grid.dx, sol.times.dt(n), numerical_entropy_flux(model, ext[:-1], ext[1:]),
+        model.entropy(sol.states[n]) - model.entropy(sol.states[n + 1]),
+        model.entropy_flux(sol.states[n]),
+    )
+    return e1, e2, e3, np.minimum(e1, 0.0) + np.minimum(e2, 0.0) + np.minimum(e3, 0.0)
 
 
 def total_variation(sol: SpaceTimeSolution, n: int) -> tuple[np.ndarray, float]:
@@ -138,7 +126,8 @@ def level_corner_oracle(sol: SpaceTimeSolution, kind: str, n: int) -> np.ndarray
     """
     dt = sol.times.dt(n)
     dx = sol.grid.dx
-    flux_l, flux_r = _level_fluxes(sol, kind, n)
+    fluxes = sol.interface_fluxes(n, kind)
+    flux_l, flux_r = fluxes[:-1], fluxes[1:]
     u_n, u_np1 = sol.states[n], sol.states[n + 1]
     f_center = sol.model.flux(u_n)
     best = np.zeros_like(u_n)
@@ -153,10 +142,6 @@ def level_corner_oracle(sol: SpaceTimeSolution, kind: str, n: int) -> np.ndarray
                                avg_l, 0.0, avg_r)
             best = np.maximum(best, np.abs(val))
     return best
-
-
-def corner_norm_oracle(sol: SpaceTimeSolution, kind: str, j: int, n: int) -> np.ndarray:
-    return level_corner_oracle(sol, kind, n)[j]
 
 
 @dataclass(frozen=True)
@@ -244,10 +229,6 @@ class ResidualReport:
     def tv_max(self) -> float:
         return float(self.tv_scalar.max()) if self.tv_scalar.size else 0.0
 
-    @property
-    def cells_kept(self) -> bool:
-        return self.bounds is not None
-
     def to_json_dict(self) -> dict:
         return {
             "flux_kind": self.flux_kind,
@@ -261,26 +242,27 @@ class ResidualReport:
         }
 
     def write_cells_csv(self, path: str) -> None:
-        if not self.cells_kept:
+        if self.bounds is None:
             raise ValueError("per-cell arrays were not kept for this report")
-        n_steps, n_cells, m = self.bounds.shape
+        m = self.bounds.shape[2]
         with open(path, "w", newline="") as fh:
             cols = ["n", "j"] + [f"bound_{c}" for c in range(m)] + ["E1", "E2", "E3", "ent_lower"]
             fh.write(",".join(cols) + "\r\n")
-            for n in range(n_steps):
-                for j in range(n_cells):
-                    row = [str(n), str(j)]
-                    row += [repr(float(v)) for v in self.bounds[n, j]]
-                    row += [repr(float(v)) for v in self.entropy_triplets[n, j]]
-                    row.append(repr(float(self.entropy_lower[n, j])))
-                    fh.write(",".join(row) + "\r\n")
+            cells = zip(self.bounds, self.entropy_triplets, self.entropy_lower)
+            for n, (bounds, triplets, lower) in enumerate(cells):
+                rows = np.concatenate([bounds, triplets, lower[:, None]], axis=1).tolist()
+                fh.write("".join(f"{n},{j},{','.join(map(repr, row))}\r\n"
+                                 for j, row in enumerate(rows)))
 
 
-def epsilon(
-    sol: SpaceTimeSolution,
-    kind: str | None = None,
-    keep_cells: bool | str = "auto",
-) -> ResidualReport:
+def _level_terms(sol: SpaceTimeSolution, n: int):
+    """Ghost-padded level n with its flux, entropy, entropy flux and speed."""
+    ext = sol.extended_states(n)
+    return (ext, *sol.model.level_terms(ext))
+
+
+def epsilon(sol: SpaceTimeSolution, kind: str | None = None,
+            keep_cells: bool = False) -> ResidualReport:
     """Smallest computed constant bounding the weak and entropy residuals.
 
     epsilon = C * max{beta, eta} / sup_n TV[u(t^n)], and 0 for constant
@@ -289,39 +271,46 @@ def epsilon(
     entropy-inequality violation (the negative part of the constant-test
     functional); both maxima exclude the very first layer, where the freshly
     projected initial data still carries unresolved jumps, whenever the run
-    has more than one step.
+    has more than one step.  keep_cells keeps the per-cell arrays for the CSV.
     """
     kind = normalize_flux_kind(kind or sol.flux_kind)
     n_steps = sol.n_steps
-    grid = sol.grid
-    m = sol.model.m
-    if keep_cells == "auto":
-        keep_cells = n_steps * grid.J * m <= CELL_KEEP_LIMIT
-
-    tv = np.empty((n_steps + 1, m))
-    tv_scalar = np.empty(n_steps + 1)
-    for n in range(n_steps + 1):
-        tv[n], tv_scalar[n] = total_variation(sol, n)
-
+    dx = sol.grid.dx
+    cells = (n_steps, sol.grid.J)
+    tv = np.empty((n_steps + 1, sol.model.m))
     beta_levels = np.zeros(n_steps)
     eta_levels = np.zeros(n_steps)
-    bounds = np.empty((n_steps, grid.J, m)) if keep_cells else None
-    triplets = np.empty((n_steps, grid.J, 3)) if keep_cells else None
-    lowers = np.empty((n_steps, grid.J)) if keep_cells else None
+    bounds = np.empty(cells + (sol.model.m,)) if keep_cells else None
+    triplets = np.empty(cells + (3,)) if keep_cells else None
+    lowers = np.empty(cells) if keep_cells else None
 
     c_max = 0.0
-    for n in range(n_steps):
+    nxt = _level_terms(sol, 0)
+    for n in range(n_steps + 1):
+        ext, f, ent, ent_flux, speeds = nxt
+        tv[n] = np.abs(np.diff(ext, axis=0)).sum(axis=0)
+        if n == n_steps:
+            break
+        nxt = _level_terms(sol, n + 1)  # level n+1 is the next layer's level n
         dt = sol.times.dt(n)
-        c_max = max(c_max, dt / grid.dx)
-        cell_bounds = level_residual_bounds(sol, kind, n)
-        e1, e2, e3, lower = level_entropy_triplets(sol, n)
+        c_max = max(c_max, dt / dx)
+        if kind == "llf":
+            fluxes = llf_interface_fluxes(ext, f, speeds)
+        else:
+            fluxes = sol.interface_fluxes(n, kind)
+        cell_bounds = _cell_bounds(dx, dt, fluxes, f[1:-1])
+        # the LLF entropy-flux companion, as numerical_entropy_flux computes it
+        lam = np.maximum(speeds[:-1], speeds[1:])
+        q_hat = 0.5 * (ent_flux[:-1] + ent_flux[1:]) - 0.5 * lam * (ent[1:] - ent[:-1])
+        e1, e2, e3 = _entropy_triplets(dx, dt, q_hat, ent[1:-1] - nxt[2][1:-1], ent_flux[1:-1])
         beta_levels[n] = cell_bounds.sum(axis=0).max() / dt
         eta_levels[n] = np.abs(np.minimum(e1, 0.0)).sum() / dt
         if keep_cells:
             bounds[n] = cell_bounds
             triplets[n] = np.stack([e1, e2, e3], axis=-1)
-            lowers[n] = lower
+            lowers[n] = np.minimum(e1, 0.0) + np.minimum(e2, 0.0) + np.minimum(e3, 0.0)
 
+    tv_scalar = tv.max(axis=1)
     start = 1 if n_steps >= 2 else 0
     beta = float(beta_levels[start:].max()) if n_steps else 0.0
     eta = float(eta_levels[start:].max()) if n_steps else 0.0

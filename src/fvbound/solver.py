@@ -3,13 +3,14 @@
 from __future__ import annotations
 
 import io
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 # perfbench/tracing.py wraps cfl_timestep here; the stepping core fuses its scan.
 from .grid import Grid1D, TimeLevels, cfl_timestep  # noqa: F401
-from .models import DomainError, make_model, normalize_flux_kind, numerical_flux
+from .models import (DomainError, llf_interface_fluxes, make_model, normalize_flux_kind,
+                     numerical_flux)
 
 
 @dataclass
@@ -28,7 +29,6 @@ class SpaceTimeSolution:
     model: object
     flux_kind: str
     cfl: float
-    flux_cache: list | None = field(default=None, repr=False)
 
     @property
     def n_steps(self) -> int:
@@ -47,14 +47,9 @@ class SpaceTimeSolution:
         return np.vstack([self.ghost_left[None, :], self.states[n], self.ghost_right[None, :]])
 
     def interface_fluxes(self, n: int, kind: str | None = None) -> np.ndarray:
-        """Numerical fluxes at the J+1 interfaces for level n.
-
-        Fluxes cached during marching are reused when they match the
-        requested kind.
-        """
+        """Numerical fluxes at the J+1 interfaces for level n; for the marching
+        kind they equal the marching fluxes bit for bit."""
         kind = normalize_flux_kind(kind or self.flux_kind)
-        if self.flux_cache is not None and kind == normalize_flux_kind(self.flux_kind):
-            return self.flux_cache[n]
         ext = self.extended_states(n)
         return numerical_flux(kind, self.model, ext[:-1], ext[1:])
 
@@ -83,9 +78,7 @@ def step(
         check = speeds is None
         if check:
             speeds = model.max_wave_speed(padded)
-        f = model.flux(padded, check=check)
-        lam = np.maximum(speeds[:-1], speeds[1:])
-        fluxes = 0.5 * (f[:-1] + f[1:]) - 0.5 * lam[..., None] * (padded[1:] - padded[:-1])
+        fluxes = llf_interface_fluxes(padded, model.flux(padded, check=check), speeds)
     else:
         fluxes = numerical_flux(flux_kind, model, padded[:-1], padded[1:])
     new = states - (dt / grid.dx) * (fluxes[1:] - fluxes[:-1])
@@ -101,11 +94,9 @@ def march(
     t0: float,
     t_final: float,
     max_steps: int = 10_000_000,
-    fluxes: list | None = None,
 ):
     """The stepping core: yield (t, states) for every level from t0 to
-    exactly t_final (last step clipped) without storing the history, and
-    append each step's interface fluxes to `fluxes` when a list is given.
+    exactly t_final (last step clipped) without storing the history.
 
     One max-wave-speed scan of the ghost-padded states per step gives both
     dt and the LLF lambda; each new level is checked against the domain once.
@@ -134,8 +125,8 @@ def march(
         speeds = model.max_wave_speed(padded, check=False)
         lam = float(speeds.max())
         dt = t_final - t if lam == 0.0 else min(cfl * grid.dx / lam, t_final - t)
-        states, step_fluxes = step(states, model, flux_kind, grid, dt, ghost_left, ghost_right,
-                                   padded, speeds)
+        states, _ = step(states, model, flux_kind, grid, dt, ghost_left, ghost_right,
+                         padded, speeds)
         bad = ~model.in_domain(states)
         if bad.any():
             j = int(np.argmax(bad))
@@ -143,8 +134,6 @@ def march(
                 f"state left the model domain at cell j={j}, step n={n}, "
                 f"t={t + dt:.6g}: {states[j]}"
             )
-        if fluxes is not None:
-            fluxes.append(step_fluxes)
         t = t_final if t_final - (t + dt) <= tol else t + dt
         n += 1
         yield t, states
@@ -158,17 +147,18 @@ def run(
     cfl: float,
     t0: float,
     t_final: float,
-    store_fluxes: bool = True,
     max_steps: int = 10_000_000,
 ) -> SpaceTimeSolution:
     """March from t0 to exactly t_final (last step clipped) and record every
-    level, with the marching fluxes as the solution's flux memo."""
-    caches = [] if store_fluxes else None
-    times, levels = [], []
-    for t, states in march(initial, model, flux_kind, grid, cfl, t0, t_final, max_steps, caches):
+    level in one buffer, grown in place by a quarter when full, then trimmed."""
+    times, history = [], np.empty((16, grid.J, model.m))
+    for n, (t, states) in enumerate(march(initial, model, flux_kind, grid, cfl, t0, t_final,
+                                          max_steps)):
+        if n == len(history):
+            history.resize((n + n // 4, grid.J, model.m), refcheck=False)
+        history[n] = states
         times.append(t)
-        levels.append(states)
-    history = np.array(levels)
+    history.resize((len(times), grid.J, model.m), refcheck=False)
     history.setflags(write=False)  # levels are frozen once recorded
     ghost_left = history[0, 0].copy()
     ghost_right = history[0, -1].copy()
@@ -183,7 +173,6 @@ def run(
         model=model,
         flux_kind=normalize_flux_kind(flux_kind),
         cfl=cfl,
-        flux_cache=caches,
     )
 
 

@@ -93,7 +93,7 @@ class TestReferences:
         fine = build_grid(-5.0, 5.0, 6)
         initial = cell_average_exact(fan, 0.0, 0.0, fine)
         sol_c = run(cell_average_exact(fan, 0.0, 0.0, coarse), model, "llf", coarse, 0.9, 0.0, 0.5)
-        stored = run(initial, model, "llf", fine, 0.9, 0.0, 0.5, store_fluxes=False)
+        stored = run(initial, model, "llf", fine, 0.9, 0.0, 0.5)
 
         class Capture:
             grid = coarse
@@ -290,6 +290,23 @@ class TestMain:
         assert "audited" in capsys.readouterr().out
         assert (audit_out / "psys-raref-shock_L4_solution_audit.json").exists()
         assert (audit_out / "psys-raref-shock_L4_solution_audit_slabs.csv").exists()
+
+    def test_audit_refuses_a_dump_that_leaves_the_domain(self, capsys, tmp_path):
+        code = main(["run", "--case", "psys-raref-shock", "--level", "4", "--out", str(tmp_path),
+                     "--dump-solution", "--ref", "none"])
+        assert code == 0
+        dump = tmp_path / "psys-raref-shock_L4_solution.csv"
+        lines = dump.read_text().splitlines(keepends=True)
+        rows = [k for k, line in enumerate(lines) if not line.startswith("#")]
+        assert len(rows) > 4
+        k = rows[len(rows) // 2]  # an interior time level
+        values = lines[k].split(",")
+        values[1 + 2 * 5] = "-0.25"  # rho of cell j=5
+        lines[k] = ",".join(values)
+        dump.write_text("".join(lines))
+        capsys.readouterr()
+        assert main(["audit", "--solution", str(dump)]) == 1
+        assert "p-system state with rho <= 0" in capsys.readouterr().err
 
     def test_slab_csv_written(self, tmp_path):
         _, _, _, paths = run_case(CaseConfig(case="psys-raref-shock", level=4,

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fvbound import (
     DomainError,
@@ -168,3 +169,49 @@ def test_model_factory_validation():
         make_model("psystem", C=-1.0)
     with pytest.raises(ValueError):
         make_model("psystem", gamma=1.0)
+
+
+_burgers_levels = st.lists(st.floats(-1e3, 1e3), min_size=1, max_size=40)
+_psystem_levels = st.lists(st.tuples(st.floats(1e-3, 1e3), st.floats(-1e3, 1e3)),
+                           min_size=1, max_size=40)
+_psystem_params = st.tuples(st.floats(0.1, 10.0), st.floats(1.05, 3.0))
+
+
+def _assert_level_terms_match(model, u):
+    f, eta, q, speed = model.level_terms(u)
+    for got, want in ((f, model.flux(u)), (eta, model.entropy(u)),
+                      (q, model.entropy_flux(u)), (speed, model.max_wave_speed(u))):
+        assert got.shape == want.shape
+        assert np.array_equal(got, want)
+
+
+@settings(max_examples=60, deadline=None)
+@given(values=_burgers_levels)
+def test_burgers_level_terms_equal_the_separate_methods(values):
+    _assert_level_terms_match(make_model("burgers"), np.array(values)[:, None])
+
+
+@settings(max_examples=60, deadline=None)
+@given(states=_psystem_levels, params=_psystem_params)
+def test_psystem_level_terms_equal_the_separate_methods(states, params):
+    _assert_level_terms_match(make_model("psystem", C=params[0], gamma=params[1]),
+                              np.array(states))
+
+
+@settings(max_examples=40, deadline=None)
+@given(states=_psystem_levels, data=st.data())
+def test_level_terms_refuse_states_outside_the_domain(states, data):
+    psystem = make_model("psystem", C=1.0, gamma=1.4)
+    u = np.array(states)
+    j = data.draw(st.integers(0, len(u) - 1))
+    u[j, data.draw(st.sampled_from([0, 1]))] = np.nan
+    with pytest.raises(DomainError):
+        psystem.level_terms(u)
+    u = np.array(states)
+    u[j, 0] = data.draw(st.floats(-1e3, 0.0))
+    with pytest.raises(DomainError):
+        psystem.level_terms(u)
+    burgers_u = np.array(states)[:, :1]
+    burgers_u[j, 0] = data.draw(st.sampled_from([np.nan, np.inf, -np.inf]))
+    with pytest.raises(DomainError):
+        make_model("burgers").level_terms(burgers_u)

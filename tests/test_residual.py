@@ -5,11 +5,8 @@ from fvbound import (
     SlabTestFunction,
     build_grid,
     cell_average_exact,
-    corner_norm_oracle,
     epsilon,
     global_weak_residual,
-    local_entropy_triplet,
-    local_residual_bound,
     make_model,
     projection_coefficients,
     solve_riemann,
@@ -22,6 +19,7 @@ from fvbound.residual import (
     level_entropy_triplets,
     level_residual_bounds,
 )
+from fvbound.cli import _burgers_curved_averages
 from fvbound.solver import SpaceTimeSolution, run
 
 from test_solver import shock_profile
@@ -34,6 +32,17 @@ def stationary_shock_solution(kind="godunov", level=4, steps=3):
     model = make_model("burgers")
     states = shock_profile(grid)
     return run(states, model, kind, grid, 0.9, 0.0, steps * 0.9 * grid.dx)
+
+
+def small_run(name, kind="llf", level=6):
+    """A short run with shocks and rarefactions: the rarefaction-shock
+    p-system problem or the curved-shock Burgers problem."""
+    grid = build_grid(-5.0, 5.0, level)
+    if name == "psystem":
+        model = make_model("psystem", C=1.0, gamma=1.4)
+        fan = solve_riemann(model, [0.15, 0.0], [0.1, 0.0])
+        return run(cell_average_exact(fan, 0.0, 0.0, grid), model, kind, grid, 0.9, 0.0, 1.0)
+    return run(_burgers_curved_averages(grid), make_model("burgers"), kind, grid, 0.9, 0.0, 0.6)
 
 
 def edge_averages_by_quadrature(phi, dt, dx):
@@ -126,7 +135,7 @@ class TestLocalBound:
     def test_locally_constant_data_has_zero_bound(self):
         sol = stationary_shock_solution()
         j_far = 2  # deep inside the constant region
-        assert np.all(local_residual_bound(sol, "godunov", j_far, 0) == 0.0)
+        assert np.all(level_residual_bounds(sol, "godunov", 0)[j_far] == 0.0)
 
     def test_stationary_shock_concentrates_in_center_cell(self):
         sol = stationary_shock_solution()
@@ -153,7 +162,7 @@ class TestEntropyTriplet:
         model = make_model("burgers")
         states = np.full((grid.J, 1), 0.7)
         sol = run(states, model, "llf", grid, 0.9, 0.0, 0.2)
-        e1, e2, e3, lower = local_entropy_triplet(sol, "llf", 3, 0)
+        e1, e2, e3, lower = (float(a[3]) for a in level_entropy_triplets(sol, 0))
         assert (e1, e2, e3, lower) == (0.0, 0.0, 0.0, 0.0)
 
     def test_stationary_shock_e2_value(self):
@@ -162,7 +171,7 @@ class TestEntropyTriplet:
         sol = stationary_shock_solution(kind="godunov")
         j_center = int(np.nonzero(sol.states[0][:, 0] == 0.0)[0][0])
         dt = sol.times.dt(0)
-        _, e2, _, _ = local_entropy_triplet(sol, "godunov", j_center, 0)
+        e2 = level_entropy_triplets(sol, 0)[1][j_center]
         assert e2 == pytest.approx((5.0 / 12.0) * dt * dt, rel=1e-13)
 
     def test_lower_bound_is_never_positive(self):
@@ -244,21 +253,63 @@ class TestEpsilon:
         report.write_cells_csv(str(path))
         header = path.read_text().splitlines()[0]
         assert header == "n,j,bound_0,E1,E2,E3,ent_lower"
-        report_small = epsilon(sol, keep_cells=False)
+        report_small = epsilon(sol)
+        assert report_small.bounds is None
         with pytest.raises(ValueError):
             report_small.write_cells_csv(str(path))
+
+    @pytest.mark.parametrize("name,kind,res_kind", [
+        ("burgers", "llf", "llf"), ("psystem", "llf", "llf"), ("burgers", "godunov", "godunov"),
+        ("burgers", "eo", "eo"), ("burgers", "godunov", "llf"),
+    ])
+    def test_matches_one_level_reference_api(self, name, kind, res_kind):
+        sol = small_run(name, kind)
+        report = epsilon(sol, res_kind, keep_cells=True)
+        n_steps = sol.n_steps
+        assert n_steps > 10
+        for n in range(n_steps + 1):
+            tv, scalar = total_variation(sol, n)
+            assert np.array_equal(report.tv[n], tv) and report.tv_scalar[n] == scalar
+        for n in range(n_steps):
+            dt = sol.times.dt(n)
+            bounds = level_residual_bounds(sol, res_kind, n)
+            e1, e2, e3, lower = level_entropy_triplets(sol, n)
+            assert np.array_equal(report.bounds[n], bounds)
+            assert np.array_equal(report.entropy_triplets[n], np.stack([e1, e2, e3], axis=-1))
+            assert np.array_equal(report.entropy_lower[n], lower)
+            assert report.beta_levels[n] == bounds.sum(axis=0).max() / dt
+            assert report.eta_levels[n] == np.abs(np.minimum(e1, 0.0)).sum() / dt
+        rate = max(report.beta_levels[1:].max(), report.eta_levels[1:].max())
+        assert report.epsilon == report.stability_constant * rate / report.tv_max > 0.0
+
+    @pytest.mark.parametrize("name", ["burgers", "psystem"])
+    def test_cells_csv_matches_row_by_row_writer(self, name, tmp_path):
+        report = epsilon(small_run(name, level=4), keep_cells=True)
+        path = tmp_path / "cells.csv"
+        report.write_cells_csv(str(path))
+        n_steps, n_cells, m = report.bounds.shape
+        lines = [",".join(["n", "j"] + [f"bound_{c}" for c in range(m)]
+                          + ["E1", "E2", "E3", "ent_lower"])]
+        for n in range(n_steps):
+            for j in range(n_cells):
+                row = [str(n), str(j)]
+                row += [repr(float(v)) for v in report.bounds[n, j]]
+                row += [repr(float(v)) for v in report.entropy_triplets[n, j]]
+                row.append(repr(float(report.entropy_lower[n, j])))
+                lines.append(",".join(row))
+        assert path.read_bytes() == "".join(line + "\r\n" for line in lines).encode()
 
 
 class TestCornerOracle:
     def test_constant_region_is_zero(self):
         sol = stationary_shock_solution()
-        assert np.all(corner_norm_oracle(sol, "godunov", 1, 0) == 0.0)
+        assert np.all(level_corner_oracle(sol, "godunov", 0)[1] == 0.0)
 
     def test_center_cell_value(self):
         sol = stationary_shock_solution()
         j_center = int(np.nonzero(sol.states[0][:, 0] == 0.0)[0][0])
         dt = sol.times.dt(0)
-        assert corner_norm_oracle(sol, "godunov", j_center, 0) == pytest.approx(
+        assert level_corner_oracle(sol, "godunov", 0)[j_center] == pytest.approx(
             0.5 * sol.grid.dx * dt
         )
 
