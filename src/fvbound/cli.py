@@ -64,7 +64,14 @@ _CASE_DEFAULT_REF = {
 }
 
 
+def _check_sigma(sigma0: float) -> None:
+    if not (math.isfinite(sigma0) and sigma0 > 0):
+        raise ConfigError(f"sigma must be a finite positive number, got {sigma0!r}")
+
+
 def _resolve(config: CaseConfig) -> CaseConfig:
+    """Fill the case defaults in; refuse non-finite cfl, sigma0, t0 or
+    t_final, sigma0 <= 0 and t_final <= t0 before anything is marched."""
     if config.case not in _CASE_WINDOWS:
         raise ConfigError(f"unknown case '{config.case}'")
     t0, t_final = _CASE_WINDOWS[config.case]
@@ -75,7 +82,14 @@ def _resolve(config: CaseConfig) -> CaseConfig:
         updates["t_final"] = t_final
     if config.ref == "default":
         updates["ref"] = _CASE_DEFAULT_REF[config.case]
-    return replace(config, **updates) if updates else config
+    config = replace(config, **updates) if updates else config
+    for name, value in (("cfl", config.cfl), ("t0", config.t0), ("t_final", config.t_final)):
+        if not math.isfinite(value):
+            raise ConfigError(f"{name} must be finite, got {value!r}")
+    _check_sigma(config.sigma0)
+    if not config.t_final > config.t0:
+        raise ConfigError(f"t_final must exceed t0, got t0={config.t0!r}, t_final={config.t_final!r}")
+    return config
 
 
 def _burgers_curved_averages(grid: Grid1D) -> np.ndarray:
@@ -484,17 +498,14 @@ def render_decomposition_svg(sol: SpaceTimeSolution, estimate: EstimateReport,
     n_rows, n_cols = raster.shape
     cell_w = (width - 2 * pad) / n_cols
     cell_h = (height - 2 * pad) / n_rows
+    # np.rint rounds half to even, like round(); shades lie in [40, 235]
+    shades = np.rint(235 - 195 * (raster - vmin) / vspan).astype(np.uint8)
+    x_attrs = [f'<rect x="{pad + c * cell_w:.2f}" y="' for c in range(n_cols)]
+    size_attrs = f'" width="{cell_w + 0.5:.2f}" height="{cell_h + 0.5:.2f}" fill="rgb('
     for r in range(n_rows):
-        y = height - pad - (r + 1) * cell_h
-        row = []
-        for c in range(n_cols):
-            shade = int(round(235 - 195 * (raster[r, c] - vmin) / vspan))
-            row.append(
-                f'<rect x="{pad + c * cell_w:.2f}" y="{y:.2f}" '
-                f'width="{cell_w + 0.5:.2f}" height="{cell_h + 0.5:.2f}" '
-                f'fill="rgb({shade},{shade},{shade})"/>'
-            )
-        parts.append("".join(row))
+        y = f"{height - pad - (r + 1) * cell_h:.2f}{size_attrs}"
+        row = zip(x_attrs, shades[r].tolist())
+        parts.append("".join(f'{x}{y}{s},{s},{s})"/>' for x, s in row))
 
     def polygon(trap, color: str, fill: str = "none", opacity: str = "1.0", dash: str = ""):
         pts = (
@@ -537,8 +548,8 @@ def render_decomposition_svg(sol: SpaceTimeSolution, estimate: EstimateReport,
         f"x in [{grid.x_min:g}, {grid.x_max:g}], t in [{t0:g}, {t1:g}]; "
         f"surges outlined orange, strips red, smooth trapezoids blue</text>"
     )
-    parts.append("</svg>")
-    return "\n".join(parts) + "\n"
+    parts.append("</svg>\n")  # one join, no second copy for the final newline
+    return "\n".join(parts)
 
 
 # ---------------------------------------------------------------------------
@@ -648,6 +659,7 @@ def main(argv=None) -> int:
         if args.command == "audit":
             from .solver import load_solution
 
+            _check_sigma(args.sigma)
             sol = load_solution(args.solution)
             estimate = error_estimator(sol, args.sigma, args.slab_size)
             print(f"audited {args.solution}: eps={estimate.epsilon_t:.5g} "

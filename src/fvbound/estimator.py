@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .partition import SlabPartition, oscillation, partition_meso_slab
+from .partition import SlabPartition, oscillation, partition_meso_slab, slab_block
 from .residual import ResidualReport, epsilon
 from .solver import SpaceTimeSolution
 
@@ -177,8 +177,10 @@ def error_estimator(
     delta_max = 0.0
     surge_count = 0
     for k, (n_lo, n_hi) in enumerate(zip(bounds[:-1], bounds[1:])):
-        part = partition_meso_slab(sol, n_lo, n_hi, eps_t, sigma0)
-        kappa = max((oscillation(sol, g, n_lo, n_hi) for g in part.smooth), default=0.0)
+        block = slab_block(sol, n_lo, n_hi)
+        part = partition_meso_slab(sol, n_lo, n_hi, eps_t, sigma0, res.speed_range, block)
+        kappa = max((oscillation(sol, g, n_lo, n_hi, block) for g in part.smooth), default=0.0)
+        del block  # dropped before the next slab's block is built
         kp = max(part.surge_oscillations, default=0.0)
         dmax = max((s.delta for s in part.surges), default=0.0)
         slabs.append(SlabDiagnostics(

@@ -43,10 +43,12 @@ class Burgers:
         return u * u * u / 3.0  # u**3 takes numpy's much slower pow path
 
     def level_terms(self, u: np.ndarray):
-        """(flux, entropy, entropy flux, max wave speed) of u after one domain check."""
+        """(flux, entropy, entropy flux, max wave speed, (min, max) wave speed
+        over the interior cells u[1:-1]) of a padded level after one domain check."""
         self.check_domain(u)
         v = u[..., 0]
-        return 0.5 * u * u, 0.5 * v**2, v * v * v / 3.0, np.abs(v)
+        extremes = (float(v[1:-1].min()), float(v[1:-1].max()))
+        return 0.5 * u * u, 0.5 * v**2, v * v * v / 3.0, np.abs(v), extremes
 
     def in_domain(self, u: np.ndarray) -> np.ndarray:
         return np.isfinite(u[..., 0])
@@ -113,15 +115,18 @@ class PSystem:
         return (q / rho) * (self.entropy(u) + self.pressure(rho))
 
     def level_terms(self, u: np.ndarray):
-        """(flux, entropy, entropy flux, max wave speed) of u after one domain
-        check; the flux and the entropy share one pressure C*rho^gamma."""
+        """(flux, entropy, entropy flux, max wave speed, (min v - c, max v + c)
+        over the interior cells u[1:-1]) of a ghost-padded level after one
+        domain check; the flux and the entropy share one pressure C*rho^gamma."""
         self.check_domain(u)
         rho, q = u[..., 0], u[..., 1]
         v = q / rho
+        c = self.sound_speed(rho)
         p = self.C * rho**self.gamma
         eta = 0.5 * q * q / rho + p / (self.gamma - 1.0)
         f = np.stack([q, q * q / rho + p], axis=-1)
-        return f, eta, v * (eta + p), np.abs(v) + self.sound_speed(rho)
+        extremes = (float((v[1:-1] - c[1:-1]).min()), float((v[1:-1] + c[1:-1]).max()))
+        return f, eta, v * (eta + p), np.abs(v) + c, extremes
 
     def in_domain(self, u: np.ndarray) -> np.ndarray:
         rho, q = u[..., 0], u[..., 1]

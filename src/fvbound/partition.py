@@ -3,7 +3,11 @@
 A meso-timeslab (a strip of several consecutive time levels) is covered by
 surge trapezoids around sufficiently isolated strong discontinuities and by
 smooth trapezoids everywhere else.  Trapezoid slopes come from the extreme
-wave speeds observed in the slab.
+wave speeds observed in the slab, which the residual pass records per level.
+
+The cells a trapezoid meets are (levels, j_lo, j_hi) arrays computed for all
+of a slab's levels at once; its min and max come from one reduceat each over
+the slab's levels laid out as one component-major block.
 """
 
 from __future__ import annotations
@@ -53,7 +57,7 @@ def detect_jumps(
     rescaling and offsets); the detector takes the max over components.
     Only interfaces inside x_interval are considered.
     """
-    if sigma0 <= 0:
+    if not sigma0 > 0:  # NaN included
         raise ValueError(f"sigma0 must be positive, got {sigma0}")
     states = sol.states[n]
     grid = sol.grid
@@ -116,75 +120,69 @@ class Trapezoid:
         }
 
 
-def _cells_touching(grid: Grid1D, xlo: float, xhi: float) -> tuple[int, int] | None:
-    """Closed range of cell indices whose closed cell touches [xlo, xhi]."""
-    slop = 1e-9
-    j_lo = int(np.ceil((xlo - grid.x_min) / grid.dx - 1.0 - slop))
-    j_hi = int(np.floor((xhi - grid.x_min) / grid.dx + slop))
-    j_lo = max(j_lo, 0)
-    j_hi = min(j_hi, grid.J - 1)
-    if j_lo > j_hi:
-        return None
-    return j_lo, j_hi
-
-
 def trapezoid_cell_ranges(
     trap: Trapezoid, sol: SpaceTimeSolution, n_lo: int, n_hi: int
-) -> list[tuple[int, int, int]]:
-    """(level, j_lo, j_hi) for cells whose closed space-time rectangle meets
-    the trapezoid; boundary touching counts."""
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(levels, j_lo, j_hi) arrays: on each listed level of n_lo..n_hi-1, the
+    closed range of cells whose closed space-time rectangle meets the
+    trapezoid; boundary touching counts."""
+    levels = np.arange(n_lo, n_hi)
+    if trap.t_top - trap.t_bot <= 0:
+        return levels[:0], levels[:0], levels[:0]
     times = sol.times.t
-    out = []
-    span = trap.t_top - trap.t_bot
-    if span <= 0:
-        return out
-    for level in range(n_lo, n_hi):
-        w_lo = max(float(times[level]), trap.t_bot)
-        w_hi = min(float(times[level + 1]), trap.t_top)
-        if w_lo > w_hi:
-            continue
-        # restrict to the sub-window where the trapezoid is non-degenerate
-        g_lo = trap.right_at(w_lo) - trap.left_at(w_lo)
-        g_hi = trap.right_at(w_hi) - trap.left_at(w_hi)
-        if g_lo < 0.0 and g_hi < 0.0:
-            continue
-        if g_lo < 0.0 or g_hi < 0.0:
-            # linear in t, single sign change
-            t_root = w_lo + (w_hi - w_lo) * g_lo / (g_lo - g_hi)
-            if g_lo < 0.0:
-                w_lo = t_root
-            else:
-                w_hi = t_root
-        xlo = min(trap.left_at(w_lo), trap.left_at(w_hi))
-        xhi = max(trap.right_at(w_lo), trap.right_at(w_hi))
-        rng = _cells_touching(sol.grid, xlo, xhi)
-        if rng is not None:
-            out.append((level, rng[0], rng[1]))
-    return out
+    w_lo = np.maximum(times[n_lo:n_hi], trap.t_bot)
+    w_hi = np.minimum(times[n_lo + 1 : n_hi + 1], trap.t_top)
+    # restrict to the sub-window where the trapezoid is non-degenerate
+    g_lo = trap.right_at(w_lo) - trap.left_at(w_lo)
+    g_hi = trap.right_at(w_hi) - trap.left_at(w_hi)
+    keep = (w_lo <= w_hi) & ((g_lo >= 0.0) | (g_hi >= 0.0))
+    levels, w_lo, w_hi, g_lo, g_hi = (a[keep] for a in (levels, w_lo, w_hi, g_lo, g_hi))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # linear in t, single sign change
+        t_root = w_lo + (w_hi - w_lo) * g_lo / (g_lo - g_hi)
+    w_lo, w_hi = np.where(g_lo < 0.0, t_root, w_lo), np.where(g_hi < 0.0, t_root, w_hi)
+    xlo = np.minimum(trap.left_at(w_lo), trap.left_at(w_hi))
+    xhi = np.maximum(trap.right_at(w_lo), trap.right_at(w_hi))
+    grid = sol.grid
+    slop = 1e-9
+    j_lo = np.maximum(np.ceil((xlo - grid.x_min) / grid.dx - 1.0 - slop), 0).astype(np.intp)
+    j_hi = np.minimum(np.floor((xhi - grid.x_min) / grid.dx + slop), grid.J - 1).astype(np.intp)
+    keep = j_lo <= j_hi
+    return levels[keep], j_lo[keep], j_hi[keep]
 
 
-def _minmax_over_ranges(sol: SpaceTimeSolution, ranges) -> tuple[np.ndarray, np.ndarray] | None:
-    mins = None
-    maxs = None
-    for level, j_lo, j_hi in ranges:
-        block = sol.states[level][j_lo : j_hi + 1]
-        bmin, bmax = block.min(axis=0), block.max(axis=0)
-        if mins is None:
-            mins, maxs = bmin, bmax
-        else:
-            mins = np.minimum(mins, bmin)
-            maxs = np.maximum(maxs, bmax)
-    if mins is None:
+def slab_block(sol: SpaceTimeSolution, n_lo: int, n_hi: int) -> np.ndarray:
+    """Levels n_lo..n_hi-1 as one component-major (m, L*J) array, so cell j
+    of level n sits at column (n - n_lo)*J + j; a view for m = 1."""
+    states = sol.states[n_lo:n_hi]
+    return np.ascontiguousarray(states.transpose(2, 0, 1)).reshape(states.shape[2], -1)
+
+
+def trapezoid_minmax(sol: SpaceTimeSolution, trap: Trapezoid, n_lo: int, n_hi: int,
+                     block: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+    """Componentwise (min, max) over all cells meeting the trapezoid, None if
+    it meets none; block is slab_block(sol, n_lo, n_hi)."""
+    levels, j_lo, j_hi = trapezoid_cell_ranges(trap, sol, n_lo, n_hi)
+    if levels.size == 0:
         return None
-    return mins, maxs
+    base = (levels - n_lo) * sol.grid.J
+    # interleaved start/stop offsets: even reduceat segments are the ranges
+    offsets = np.stack([base + j_lo, base + j_hi + 1], axis=1).ravel()
+    if offsets[-1] == block.shape[1]:
+        offsets = offsets[:-1]  # the last range runs to the end of the block
+    return (np.minimum.reduceat(block, offsets, axis=1)[:, ::2].min(axis=1),
+            np.maximum.reduceat(block, offsets, axis=1)[:, ::2].max(axis=1))
 
 
-def oscillation(sol: SpaceTimeSolution, trap: Trapezoid, n_lo: int, n_hi: int) -> float:
-    """Sup-norm range of the solution over all cells meeting the trapezoid."""
-    mm = _minmax_over_ranges(sol, trapezoid_cell_ranges(trap, sol, n_lo, n_hi))
-    if mm is None:
-        return 0.0
-    return float((mm[1] - mm[0]).max())
+def _range_osc(mm) -> float:
+    return float((mm[1] - mm[0]).max()) if mm is not None else 0.0
+
+
+def oscillation(sol: SpaceTimeSolution, trap: Trapezoid, n_lo: int, n_hi: int,
+                block: np.ndarray) -> float:
+    """Sup-norm range of the solution over all cells meeting the trapezoid;
+    block is slab_block(sol, n_lo, n_hi)."""
+    return _range_osc(trapezoid_minmax(sol, trap, n_lo, n_hi, block))
 
 
 @dataclass(frozen=True)
@@ -258,31 +256,6 @@ def build_surge_trapezoid(
                           bottom, top)
 
 
-def _accumulate_difference(sol, mins, maxs, new_ranges, old_ranges):
-    """Extend running (min, max) with cells of new_ranges not in old_ranges."""
-    old = {level: (a, b) for level, a, b in old_ranges}
-    for level, a, b in new_ranges:
-        segs = []
-        if level not in old:
-            segs.append((a, b))
-        else:
-            oa, ob = old[level]
-            if a < oa:
-                segs.append((a, min(b, oa - 1)))
-            if b > ob:
-                segs.append((max(a, ob + 1), b))
-        for s_lo, s_hi in segs:
-            if s_lo > s_hi:
-                continue
-            block = sol.states[level][s_lo : s_hi + 1]
-            if mins is None:
-                mins, maxs = block.min(axis=0), block.max(axis=0)
-            else:
-                mins = np.minimum(mins, block.min(axis=0))
-                maxs = np.maximum(maxs, block.max(axis=0))
-    return mins, maxs
-
-
 def merge_close_regions(regions: list[JumpRegion], min_distance: float) -> list[JumpRegion]:
     """Agglomerate jump regions until consecutive midpoints are at least
     min_distance apart.
@@ -308,13 +281,8 @@ def merge_close_regions(regions: list[JumpRegion], min_distance: float) -> list[
 
 
 def detect_surges(
-    sol: SpaceTimeSolution,
-    n_lo: int,
-    n_hi: int,
-    sigma0: float,
-    lam_minus: float,
-    lam_plus: float,
-    eps: float,
+    sol: SpaceTimeSolution, n_lo: int, n_hi: int, sigma0: float, lam_minus: float,
+    lam_plus: float, eps: float, block: np.ndarray,
 ) -> tuple[list[SurgeTrapezoid], list[float]]:
     """Confirmed surge trapezoids of a slab and their oscillations kappa'.
 
@@ -324,8 +292,10 @@ def detect_surges(
     into one candidate first.  The strip half-widths start at
     eps^(1/3) - eps^(2/3) per side and shrink by eps^(2/3) per side while
     the sub-trapezoid oscillations stay below tau, stopping once the total
-    width reaches eps^(2/3); min/max values are accumulated incrementally
-    over the newly added cells only.
+    width reaches eps^(2/3).  kappa' is the oscillation over the union of the
+    sub-trapezoids of every iteration: the outer edges move inward as the
+    strip shrinks, so the union can hold cells the final sub-trapezoids no
+    longer meet.  block is slab_block(sol, n_lo, n_hi).
     """
     grid = sol.grid
     times = sol.times.t
@@ -339,6 +309,14 @@ def detect_surges(
     eps23 = eps ** (2.0 / 3.0)
     surges: list[SurgeTrapezoid] = []
     oscs: list[float] = []
+
+    def union(mm, trap: Trapezoid):
+        """Running (min, max) extended by the cells meeting trap."""
+        new = trapezoid_minmax(sol, trap, n_lo, n_hi, block)
+        if mm is None or new is None:
+            return mm or new
+        return np.minimum(mm[0], new[0]), np.maximum(mm[1], new[1])
+
     for region in bottom:
         cone = (region.x_left + lam_minus * tau, region.x_right + lam_plus * tau)
         top_jumps = merge_close_regions(detect_jumps(sol, n_hi, cone, sigma0), sep)
@@ -350,20 +328,9 @@ def detect_surges(
         delta_l = delta_r = max(eps13 - eps23, floor)
         trap = build_surge_trapezoid(tau, region, top, delta_l, delta_r,
                                      lam_minus, lam_plus, grid, eps13, t_bot, t_top)
-        ranges_l = trapezoid_cell_ranges(trap.left, sol, n_lo, n_hi)
-        ranges_r = trapezoid_cell_ranges(trap.right, sol, n_lo, n_hi)
-        mm_l = _minmax_over_ranges(sol, ranges_l)
-        mm_r = _minmax_over_ranges(sol, ranges_r)
-        mins_l, maxs_l = mm_l if mm_l else (None, None)
-        mins_r, maxs_r = mm_r if mm_r else (None, None)
-
-        def side_osc(mins, maxs) -> float:
-            return float((maxs - mins).max()) if mins is not None else 0.0
-
-        while (
-            max(side_osc(mins_l, maxs_l), side_osc(mins_r, maxs_r)) <= tau
-            and delta_l + delta_r > eps23 > 0.0
-        ):
+        mm_l, mm_r = union(None, trap.left), union(None, trap.right)
+        while (max(_range_osc(mm_l), _range_osc(mm_r)) <= tau
+               and delta_l + delta_r > eps23 > 0.0):
             new_l = max(delta_l - eps23, floor)
             new_r = max(delta_r - eps23, floor)
             if new_l == delta_l and new_r == delta_r:
@@ -371,14 +338,10 @@ def detect_surges(
             delta_l, delta_r = new_l, new_r
             trap = build_surge_trapezoid(tau, region, top, delta_l, delta_r,
                                          lam_minus, lam_plus, grid, eps13, t_bot, t_top)
-            new_ranges_l = trapezoid_cell_ranges(trap.left, sol, n_lo, n_hi)
-            new_ranges_r = trapezoid_cell_ranges(trap.right, sol, n_lo, n_hi)
-            mins_l, maxs_l = _accumulate_difference(sol, mins_l, maxs_l, new_ranges_l, ranges_l)
-            mins_r, maxs_r = _accumulate_difference(sol, mins_r, maxs_r, new_ranges_r, ranges_r)
-            ranges_l, ranges_r = new_ranges_l, new_ranges_r
+            mm_l, mm_r = union(mm_l, trap.left), union(mm_r, trap.right)
 
         surges.append(trap)
-        oscs.append(max(side_osc(mins_l, maxs_l), side_osc(mins_r, maxs_r)))
+        oscs.append(max(_range_osc(mm_l), _range_osc(mm_r)))
     return surges, oscs
 
 
@@ -417,14 +380,18 @@ def _span_union(t1: Trapezoid, t2: Trapezoid) -> Trapezoid:
 
 
 def partition_meso_slab(
-    sol: SpaceTimeSolution, n_lo: int, n_hi: int, eps: float, sigma0: float
+    sol: SpaceTimeSolution, n_lo: int, n_hi: int, eps: float, sigma0: float,
+    speed_range: np.ndarray, block: np.ndarray,
 ) -> SlabPartition:
     """Cover the slab by surge trapezoids plus gap-filling smooth trapezoids.
 
-    Without surges a single smooth trapezoid covers the whole slab.  Smooth
-    trapezoids between two close surges whose bottom width is at most
-    2*tau*(lam_plus - lam_minus) are merged into a neighbor so no point ends
-    up in more than two smooth trapezoids.
+    The slopes lam_minus/lam_plus are the extreme signed wave speeds over
+    levels n_lo..n_hi, read from rows n_lo..n_hi of speed_range, the (N+1, 2)
+    per-level (min, max) that epsilon records.  block is
+    slab_block(sol, n_lo, n_hi).  Without surges a single smooth trapezoid
+    covers the whole slab.  Smooth trapezoids between two close surges whose
+    bottom width is at most 2*tau*(lam_plus - lam_minus) are merged into a
+    neighbor so no point ends up in more than two smooth trapezoids.
     """
     if n_hi <= n_lo:
         raise ValueError("a slab must span at least one time step")
@@ -432,11 +399,10 @@ def partition_meso_slab(
     times = sol.times.t
     t_bot, t_top = float(times[n_lo]), float(times[n_hi])
     tau = t_top - t_bot
-    speeds = sol.model.wave_speeds(sol.states[n_lo : n_hi + 1])
-    lam_minus = float(speeds.min())
-    lam_plus = float(speeds.max())
+    lam_minus = float(speed_range[n_lo : n_hi + 1, 0].min())
+    lam_plus = float(speed_range[n_lo : n_hi + 1, 1].max())
 
-    surges, oscs = detect_surges(sol, n_lo, n_hi, sigma0, lam_minus, lam_plus, eps)
+    surges, oscs = detect_surges(sol, n_lo, n_hi, sigma0, lam_minus, lam_plus, eps, block)
     eps23 = eps ** (2.0 / 3.0)
 
     if not surges:
@@ -500,6 +466,7 @@ def cover_counts(sol: SpaceTimeSolution, part: SlabPartition) -> tuple[np.ndarra
         (smooth_counts, part.smooth),
     ):
         for trap in traps:
-            for level, j_lo, j_hi in trapezoid_cell_ranges(trap, sol, part.n_lo, part.n_hi):
-                counts[level - part.n_lo, j_lo : j_hi + 1] += 1
+            levels, j_lo, j_hi = trapezoid_cell_ranges(trap, sol, part.n_lo, part.n_hi)
+            for level, a, b in zip(levels - part.n_lo, j_lo, j_hi + 1):
+                counts[level, a:b] += 1
     return surge_counts, smooth_counts

@@ -221,6 +221,7 @@ class ResidualReport:
     tv_scalar: np.ndarray  # (N+1,)
     beta_levels: np.ndarray  # (N,)
     eta_levels: np.ndarray  # (N,)
+    speed_range: np.ndarray  # (N+1, 2) min/max signed wave speed per level
     bounds: np.ndarray | None = field(default=None, repr=False)  # (N, J, m)
     entropy_triplets: np.ndarray | None = field(default=None, repr=False)  # (N, J, 3)
     entropy_lower: np.ndarray | None = field(default=None, repr=False)  # (N, J)
@@ -256,7 +257,7 @@ class ResidualReport:
 
 
 def _level_terms(sol: SpaceTimeSolution, n: int):
-    """Ghost-padded level n with its flux, entropy, entropy flux and speed."""
+    """Ghost-padded level n followed by its model.level_terms."""
     ext = sol.extended_states(n)
     return (ext, *sol.model.level_terms(ext))
 
@@ -272,12 +273,14 @@ def epsilon(sol: SpaceTimeSolution, kind: str | None = None,
     functional); both maxima exclude the very first layer, where the freshly
     projected initial data still carries unresolved jumps, whenever the run
     has more than one step.  keep_cells keeps the per-cell arrays for the CSV.
+    speed_range keeps each level's extreme signed wave speeds for the slab cover.
     """
     kind = normalize_flux_kind(kind or sol.flux_kind)
     n_steps = sol.n_steps
     dx = sol.grid.dx
     cells = (n_steps, sol.grid.J)
     tv = np.empty((n_steps + 1, sol.model.m))
+    speed_range = np.empty((n_steps + 1, 2))
     beta_levels = np.zeros(n_steps)
     eta_levels = np.zeros(n_steps)
     bounds = np.empty(cells + (sol.model.m,)) if keep_cells else None
@@ -287,7 +290,7 @@ def epsilon(sol: SpaceTimeSolution, kind: str | None = None,
     c_max = 0.0
     nxt = _level_terms(sol, 0)
     for n in range(n_steps + 1):
-        ext, f, ent, ent_flux, speeds = nxt
+        ext, f, ent, ent_flux, speeds, speed_range[n] = nxt
         tv[n] = np.abs(np.diff(ext, axis=0)).sum(axis=0)
         if n == n_steps:
             break
@@ -332,6 +335,7 @@ def epsilon(sol: SpaceTimeSolution, kind: str | None = None,
         tv_scalar=tv_scalar,
         beta_levels=beta_levels,
         eta_levels=eta_levels,
+        speed_range=speed_range,
         bounds=bounds,
         entropy_triplets=triplets,
         entropy_lower=lowers,

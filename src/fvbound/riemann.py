@@ -280,10 +280,6 @@ def sample(fan: WaveFan, xi) -> np.ndarray:
     return out[0] if scalar_input else out
 
 
-def breakpoints(fan: WaveFan) -> list[float]:
-    return fan.wave_speeds()
-
-
 def _segment_integral(fan, seg, a: np.ndarray, b: np.ndarray,
                       origin: float, t: float) -> np.ndarray:
     """Integral of the profile over the x-intervals [a, b] for one smooth

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass
 
 import numpy as np
@@ -178,30 +177,31 @@ def run(
 
 def save_solution(sol: SpaceTimeSolution, path: str) -> None:
     """Dump the solution to a single text file: header, then one row per
-    time level (t followed by the row-major J x m cell states)."""
-    buf = io.StringIO()
-    buf.write("# fvbound-solution 1\n")
+    time level (t followed by the row-major J x m cell states), written
+    row by row rather than held as one string."""
     params = ",".join(f"{k}={v!r}" for k, v in sorted(sol.model.params().items()))
-    buf.write(f"# model={sol.model.name} params={params}\n")
-    buf.write(f"# flux={sol.flux_kind} cfl={sol.cfl!r}\n")
-    buf.write(f"# x_min={sol.grid.x_min!r} x_max={sol.grid.x_max!r} J={sol.grid.J} m={sol.model.m}\n")
-    buf.write(f"# ghost_left={','.join(repr(float(v)) for v in sol.ghost_left)}\n")
-    buf.write(f"# ghost_right={','.join(repr(float(v)) for v in sol.ghost_right)}\n")
-    for n, t in enumerate(sol.times.t):
-        row = sol.states[n].reshape(-1)
-        buf.write(repr(float(t)) + "," + ",".join(repr(float(v)) for v in row) + "\n")
     with open(path, "w") as fh:
-        fh.write(buf.getvalue())
+        fh.write("# fvbound-solution 1\n")
+        fh.write(f"# model={sol.model.name} params={params}\n")
+        fh.write(f"# flux={sol.flux_kind} cfl={sol.cfl!r}\n")
+        fh.write(f"# x_min={sol.grid.x_min!r} x_max={sol.grid.x_max!r} J={sol.grid.J} "
+                 f"m={sol.model.m}\n")
+        fh.write(f"# ghost_left={','.join(repr(float(v)) for v in sol.ghost_left)}\n")
+        fh.write(f"# ghost_right={','.join(repr(float(v)) for v in sol.ghost_right)}\n")
+        for t, row in zip(sol.times.t.tolist(), sol.states.reshape(len(sol.states), -1)):
+            fh.write(repr(t) + "," + ",".join(map(repr, row.tolist())) + "\n")
 
 
 def load_solution(path: str) -> SpaceTimeSolution:
+    """Read a save_solution dump; a malformed time-level row raises a
+    ValueError naming the file and the line."""
     header: dict[str, str] = {}
     rows = []
     with open(path) as fh:
         magic = fh.readline().strip()
         if magic != "# fvbound-solution 1":
             raise ValueError(f"{path} is not a fvbound solution dump")
-        for line in fh:
+        for lineno, line in enumerate(fh, start=2):
             line = line.strip()
             if not line:
                 continue
@@ -211,7 +211,10 @@ def load_solution(path: str) -> SpaceTimeSolution:
                         k, v = tok.split("=", 1)
                         header[k] = v
             else:
-                rows.append(np.array(line.split(","), dtype=float))
+                try:
+                    rows.append((lineno, np.array(line.split(","), dtype=float)))
+                except ValueError as exc:
+                    raise ValueError(f"{path}, line {lineno}: {exc}") from None
     params = {}
     if header.get("params"):
         for tok in header["params"].split(","):
@@ -220,7 +223,14 @@ def load_solution(path: str) -> SpaceTimeSolution:
     model = make_model(header["model"], **params)
     grid = Grid1D(float(header["x_min"]), float(header["x_max"]), int(header["J"]))
     m = int(header["m"])
-    data = np.array(rows)
+    if not rows:
+        raise ValueError(f"{path} holds no time levels after its header")
+    width = grid.J * m + 1
+    for lineno, row in rows:
+        if row.size != width:
+            raise ValueError(f"{path}, line {lineno}: {row.size} columns, expected "
+                             f"J*m + 1 = {width} (t, then the J x m cell states)")
+    data = np.array([row for _, row in rows])
     times = TimeLevels(data[:, 0])
     states = data[:, 1:].reshape(len(rows), grid.J, m)
     return SpaceTimeSolution(

@@ -237,6 +237,41 @@ class TestSvg:
         assert svg.rstrip().endswith("</svg>")
         assert "polygon" in svg and "rect" in svg
 
+    @staticmethod
+    def raster_rows_oracle(sol, width=900, height=620):
+        """The per-cell double loop the vectorised raster replaces."""
+        pad = 40.0
+        raster = cli._downsample(sol.states[:, :, 0], 160, 240)
+        vmin, vmax = float(raster.min()), float(raster.max())
+        vspan = vmax - vmin if vmax > vmin else 1.0
+        n_rows, n_cols = raster.shape
+        cell_w = (width - 2 * pad) / n_cols
+        cell_h = (height - 2 * pad) / n_rows
+        rows = []
+        for r in range(n_rows):
+            y = height - pad - (r + 1) * cell_h
+            row = []
+            for c in range(n_cols):
+                shade = int(round(235 - 195 * (raster[r, c] - vmin) / vspan))
+                row.append(
+                    f'<rect x="{pad + c * cell_w:.2f}" y="{y:.2f}" '
+                    f'width="{cell_w + 0.5:.2f}" height="{cell_h + 0.5:.2f}" '
+                    f'fill="rgb({shade},{shade},{shade})"/>'
+                )
+            rows.append("".join(row))
+        return rows
+
+    @pytest.mark.parametrize("case,level", [("psys-raref-shock", 6), ("burgers-curved", 5)])
+    def test_raster_bytes_equal_the_double_loop(self, case, level):
+        sol, est, _, _ = run_case(CaseConfig(case=case, level=level, ref="none"))
+        rows = self.raster_rows_oracle(sol)
+        svg = render_decomposition_svg(sol, est)
+        lines = svg.split("\n")
+        assert len(rows) > 10
+        assert lines[2 : 2 + len(rows)] == rows
+        assert lines[2 + len(rows)].startswith("<line")  # the overlay follows the raster
+        assert svg.endswith("</svg>\n")
+
 
 class TestMain:
     def test_run_command(self, capsys, tmp_path):
@@ -324,6 +359,43 @@ class TestFormatting:
         text = table.format()
         assert "eoc_eps" in text.splitlines()[0]
         assert len(text.splitlines()) == 3
+
+    @pytest.mark.parametrize("field,value,message", [
+        ("cfl", float("nan"), "cfl must be finite"),
+        ("cfl", float("inf"), "cfl must be finite"),
+        ("sigma0", float("nan"), "sigma must be a finite positive number"),
+        ("sigma0", 0.0, "sigma must be a finite positive number"),
+        ("sigma0", -0.1, "sigma must be a finite positive number"),
+        ("t0", float("-inf"), "t0 must be finite"),
+        ("t_final", float("nan"), "t_final must be finite"),
+        ("t_final", float("inf"), "t_final must be finite"),
+        ("t_final", 0.0, "t_final must exceed t0"),
+        ("t_final", -1.0, "t_final must exceed t0"),
+    ])
+    def test_meaningless_run_parameters_are_refused_before_marching(self, field, value,
+                                                                     message, monkeypatch):
+        def no_marching(*args, **kwargs):
+            raise AssertionError("marched before the parameters were checked")
+
+        monkeypatch.setattr(cli, "run", no_marching)
+        monkeypatch.setattr(cli, "march", no_marching)
+        config = replace(CaseConfig(case="psys-raref-shock", level=4), **{field: value})
+        with pytest.raises(ConfigError, match=message):
+            run_case(config)
+        with pytest.raises(ConfigError, match=message):
+            converge(config, 4, 5)
+
+    @pytest.mark.parametrize("flag,value", [("--sigma", "nan"), ("--sigma", "0"),
+                                            ("--T", "inf"), ("--t0", "2.0"), ("--cfl", "nan")])
+    def test_cli_exits_1_on_meaningless_parameters(self, capsys, flag, value):
+        assert main(["run", "--case", "psys-raref-shock", "--level", "3", flag, value]) == 1
+        assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("sigma", ["nan", "inf", "0", "-1"])
+    def test_audit_refuses_a_meaningless_sigma(self, capsys, tmp_path, sigma):
+        dump = tmp_path / "missing.csv"  # the sigma check comes before the dump is read
+        assert main(["audit", "--solution", str(dump), "--sigma", sigma]) == 1
+        assert "sigma must be a finite positive number" in capsys.readouterr().err
 
     def test_fine_reference_must_be_finer(self):
         config = CaseConfig(case="burgers-curved", level=5, ref="fine:5")

@@ -171,18 +171,22 @@ def test_model_factory_validation():
         make_model("psystem", gamma=1.0)
 
 
-_burgers_levels = st.lists(st.floats(-1e3, 1e3), min_size=1, max_size=40)
+# ghost-padded levels: at least one interior cell between the two ghosts
+_burgers_levels = st.lists(st.floats(-1e3, 1e3), min_size=3, max_size=40)
 _psystem_levels = st.lists(st.tuples(st.floats(1e-3, 1e3), st.floats(-1e3, 1e3)),
-                           min_size=1, max_size=40)
+                           min_size=3, max_size=40)
 _psystem_params = st.tuples(st.floats(0.1, 10.0), st.floats(1.05, 3.0))
 
 
 def _assert_level_terms_match(model, u):
-    f, eta, q, speed = model.level_terms(u)
+    f, eta, q, speed, extremes = model.level_terms(u)
     for got, want in ((f, model.flux(u)), (eta, model.entropy(u)),
                       (q, model.entropy_flux(u)), (speed, model.max_wave_speed(u))):
         assert got.shape == want.shape
         assert np.array_equal(got, want)
+    # signed speed extremes over the interior cells, ghosts excluded
+    inner = model.wave_speeds(u)[1:-1]
+    assert extremes == (inner.min(), inner.max())
 
 
 @settings(max_examples=60, deadline=None)

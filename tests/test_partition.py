@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fvbound import (
     Trapezoid,
@@ -15,7 +16,14 @@ from fvbound import (
     solve_riemann,
 )
 from fvbound.grid import Grid1D, TimeLevels
-from fvbound.partition import JumpRegion, cover_counts, merge_close_regions, trapezoid_cell_ranges
+from fvbound.partition import (
+    JumpRegion,
+    cover_counts,
+    merge_close_regions,
+    slab_block,
+    trapezoid_cell_ranges,
+    trapezoid_minmax,
+)
 from fvbound.solver import SpaceTimeSolution, run
 
 
@@ -34,6 +42,22 @@ def manual_solution(grid, times, levels, model=None):
         flux_kind="llf",
         cfl=0.9,
     )
+
+
+def speed_range(sol):
+    """Per-level (min, max) signed wave speed over the cells, from
+    wave_speeds: the reference for the (N+1, 2) array epsilon records."""
+    speeds = sol.model.wave_speeds(sol.states).reshape(len(sol.states), -1)
+    return np.stack([speeds.min(axis=1), speeds.max(axis=1)], axis=1)
+
+
+def slab_partition(sol, n_lo, n_hi, eps, sigma0):
+    return partition_meso_slab(sol, n_lo, n_hi, eps, sigma0, speed_range(sol),
+                               slab_block(sol, n_lo, n_hi))
+
+
+def slab_oscillation(sol, trap, n_lo, n_hi):
+    return oscillation(sol, trap, n_lo, n_hi, slab_block(sol, n_lo, n_hi))
 
 
 def step_levels(grid, n_levels, height=1.0, position=0.0):
@@ -133,13 +157,13 @@ class TestOscillation:
         grid = build_grid(-5.0, 5.0, 4)
         sol = manual_solution(grid, [0.0, 0.1, 0.2], step_levels(grid, 3, height=1.0))
         trap = Trapezoid(0.0, 0.2, 1.0, 4.0, 1.5, 4.5)
-        assert oscillation(sol, trap, 0, 2) == 0.0
+        assert slab_oscillation(sol, trap, 0, 2) == 0.0
 
     def test_step_straddling(self):
         grid = build_grid(-5.0, 5.0, 4)
         sol = manual_solution(grid, [0.0, 0.1, 0.2], step_levels(grid, 3, height=0.7))
         trap = Trapezoid(0.0, 0.2, -1.0, 1.0, -1.0, 1.0)
-        assert oscillation(sol, trap, 0, 2) == pytest.approx(0.7)
+        assert slab_oscillation(sol, trap, 0, 2) == pytest.approx(0.7)
 
     def test_vector_sup_reduction(self):
         grid = Grid1D(0.0, 1.0, 4)
@@ -147,13 +171,13 @@ class TestOscillation:
         level = np.array([[1.0, 0.0], [1.02, 0.3], [1.0, 0.0], [1.0, 0.0]])
         sol = manual_solution(grid, [0.0, 0.1], [level, level], model=model)
         trap = Trapezoid(0.0, 0.1, 0.0, 1.0, 0.0, 1.0)
-        assert oscillation(sol, trap, 0, 1) == pytest.approx(0.3)
+        assert slab_oscillation(sol, trap, 0, 1) == pytest.approx(0.3)
 
     def test_empty_intersection(self):
         grid = build_grid(-5.0, 5.0, 4)
         sol = manual_solution(grid, [0.0, 0.1], step_levels(grid, 2))
         trap = Trapezoid(0.0, 0.1, 2.0, 1.0, 2.0, 1.0)  # inverted interval
-        assert oscillation(sol, trap, 0, 1) == 0.0
+        assert slab_oscillation(sol, trap, 0, 1) == 0.0
 
     def test_boundary_touching_counts(self):
         grid = Grid1D(0.0, 1.0, 4)
@@ -161,16 +185,16 @@ class TestOscillation:
         sol = manual_solution(grid, [0.0, 0.1], [level, level])
         # trapezoid that only touches cell 1 at its right edge x = 0.25
         trap = Trapezoid(0.0, 0.1, 0.0, 0.25, 0.0, 0.25)
-        ranges = trapezoid_cell_ranges(trap, sol, 0, 1)
-        assert ranges == [(0, 0, 1)]
-        assert oscillation(sol, trap, 0, 1) == pytest.approx(1.0)
+        levels, j_lo, j_hi = trapezoid_cell_ranges(trap, sol, 0, 1)
+        assert (levels.tolist(), j_lo.tolist(), j_hi.tolist()) == ([0], [0], [1])
+        assert slab_oscillation(sol, trap, 0, 1) == pytest.approx(1.0)
 
 
 class TestDetectSurges:
     def test_constant_solution_has_no_surges(self):
         grid = build_grid(-5.0, 5.0, 5)
         sol = manual_solution(grid, [0.0, 0.1, 0.2], [np.full(grid.J, 1.0)] * 3)
-        surges, oscs = detect_surges(sol, 0, 2, 0.1, -1.0, 1.0, 0.01)
+        surges, oscs = detect_surges(sol, 0, 2, 0.1, -1.0, 1.0, 0.01, slab_block(sol, 0, 2))
         assert surges == [] and oscs == []
 
     def test_two_rarefactions_has_no_surges(self):
@@ -180,7 +204,8 @@ class TestDetectSurges:
         sol = run(cell_average_exact(fan, 0.0, 0.5, grid), model, "llf", grid, 0.9, 0.5, 1.0)
         speeds = model.wave_speeds(sol.states)
         surges, _ = detect_surges(sol, 0, sol.n_steps, 0.1,
-                                  float(speeds.min()), float(speeds.max()), 0.19)
+                                  float(speeds.min()), float(speeds.max()), 0.19,
+                                  slab_block(sol, 0, sol.n_steps))
         assert surges == []
 
     def test_moving_step_is_confirmed(self):
@@ -190,7 +215,8 @@ class TestDetectSurges:
         sol = run(states, model, "llf", grid, 0.9, 0.0, 1.0)
         speeds = model.wave_speeds(sol.states)
         surges, oscs = detect_surges(sol, 0, sol.n_steps, 0.1,
-                                     float(speeds.min()), float(speeds.max()), 0.05)
+                                     float(speeds.min()), float(speeds.max()), 0.05,
+                                     slab_block(sol, 0, sol.n_steps))
         assert len(surges) == 1
         s = surges[0]
         assert s.x0 == pytest.approx(0.0, abs=3 * grid.dx)
@@ -202,7 +228,7 @@ class TestPartition:
     def test_constant_slab_single_smooth_trapezoid(self):
         grid = build_grid(-5.0, 5.0, 4)
         sol = manual_solution(grid, [0.0, 0.1, 0.2], [np.full(grid.J, 2.0)] * 3)
-        part = partition_meso_slab(sol, 0, 2, 0.01, 0.1)
+        part = slab_partition(sol, 0, 2, 0.01, 0.1)
         assert part.surges == []
         assert len(part.smooth) == 1
         g = part.smooth[0]
@@ -213,7 +239,7 @@ class TestPartition:
         model = make_model("burgers")
         states = np.where(grid.centers() < 0.0, 0.5, -0.5)[:, None]
         sol = run(states, model, "godunov", grid, 0.9, 0.0, 0.5)
-        part = partition_meso_slab(sol, 0, sol.n_steps, 0.02, 0.1)
+        part = slab_partition(sol, 0, sol.n_steps, 0.02, 0.1)
         assert len(part.surges) == 1
         assert len(part.smooth) == 2
         left, right = part.smooth
@@ -229,7 +255,7 @@ class TestPartition:
         sol = run(cell_average_exact(fan, 0.0, 0.0, grid), model, "llf", grid, 0.9, 0.0, 1.5)
         quarters = [0, sol.n_steps // 3, 2 * sol.n_steps // 3, sol.n_steps]
         for n_lo, n_hi in zip(quarters[:-1], quarters[1:]):
-            part = partition_meso_slab(sol, n_lo, n_hi, 0.069, 0.1)
+            part = slab_partition(sol, n_lo, n_hi, 0.069, 0.1)
             surge_counts, smooth_counts = cover_counts(sol, part)
             assert np.all(surge_counts + smooth_counts >= 1)
             assert np.all(smooth_counts <= 2)
@@ -240,7 +266,7 @@ class TestPartition:
         centers = grid.centers()
         states = np.where(centers < -2.0, 2.0, np.where(centers < 2.0, 0.5, -1.5))[:, None]
         sol = run(states, model, "llf", grid, 0.9, 0.0, 0.2)
-        part = partition_meso_slab(sol, 0, sol.n_steps, 0.005, 0.1)
+        part = slab_partition(sol, 0, sol.n_steps, 0.005, 0.1)
         tau = part.t_hi - part.t_lo
         sep = (part.lam_plus - part.lam_minus) * tau
         mids = [s.x0 for s in part.surges]
@@ -252,8 +278,8 @@ class TestPartition:
         fan = solve_riemann(model, [0.15, 0.0], [0.1, 0.0])
         grid = build_grid(-5.0, 5.0, 7)
         sol = run(cell_average_exact(fan, 0.0, 0.0, grid), model, "llf", grid, 0.9, 0.0, 1.0)
-        p1 = partition_meso_slab(sol, 0, sol.n_steps, 0.1, 0.1)
-        p2 = partition_meso_slab(sol, 0, sol.n_steps, 0.1, 0.1)
+        p1 = slab_partition(sol, 0, sol.n_steps, 0.1, 0.1)
+        p2 = slab_partition(sol, 0, sol.n_steps, 0.1, 0.1)
         assert p1.surges == p2.surges
         assert p1.smooth == p2.smooth
         assert p1.surge_oscillations == p2.surge_oscillations
@@ -263,7 +289,7 @@ def test_partition_rejects_empty_slab():
     grid = build_grid(-5.0, 5.0, 4)
     sol = manual_solution(grid, [0.0, 0.1], step_levels(grid, 2))
     with pytest.raises(ValueError):
-        partition_meso_slab(sol, 1, 1, 0.01, 0.1)
+        slab_partition(sol, 1, 1, 0.01, 0.1)
 
 
 def test_detect_jumps_rejects_bad_threshold():
@@ -271,3 +297,119 @@ def test_detect_jumps_rejects_bad_threshold():
     sol = manual_solution(grid, [0.0, 0.1], step_levels(grid, 2))
     with pytest.raises(ValueError):
         detect_jumps(sol, 0, None, 0.0)
+    with pytest.raises(ValueError):
+        detect_jumps(sol, 0, None, float("nan"))
+
+
+def ranges_oracle(trap, sol, n_lo, n_hi):
+    """The per-level loop the range arrays replace: (level, j_lo, j_hi) for
+    cells whose closed space-time rectangle meets the trapezoid."""
+    grid = sol.grid
+    out = []
+    if trap.t_top - trap.t_bot <= 0:
+        return out
+    for level in range(n_lo, n_hi):
+        w_lo = max(float(sol.times.t[level]), trap.t_bot)
+        w_hi = min(float(sol.times.t[level + 1]), trap.t_top)
+        if w_lo > w_hi:
+            continue
+        g_lo = trap.right_at(w_lo) - trap.left_at(w_lo)
+        g_hi = trap.right_at(w_hi) - trap.left_at(w_hi)
+        if g_lo < 0.0 and g_hi < 0.0:
+            continue
+        if g_lo < 0.0 or g_hi < 0.0:
+            t_root = w_lo + (w_hi - w_lo) * g_lo / (g_lo - g_hi)
+            if g_lo < 0.0:
+                w_lo = t_root
+            else:
+                w_hi = t_root
+        xlo = min(trap.left_at(w_lo), trap.left_at(w_hi))
+        xhi = max(trap.right_at(w_lo), trap.right_at(w_hi))
+        j_lo = max(int(np.ceil((xlo - grid.x_min) / grid.dx - 1.0 - 1e-9)), 0)
+        j_hi = min(int(np.floor((xhi - grid.x_min) / grid.dx + 1e-9)), grid.J - 1)
+        if j_lo <= j_hi:
+            out.append((level, j_lo, j_hi))
+    return out
+
+
+def minmax_oracle(sol, ranges):
+    """Per-level loop over the ranges: componentwise (min, max), or None."""
+    if not ranges:
+        return None
+    mins = np.min([sol.states[n][a : b + 1].min(axis=0) for n, a, b in ranges], axis=0)
+    maxs = np.max([sol.states[n][a : b + 1].max(axis=0) for n, a, b in ranges], axis=0)
+    return mins, maxs
+
+
+@st.composite
+def slabs_and_trapezoids(draw):
+    """A random record on [0, 1] with a trapezoid that may stick out of the
+    domain or the slab, degenerate, cross inside a level, or have no height."""
+    J = draw(st.integers(1, 12))
+    m = draw(st.sampled_from([1, 2]))
+    steps = draw(st.lists(st.floats(0.01, 1.0), min_size=1, max_size=6))
+    times = np.concatenate([[0.0], np.cumsum(steps)])
+    grid = Grid1D(0.0, 1.0, J)
+    values = draw(st.lists(st.floats(-10.0, 10.0), min_size=len(times) * J * m,
+                           max_size=len(times) * J * m))
+    states = np.array(values).reshape(len(times), J, m)
+    model = make_model("burgers") if m == 1 else make_model("psystem")
+    sol = manual_solution(grid, times, states, model=model)
+    # x on the cell edges too, where the 1e-9 slop decides touching
+    x = st.one_of(st.floats(-0.3, 1.3), st.integers(-2, J + 2).map(lambda k: k / J))
+    t = st.one_of(st.floats(-0.2, float(times[-1]) + 0.2), st.sampled_from(list(times)))
+    t_bot = draw(t)
+    t_top = t_bot if draw(st.booleans()) and draw(st.booleans()) else draw(t)
+    trap = Trapezoid(t_bot, t_top, draw(x), draw(x), draw(x), draw(x))
+    n_lo = draw(st.integers(0, len(times) - 2))
+    n_hi = draw(st.integers(n_lo + 1, len(times) - 1))
+    return sol, trap, n_lo, n_hi
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=slabs_and_trapezoids())
+def test_range_arrays_and_block_minmax_equal_the_per_level_loop(case):
+    sol, trap, n_lo, n_hi = case
+    levels, j_lo, j_hi = trapezoid_cell_ranges(trap, sol, n_lo, n_hi)
+    ranges = ranges_oracle(trap, sol, n_lo, n_hi)
+    assert list(zip(levels.tolist(), j_lo.tolist(), j_hi.tolist())) == ranges
+    got = trapezoid_minmax(sol, trap, n_lo, n_hi, slab_block(sol, n_lo, n_hi))
+    want = minmax_oracle(sol, ranges)
+    if want is None:
+        assert got is None
+    else:
+        assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+
+
+def test_slab_block_layout():
+    grid = Grid1D(0.0, 1.0, 3)
+    states = np.arange(4 * 3 * 2, dtype=float).reshape(4, 3, 2)
+    sol = manual_solution(grid, [0.0, 0.1, 0.2, 0.3], states, make_model("psystem"))
+    block = slab_block(sol, 1, 3)
+    assert block.flags.c_contiguous
+    assert np.array_equal(block, states[1:3].transpose(2, 0, 1).reshape(2, 6))
+    scalar = manual_solution(grid, [0.0, 0.1, 0.2, 0.3], states[:, :, :1])
+    assert np.shares_memory(slab_block(scalar, 1, 3), scalar.states)  # a view for m = 1
+
+
+def test_surge_oscillation_keeps_cells_the_shrinking_strip_drops():
+    """kappa' is the oscillation over the union of every strip iteration's
+    sub-trapezoids: a bump that only the first left sub-trapezoid meets
+    still counts after the outer edge has moved past it."""
+    grid = build_grid(-5.0, 5.0, 7)
+    level = np.where(grid.centers() < 0.0, 1.0, 0.0)
+    bumped = level.copy()
+    bumped[97] = 1.05  # cell [-1.211, -1.172]: below the detector, left of the final edge
+    sol = manual_solution(grid, [0.0, 0.5], [bumped, level])
+    block = slab_block(sol, 0, 1)
+    first = build_surge_trapezoid(0.5, JumpRegion(127, 128, -grid.dx, grid.dx),
+                                  JumpRegion(127, 128, -grid.dx, grid.dx), 0.09, 0.09,
+                                  -1.0, 1.0, grid, 0.1, 0.0, 0.5)
+    assert oscillation(sol, first.left, 0, 1, block) == pytest.approx(0.05)
+
+    surges, oscs = detect_surges(sol, 0, 1, 0.1, -1.0, 1.0, 1e-3, block)
+    assert len(surges) == 1
+    assert surges[0].delta == pytest.approx(0.01)  # the strip shrank to its floor
+    assert oscillation(sol, surges[0].left, 0, 1, block) == 0.0
+    assert oscillation(sol, surges[0].right, 0, 1, block) == 0.0
+    assert oscs == [1.05 - 1.0]

@@ -281,6 +281,9 @@ class TestEpsilon:
             assert report.eta_levels[n] == np.abs(np.minimum(e1, 0.0)).sum() / dt
         rate = max(report.beta_levels[1:].max(), report.eta_levels[1:].max())
         assert report.epsilon == report.stability_constant * rate / report.tv_max > 0.0
+        speeds = sol.model.wave_speeds(sol.states).reshape(n_steps + 1, -1)
+        assert np.array_equal(report.speed_range,
+                              np.stack([speeds.min(axis=1), speeds.max(axis=1)], axis=1))
 
     @pytest.mark.parametrize("name", ["burgers", "psystem"])
     def test_cells_csv_matches_row_by_row_writer(self, name, tmp_path):

@@ -226,10 +226,65 @@ def test_solution_dump_roundtrip(tmp_path):
     assert epsilon(back).epsilon == epsilon(sol).epsilon
 
 
+def test_dump_bytes_equal_the_one_string_writer(tmp_path):
+    """save_solution streams its rows; the bytes equal the writer that built
+    the whole dump as one string first."""
+    model = make_model("psystem", C=1.0, gamma=1.4)
+    fan = solve_riemann(model, [0.15, 0.0], [0.1, 0.0])
+    grid = build_grid(-5.0, 5.0, 4)
+    sol = run(cell_average_exact(fan, 0.0, 0.0, grid), model, "llf", grid, 0.9, 0.0, 0.5)
+    params = ",".join(f"{k}={v!r}" for k, v in sorted(sol.model.params().items()))
+    lines = [
+        "# fvbound-solution 1",
+        f"# model={sol.model.name} params={params}",
+        f"# flux={sol.flux_kind} cfl={sol.cfl!r}",
+        f"# x_min={sol.grid.x_min!r} x_max={sol.grid.x_max!r} J={sol.grid.J} m={sol.model.m}",
+        f"# ghost_left={','.join(repr(float(v)) for v in sol.ghost_left)}",
+        f"# ghost_right={','.join(repr(float(v)) for v in sol.ghost_right)}",
+    ]
+    for n, t in enumerate(sol.times.t):
+        lines.append(repr(float(t)) + "," + ",".join(repr(float(v))
+                                                     for v in sol.states[n].reshape(-1)))
+    path = tmp_path / "dump.csv"
+    save_solution(sol, str(path))
+    assert path.read_bytes() == "".join(line + "\n" for line in lines).encode()
+
+
 def test_load_rejects_other_files(tmp_path):
     path = tmp_path / "junk.csv"
     path.write_text("a,b,c\n1,2,3\n")
     with pytest.raises(ValueError):
+        load_solution(str(path))
+
+
+def _dump_lines(tmp_path):
+    model = make_model("psystem", C=1.0, gamma=1.4)
+    grid = build_grid(-5.0, 5.0, 2)
+    sol = run(np.tile([1.0, 0.5], (grid.J, 1)), model, "llf", grid, 0.9, 0.0, 0.2)
+    path = tmp_path / "dump.csv"
+    save_solution(sol, str(path))
+    return path, path.read_text().splitlines(keepends=True)
+
+
+def test_load_names_the_line_of_a_ragged_row(tmp_path):
+    path, lines = _dump_lines(tmp_path)
+    lines[7] = lines[7].rstrip("\n") + ",1.0\n"  # the second time level, line 8
+    path.write_text("".join(lines))
+    with pytest.raises(ValueError, match=r"dump.csv, line 8: 18 columns, expected J\*m \+ 1 = 17"):
+        load_solution(str(path))
+
+
+def test_load_names_the_line_of_a_truncated_last_row(tmp_path):
+    path, lines = _dump_lines(tmp_path)
+    path.write_text("".join(lines)[: -len(lines[-1].rsplit(",", 1)[1])])
+    with pytest.raises(ValueError, match=f"dump.csv, line {len(lines)}: could not convert"):
+        load_solution(str(path))
+
+
+def test_load_refuses_a_header_only_dump(tmp_path):
+    path, lines = _dump_lines(tmp_path)
+    path.write_text("".join(lines[:6]))
+    with pytest.raises(ValueError, match="dump.csv holds no time levels"):
         load_solution(str(path))
 
 
