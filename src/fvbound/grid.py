@@ -62,6 +62,12 @@ class TimeLevels:
         return float(self.t[n + 1] - self.t[n])
 
 
+def column_sums(a: np.ndarray) -> np.ndarray:
+    """a.sum(axis=0) of a (J, m) array, bit for bit, off numpy's slow strided path."""
+    # einsum keeps sum(axis=0)'s sequential column order only for m >= 2; m == 1 sums pairwise.
+    return np.einsum("jm->m", a) if a.shape[1] >= 2 else a.sum(axis=0)
+
+
 def build_grid(x_min: float, x_max: float, level: int) -> Grid1D:
     """Grid with 2 * 2**level cells; level 0 gives the two-cell grid."""
     if level < 0:

@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .grid import column_sums
 from .models import llf_interface_fluxes, normalize_flux_kind, numerical_entropy_flux
 from .solver import SpaceTimeSolution
 
@@ -291,7 +292,7 @@ def epsilon(sol: SpaceTimeSolution, kind: str | None = None,
     nxt = _level_terms(sol, 0)
     for n in range(n_steps + 1):
         ext, f, ent, ent_flux, speeds, speed_range[n] = nxt
-        tv[n] = np.abs(np.diff(ext, axis=0)).sum(axis=0)
+        tv[n] = column_sums(np.abs(np.diff(ext, axis=0)))
         if n == n_steps:
             break
         nxt = _level_terms(sol, n + 1)  # level n+1 is the next layer's level n
@@ -306,7 +307,7 @@ def epsilon(sol: SpaceTimeSolution, kind: str | None = None,
         lam = np.maximum(speeds[:-1], speeds[1:])
         q_hat = 0.5 * (ent_flux[:-1] + ent_flux[1:]) - 0.5 * lam * (ent[1:] - ent[:-1])
         e1, e2, e3 = _entropy_triplets(dx, dt, q_hat, ent[1:-1] - nxt[2][1:-1], ent_flux[1:-1])
-        beta_levels[n] = cell_bounds.sum(axis=0).max() / dt
+        beta_levels[n] = column_sums(cell_bounds).max() / dt
         eta_levels[n] = np.abs(np.minimum(e1, 0.0)).sum() / dt
         if keep_cells:
             bounds[n] = cell_bounds

@@ -10,10 +10,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grid import Grid1D
+from .grid import Grid1D, column_sums
 from .models import Burgers, PSystem
-
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(24)
 
 RH_TOL = 1e-10
 STAR_ATOL = 1e-13
@@ -280,44 +278,135 @@ def sample(fan: WaveFan, xi) -> np.ndarray:
     return out[0] if scalar_input else out
 
 
-def _segment_integral(fan, seg, a: np.ndarray, b: np.ndarray,
-                      origin: float, t: float) -> np.ndarray:
-    """Integral of the profile over the x-intervals [a, b] for one smooth
-    segment, via fixed Gauss-Legendre quadrature in the similarity variable."""
-    _, _, kind, payload = seg
-    width = b - a
-    if kind == "const":
-        return width[:, None] * payload
-    mid = 0.5 * (a + b)
-    half = 0.5 * width
-    nodes = (mid[:, None] + half[:, None] * _GL_NODES - origin) / t
-    vals = _fan_profile(fan, payload, nodes)
-    return np.einsum("k,nkm->nm", _GL_WEIGHTS, vals) * half[:, None]
+def _fan_integral(fan: WaveFan, family: int, a: np.ndarray, b: np.ndarray,
+                  origin: float, t: float) -> np.ndarray:
+    """Integral of the rarefaction profile of the given family over the
+    x-intervals [a, b] inside it at time t > 0, in closed form, (n, m)."""
+    model = fan.model
+    if isinstance(model, Burgers):
+        return ((b - a) * (0.5 * (a + b) - origin) / t)[:, None]
+    gamma = model.gamma
+    p = 2.0 / (gamma - 1.0)
+    k = (gamma - 1.0) / (gamma + 1.0)
+    s = -1.0 if family == 0 else 1.0
+    w = _riemann_invariant(model, fan.left if family == 0 else fan.right, family)
+    # In the fan c = s*k*(xi - w) is linear in xi = (x - origin)/t, rho = A*c^p
+    # and q = rho*v = A*c^p*(w + s*p*c), so both integrate as powers of c;
+    # c_b^n - c_a^n = c_a^n*expm1(n*log1p(dc/c_a)) keeps narrow cells exact.
+    c_a = s * k * ((a - origin) / t - w)
+    log_ratio = np.log1p(s * k * (b - a) / (t * c_a))
+    power = t * (model.C * gamma) ** (-1.0 / (gamma - 1.0)) / (s * k) * c_a ** (p + 1.0)
+    out = np.empty((a.size, 2))
+    out[:, 0] = power * np.expm1((p + 1.0) * log_ratio) / (p + 1.0)
+    out[:, 1] = w * out[:, 0] + s * p / (p + 2.0) * power * c_a * np.expm1((p + 2.0) * log_ratio)
+    return out
+
+
+def _constant_rows(fan: WaveFan, J: int) -> list:
+    """Each constant segment's state repeated over J rows (None for a fan):
+    row-wise slices of it combine with a level far faster than numpy's
+    broadcast of one m-vector over every row."""
+    return [np.tile(payload, (J, 1)) if kind == "const" else None
+            for _, _, kind, payload in fan.segments]
+
+
+def _average_pieces(fan: WaveFan, origin: float, t: float, edges: np.ndarray, dx: float,
+                    rows: list):
+    """Cover the cells at time t > 0 with (cell slice, averages) pairs: the
+    cells wholly inside a constant state get that state (sliced from rows,
+    see _constant_rows), the cells wholly inside a rarefaction their
+    closed-form averages, and each cell that a breakpoint cuts the sum of its
+    pieces.
+
+    One searchsorted of the breakpoints x_k = origin + t*xi_k on the grid
+    edges places them all; a breakpoint on an edge cuts no cell.
+    """
+    J = edges.size - 1
+    x = [origin + t * seg[1] for seg in fan.segments[:-1]]
+    left = edges.searchsorted(x, "left").tolist()
+    right = edges.searchsorted(x, "right").tolist()
+    cuts = [r - 1 if l == r and 0 < r <= J else None for l, r in zip(left, right)]
+    firsts = [0] + [min(i, J) for i in left]  # first cell wholly right of x_{k-1}
+    stops = [max(i - 1, 0) for i in right] + [J]  # past the cells wholly left of x_k
+    cut_parts: dict[int, np.ndarray] = {}
+
+    def add_cut(cell, integral):
+        cut_parts[cell] = cut_parts.get(cell, 0.0) + integral
+
+    for k, (_, _, kind, payload) in enumerate(fan.segments):
+        lo, hi = firsts[k], stops[k]
+        x_lo, x_hi = (x[k - 1] if k else -np.inf), (x[k] if k < len(x) else np.inf)
+        c_lo, c_hi = (cuts[k - 1] if k else None), (cuts[k] if k < len(x) else None)
+        if kind == "const":
+            if lo < hi:
+                yield slice(lo, hi), rows[k][lo:hi]
+            if c_lo is not None:
+                add_cut(c_lo, (min(edges[c_lo + 1], x_hi) - x_lo) * payload)
+            if c_hi is not None and c_hi != c_lo:
+                add_cut(c_hi, (x_hi - max(edges[c_hi], x_lo)) * payload)
+            continue
+        points = [edges[lo:hi + 1]]
+        if c_lo is not None:
+            points.insert(0, [x_lo])
+        if c_hi is not None:
+            points.append([x_hi])
+        points = np.concatenate(points)
+        if points.size < 2:
+            continue
+        integrals = _fan_integral(fan, payload, points[:-1], points[1:], origin, t)
+        first = int(c_lo is not None)
+        if lo < hi:
+            yield slice(lo, hi), integrals[first:first + hi - lo] / dx
+        if c_lo is not None:
+            add_cut(c_lo, integrals[0])
+        if c_hi is not None and c_hi != c_lo:
+            add_cut(c_hi, integrals[-1])
+    for cell, integral in cut_parts.items():
+        yield slice(cell, cell + 1), integral / dx
 
 
 def cell_average_exact(fan: WaveFan, origin: float, t: float, grid: Grid1D) -> np.ndarray:
     """Cell averages of the self-similar solution at time t.
 
-    Wave heads/tails/shocks are used as subinterval boundaries so the
-    quadrature never integrates across a kink.
+    Cells wholly inside a constant state get that state.  Rarefaction
+    profiles are integrated in closed form: xi^2/2 for Burgers, powers of the
+    sound speed (linear in xi) for the p-system.  Cells that a shock, a
+    contact or a fan edge cuts sum the pieces on either side.  At t = 0 the
+    cell straddling the origin gets the width-weighted mix of the two states.
     """
     if t < 0:
         raise ValueError("time must be non-negative")
     edges = grid.interfaces()
-    m = fan.model.m
-    out = np.zeros((grid.J, m))
     if t == 0.0:
-        # Two-state data: width-weighted mix in the straddling cell.
         left_w = np.clip(origin, edges[:-1], edges[1:]) - edges[:-1]
         out = (left_w[:, None] * fan.left + (grid.dx - left_w)[:, None] * fan.right)
         return out / grid.dx
-    for seg in fan.segments:
-        lo, hi, _, _ = seg
-        xlo = origin + t * lo if np.isfinite(lo) else -np.inf
-        xhi = origin + t * hi if np.isfinite(hi) else np.inf
-        a = np.maximum(edges[:-1], xlo)
-        b = np.minimum(edges[1:], xhi)
-        idx = np.nonzero(b > a)[0]
-        if idx.size:
-            out[idx] += _segment_integral(fan, seg, a[idx], b[idx], origin, t)
-    return out / grid.dx
+    out = np.empty((grid.J, fan.model.m))
+    rows = _constant_rows(fan, grid.J)
+    for cells, averages in _average_pieces(fan, origin, t, edges, grid.dx, rows):
+        out[cells] = averages
+    return out
+
+
+def exact_l1_distances(fan: WaveFan, origin: float, grid: Grid1D, times: np.ndarray,
+                       states: np.ndarray) -> np.ndarray:
+    """Per time level and component, the sum over cells of |states - exact
+    cell averages|, (N+1, m).
+
+    One fused pass per level: cells wholly inside a constant state are
+    compared with that state directly, and only the rarefaction and cut cells
+    get averages (as in cell_average_exact, which also gives the t = 0 level).
+    """
+    edges = grid.interfaces()
+    rows = _constant_rows(fan, grid.J)
+    out = np.empty((len(times), fan.model.m))
+    diff = np.empty(states.shape[1:])
+    for n, t in enumerate(times.tolist()):
+        u = states[n]
+        if t == 0.0:
+            np.subtract(u, cell_average_exact(fan, origin, 0.0, grid), out=diff)
+        else:
+            for cells, averages in _average_pieces(fan, origin, t, edges, grid.dx, rows):
+                np.subtract(u[cells], averages, out=diff[cells])
+        out[n] = column_sums(np.abs(diff, out=diff))
+    return out

@@ -192,9 +192,14 @@ def save_solution(sol: SpaceTimeSolution, path: str) -> None:
             fh.write(repr(t) + "," + ",".join(map(repr, row.tolist())) + "\n")
 
 
+# Header entries save_solution writes and load_solution needs (params is optional).
+_DUMP_KEYS = ("model", "flux", "cfl", "x_min", "x_max", "J", "m", "ghost_left", "ghost_right")
+
+
 def load_solution(path: str) -> SpaceTimeSolution:
     """Read a save_solution dump; a malformed time-level row raises a
-    ValueError naming the file and the line."""
+    ValueError naming the file and the line, a missing header entry one
+    naming the file and the key."""
     header: dict[str, str] = {}
     rows = []
     with open(path) as fh:
@@ -215,6 +220,9 @@ def load_solution(path: str) -> SpaceTimeSolution:
                     rows.append((lineno, np.array(line.split(","), dtype=float)))
                 except ValueError as exc:
                     raise ValueError(f"{path}, line {lineno}: {exc}") from None
+    missing = [key for key in _DUMP_KEYS if key not in header]
+    if missing:
+        raise ValueError(f"{path}: header is missing {', '.join(map(repr, missing))}")
     params = {}
     if header.get("params"):
         for tok in header["params"].split(","):

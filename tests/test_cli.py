@@ -1,13 +1,25 @@
 import json
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from fvbound import CaseConfig, build_grid, converge, eoc, linf_l1_error, make_model, run_case
+from fvbound import (
+    CaseConfig,
+    TimeLevels,
+    build_grid,
+    converge,
+    eoc,
+    linf_l1_error,
+    make_model,
+    run_case,
+)
 from fvbound import cli
 from fvbound.cli import (
     ConfigError,
+    ExactFanReference,
     SolutionReference,
     _burgers_curved_averages,
     main,
@@ -15,7 +27,7 @@ from fvbound.cli import (
     restrict_to_coarse,
     streamed_fine_reference,
 )
-from fvbound.riemann import cell_average_exact, solve_riemann
+from fvbound.riemann import cell_average_exact, sample, solve_riemann
 from fvbound.solver import run
 
 
@@ -124,6 +136,112 @@ class TestReferences:
             diff = np.abs(sol.states[n] - reference.cell_averages(float(t), grid))
             worst = max(worst, float((diff.sum(axis=0) * grid.dx).max()))
         assert linf_l1_error(sol, reference) == worst > 0.0
+
+
+_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(24)
+
+
+def _gauss_cell_averages(fan, origin, t, grid):
+    """Exact-fan cell averages by a 24-node Gauss-Legendre rule on each
+    segment's part of a cell, independent of the closed form."""
+    if t == 0.0:
+        return cell_average_exact(fan, origin, 0.0, grid)
+    edges = grid.interfaces()
+    out = np.zeros((grid.J, fan.model.m))
+    for lo, hi, kind, payload in fan.segments:
+        a = np.maximum(edges[:-1], origin + t * lo if np.isfinite(lo) else -np.inf)
+        b = np.minimum(edges[1:], origin + t * hi if np.isfinite(hi) else np.inf)
+        idx = np.nonzero(b > a)[0]
+        if not idx.size:
+            continue
+        if kind == "const":
+            out[idx] += (b - a)[idx, None] * payload
+            continue
+        mid, half = 0.5 * (a[idx] + b[idx]), 0.5 * (b[idx] - a[idx])
+        values = sample(fan, (mid[:, None] + half[:, None] * _GL_NODES - origin) / t)
+        out[idx] += np.einsum("k,nkm->nm", _GL_WEIGHTS, values) * half[:, None]
+    return out / grid.dx
+
+
+def _per_level_error(sol, averages):
+    """The per-level loop: max over levels of the componentwise L1 distance
+    to averages(t), reduced by the sup norm over components."""
+    worst = 0.0
+    for n, t in enumerate(sol.times.t):
+        diff = np.abs(sol.states[n] - averages(float(t)))
+        worst = max(worst, float((diff.sum(axis=0) * sol.grid.dx).max()))
+    return worst
+
+
+def _assert_fused_error_matches_oracles(sol, fan, origin):
+    fused = linf_l1_error(sol, ExactFanReference(fan, origin))
+    for averages in (lambda t: cell_average_exact(fan, origin, t, sol.grid),
+                     lambda t: _gauss_cell_averages(fan, origin, t, sol.grid)):
+        assert fused == pytest.approx(_per_level_error(sol, averages), rel=1e-12, abs=0.0)
+
+
+_PSYSTEM = make_model("psystem", C=1.0, gamma=1.4)
+_FANS = {
+    "burgers-shock": solve_riemann(make_model("burgers"), [2.0], [-0.5]),
+    "burgers-stationary-shock": solve_riemann(make_model("burgers"), [1.0], [-1.0]),
+    "burgers-rarefaction": solve_riemann(make_model("burgers"), [-1.0], [2.5]),
+    "burgers-constant": solve_riemann(make_model("burgers"), [0.7], [0.7]),
+    "psystem-constant": solve_riemann(_PSYSTEM, [1.0, 0.5], [1.0, 0.5]),
+    "psystem-raref-shock": solve_riemann(_PSYSTEM, [0.15, 0.0], [0.1, 0.0]),
+    "psystem-2raref": solve_riemann(_PSYSTEM, [1.0, -2.0], [1.0, 2.0]),
+    "psystem-shock-raref": solve_riemann(_PSYSTEM, [0.3, 0.4], [0.8, 0.9]),
+    "psystem-2shock": solve_riemann(_PSYSTEM, [1.0, 1.0], [1.0, -1.0]),
+}
+
+
+class TestFusedExactError:
+    """linf_l1_error against an exact fan takes one fused pass per level;
+    it must match the per-level loop over full cell averages."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(name=st.sampled_from(sorted(_FANS)), origin=st.floats(-2.0, 2.0),
+           on_edge=st.booleans(), times=st.lists(st.floats(1e-9, 12.0), min_size=1, max_size=6),
+           with_zero=st.booleans(), noise=st.floats(0.01, 1.0), seed=st.integers(0, 2**32 - 1))
+    @example(name="burgers-stationary-shock", origin=0.0, on_edge=True, times=[0.25, 1.0],
+             with_zero=True, noise=0.1, seed=0)
+    def test_random_levels_match_the_per_level_loop(self, name, origin, on_edge, times,
+                                                    with_zero, noise, seed):
+        """Random states near the exact averages at random times: tiny times
+        give fans narrower than a cell, large ones fans past the domain."""
+        fan = _FANS[name]
+        grid = build_grid(-5.0, 5.0, 5)
+        if on_edge:  # the origin, and every breakpoint at t = 0, on a cell edge
+            origin = float(grid.interfaces()[int(np.argmin(np.abs(grid.interfaces() - origin)))])
+        t = sorted(set(times + [0.0] * with_zero))
+        rng = np.random.default_rng(seed)
+        exact = np.array([_gauss_cell_averages(fan, origin, ti, grid) for ti in t])
+        states = exact + noise * (1.0 + np.abs(exact)) * rng.uniform(-1.0, 1.0, exact.shape)
+        sol = SimpleNamespace(grid=grid, times=TimeLevels(np.array(t)), states=states)
+        _assert_fused_error_matches_oracles(sol, fan, origin)
+
+    @pytest.mark.parametrize("left,right", [([1.0], [3.0]), ([3.0], [1.0]), ([0.0], [2.0]),
+                                            ([-2.0], [2.0])])
+    def test_breakpoints_on_cell_edges(self, left, right):
+        """Integer wave speeds at whole multiples of dx put every breakpoint
+        on a cell edge."""
+        fan = solve_riemann(make_model("burgers"), left, right)
+        grid = build_grid(-5.0, 5.0, 5)
+        t = grid.dx * np.array([0.0, 1.0, 2.0, 5.0])
+        exact = np.array([_gauss_cell_averages(fan, 0.0, ti, grid) for ti in t])
+        states = exact + 0.1 * np.random.default_rng(3).uniform(-1.0, 1.0, exact.shape)
+        sol = SimpleNamespace(grid=grid, times=TimeLevels(t), states=states)
+        _assert_fused_error_matches_oracles(sol, fan, 0.0)
+
+    @pytest.mark.parametrize("origin", [0.0, 0.37, -1.3])
+    def test_marched_psystem_run_from_t0(self, origin):
+        """A marched run from the Riemann step, its t = 0 level included."""
+        config = CaseConfig(case="custom", model="psystem", left=(0.3, 0.1), right=(0.12, -0.05),
+                            origin=origin, t_final=0.8, level=5)
+        sol, _, err, _ = run_case(config)
+        assert sol.times.t[0] == 0.0
+        fan = solve_riemann(make_model("psystem"), config.left, config.right)
+        assert err == linf_l1_error(sol, ExactFanReference(fan, origin))
+        _assert_fused_error_matches_oracles(sol, fan, origin)
 
 
 class TestRunCase:
@@ -342,6 +460,18 @@ class TestMain:
         capsys.readouterr()
         assert main(["audit", "--solution", str(dump)]) == 1
         assert "p-system state with rho <= 0" in capsys.readouterr().err
+
+    def test_audit_refuses_a_dump_without_a_header_key(self, capsys, tmp_path):
+        code = main(["run", "--case", "psys-raref-shock", "--level", "3", "--out", str(tmp_path),
+                     "--dump-solution", "--ref", "none"])
+        assert code == 0
+        dump = tmp_path / "psys-raref-shock_L3_solution.csv"
+        text = dump.read_text()
+        assert " x_min=-5.0 " in text
+        dump.write_text(text.replace(" x_min=-5.0", "", 1))
+        capsys.readouterr()
+        assert main(["audit", "--solution", str(dump)]) == 1
+        assert capsys.readouterr().err == f"error: {dump}: header is missing 'x_min'\n"
 
     def test_slab_csv_written(self, tmp_path):
         _, _, _, paths = run_case(CaseConfig(case="psys-raref-shock", level=4,

@@ -2,8 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fvbound import Grid1D, TimeLevels, build_grid, cfl_timestep, make_model
+from fvbound.grid import column_sums
 from fvbound.solver import run
 
 
@@ -100,3 +102,13 @@ def test_run_respects_cfl_and_partitions_time():
     for n in range(sol.n_steps):
         lam = np.abs(model.wave_speeds(sol.extended_states(n))).max()
         assert sol.times.dt(n) * lam / grid.dx <= 0.9 + 1e-12
+
+
+@settings(max_examples=150, deadline=None)
+@given(m=st.sampled_from([1, 2, 3]), J=st.integers(1, 9000),
+       low=st.integers(-12, 6), span=st.integers(0, 12), seed=st.integers(0, 2**32 - 1))
+def test_column_sums_equal_axis0_sum_bit_for_bit(m, J, low, span, seed):
+    rng = np.random.default_rng(seed)
+    magnitudes = 10.0 ** rng.uniform(low, low + span, size=(J, m))
+    a = rng.standard_normal((J, m)) * magnitudes
+    assert column_sums(a).tobytes() == a.sum(axis=0).tobytes()

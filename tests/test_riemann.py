@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings, strategies as st
 from scipy.integrate import quad
 
 import fvbound.riemann as riemann
@@ -145,12 +146,115 @@ def test_cell_average_matches_adaptive_quadrature(psystem):
             assert avg[j, comp] == pytest.approx(val / grid.dx, rel=1e-10, abs=1e-12)
 
 
-def test_fan_conservation(psystem):
+@st.composite
+def psystem_riemann_data(draw):
+    """An admissible p-system Riemann problem (no vacuum) and its fan."""
+    model = make_model("psystem", C=draw(st.floats(0.5, 2.0)), gamma=draw(st.floats(1.2, 3.0)))
+    rho_l, rho_r = draw(st.floats(0.1, 2.0)), draw(st.floats(0.1, 2.0))
+    v_l, v_r = draw(st.floats(-1.0, 1.0)), draw(st.floats(-1.0, 1.0))
+    c_l, c_r = float(model.sound_speed(rho_l)), float(model.sound_speed(rho_r))
+    assume(v_l - v_r + 2.0 * (c_l + c_r) / (model.gamma - 1.0) > 1e-6)
+    uL, uR = [rho_l, rho_l * v_l], [rho_r, rho_r * v_r]
+    return model, uL, uR, solve_riemann(model, uL, uR)
+
+
+@st.composite
+def burgers_riemann_data(draw):
+    model = make_model("burgers")
+    uL, uR = [draw(st.floats(-3.0, 3.0))], [draw(st.floats(-3.0, 3.0))]
+    return model, uL, uR, solve_riemann(model, uL, uR)
+
+
+def _assert_matches_quadrature(fan, origin, t, grid, cells=4):
+    """Averages of the cells a rarefaction meets against adaptive quadrature
+    of the sampled profile, split at every breakpoint inside the cell."""
+    avg = cell_average_exact(fan, origin, t, grid)
+    edges = grid.interfaces()
+    breakpoints = [origin + t * s for s in fan.wave_speeds()]
+    fans = [(origin + t * lo, origin + t * hi) for lo, hi, kind, _ in fan.segments
+            if kind == "fan"]
+    hit = [j for j in range(grid.J)
+           if any(edges[j] < x_hi and x_lo < edges[j + 1] for x_lo, x_hi in fans)]
+    assume(hit)
+    for j in sorted(set(hit[:: max(1, len(hit) // cells)] + [hit[0], hit[-1]])):
+        lo, hi = edges[j], edges[j + 1]
+        pts = [p for p in breakpoints if lo < p < hi]
+        for comp in range(fan.model.m):
+            val, _ = quad(lambda x: float(sample(fan, (x - origin) / t)[comp]), lo, hi,
+                          points=pts or None, limit=200, epsabs=1e-13, epsrel=1e-13)
+            assert avg[j, comp] == pytest.approx(val / grid.dx, rel=1e-10, abs=1e-12)
+
+
+@settings(max_examples=20, deadline=None)
+@given(data=psystem_riemann_data(), origin=st.floats(-1.0, 1.0), t=st.floats(0.1, 2.0))
+def test_closed_form_psystem_fan_averages_match_quadrature(data, origin, t):
+    _, _, _, fan = data
+    assume(any(w.kind == "rarefaction" for w in fan.waves))
+    _assert_matches_quadrature(fan, origin, t, build_grid(-5.0, 5.0, 5))
+
+
+@settings(max_examples=25, deadline=None)
+@given(data=burgers_riemann_data(), origin=st.floats(-1.0, 1.0), t=st.floats(0.1, 1.5))
+def test_closed_form_burgers_fan_averages_match_quadrature(data, origin, t):
+    _, _, _, fan = data
+    assume(fan.waves[0].kind == "rarefaction")
+    _assert_matches_quadrature(fan, origin, t, build_grid(-5.0, 5.0, 5))
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=psystem_riemann_data())
+def test_solve_riemann_invariants(data):
+    """Ordered wave speeds, Rankine-Hugoniot across shocks, Riemann invariants
+    and characteristic edges across rarefactions, all through the public fan."""
+    model, _, _, fan = data
+    speeds = fan.wave_speeds()
+    assert all(b >= a - 1e-10 for a, b in zip(speeds, speeds[1:]))
+    assert fan.star[0] > 0.0
+    gamma = model.gamma
+    states = [fan.left, fan.star, fan.right]
+    for family, wave in enumerate(fan.waves):
+        ul, ur = states[family], states[family + 1]
+        if wave.kind == "shock":
+            fl, fr = model.flux(ul), model.flux(ur)
+            resid = np.abs(fr - fl - wave.speed * (ur - ul)).max()
+            assert resid <= 1e-10 * (1.0 + np.abs(fl).max())
+        elif wave.kind == "rarefaction":
+            sign = 1.0 if family == 0 else -1.0
+            invariant = [u[1] / u[0] + sign * 2.0 * float(model.sound_speed(u[0])) / (gamma - 1.0)
+                         for u in (ul, ur)]
+            assert invariant[0] == pytest.approx(invariant[1], rel=1e-10, abs=1e-10)
+            edge_speeds = sorted(float(model.wave_speeds(u)[family]) for u in (ul, ur))
+            assert sorted((wave.head, wave.tail)) == pytest.approx(edge_speeds, rel=1e-10,
+                                                                   abs=1e-10)
+        else:
+            assert np.allclose(ul, ur, rtol=1e-10, atol=1e-12)
+
+
+@settings(max_examples=40, deadline=None)
+@given(gamma=st.floats(1.2, 3.0), rho_l=st.floats(0.1, 2.0), rho_r=st.floats(0.1, 2.0),
+       v_mid=st.floats(-1.0, 1.0), margin=st.floats(1e-6, 1.0))
+def test_near_vacuum_data_raise(gamma, rho_l, rho_r, v_mid, margin):
+    model = make_model("psystem", C=1.0, gamma=gamma)
+    gap = 2.0 * float(model.sound_speed(rho_l) + model.sound_speed(rho_r)) / (gamma - 1.0)
+    v_l, v_r = v_mid - 0.5 * gap * (1.0 + margin), v_mid + 0.5 * gap * (1.0 + margin)
+    assert v_l - v_r + gap <= 0.0
+    with pytest.raises(VacuumError):
+        solve_riemann(model, [rho_l, rho_l * v_l], [rho_r, rho_r * v_r])
+
+
+@settings(max_examples=30, deadline=None)
+@given(data=st.one_of(psystem_riemann_data(), burgers_riemann_data()),
+       origin=st.floats(-0.5, 0.5), reach=st.floats(0.05, 4.0))
+@example(data=(make_model("psystem", C=1.0, gamma=1.4), [0.15, 0.0], [0.1, 0.0],
+               solve_riemann(make_model("psystem", C=1.0, gamma=1.4), [0.15, 0.0], [0.1, 0.0])),
+         origin=0.0, reach=2.0)
+def test_fan_conservation(data, origin, reach):
     # integral over a window containing all waves changes by the flux difference
-    fan = solve_riemann(psystem, [0.15, 0.0], [0.1, 0.0])
+    model, _, _, fan = data
     grid = build_grid(-5.0, 5.0, 9)
-    f_diff = psystem.flux(fan.left) - psystem.flux(fan.right)
-    base = cell_average_exact(fan, 0.0, 0.0, grid).sum(axis=0) * grid.dx
-    for t in (0.5, 1.5):
-        total = cell_average_exact(fan, 0.0, t, grid).sum(axis=0) * grid.dx
+    f_diff = model.flux(fan.left) - model.flux(fan.right)
+    base = cell_average_exact(fan, origin, 0.0, grid).sum(axis=0) * grid.dx
+    fastest = max([abs(s) for s in fan.wave_speeds()] + [1e-3])
+    for t in (0.5 * reach / fastest, reach / fastest):
+        total = cell_average_exact(fan, origin, t, grid).sum(axis=0) * grid.dx
         assert np.allclose(total, base + t * f_diff, rtol=1e-10, atol=1e-10)

@@ -288,6 +288,18 @@ def test_load_refuses_a_header_only_dump(tmp_path):
         load_solution(str(path))
 
 
+@pytest.mark.parametrize("key", ["model", "flux", "cfl", "x_min", "x_max", "J", "m",
+                                 "ghost_left", "ghost_right"])
+def test_load_names_a_missing_header_key(tmp_path, key):
+    path, lines = _dump_lines(tmp_path)
+    header = [" ".join(tok for tok in line.rstrip("\n").split(" ")
+                       if not tok.startswith(f"{key}=")) + "\n" for line in lines[:6]]
+    assert header != lines[:6]
+    path.write_text("".join(header + lines[6:]))
+    with pytest.raises(ValueError, match=f"dump.csv: header is missing '{key}'"):
+        load_solution(str(path))
+
+
 def test_run_validates_initial_shape():
     grid = build_grid(-5.0, 5.0, 3)
     model = make_model("psystem", C=1.0, gamma=1.4)
