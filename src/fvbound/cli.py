@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .estimator import EstimateReport, error_estimator
-from .grid import Grid1D, TimeLevels, build_grid, column_sums
+from .grid import Grid1D, build_grid, column_sums
 from .models import make_model, normalize_flux_kind
 from .riemann import WaveFan, cell_average_exact, exact_l1_distances, solve_riemann
 from .solver import SpaceTimeSolution, march, run, save_solution
@@ -42,26 +42,25 @@ class CaseConfig:
     t_final: float | None = None
     ref: str = "default"  # exact | fine:<level> | none | default
     out_dir: str | None = None
-    model: str | None = None  # custom case only
+    model: str | None = None  # custom case; _resolve sets a named case's own
     left: tuple | None = None
     right: tuple | None = None
     origin: float = 0.0
     dump_solution: bool = False
 
 
-_CASE_WINDOWS = {
-    "psys-2raref": (0.5, 1.0),
-    "psys-raref-shock": (0.0, 1.5),
-    "burgers-curved": (0.0, 1.0),
-    "custom": (0.0, 1.0),
+# Each case once: (t0, t_final, default reference, (model, left, right)).  A
+# case with states starts from the exact fan's averages at t0 and has it as
+# its exact reference; burgers-curved has no states and starts from its
+# cut-off ramp; custom takes model, left and right from the config.
+_CASES = {
+    "psys-2raref": (0.5, 1.0, "exact", ("psystem", (1.0, -2.0), (1.0, 2.0))),
+    "psys-raref-shock": (0.0, 1.5, "exact", ("psystem", (0.15, 0.0), (0.1, 0.0))),
+    "burgers-curved": (0.0, 1.0, "fine:14", ("burgers", None, None)),
+    "custom": (0.0, 1.0, "exact", None),
 }
 
-_CASE_DEFAULT_REF = {
-    "psys-2raref": "exact",
-    "psys-raref-shock": "exact",
-    "burgers-curved": "fine:14",
-    "custom": "exact",
-}
+_SLAB_MODES = ("eps13", "eps")
 
 
 def _check_sigma(sigma0: float) -> None:
@@ -70,25 +69,32 @@ def _check_sigma(sigma0: float) -> None:
 
 
 def _resolve(config: CaseConfig) -> CaseConfig:
-    """Fill the case defaults in; refuse non-finite cfl, sigma0, t0 or
+    """Fill the case's window, reference and data in; refuse an unknown case
+    or slab mode, a custom case without states, non-finite cfl, sigma0, t0 or
     t_final, sigma0 <= 0 and t_final <= t0 before anything is marched."""
-    if config.case not in _CASE_WINDOWS:
+    if config.case not in _CASES:
         raise ConfigError(f"unknown case '{config.case}'")
-    t0, t_final = _CASE_WINDOWS[config.case]
+    t0, t_final, ref, data = _CASES[config.case]
     updates = {}
     if config.t0 is None:
         updates["t0"] = t0
     if config.t_final is None:
         updates["t_final"] = t_final
     if config.ref == "default":
-        updates["ref"] = _CASE_DEFAULT_REF[config.case]
-    config = replace(config, **updates) if updates else config
+        updates["ref"] = ref
+    if data is not None:
+        updates["model"], updates["left"], updates["right"] = data
+    elif config.model is None or config.left is None or config.right is None:
+        raise ConfigError("custom cases need model, left and right states")
+    config = replace(config, **updates)
     for name, value in (("cfl", config.cfl), ("t0", config.t0), ("t_final", config.t_final)):
         if not math.isfinite(value):
             raise ConfigError(f"{name} must be finite, got {value!r}")
     _check_sigma(config.sigma0)
     if not config.t_final > config.t0:
         raise ConfigError(f"t_final must exceed t0, got t0={config.t0!r}, t_final={config.t_final!r}")
+    if config.slab_mode not in _SLAB_MODES:
+        raise ConfigError(f"unknown slab mode '{config.slab_mode}'")
     return config
 
 
@@ -111,36 +117,13 @@ def _burgers_curved_averages(grid: Grid1D) -> np.ndarray:
 
 
 def _case_setup(config: CaseConfig, grid: Grid1D):
-    """Model, initial cell averages at t0, and the exact fan when one exists."""
-    if config.case == "psys-2raref":
-        model = make_model("psystem", C=1.0, gamma=1.4)
-        fan = solve_riemann(model, [1.0, -2.0], [1.0, 2.0])
-        return model, cell_average_exact(fan, 0.0, config.t0, grid), fan
-    if config.case == "psys-raref-shock":
-        model = make_model("psystem", C=1.0, gamma=1.4)
-        fan = solve_riemann(model, [0.15, 0.0], [0.1, 0.0])
-        return model, cell_average_exact(fan, 0.0, config.t0, grid), fan
-    if config.case == "burgers-curved":
-        return make_model("burgers"), _burgers_curved_averages(grid), None
-    if config.left is None or config.right is None or config.model is None:
-        raise ConfigError("custom cases need model, left and right states")
+    """Model, initial cell averages at t0, and the exact fan (None for
+    burgers-curved) of a resolved case."""
     model = make_model(config.model)
+    if config.left is None:
+        return model, _burgers_curved_averages(grid), None
     fan = solve_riemann(model, config.left, config.right)
     return model, cell_average_exact(fan, config.origin, config.t0, grid), fan
-
-
-class ExactFanReference:
-    """Reference via exact cell averages of a Riemann fan; linf_l1_error
-    takes its fused per-level distances instead of full cell averages."""
-
-    def __init__(self, fan: WaveFan, origin: float = 0.0):
-        self.fan = fan
-        self.origin = origin
-
-    def l1_distances(self, grid: Grid1D, times: TimeLevels, states: np.ndarray) -> np.ndarray:
-        """Per level and component, sum over cells of |states - averages|,
-        in one fused pass over the run."""
-        return exact_l1_distances(self.fan, self.origin, grid, times.t, states)
 
 
 def restrict_to_coarse(states: np.ndarray, fine_grid: Grid1D, coarse_grid: Grid1D) -> np.ndarray:
@@ -156,48 +139,8 @@ def restrict_to_coarse(states: np.ndarray, fine_grid: Grid1D, coarse_grid: Grid1
     return states.reshape(coarse_grid.J, ratio, -1).mean(axis=1)
 
 
-class SolutionReference:
-    """Reference from a stored finer-grid solution, restricted to the coarse
-    grid with linear interpolation in time between its levels."""
-
-    def __init__(self, fine: SpaceTimeSolution):
-        self.fine = fine
-
-    def cell_averages(self, t: float, grid: Grid1D) -> np.ndarray:
-        times = self.fine.times.t
-        slop = 1e-10 * max(1.0, abs(float(times[-1])))
-        if t < times[0] - slop or t > times[-1] + slop:
-            raise ConfigError(f"time {t} outside the reference window")
-        idx = int(np.searchsorted(times, t))
-        idx = min(max(idx, 0), len(times) - 1)
-        if abs(times[idx] - t) <= slop:
-            states = self.fine.states[idx]
-        else:
-            lo = idx - 1
-            w = (t - times[lo]) / (times[idx] - times[lo])
-            states = (1.0 - w) * self.fine.states[lo] + w * self.fine.states[idx]
-        return restrict_to_coarse(states, self.fine.grid, grid)
-
-
-class LevelError:
-    """Running L-inf/L1 error of one recorded run, fed one time level of
-    reference averages at a time, so one streamed reference serves many runs."""
-
-    def __init__(self, grid: Grid1D, times: TimeLevels, states: np.ndarray):
-        self.grid = grid
-        self.times = times
-        self.states = states
-        self.value = 0.0
-
-    def add(self, n: int, averages: np.ndarray) -> None:
-        self.add_distances(column_sums(np.abs(self.states[n] - averages)))
-
-    def add_distances(self, distances: np.ndarray) -> None:
-        """Fold in per-component sums over cells of |states - averages|, for
-        one level or (N+1, m) for many."""
-        self.value = max(self.value, float((distances * self.grid.dx).max()))
-
-
+# Both references give each run's per-level sums over cells of |u_j - ubar_j|;
+# the L-inf/L1 error is the largest of them times dx.
 def streamed_fine_reference(
     initial_fine: np.ndarray,
     model,
@@ -206,19 +149,19 @@ def streamed_fine_reference(
     cfl: float,
     t0: float,
     t_final: float,
-    targets: list,
-) -> None:
-    """March a fine run once without storing it.  Each target (with `grid`,
-    `times` and `add`, like LevelError) gets add(n, averages) for each of its
-    levels in order: the fine solution at t^n (linear interpolation between
-    fine levels) restricted to its grid."""
-    pending = [0] * len(targets)
+    runs: list[SpaceTimeSolution],
+) -> list[float]:
+    """Each run's L-inf/L1 error against a fine run marched once without
+    storing it: at each of a run's time levels, the fine solution (linear
+    interpolation between fine levels) restricted to the run's grid."""
+    errors = [0.0] * len(runs)
+    pending = [0] * len(runs)
     prev_t = None
     prev_states = None
     slop = 1e-12 * max(1.0, abs(t_final))
     for t, states in march(initial_fine, model, flux_kind, fine_grid, cfl, t0, t_final):
-        for k, target in enumerate(targets):
-            eval_times = target.times.t
+        for k, sol in enumerate(runs):
+            eval_times = sol.times.t
             while pending[k] < len(eval_times) and eval_times[pending[k]] <= t + slop:
                 wanted = eval_times[pending[k]]
                 if prev_t is None or abs(t - wanted) <= slop:
@@ -226,25 +169,22 @@ def streamed_fine_reference(
                 else:
                     w = (wanted - prev_t) / (t - prev_t)
                     snap = (1.0 - w) * prev_states + w * states
-                target.add(pending[k], restrict_to_coarse(snap, fine_grid, target.grid))
+                averages = restrict_to_coarse(snap, fine_grid, sol.grid)
+                diff = np.abs(sol.states[pending[k]] - averages)
+                errors[k] = max(errors[k], float((column_sums(diff) * sol.grid.dx).max()))
                 pending[k] += 1
         prev_t, prev_states = t, states
-    if any(done < len(target.times.t) for done, target in zip(pending, targets)):
+    if any(done < len(sol.times.t) for done, sol in zip(pending, runs)):
         raise ConfigError("fine reference run ended before the last eval time")
+    return errors
 
 
-def linf_l1_error(sol: SpaceTimeSolution, reference) -> float:
-    """max over time levels of the componentwise L1 distance to the
-    reference averages, reduced by the sup norm over components.  An exact
-    fan gives each level's distances in one fused pass; any other reference
-    gives its cell averages."""
-    error = LevelError(sol.grid, sol.times, sol.states)
-    if isinstance(reference, ExactFanReference):
-        error.add_distances(reference.l1_distances(sol.grid, sol.times, sol.states))
-    else:
-        for n, t in enumerate(sol.times.t):
-            error.add(n, reference.cell_averages(float(t), sol.grid))
-    return error.value
+def linf_l1_error(sol: SpaceTimeSolution, fan: WaveFan, origin: float = 0.0) -> float:
+    """L-inf/L1 error against the exact fan centred at origin: max over time
+    levels of the componentwise L1 distance to its cell averages, reduced by
+    the sup norm over components; one fused pass per level."""
+    distances = exact_l1_distances(fan, origin, sol.grid, sol.times.t, sol.states)
+    return float((distances * sol.grid.dx).max())
 
 
 def eoc(values) -> list[float | None]:
@@ -312,18 +252,16 @@ def _march_and_estimate(config: CaseConfig):
 
 
 def _errors(config: CaseConfig, fan: WaveFan | None, fine_level: int | None,
-            runs: list[LevelError]) -> list[float | None]:
+            runs: list[SpaceTimeSolution]) -> list[float | None]:
     """Each run's L-inf/L1 error against the case reference; a fine-grid
     reference is marched once for all runs."""
     if fine_level is not None:
         fine_grid = build_grid(config.x_min, config.x_max, fine_level)
         model, initial, _ = _case_setup(config, fine_grid)
-        streamed_fine_reference(initial, model, config.flux, fine_grid, config.cfl,
-                                config.t0, config.t_final, runs)
-        return [r.value for r in runs]
+        return streamed_fine_reference(initial, model, config.flux, fine_grid, config.cfl,
+                                       config.t0, config.t_final, runs)
     if config.ref == "exact":
-        reference = ExactFanReference(fan, config.origin)
-        return [linf_l1_error(r, reference) for r in runs]
+        return [linf_l1_error(sol, fan, config.origin) for sol in runs]
     return [None] * len(runs)
 
 
@@ -343,7 +281,7 @@ def run_case(config: CaseConfig):
     config = _resolve(config)
     fine_level = _fine_level(config, config.level)
     sol, estimate, fan, paths = _march_and_estimate(config)
-    (err,) = _errors(config, fan, fine_level, [LevelError(sol.grid, sol.times, sol.states)])
+    (err,) = _errors(config, fan, fine_level, [sol])
     if config.out_dir:
         paths = {"report": _write_report(config, _report_dict(config, estimate, err)), **paths}
     return sol, estimate, err, paths
@@ -439,8 +377,8 @@ def _format_value(v) -> str:
 def converge(config: CaseConfig, l_min: int, l_max: int) -> EoCTable:
     """Run the case at levels l_min..l_max and assemble the EoC table.
 
-    Every level is marched and estimated first, keeping only its time levels
-    and states; then one pass of the reference gives every level's error.
+    Every level is marched and estimated first, keeping only its solution;
+    then one pass of the reference gives every level's error.
     """
     if l_max < l_min + 1:
         raise ConfigError("need at least two levels for a convergence table")
@@ -451,14 +389,13 @@ def converge(config: CaseConfig, l_min: int, l_max: int) -> EoCTable:
     for level in levels:
         level_config = replace(config, level=level)
         sol, estimate, fan, _ = _march_and_estimate(level_config)
-        runs.append(LevelError(sol.grid, sol.times, sol.states))
+        runs.append(sol)
         eps_vals.append(estimate.epsilon_t)
         es_vals.append(estimate.e_surge)
         eg_vals.append(estimate.e_smooth)
         if config.out_dir:
             reports.append((level_config, _report_dict(level_config, estimate, None)))
-        # drop the history and any per-cell residual arrays before the next level
-        del sol, estimate
+        del estimate  # its per-cell residual arrays go before the next level
     errs = _errors(config, fan, fine_level, runs)
     for (level_config, report), err in zip(reports, errs):
         report["linf_l1_error"] = err
@@ -484,10 +421,9 @@ def _downsample(states: np.ndarray, max_rows: int, max_cols: int) -> np.ndarray:
     return blocks.mean(axis=(1, 3))
 
 
-def render_decomposition_svg(sol: SpaceTimeSolution, estimate: EstimateReport,
-                             width: int = 900, height: int = 620) -> str:
+def render_decomposition_svg(sol: SpaceTimeSolution, estimate: EstimateReport) -> str:
     """Cell raster of the first component with the trapezoid overlay."""
-    pad = 40.0
+    width, height, pad = 900, 620, 40.0
     grid = sol.grid
     t0, t1 = sol.t0, sol.t_final
     span_t = max(t1 - t0, 1e-300)
@@ -539,7 +475,7 @@ def render_decomposition_svg(sol: SpaceTimeSolution, estimate: EstimateReport,
             f'stroke="#555555" stroke-width="0.8" stroke-dasharray="6,4"/>'
         )
 
-    for part in estimate.partitions or []:
+    for part in estimate.partitions:
         for trap in part.smooth:
             polygon(trap, "#1f77b4", dash="3,3")
         for surge in part.surges:
@@ -579,27 +515,65 @@ def _parse_levels(text: str) -> tuple[int, int]:
     return int(lo), int(hi)
 
 
+def _one_of(*choices: str):
+    def parse(text: str) -> str:
+        if text not in choices:
+            raise ValueError(f"expected one of {', '.join(choices)}")
+        return text
+
+    return parse
+
+
+# Config-file keys: the CaseConfig field each sets and how its value is read;
+# a flag given on the command line overrides its key.
+_CONFIG_KEYS = {
+    "case": ("case", str),
+    "cfl": ("cfl", float),
+    "sigma": ("sigma0", float),
+    "slab-size": ("slab_mode", _one_of(*_SLAB_MODES)),
+    "flux": ("flux", str),
+    "ref": ("ref", str),
+    "t0": ("t0", float),
+    "T": ("t_final", float),
+    "model": ("model", str),
+    "left": ("left", _parse_state),
+    "right": ("right", _parse_state),
+    "out": ("out_dir", str),
+    "dump-solution": ("dump_solution", lambda text: _one_of("true", "false")(text) == "true"),
+}
+
+
 def _load_config_file(path: str) -> dict:
-    values: dict[str, str] = {}
+    """CaseConfig fields from key=value lines (# starts a comment); an
+    unknown key or a value that does not parse is refused with its line."""
+    fields = {}
     with open(path) as fh:
-        for raw in fh:
+        for lineno, raw in enumerate(fh, start=1):
             line = raw.split("#", 1)[0].strip()
             if not line:
                 continue
+            where = f"{path}, line {lineno}"
             if "=" not in line:
-                raise ConfigError(f"bad config line: {raw.rstrip()}")
-            key, value = line.split("=", 1)
-            values[key.strip()] = value.strip()
-    return values
+                raise ConfigError(f"{where}: bad config line: {raw.rstrip()}")
+            key, value = (part.strip() for part in line.split("=", 1))
+            if key not in _CONFIG_KEYS:
+                raise ConfigError(f"{where}: unknown key '{key}' "
+                                  f"(known: {', '.join(_CONFIG_KEYS)})")
+            field, parse = _CONFIG_KEYS[key]
+            try:
+                fields[field] = parse(value)
+            except ValueError as exc:
+                raise ConfigError(f"{where}: {key}={value!r}: {exc}") from None
+    return fields
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
+    # each dest is the CaseConfig field that _config_from_args gives the flag to
     parser.add_argument("--config", help="key=value config file; flags override it")
-    parser.add_argument("--case", default=None,
-                        choices=["psys-2raref", "psys-raref-shock", "burgers-curved", "custom"])
+    parser.add_argument("--case", default=None, choices=list(_CASES))
     parser.add_argument("--cfl", type=float, default=None)
-    parser.add_argument("--sigma", type=float, default=None)
-    parser.add_argument("--slab-size", dest="slab_size", choices=["eps13", "eps"], default=None)
+    parser.add_argument("--sigma", dest="sigma0", metavar="SIGMA", type=float, default=None)
+    parser.add_argument("--slab-size", dest="slab_mode", choices=_SLAB_MODES, default=None)
     parser.add_argument("--flux", choices=["llf", "godunov", "eo"], default=None)
     parser.add_argument("--ref", default=None, help="exact | fine:<level> | none")
     parser.add_argument("--t0", type=float, default=None)
@@ -607,37 +581,21 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--model", default=None, choices=["burgers", "psystem"])
     parser.add_argument("--left", default=None, help="comma-separated left state (custom case)")
     parser.add_argument("--right", default=None, help="comma-separated right state (custom case)")
-    parser.add_argument("--out", default=None, help="output directory")
+    parser.add_argument("--out", dest="out_dir", metavar="OUT", default=None,
+                        help="output directory")
 
 
-def _config_from_args(args, config_file: dict, level: int) -> CaseConfig:
-    def pick(flag_value, key: str, default, cast):
-        if flag_value is not None:
-            return flag_value
-        if key in config_file:
-            return cast(config_file[key])
-        return default
-
-    case = pick(args.case, "case", None, str)
-    if case is None:
+def _config_from_args(args, level: int) -> CaseConfig:
+    """The config file's fields, each overridden by its flag when given; a
+    flag argparse leaves as text is read as its config-file value is."""
+    fields = _load_config_file(args.config) if args.config else {}
+    for field, parse in _CONFIG_KEYS.values():
+        flag = getattr(args, field, None)
+        if flag is not None:
+            fields[field] = parse(flag) if isinstance(flag, str) else flag
+    if "case" not in fields:
         raise ConfigError("no case selected (use --case or a config file)")
-    return CaseConfig(
-        case=case,
-        level=level,
-        cfl=pick(args.cfl, "cfl", 0.9, float),
-        sigma0=pick(args.sigma, "sigma", 0.1, float),
-        slab_mode=pick(args.slab_size, "slab-size", "eps13", str),
-        flux=pick(args.flux, "flux", "llf", str),
-        ref=pick(args.ref, "ref", "default", str),
-        t0=pick(args.t0, "t0", None, float),
-        t_final=pick(args.t_final, "T", None, float),
-        model=pick(args.model, "model", None, str),
-        left=pick(_parse_state(args.left) if args.left else None, "left", None, _parse_state),
-        right=pick(_parse_state(args.right) if args.right else None, "right", None, _parse_state),
-        out_dir=pick(args.out, "out", None, str),
-        dump_solution=bool(getattr(args, "dump_solution", False)
-                           or config_file.get("dump-solution") == "true"),
-    )
+    return CaseConfig(level=level, **fields)
 
 
 def main(argv=None) -> int:
@@ -650,7 +608,7 @@ def main(argv=None) -> int:
     p_run = sub.add_parser("run", help="run one case at one refinement level")
     _add_common(p_run)
     p_run.add_argument("--level", type=int, required=True)
-    p_run.add_argument("--dump-solution", action="store_true",
+    p_run.add_argument("--dump-solution", action="store_true", default=None,
                        help="also write the space-time solution dump")
 
     p_conv = sub.add_parser("converge", help="refinement study over a level range")
@@ -660,13 +618,11 @@ def main(argv=None) -> int:
     p_audit = sub.add_parser("audit", help="estimate a previously dumped solution")
     p_audit.add_argument("--solution", required=True, help="solution dump file")
     p_audit.add_argument("--sigma", type=float, default=0.1)
-    p_audit.add_argument("--slab-size", dest="slab_size", choices=["eps13", "eps"],
+    p_audit.add_argument("--slab-size", dest="slab_size", choices=_SLAB_MODES,
                          default="eps13")
     p_audit.add_argument("--out", default=None)
 
     args = parser.parse_args(argv)
-    config_file = _load_config_file(args.config) if getattr(args, "config", None) else {}
-
     try:
         if args.command == "audit":
             from .solver import load_solution
@@ -689,7 +645,7 @@ def main(argv=None) -> int:
                     fh.write(render_decomposition_svg(sol, estimate))
                 print(f"  wrote report under {args.out}")
         elif args.command == "run":
-            config = _config_from_args(args, config_file, args.level)
+            config = _config_from_args(args, args.level)
             _, estimate, err, paths = run_case(config)
             print(f"case={config.case} L={config.level} eps={estimate.epsilon_t:.5g} "
                   f"E_S={estimate.e_surge:.5g} E_G={estimate.e_smooth:.5g}"
@@ -698,7 +654,7 @@ def main(argv=None) -> int:
                 print(f"  wrote {kind}: {path}")
         else:
             lo, hi = _parse_levels(args.levels)
-            config = _config_from_args(args, config_file, lo)
+            config = _config_from_args(args, lo)
             table = converge(config, lo, hi)
             print(table.format())
     except Exception as exc:  # surfaced as exit status for scripting

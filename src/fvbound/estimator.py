@@ -68,17 +68,12 @@ class EstimateReport:
     # with unit multipliers in their place.
     c_surge: float = 1.0
     c_smooth: float = 1.0
-    partitions: list[SlabPartition] | None = field(default=None, repr=False)
-
-    @property
-    def total(self) -> float:
-        return self.c_surge * self.e_surge + self.c_smooth * self.e_smooth
+    partitions: list[SlabPartition] = field(default_factory=list, repr=False)
 
     def to_json_dict(self) -> dict:
         slabs = [s.to_json_dict() for s in self.slabs]
-        if self.partitions is not None:
-            for blob, part in zip(slabs, self.partitions):
-                blob["partition"] = part.to_json_dict()
+        for blob, part in zip(slabs, self.partitions):
+            blob["partition"] = part.to_json_dict()
         return {
             "sigma0": self.sigma0,
             "slab_mode": self.slab_mode,
@@ -138,7 +133,6 @@ def error_estimator(
     sigma0: float,
     slab_mode: str = "eps13",
     keep_cells: bool = False,
-    keep_partitions: bool = True,
 ) -> EstimateReport:
     """Full a-posteriori estimate: epsilon over the whole domain, slab covers,
     oscillation aggregates, and the two estimator components."""
@@ -163,7 +157,6 @@ def error_estimator(
             delta_max=0.0,
             e_surge=0.0,
             e_smooth=0.0,
-            partitions=[] if keep_partitions else None,
         )
 
     eps13 = eps_t ** (1.0 / 3.0)
@@ -195,8 +188,7 @@ def error_estimator(
             delta_max=dmax,
             c0=_slab_c0(sigma0, eps_t, part.surges, part.surge_oscillations),
         ))
-        if keep_partitions:
-            partitions.append(part)
+        partitions.append(part)
         kappa_sum += kappa
         kappa_prime_max = max(kappa_prime_max, kp)
         delta_max = max(delta_max, dmax)
@@ -222,5 +214,5 @@ def error_estimator(
         delta_max=delta_max,
         e_surge=e_surge,
         e_smooth=e_smooth,
-        partitions=partitions if keep_partitions else None,
+        partitions=partitions,
     )

@@ -11,6 +11,9 @@ from .grid import Grid1D, TimeLevels, cfl_timestep  # noqa: F401
 from .models import (DomainError, llf_interface_fluxes, make_model, normalize_flux_kind,
                      numerical_flux)
 
+# march refuses to take more steps than this before reaching t_final.
+MAX_STEPS = 10_000_000
+
 
 @dataclass
 class SpaceTimeSolution:
@@ -92,7 +95,6 @@ def march(
     cfl: float,
     t0: float,
     t_final: float,
-    max_steps: int = 10_000_000,
 ):
     """The stepping core: yield (t, states) for every level from t0 to
     exactly t_final (last step clipped) without storing the history.
@@ -118,8 +120,8 @@ def march(
     yield t, states
     n = 0
     while t < t_final - tol:
-        if n >= max_steps:
-            raise RuntimeError(f"exceeded {max_steps} time steps before reaching t={t_final}")
+        if n >= MAX_STEPS:
+            raise RuntimeError(f"exceeded {MAX_STEPS} time steps before reaching t={t_final}")
         padded[1:-1] = states
         speeds = model.max_wave_speed(padded, check=False)
         lam = float(speeds.max())
@@ -146,13 +148,11 @@ def run(
     cfl: float,
     t0: float,
     t_final: float,
-    max_steps: int = 10_000_000,
 ) -> SpaceTimeSolution:
     """March from t0 to exactly t_final (last step clipped) and record every
     level in one buffer, grown in place by a quarter when full, then trimmed."""
     times, history = [], np.empty((16, grid.J, model.m))
-    for n, (t, states) in enumerate(march(initial, model, flux_kind, grid, cfl, t0, t_final,
-                                          max_steps)):
+    for n, (t, states) in enumerate(march(initial, model, flux_kind, grid, cfl, t0, t_final)):
         if n == len(history):
             history.resize((n + n // 4, grid.J, model.m), refcheck=False)
         history[n] = states
@@ -196,10 +196,18 @@ def save_solution(sol: SpaceTimeSolution, path: str) -> None:
 _DUMP_KEYS = ("model", "flux", "cfl", "x_min", "x_max", "J", "m", "ghost_left", "ghost_right")
 
 
+def _parse_params(text: str) -> dict[str, float]:
+    return {k: float(v) for k, v in (tok.split("=") for tok in text.split(","))}
+
+
+def _parse_floats(text: str) -> np.ndarray:
+    return np.array(text.split(","), dtype=float)
+
+
 def load_solution(path: str) -> SpaceTimeSolution:
     """Read a save_solution dump; a malformed time-level row raises a
-    ValueError naming the file and the line, a missing header entry one
-    naming the file and the key."""
+    ValueError naming the file and the line, a missing or malformed header
+    entry one naming the file and the key."""
     header: dict[str, str] = {}
     rows = []
     with open(path) as fh:
@@ -223,14 +231,18 @@ def load_solution(path: str) -> SpaceTimeSolution:
     missing = [key for key in _DUMP_KEYS if key not in header]
     if missing:
         raise ValueError(f"{path}: header is missing {', '.join(map(repr, missing))}")
-    params = {}
-    if header.get("params"):
-        for tok in header["params"].split(","):
-            k, v = tok.split("=")
-            params[k] = float(v)
+
+    def value(key: str, parse):
+        try:
+            return parse(header[key])
+        except ValueError as exc:
+            raise ValueError(f"{path}: header value {key}={header[key]!r} does not parse: "
+                             f"{exc}") from None
+
+    params = value("params", _parse_params) if header.get("params") else {}
     model = make_model(header["model"], **params)
-    grid = Grid1D(float(header["x_min"]), float(header["x_max"]), int(header["J"]))
-    m = int(header["m"])
+    grid = Grid1D(value("x_min", float), value("x_max", float), value("J", int))
+    m = value("m", int)
     if not rows:
         raise ValueError(f"{path} holds no time levels after its header")
     width = grid.J * m + 1
@@ -245,9 +257,9 @@ def load_solution(path: str) -> SpaceTimeSolution:
         grid=grid,
         times=times,
         states=states,
-        ghost_left=np.array(header["ghost_left"].split(","), dtype=float),
-        ghost_right=np.array(header["ghost_right"].split(","), dtype=float),
+        ghost_left=value("ghost_left", _parse_floats),
+        ghost_right=value("ghost_right", _parse_floats),
         model=model,
         flux_kind=header["flux"],
-        cfl=float(header["cfl"]),
+        cfl=value("cfl", float),
     )

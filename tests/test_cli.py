@@ -19,8 +19,6 @@ from fvbound import (
 from fvbound import cli
 from fvbound.cli import (
     ConfigError,
-    ExactFanReference,
-    SolutionReference,
     _burgers_curved_averages,
     main,
     render_decomposition_svg,
@@ -60,24 +58,30 @@ class TestBurgersCurvedInitialData:
         assert total == pytest.approx(10.0 * 1.0 + (24.0 - 8.0) - 7.0 * 5.0)
 
 
+class SolutionReference:
+    """Oracle: a stored finer-grid solution, restricted to the coarse grid
+    with linear interpolation in time between its levels."""
+
+    def __init__(self, fine):
+        self.fine = fine
+
+    def cell_averages(self, t: float, grid) -> np.ndarray:
+        times = self.fine.times.t
+        slop = 1e-10 * max(1.0, abs(float(times[-1])))
+        if t < times[0] - slop or t > times[-1] + slop:
+            raise ConfigError(f"time {t} outside the reference window")
+        idx = int(np.searchsorted(times, t))
+        idx = min(max(idx, 0), len(times) - 1)
+        if abs(times[idx] - t) <= slop:
+            states = self.fine.states[idx]
+        else:
+            lo = idx - 1
+            w = (t - times[lo]) / (times[idx] - times[lo])
+            states = (1.0 - w) * self.fine.states[lo] + w * self.fine.states[idx]
+        return restrict_to_coarse(states, self.fine.grid, grid)
+
+
 class TestReferences:
-    def test_error_against_itself_is_zero(self):
-        model = make_model("burgers")
-        grid = build_grid(-5.0, 5.0, 4)
-        sol = run(_burgers_curved_averages(grid), model, "llf", grid, 0.9, 0.0, 0.2)
-        assert linf_l1_error(sol, SolutionReference(sol)) == 0.0
-
-    def test_constant_shift_error(self):
-        model = make_model("burgers")
-        grid = build_grid(-5.0, 5.0, 4)
-        sol = run(np.full((grid.J, 1), 2.0), model, "llf", grid, 0.9, 0.0, 0.2)
-
-        class Shifted:
-            def cell_averages(self, t, grid_):
-                return np.full((grid_.J, 1), 2.0 + 0.25)
-
-        assert linf_l1_error(sol, Shifted()) == pytest.approx(10.0 * 0.25)
-
     def test_restriction_is_conservative_and_idempotent(self):
         fine = build_grid(-5.0, 5.0, 6)
         mid = build_grid(-5.0, 5.0, 5)
@@ -91,51 +95,32 @@ class TestReferences:
 
     def test_non_nesting_reference_is_rejected(self):
         model = make_model("burgers")
-        coarse = build_grid(-5.0, 5.0, 3)
+        coarse = build_grid(-4.0, 5.0, 3)
         sol = run(np.full((coarse.J, 1), 1.0), model, "llf", coarse, 0.9, 0.0, 0.1)
-        bad_grid = build_grid(-4.0, 5.0, 5)
-        bad = run(np.full((bad_grid.J, 1), 1.0), model, "llf", bad_grid, 0.9, 0.0, 0.1)
-        with pytest.raises(ConfigError):
-            linf_l1_error(sol, SolutionReference(bad))
+        fine = build_grid(-5.0, 5.0, 5)
+        with pytest.raises(ConfigError, match="does not nest"):
+            streamed_fine_reference(np.full((fine.J, 1), 1.0), model, "llf", fine, 0.9,
+                                    0.0, 0.1, [sol])
 
     def test_streamed_reference_matches_stored_solution(self):
+        """Two coarse runs in one stream: each error equals the per-level loop
+        over a stored fine run restricted to its grid."""
         model = make_model("psystem", C=1.0, gamma=1.4)
         fan = solve_riemann(model, [0.15, 0.0], [0.1, 0.0])
-        coarse = build_grid(-5.0, 5.0, 4)
-        fine = build_grid(-5.0, 5.0, 6)
+        fine = build_grid(-5.0, 5.0, 7)
         initial = cell_average_exact(fan, 0.0, 0.0, fine)
-        sol_c = run(cell_average_exact(fan, 0.0, 0.0, coarse), model, "llf", coarse, 0.9, 0.0, 0.5)
-        stored = run(initial, model, "llf", fine, 0.9, 0.0, 0.5)
-
-        class Capture:
-            grid = coarse
-            times = sol_c.times
-
-            def __init__(self):
-                self.averages = []
-
-            def add(self, n, averages):
-                assert n == len(self.averages)
-                self.averages.append(averages)
-
-        streamed = Capture()
-        streamed_fine_reference(initial, model, "llf", fine, 0.9, 0.0, 0.5, [streamed])
-        assert len(streamed.averages) == len(sol_c.times.t)
-        for t, a in zip(sol_c.times.t, streamed.averages):
-            b = SolutionReference(stored).cell_averages(float(t), coarse)
-            assert np.all(np.abs(a - b) <= 1e-12)
-
-    def test_level_error_matches_linf_l1_error(self):
-        model = make_model("burgers")
-        grid = build_grid(-5.0, 5.0, 4)
-        sol = run(_burgers_curved_averages(grid), model, "llf", grid, 0.9, 0.0, 0.2)
-        reference = SolutionReference(run(np.full((grid.J, 1), 0.5), model, "llf", grid,
-                                          0.9, 0.0, 0.2))
-        worst = 0.0
-        for n, t in enumerate(sol.times.t):
-            diff = np.abs(sol.states[n] - reference.cell_averages(float(t), grid))
-            worst = max(worst, float((diff.sum(axis=0) * grid.dx).max()))
-        assert linf_l1_error(sol, reference) == worst > 0.0
+        runs = []
+        for level in (4, 5):
+            coarse = build_grid(-5.0, 5.0, level)
+            runs.append(run(cell_average_exact(fan, 0.0, 0.0, coarse), model, "llf", coarse,
+                            0.9, 0.0, 0.5))
+        streamed = streamed_fine_reference(initial, model, "llf", fine, 0.9, 0.0, 0.5, runs)
+        oracle = SolutionReference(run(initial, model, "llf", fine, 0.9, 0.0, 0.5))
+        assert len(streamed) == 2
+        for sol, err in zip(runs, streamed):
+            expected = _per_level_error(sol, lambda t: oracle.cell_averages(t, sol.grid))
+            assert err == pytest.approx(expected, rel=1e-12, abs=0.0)
+            assert err > 0.0
 
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(24)
@@ -174,7 +159,7 @@ def _per_level_error(sol, averages):
 
 
 def _assert_fused_error_matches_oracles(sol, fan, origin):
-    fused = linf_l1_error(sol, ExactFanReference(fan, origin))
+    fused = linf_l1_error(sol, fan, origin)
     for averages in (lambda t: cell_average_exact(fan, origin, t, sol.grid),
                      lambda t: _gauss_cell_averages(fan, origin, t, sol.grid)):
         assert fused == pytest.approx(_per_level_error(sol, averages), rel=1e-12, abs=0.0)
@@ -240,7 +225,7 @@ class TestFusedExactError:
         sol, _, err, _ = run_case(config)
         assert sol.times.t[0] == 0.0
         fan = solve_riemann(make_model("psystem"), config.left, config.right)
-        assert err == linf_l1_error(sol, ExactFanReference(fan, origin))
+        assert err == linf_l1_error(sol, fan, origin)
         _assert_fused_error_matches_oracles(sol, fan, origin)
 
 
@@ -292,6 +277,24 @@ class TestRunCase:
     def test_custom_requires_states(self):
         with pytest.raises(ConfigError):
             run_case(CaseConfig(case="custom", level=4))
+
+    @pytest.mark.parametrize("case,model,left,right,t_final", [
+        ("psys-raref-shock", "psystem", (0.15, 0.0), (0.1, 0.0), 1.5),
+        ("psys-2raref", "psystem", (1.0, -2.0), (1.0, 2.0), 1.0),
+    ])
+    def test_named_fan_case_equals_custom_case_off_origin(self, case, model, left, right,
+                                                         t_final):
+        """A named fan case starts from, and is measured against, the fan
+        centred at config.origin, like the custom case with its states."""
+        named = run_case(CaseConfig(case=case, level=6, origin=0.5))
+        t0 = named[0].t0
+        custom = run_case(CaseConfig(case="custom", model=model, left=left, right=right,
+                                     t0=t0, t_final=t_final, origin=0.5, level=6))
+        assert named[2].hex() == custom[2].hex()
+        assert json.dumps(named[1].to_json_dict()) == json.dumps(custom[1].to_json_dict())
+        assert np.array_equal(named[0].states, custom[0].states)
+        centred = run_case(CaseConfig(case=case, level=6))
+        assert named[2] != centred[2]
 
 
 class TestConverge:
@@ -473,6 +476,33 @@ class TestMain:
         assert main(["audit", "--solution", str(dump)]) == 1
         assert capsys.readouterr().err == f"error: {dump}: header is missing 'x_min'\n"
 
+    @pytest.mark.parametrize("line,message", [
+        ("sigma0=0.5", "line 2: unknown key 'sigma0'"),
+        ("cfl=abc", "line 2: cfl='abc': could not convert string to float: 'abc'"),
+        ("slab-size=bogus", "line 2: slab-size='bogus': expected one of eps13, eps"),
+        ("dump-solution=yes", "line 2: dump-solution='yes': expected one of true, false"),
+        ("left", "line 2: bad config line: left"),
+    ])
+    def test_config_file_is_refused_before_marching(self, capsys, tmp_path, monkeypatch,
+                                                    line, message):
+        def no_marching(*args, **kwargs):
+            raise AssertionError("marched before the config file was checked")
+
+        monkeypatch.setattr(cli, "run", no_marching)
+        cfg = tmp_path / "case.cfg"
+        cfg.write_text(f"case=psys-raref-shock\n{line}\n")
+        assert main(["run", "--config", str(cfg), "--level", "3"]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {cfg}, {message}")
+
+    def test_config_file_switch_and_slab_size(self, tmp_path):
+        cfg = tmp_path / "case.cfg"
+        cfg.write_text("case=psys-raref-shock  # the paper case\nslab-size=eps\n"
+                       f"dump-solution=true\nref=none\nout={tmp_path / 'out'}\n")
+        assert main(["run", "--config", str(cfg), "--level", "3"]) == 0
+        assert (tmp_path / "out" / "psys-raref-shock_L3_solution.csv").exists()
+        report = json.loads((tmp_path / "out" / "psys-raref-shock_L3_report.json").read_text())
+        assert report["slab_mode"] == "eps"
+
     def test_slab_csv_written(self, tmp_path):
         _, _, _, paths = run_case(CaseConfig(case="psys-raref-shock", level=4,
                                              out_dir=str(tmp_path)))
@@ -501,6 +531,7 @@ class TestFormatting:
         ("t_final", float("inf"), "t_final must be finite"),
         ("t_final", 0.0, "t_final must exceed t0"),
         ("t_final", -1.0, "t_final must exceed t0"),
+        ("slab_mode", "bogus", "unknown slab mode 'bogus'"),
     ])
     def test_meaningless_run_parameters_are_refused_before_marching(self, field, value,
                                                                      message, monkeypatch):

@@ -118,13 +118,6 @@ def test_report_serializes(raref_shock_solution):
     assert blob["c_surge"] == 1.0 and blob["c_smooth"] == 1.0
 
 
-def test_partitions_can_be_dropped(raref_shock_solution):
-    report = error_estimator(raref_shock_solution, 0.1, keep_partitions=False)
-    assert report.partitions is None
-    blob = report.to_json_dict()
-    assert all("partition" not in slab for slab in blob["slabs"])
-
-
 def test_single_step_solution_still_produces_epsilon():
     model = make_model("psystem", C=1.0, gamma=1.4)
     fan = solve_riemann(model, [0.15, 0.0], [0.1, 0.0])

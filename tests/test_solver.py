@@ -300,6 +300,20 @@ def test_load_names_a_missing_header_key(tmp_path, key):
         load_solution(str(path))
 
 
+@pytest.mark.parametrize("key,bad", [("x_min", "abc"), ("x_max", "1e"), ("J", "4.5"),
+                                     ("m", "two"), ("cfl", "fast"), ("params", "C"),
+                                     ("ghost_left", "1.0,x"), ("ghost_right", "")])
+def test_load_names_a_malformed_header_value(tmp_path, key, bad):
+    path, lines = _dump_lines(tmp_path)
+    header = [" ".join(f"{key}={bad}" if tok.startswith(f"{key}=") else tok
+                       for tok in line.rstrip("\n").split(" ")) + "\n" for line in lines[:6]]
+    assert header != lines[:6]
+    path.write_text("".join(header + lines[6:]))
+    with pytest.raises(ValueError) as info:
+        load_solution(str(path))
+    assert str(info.value).startswith(f"{path}: header value {key}={bad!r} does not parse: ")
+
+
 def test_run_validates_initial_shape():
     grid = build_grid(-5.0, 5.0, 3)
     model = make_model("psystem", C=1.0, gamma=1.4)
