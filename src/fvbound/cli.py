@@ -14,7 +14,7 @@ import numpy as np
 
 from .estimator import EstimateReport, error_estimator
 from .grid import Grid1D, build_grid, column_sums
-from .models import make_model, normalize_flux_kind
+from .models import make_model, normalize_flux_kind, normalize_model_name
 from .riemann import WaveFan, cell_average_exact, exact_l1_distances, solve_riemann
 from .solver import SpaceTimeSolution, march, run, save_solution
 
@@ -70,8 +70,9 @@ def _check_sigma(sigma0: float) -> None:
 
 def _resolve(config: CaseConfig) -> CaseConfig:
     """Fill the case's window, reference and data in; refuse an unknown case
-    or slab mode, a custom case without states, non-finite cfl, sigma0, t0 or
-    t_final, sigma0 <= 0 and t_final <= t0 before anything is marched."""
+    or slab mode, a named case given a model or states, a custom case without
+    states, non-finite cfl, sigma0, t0 or t_final, sigma0 <= 0 and
+    t_final <= t0 before anything is marched."""
     if config.case not in _CASES:
         raise ConfigError(f"unknown case '{config.case}'")
     t0, t_final, ref, data = _CASES[config.case]
@@ -83,6 +84,10 @@ def _resolve(config: CaseConfig) -> CaseConfig:
     if config.ref == "default":
         updates["ref"] = ref
     if data is not None:
+        given = [name for name in ("model", "left", "right") if getattr(config, name) is not None]
+        if given:
+            raise ConfigError(f"case '{config.case}' has its own model and states; "
+                              f"{', '.join(given)} can only be given for the custom case")
         updates["model"], updates["left"], updates["right"] = data
     elif config.model is None or config.left is None or config.right is None:
         raise ConfigError("custom cases need model, left and right states")
@@ -223,16 +228,15 @@ def _march_and_estimate(config: CaseConfig):
         raise ConfigError("no exact solution available for this case")
     flux_kind = normalize_flux_kind(config.flux)
     sol = run(initial, model, flux_kind, grid, config.cfl, config.t0, config.t_final)
-    write_cells = bool(config.out_dir) and sol.n_steps * grid.J <= MAX_RESIDUAL_CSV_CELLS
-    estimate = error_estimator(sol, config.sigma0, config.slab_mode, keep_cells=write_cells)
+    estimate = error_estimator(sol, config.sigma0, config.slab_mode)
 
     paths: dict[str, str] = {}
     if config.out_dir:
         os.makedirs(config.out_dir, exist_ok=True)
         tag = f"{config.case}_L{config.level}"
-        if write_cells:
+        if sol.n_steps * grid.J <= MAX_RESIDUAL_CSV_CELLS:
             csv_path = os.path.join(config.out_dir, f"{tag}_residuals.csv")
-            estimate.residual.write_cells_csv(csv_path)
+            estimate.residual.write_cells_csv(sol, csv_path)
             paths["residuals"] = csv_path
 
         slab_path = os.path.join(config.out_dir, f"{tag}_slabs.csv")
@@ -395,7 +399,6 @@ def converge(config: CaseConfig, l_min: int, l_max: int) -> EoCTable:
         eg_vals.append(estimate.e_smooth)
         if config.out_dir:
             reports.append((level_config, _report_dict(level_config, estimate, None)))
-        del estimate  # its per-cell residual arrays go before the next level
     errs = _errors(config, fan, fine_level, runs)
     for (level_config, report), err in zip(reports, errs):
         report["linf_l1_error"] = err
@@ -531,11 +534,11 @@ _CONFIG_KEYS = {
     "cfl": ("cfl", float),
     "sigma": ("sigma0", float),
     "slab-size": ("slab_mode", _one_of(*_SLAB_MODES)),
-    "flux": ("flux", str),
+    "flux": ("flux", normalize_flux_kind),
     "ref": ("ref", str),
     "t0": ("t0", float),
     "T": ("t_final", float),
-    "model": ("model", str),
+    "model": ("model", normalize_model_name),
     "left": ("left", _parse_state),
     "right": ("right", _parse_state),
     "out": ("out_dir", str),

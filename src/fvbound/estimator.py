@@ -95,20 +95,31 @@ class EstimateReport:
 
 def slab_boundaries(times: np.ndarray, tau_target: float) -> list[int]:
     """Level indices bounding the slabs: slab mu ends at the first time level
-    at or beyond t0 + mu * tau_target; the final slab ends at T."""
+    at or beyond t0 + mu * tau_target; the final slab ends at T.  Multiples
+    that end no new slab are skipped by galloping, so a tau_target far below
+    the time step costs a few probes per slab."""
     t0 = float(times[0])
     n_last = len(times) - 1
-    bounds = [0]
-    mu = 1
-    while bounds[-1] < n_last:
+
+    def edge(mu: int) -> float:
         target = t0 + mu * tau_target
-        slop = 1e-12 * max(1.0, abs(target))
-        idx = int(np.searchsorted(times, target - slop, side="left"))
+        return target - 1e-12 * max(1.0, abs(target))
+
+    bounds = [0]
+    mu = 0
+    while bounds[-1] < n_last:
+        # gallop to the last multiple whose edge is at or before the boundary
+        last, step = times[bounds[-1]], 1
+        while step:
+            if edge(mu + step) <= last:
+                mu, step = mu + step, 2 * step
+            else:
+                step //= 2
+        mu += 1
+        idx = int(np.searchsorted(times, edge(mu), side="left"))
         if idx >= n_last:
             break
-        if idx > bounds[-1]:
-            bounds.append(idx)
-        mu += 1
+        bounds.append(idx)
     bounds.append(n_last)
     return bounds
 
@@ -132,13 +143,12 @@ def error_estimator(
     sol: SpaceTimeSolution,
     sigma0: float,
     slab_mode: str = "eps13",
-    keep_cells: bool = False,
 ) -> EstimateReport:
     """Full a-posteriori estimate: epsilon over the whole domain, slab covers,
     oscillation aggregates, and the two estimator components."""
     if slab_mode not in ("eps13", "eps"):
         raise ValueError(f"unknown slab mode '{slab_mode}'")
-    res = epsilon(sol, keep_cells=keep_cells)
+    res = epsilon(sol)
     eps_t = res.epsilon
     duration = sol.t_final - sol.t0
 

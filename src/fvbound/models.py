@@ -140,13 +140,17 @@ class PSystem:
         return {"C": self.C, "gamma": self.gamma}
 
 
-def make_model(name: str, **params):
+def normalize_model_name(name: str) -> str:
     name = name.lower()
-    if name == "burgers":
+    if name not in ("burgers", "psystem"):
+        raise ValueError(f"unknown model '{name}' (expected burgers or psystem)")
+    return name
+
+
+def make_model(name: str, **params):
+    if normalize_model_name(name) == "burgers":
         return Burgers()
-    if name == "psystem":
-        return PSystem(**params)
-    raise ValueError(f"unknown model '{name}' (expected burgers or psystem)")
+    return PSystem(**params)
 
 
 # Canonical flux-kind names with the aliases accepted on the CLI.

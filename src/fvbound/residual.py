@@ -13,7 +13,7 @@ the scalar consistency parameter epsilon.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -107,7 +107,12 @@ def level_entropy_triplets(sol: SpaceTimeSolution, n: int):
         model.entropy(sol.states[n]) - model.entropy(sol.states[n + 1]),
         model.entropy_flux(sol.states[n]),
     )
-    return e1, e2, e3, np.minimum(e1, 0.0) + np.minimum(e2, 0.0) + np.minimum(e3, 0.0)
+    return e1, e2, e3, _entropy_lower(e1, e2, e3)
+
+
+def _entropy_lower(e1, e2, e3):
+    """min{0,E1} + min{0,E2} + min{0,E3}."""
+    return np.minimum(e1, 0.0) + np.minimum(e2, 0.0) + np.minimum(e3, 0.0)
 
 
 def total_variation(sol: SpaceTimeSolution, n: int) -> tuple[np.ndarray, float]:
@@ -223,9 +228,6 @@ class ResidualReport:
     beta_levels: np.ndarray  # (N,)
     eta_levels: np.ndarray  # (N,)
     speed_range: np.ndarray  # (N+1, 2) min/max signed wave speed per level
-    bounds: np.ndarray | None = field(default=None, repr=False)  # (N, J, m)
-    entropy_triplets: np.ndarray | None = field(default=None, repr=False)  # (N, J, 3)
-    entropy_lower: np.ndarray | None = field(default=None, repr=False)  # (N, J)
 
     @property
     def tv_max(self) -> float:
@@ -243,29 +245,46 @@ class ResidualReport:
             "levels": len(self.tv_scalar),
         }
 
-    def write_cells_csv(self, path: str) -> None:
-        if self.bounds is None:
-            raise ValueError("per-cell arrays were not kept for this report")
-        m = self.bounds.shape[2]
+    def write_cells_csv(self, sol: SpaceTimeSolution, path: str) -> None:
+        """One row per layer and cell of sol: the bound per component, E1, E2,
+        E3 and their lower bound, from a second walk of the kernel epsilon folds."""
         with open(path, "w", newline="") as fh:
-            cols = ["n", "j"] + [f"bound_{c}" for c in range(m)] + ["E1", "E2", "E3", "ent_lower"]
-            fh.write(",".join(cols) + "\r\n")
-            cells = zip(self.bounds, self.entropy_triplets, self.entropy_lower)
-            for n, (bounds, triplets, lower) in enumerate(cells):
-                rows = np.concatenate([bounds, triplets, lower[:, None]], axis=1).tolist()
+            cols = ["n", "j"] + [f"bound_{c}" for c in range(sol.model.m)]
+            fh.write(",".join(cols + ["E1", "E2", "E3", "ent_lower"]) + "\r\n")
+            for n, (_, _, layer) in enumerate(_layers(sol)):
+                if layer is None:
+                    break
+                _, bounds, (e1, e2, e3) = layer
+                rows = np.column_stack([bounds, e1, e2, e3, _entropy_lower(e1, e2, e3)]).tolist()
                 fh.write("".join(f"{n},{j},{','.join(map(repr, row))}\r\n"
                                  for j, row in enumerate(rows)))
 
 
-def _level_terms(sol: SpaceTimeSolution, n: int):
-    """Ghost-padded level n followed by its model.level_terms."""
-    ext = sol.extended_states(n)
-    return (ext, *sol.model.level_terms(ext))
+def _layers(sol: SpaceTimeSolution):
+    """The residual kernel.  Per level n, yield (ghost-padded level n, its
+    (min, max) signed wave speed, layer), where layer is (dt, cell bounds,
+    (E1, E2, E3)) of the step to level n+1 under the recorded flux, or None
+    for the last level.  Each level's model.level_terms is evaluated once."""
+    llf = normalize_flux_kind(sol.flux_kind) == "llf"
+    dx = sol.grid.dx
+    levels = ((ext, *sol.model.level_terms(ext))
+              for ext in map(sol.extended_states, range(sol.n_steps + 1)))
+    ext, f, ent, ent_flux, speeds, speed_range = next(levels)
+    for n, nxt in enumerate(levels):
+        dt = sol.times.dt(n)
+        fluxes = llf_interface_fluxes(ext, f, speeds) if llf else sol.interface_fluxes(n)
+        # the LLF entropy-flux companion, as numerical_entropy_flux computes it
+        lam = np.maximum(speeds[:-1], speeds[1:])
+        q_hat = 0.5 * (ent_flux[:-1] + ent_flux[1:]) - 0.5 * lam * (ent[1:] - ent[:-1])
+        triplets = _entropy_triplets(dx, dt, q_hat, ent[1:-1] - nxt[2][1:-1], ent_flux[1:-1])
+        yield ext, speed_range, (dt, _cell_bounds(dx, dt, fluxes, f[1:-1]), triplets)
+        ext, f, ent, ent_flux, speeds, speed_range = nxt
+    yield ext, speed_range, None
 
 
-def epsilon(sol: SpaceTimeSolution, kind: str | None = None,
-            keep_cells: bool = False) -> ResidualReport:
-    """Smallest computed constant bounding the weak and entropy residuals.
+def epsilon(sol: SpaceTimeSolution) -> ResidualReport:
+    """Smallest computed constant bounding the weak and entropy residuals of
+    the recorded marching flux.
 
     epsilon = C * max{beta, eta} / sup_n TV[u(t^n)], and 0 for constant
     solutions (also when both residual rates vanish).  beta is the maximal
@@ -273,47 +292,22 @@ def epsilon(sol: SpaceTimeSolution, kind: str | None = None,
     entropy-inequality violation (the negative part of the constant-test
     functional); both maxima exclude the very first layer, where the freshly
     projected initial data still carries unresolved jumps, whenever the run
-    has more than one step.  keep_cells keeps the per-cell arrays for the CSV.
-    speed_range keeps each level's extreme signed wave speeds for the slab cover.
+    has more than one step.  speed_range keeps each level's extreme signed
+    wave speeds for the slab cover.
     """
-    kind = normalize_flux_kind(kind or sol.flux_kind)
     n_steps = sol.n_steps
-    dx = sol.grid.dx
-    cells = (n_steps, sol.grid.J)
     tv = np.empty((n_steps + 1, sol.model.m))
     speed_range = np.empty((n_steps + 1, 2))
     beta_levels = np.zeros(n_steps)
     eta_levels = np.zeros(n_steps)
-    bounds = np.empty(cells + (sol.model.m,)) if keep_cells else None
-    triplets = np.empty(cells + (3,)) if keep_cells else None
-    lowers = np.empty(cells) if keep_cells else None
-
-    c_max = 0.0
-    nxt = _level_terms(sol, 0)
-    for n in range(n_steps + 1):
-        ext, f, ent, ent_flux, speeds, speed_range[n] = nxt
+    for n, (ext, speed_range[n], layer) in enumerate(_layers(sol)):
         tv[n] = column_sums(np.abs(np.diff(ext, axis=0)))
-        if n == n_steps:
-            break
-        nxt = _level_terms(sol, n + 1)  # level n+1 is the next layer's level n
-        dt = sol.times.dt(n)
-        c_max = max(c_max, dt / dx)
-        if kind == "llf":
-            fluxes = llf_interface_fluxes(ext, f, speeds)
-        else:
-            fluxes = sol.interface_fluxes(n, kind)
-        cell_bounds = _cell_bounds(dx, dt, fluxes, f[1:-1])
-        # the LLF entropy-flux companion, as numerical_entropy_flux computes it
-        lam = np.maximum(speeds[:-1], speeds[1:])
-        q_hat = 0.5 * (ent_flux[:-1] + ent_flux[1:]) - 0.5 * lam * (ent[1:] - ent[:-1])
-        e1, e2, e3 = _entropy_triplets(dx, dt, q_hat, ent[1:-1] - nxt[2][1:-1], ent_flux[1:-1])
-        beta_levels[n] = column_sums(cell_bounds).max() / dt
-        eta_levels[n] = np.abs(np.minimum(e1, 0.0)).sum() / dt
-        if keep_cells:
-            bounds[n] = cell_bounds
-            triplets[n] = np.stack([e1, e2, e3], axis=-1)
-            lowers[n] = np.minimum(e1, 0.0) + np.minimum(e2, 0.0) + np.minimum(e3, 0.0)
+        if layer is not None:
+            dt, bounds, (e1, _, _) = layer
+            beta_levels[n] = column_sums(bounds).max() / dt
+            eta_levels[n] = np.abs(np.minimum(e1, 0.0)).sum() / dt
 
+    c_max = float(np.diff(sol.times.t).max(initial=0.0)) / sol.grid.dx
     tv_scalar = tv.max(axis=1)
     start = 1 if n_steps >= 2 else 0
     beta = float(beta_levels[start:].max()) if n_steps else 0.0
@@ -326,7 +320,7 @@ def epsilon(sol: SpaceTimeSolution, kind: str | None = None,
         eps = big_c * max(beta, eta) / tv_max
 
     return ResidualReport(
-        flux_kind=kind,
+        flux_kind=normalize_flux_kind(sol.flux_kind),
         epsilon=eps,
         beta=beta,
         eta=eta,
@@ -337,7 +331,4 @@ def epsilon(sol: SpaceTimeSolution, kind: str | None = None,
         beta_levels=beta_levels,
         eta_levels=eta_levels,
         speed_range=speed_range,
-        bounds=bounds,
-        entropy_triplets=triplets,
-        entropy_lower=lowers,
     )

@@ -9,7 +9,7 @@ import numpy as np
 # perfbench/tracing.py wraps cfl_timestep here; the stepping core fuses its scan.
 from .grid import Grid1D, TimeLevels, cfl_timestep  # noqa: F401
 from .models import (DomainError, llf_interface_fluxes, make_model, normalize_flux_kind,
-                     numerical_flux)
+                     normalize_model_name, numerical_flux)
 
 # march refuses to take more steps than this before reaching t_final.
 MAX_STEPS = 10_000_000
@@ -240,7 +240,7 @@ def load_solution(path: str) -> SpaceTimeSolution:
                              f"{exc}") from None
 
     params = value("params", _parse_params) if header.get("params") else {}
-    model = make_model(header["model"], **params)
+    model = make_model(value("model", normalize_model_name), **params)
     grid = Grid1D(value("x_min", float), value("x_max", float), value("J", int))
     m = value("m", int)
     if not rows:
@@ -260,6 +260,6 @@ def load_solution(path: str) -> SpaceTimeSolution:
         ghost_left=value("ghost_left", _parse_floats),
         ghost_right=value("ghost_right", _parse_floats),
         model=model,
-        flux_kind=header["flux"],
+        flux_kind=value("flux", normalize_flux_kind),
         cfl=value("cfl", float),
     )

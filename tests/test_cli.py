@@ -482,6 +482,8 @@ class TestMain:
         ("slab-size=bogus", "line 2: slab-size='bogus': expected one of eps13, eps"),
         ("dump-solution=yes", "line 2: dump-solution='yes': expected one of true, false"),
         ("left", "line 2: bad config line: left"),
+        ("flux=bogus", "line 2: flux='bogus': unknown numerical flux 'bogus'"),
+        ("model=bogus", "line 2: model='bogus': unknown model 'bogus'"),
     ])
     def test_config_file_is_refused_before_marching(self, capsys, tmp_path, monkeypatch,
                                                     line, message):
@@ -493,6 +495,28 @@ class TestMain:
         cfg.write_text(f"case=psys-raref-shock\n{line}\n")
         assert main(["run", "--config", str(cfg), "--level", "3"]) == 1
         assert capsys.readouterr().err.startswith(f"error: {cfg}, {message}")
+
+    @pytest.mark.parametrize("argv,cfg_lines,given", [
+        (["--case", "psys-raref-shock", "--model", "burgers", "--left", "1.0",
+          "--right", "0.5"], None, "model, left, right"),
+        (["--case", "burgers-curved", "--left", "1.0"], None, "left"),
+        ([], "case=psys-2raref\nright=1.0,2.0\n", "right"),
+        (["--model", "psystem"], "case=psys-raref-shock\n", "model"),
+    ])
+    def test_named_case_refuses_a_model_or_states(self, capsys, tmp_path, monkeypatch,
+                                                  argv, cfg_lines, given):
+        def no_marching(*args, **kwargs):
+            raise AssertionError("marched a named case with a foreign model or states")
+
+        monkeypatch.setattr(cli, "run", no_marching)
+        if cfg_lines is not None:
+            cfg = tmp_path / "case.cfg"
+            cfg.write_text(cfg_lines)
+            argv = argv + ["--config", str(cfg)]
+        assert main(["run", *argv, "--level", "3", "--ref", "none"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: case '") and err.endswith(
+            f"{given} can only be given for the custom case\n")
 
     def test_config_file_switch_and_slab_size(self, tmp_path):
         cfg = tmp_path / "case.cfg"
@@ -532,6 +556,7 @@ class TestFormatting:
         ("t_final", 0.0, "t_final must exceed t0"),
         ("t_final", -1.0, "t_final must exceed t0"),
         ("slab_mode", "bogus", "unknown slab mode 'bogus'"),
+        ("model", "burgers", "model can only be given for the custom case"),
     ])
     def test_meaningless_run_parameters_are_refused_before_marching(self, field, value,
                                                                      message, monkeypatch):

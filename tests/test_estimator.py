@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fvbound import (
     build_grid,
@@ -42,6 +43,45 @@ def test_slab_boundaries_partition_the_window():
         assert times[idx - 1] < target
 
     assert slab_boundaries(times, 10.0) == [0, 30]
+
+
+def multiple_by_multiple_boundaries(times, tau_target):
+    """The slab rule walked one multiple of tau_target at a time."""
+    t0, n_last = float(times[0]), len(times) - 1
+    bounds, mu = [0], 1
+    while bounds[-1] < n_last:
+        target = t0 + mu * tau_target
+        idx = int(np.searchsorted(times, target - 1e-12 * max(1.0, abs(target)), side="left"))
+        if idx >= n_last:
+            break
+        if idx > bounds[-1]:
+            bounds.append(idx)
+        mu += 1
+    bounds.append(n_last)
+    return bounds
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.floats(-3.0, 3.0), st.floats(1e-3, 1.0),
+       st.lists(st.floats(1e-4, 4.0), max_size=40),
+       st.lists(st.integers(1, 300), max_size=20))
+def test_slab_boundaries_equal_the_multiple_by_multiple_walk(t0, tau, offsets, on_edge):
+    """Skipping multiples changes no boundary, also with levels exactly on a
+    multiple's slop edge."""
+    edges = [t0 + mu * tau - 1e-12 * max(1.0, abs(t0 + mu * tau)) for mu in on_edge]
+    times = np.unique(np.concatenate([[t0], t0 + np.array(offsets), edges]))
+    assert slab_boundaries(times, tau) == multiple_by_multiple_boundaries(times, tau)
+
+
+def test_slab_boundaries_skip_multiples_far_below_the_time_step():
+    times = np.linspace(0.0, 1.0, 50)
+    assert slab_boundaries(times, 1e-100) == list(range(50))
+    # a roundoff-level epsilon gives such a slab size: tiny states, one step
+    grid = build_grid(-1.0, 1.0, 4)
+    initial = np.where(grid.centers()[:, None] < 0.0, 0.0, 1e-150)
+    sol = run(initial, make_model("burgers"), "godunov", grid, 0.9, 0.0, 0.5)
+    report = error_estimator(sol, 0.1)
+    assert 0.0 < report.epsilon_t < 1e-140 and len(report.slabs) == 1
 
 
 def test_two_rarefactions_has_no_surge_part():

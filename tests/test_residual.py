@@ -15,6 +15,7 @@ from fvbound import (
 from fvbound.grid import Grid1D, TimeLevels
 from fvbound.residual import (
     PROJECTION_MATRIX,
+    _layers,
     level_corner_oracle,
     level_entropy_triplets,
     level_residual_bounds,
@@ -247,36 +248,41 @@ class TestEpsilon:
 
     def test_report_cell_arrays_and_csv(self, tmp_path):
         sol = stationary_shock_solution()
-        report = epsilon(sol, keep_cells=True)
-        assert report.bounds.shape == (sol.n_steps, sol.grid.J, 1)
+        report = epsilon(sol)
+        assert not {"bounds", "entropy_triplets", "entropy_lower"} & set(vars(report))
         path = tmp_path / "cells.csv"
-        report.write_cells_csv(str(path))
-        header = path.read_text().splitlines()[0]
-        assert header == "n,j,bound_0,E1,E2,E3,ent_lower"
-        report_small = epsilon(sol)
-        assert report_small.bounds is None
-        with pytest.raises(ValueError):
-            report_small.write_cells_csv(str(path))
+        report.write_cells_csv(sol, str(path))
+        lines = path.read_text().splitlines()
+        assert lines[0] == "n,j,bound_0,E1,E2,E3,ent_lower"
+        assert len(lines) == 1 + sol.n_steps * sol.grid.J
 
     @pytest.mark.parametrize("name,kind,res_kind", [
         ("burgers", "llf", "llf"), ("psystem", "llf", "llf"), ("burgers", "godunov", "godunov"),
-        ("burgers", "eo", "eo"), ("burgers", "godunov", "llf"),
+        ("burgers", "eo", "eo"),
     ])
     def test_matches_one_level_reference_api(self, name, kind, res_kind):
+        """Every layer of the residual kernel equals the one-level reference
+        functions under the marching flux res_kind, bit for bit, and epsilon
+        folds exactly those layers."""
         sol = small_run(name, kind)
-        report = epsilon(sol, res_kind, keep_cells=True)
+        report = epsilon(sol)
         n_steps = sol.n_steps
         assert n_steps > 10
-        for n in range(n_steps + 1):
+        layers = list(_layers(sol))
+        assert len(layers) == n_steps + 1 and layers[-1][2] is None
+        for n, (ext, speed_range, layer) in enumerate(layers):
+            assert np.array_equal(ext, sol.extended_states(n))
+            assert np.array_equal(speed_range, report.speed_range[n])
             tv, scalar = total_variation(sol, n)
             assert np.array_equal(report.tv[n], tv) and report.tv_scalar[n] == scalar
-        for n in range(n_steps):
-            dt = sol.times.dt(n)
-            bounds = level_residual_bounds(sol, res_kind, n)
-            e1, e2, e3, lower = level_entropy_triplets(sol, n)
-            assert np.array_equal(report.bounds[n], bounds)
-            assert np.array_equal(report.entropy_triplets[n], np.stack([e1, e2, e3], axis=-1))
-            assert np.array_equal(report.entropy_lower[n], lower)
+            if n == n_steps:
+                break
+            dt, bounds, (e1, e2, e3) = layer
+            assert dt == sol.times.dt(n)
+            assert np.array_equal(bounds, level_residual_bounds(sol, res_kind, n))
+            ref_e1, ref_e2, ref_e3, _ = level_entropy_triplets(sol, n)
+            assert np.array_equal(e1, ref_e1) and np.array_equal(e2, ref_e2)
+            assert np.array_equal(e3, ref_e3)
             assert report.beta_levels[n] == bounds.sum(axis=0).max() / dt
             assert report.eta_levels[n] == np.abs(np.minimum(e1, 0.0)).sum() / dt
         rate = max(report.beta_levels[1:].max(), report.eta_levels[1:].max())
@@ -287,18 +293,21 @@ class TestEpsilon:
 
     @pytest.mark.parametrize("name", ["burgers", "psystem"])
     def test_cells_csv_matches_row_by_row_writer(self, name, tmp_path):
-        report = epsilon(small_run(name, level=4), keep_cells=True)
+        """The CSV bytes equal a row-by-row writer over the one-level
+        reference functions."""
+        sol = small_run(name, level=4)
         path = tmp_path / "cells.csv"
-        report.write_cells_csv(str(path))
-        n_steps, n_cells, m = report.bounds.shape
+        epsilon(sol).write_cells_csv(sol, str(path))
+        m = sol.model.m
         lines = [",".join(["n", "j"] + [f"bound_{c}" for c in range(m)]
                           + ["E1", "E2", "E3", "ent_lower"])]
-        for n in range(n_steps):
-            for j in range(n_cells):
+        for n in range(sol.n_steps):
+            bounds = level_residual_bounds(sol, sol.flux_kind, n)
+            e1, e2, e3, lower = level_entropy_triplets(sol, n)
+            for j in range(sol.grid.J):
                 row = [str(n), str(j)]
-                row += [repr(float(v)) for v in report.bounds[n, j]]
-                row += [repr(float(v)) for v in report.entropy_triplets[n, j]]
-                row.append(repr(float(report.entropy_lower[n, j])))
+                row += [repr(float(v)) for v in bounds[j]]
+                row += [repr(float(v)) for v in (e1[j], e2[j], e3[j], lower[j])]
                 lines.append(",".join(row))
         assert path.read_bytes() == "".join(line + "\r\n" for line in lines).encode()
 

@@ -1,13 +1,18 @@
+import json
+import tempfile
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fvbound import (
     DomainError,
     build_grid,
     cell_average_exact,
     epsilon,
+    error_estimator,
     load_solution,
     make_model,
     numerical_flux,
@@ -226,6 +231,48 @@ def test_solution_dump_roundtrip(tmp_path):
     assert epsilon(back).epsilon == epsilon(sol).epsilon
 
 
+@st.composite
+def small_runs(draw):
+    """A short run of random Riemann data: Burgers under each flux, or the
+    p-system with random C and gamma under LLF."""
+    level = draw(st.integers(3, 5))
+    grid = build_grid(draw(st.floats(-3.0, -1.0)), draw(st.floats(1.0, 3.0)), level)
+    x_jump = draw(st.floats(-0.9, 0.9))
+    if draw(st.booleans()):
+        model, flux = make_model("burgers"), draw(st.sampled_from(["llf", "godunov", "eo"]))
+        left, right = ([draw(st.floats(-2.0, 2.0))] for _ in range(2))
+    else:
+        model = make_model("psystem", C=draw(st.floats(0.5, 2.0)),
+                           gamma=draw(st.floats(1.1, 3.0)))
+        flux = "llf"
+        left, right = ([draw(st.floats(0.5, 2.0)), draw(st.floats(-0.5, 0.5))]
+                       for _ in range(2))
+    initial = np.where(grid.centers()[:, None] < x_jump, left, right)
+    return run(initial, model, flux, grid, draw(st.floats(0.3, 1.0)), 0.0,
+               draw(st.floats(0.05, 0.6)))
+
+
+@settings(max_examples=30, deadline=None)
+@given(small_runs())
+def test_dump_round_trip_is_bit_exact(sol):
+    """A reloaded dump is the run bit for bit, and audits exactly as the run
+    estimates: the same report and the same residuals CSV bytes."""
+    with tempfile.TemporaryDirectory() as tmp:
+        dump = Path(tmp, "dump.csv")
+        save_solution(sol, str(dump))
+        back = load_solution(str(dump))
+        for a, b in [(back.times.t, sol.times.t), (back.states, sol.states),
+                     (back.ghost_left, sol.ghost_left), (back.ghost_right, sol.ghost_right)]:
+            assert a.shape == b.shape and a.tobytes() == b.tobytes()
+        assert (back.grid, back.model.name, back.model.params(), back.flux_kind, back.cfl) == (
+            sol.grid, sol.model.name, sol.model.params(), sol.flux_kind, sol.cfl)
+        reports = [json.dumps(error_estimator(r, 0.1).to_json_dict()) for r in (sol, back)]
+        assert reports[0] == reports[1]
+        for name, record in [("run.csv", sol), ("audit.csv", back)]:
+            epsilon(record).write_cells_csv(record, str(Path(tmp, name)))
+        assert Path(tmp, "run.csv").read_bytes() == Path(tmp, "audit.csv").read_bytes()
+
+
 def test_dump_bytes_equal_the_one_string_writer(tmp_path):
     """save_solution streams its rows; the bytes equal the writer that built
     the whole dump as one string first."""
@@ -302,7 +349,8 @@ def test_load_names_a_missing_header_key(tmp_path, key):
 
 @pytest.mark.parametrize("key,bad", [("x_min", "abc"), ("x_max", "1e"), ("J", "4.5"),
                                      ("m", "two"), ("cfl", "fast"), ("params", "C"),
-                                     ("ghost_left", "1.0,x"), ("ghost_right", "")])
+                                     ("ghost_left", "1.0,x"), ("ghost_right", ""),
+                                     ("model", "bogus"), ("flux", "bogus")])
 def test_load_names_a_malformed_header_value(tmp_path, key, bad):
     path, lines = _dump_lines(tmp_path)
     header = [" ".join(f"{key}={bad}" if tok.startswith(f"{key}=") else tok
@@ -312,6 +360,12 @@ def test_load_names_a_malformed_header_value(tmp_path, key, bad):
     with pytest.raises(ValueError) as info:
         load_solution(str(path))
     assert str(info.value).startswith(f"{path}: header value {key}={bad!r} does not parse: ")
+
+
+def test_load_stores_the_canonical_flux_name(tmp_path):
+    path, lines = _dump_lines(tmp_path)
+    path.write_text("".join(lines).replace("# flux=llf ", "# flux=LLF ", 1))
+    assert load_solution(str(path)).flux_kind == "llf"
 
 
 def test_run_validates_initial_shape():
