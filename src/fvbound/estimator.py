@@ -148,7 +148,8 @@ def error_estimator(
     oscillation aggregates, and the two estimator components."""
     if slab_mode not in ("eps13", "eps"):
         raise ValueError(f"unknown slab mode '{slab_mode}'")
-    res = epsilon(sol)
+    # a run carries the report it folded; a loaded or rebuilt record replays
+    res = sol.residual if sol.residual is not None else epsilon(sol)
     eps_t = res.epsilon
     duration = sol.t_final - sol.t0
 

@@ -42,12 +42,14 @@ class Grid1D:
 
 @dataclass(frozen=True)
 class TimeLevels:
-    """Strictly increasing time instants t^0 < ... < t^N."""
+    """Strictly increasing time instants t^0 < ... < t^N, held in a frozen
+    copy of the given sequence."""
 
     t: np.ndarray
 
     def __post_init__(self):
-        t = np.asarray(self.t, dtype=float)
+        t = np.array(self.t, dtype=float)
+        t.setflags(write=False)
         object.__setattr__(self, "t", t)
         if t.ndim != 1 or t.size < 1:
             raise ValueError("need a 1D, non-empty sequence of times")

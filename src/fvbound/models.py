@@ -117,9 +117,10 @@ class PSystem:
     def level_terms(self, u: np.ndarray):
         """(flux, entropy, entropy flux, max wave speed, (min v - c, max v + c)
         over the interior cells u[1:-1]) of a ghost-padded level after one
-        domain check; the flux and the entropy share one pressure C*rho^gamma."""
+        domain check; the flux and the entropy share one pressure C*rho^gamma.
+        rho and q are copied out of u once, so each ufunc runs on contiguous data."""
         self.check_domain(u)
-        rho, q = u[..., 0], u[..., 1]
+        rho, q = np.ascontiguousarray(u[..., 0]), np.ascontiguousarray(u[..., 1])
         v = q / rho
         c = self.sound_speed(rho)
         p = self.C * rho**self.gamma

@@ -14,12 +14,16 @@ the scalar consistency parameter epsilon.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .grid import column_sums
-from .models import llf_interface_fluxes, normalize_flux_kind, numerical_entropy_flux
-from .solver import SpaceTimeSolution
+from .models import (llf_interface_fluxes, normalize_flux_kind, numerical_entropy_flux,
+                     numerical_flux)
+
+if TYPE_CHECKING:  # solver imports this module to fold epsilon while it marches
+    from .solver import SpaceTimeSolution
 
 # Maps the edge averages (left, top, right) of an affine test function
 # a1 + a2*(t^{n+1}-t)/dt + a3*(x-x_center)/dx  to its coefficients and back.
@@ -76,11 +80,18 @@ def _b_edge_form(dx, dt, u_n, u_np1, f_center, flux_l, flux_r, avg_l, avg_top, a
 
 
 def _cell_bounds(dx, dt, fluxes, f_center):
-    """Operator-norm bound per cell from the J+1 interface fluxes."""
+    """Operator-norm bound per cell from the J+1 interface fluxes:
+    1/2 dt^2 |F_l - F_r| + 1/2 dx dt |F_l + F_r - 2 f|, in place."""
     flux_l, flux_r = fluxes[:-1], fluxes[1:]
-    return 0.5 * dt * dt * np.abs(flux_l - flux_r) + 0.5 * dx * dt * np.abs(
-        flux_l + flux_r - 2.0 * f_center
-    )
+    bounds = flux_l - flux_r
+    np.abs(bounds, out=bounds)
+    bounds *= 0.5 * dt * dt
+    center = flux_l + flux_r
+    center -= 2.0 * f_center
+    np.abs(center, out=center)
+    center *= 0.5 * dx * dt
+    bounds += center
+    return bounds
 
 
 def level_residual_bounds(sol: SpaceTimeSolution, kind: str, n: int) -> np.ndarray:
@@ -247,88 +258,125 @@ class ResidualReport:
 
     def write_cells_csv(self, sol: SpaceTimeSolution, path: str) -> None:
         """One row per layer and cell of sol: the bound per component, E1, E2,
-        E3 and their lower bound, from a second walk of the kernel epsilon folds."""
+        E3 and their lower bound, from a replay of sol's levels through the
+        fold that gives epsilon."""
+        fold = ResidualFold(sol.grid.dx)
         with open(path, "w", newline="") as fh:
             cols = ["n", "j"] + [f"bound_{c}" for c in range(sol.model.m)]
             fh.write(",".join(cols + ["E1", "E2", "E3", "ent_lower"]) + "\r\n")
-            for n, (_, _, layer) in enumerate(_layers(sol)):
+            for n, level in enumerate(_stored_levels(sol), start=-1):
+                layer = fold.add(*level)
                 if layer is None:
-                    break
+                    continue
                 _, bounds, (e1, e2, e3) = layer
                 rows = np.column_stack([bounds, e1, e2, e3, _entropy_lower(e1, e2, e3)]).tolist()
                 fh.write("".join(f"{n},{j},{','.join(map(repr, row))}\r\n"
                                  for j, row in enumerate(rows)))
 
 
-def _layers(sol: SpaceTimeSolution):
-    """The residual kernel.  Per level n, yield (ghost-padded level n, its
-    (min, max) signed wave speed, layer), where layer is (dt, cell bounds,
-    (E1, E2, E3)) of the step to level n+1 under the recorded flux, or None
-    for the last level.  Each level's model.level_terms is evaluated once."""
-    llf = normalize_flux_kind(sol.flux_kind) == "llf"
-    dx = sol.grid.dx
-    levels = ((ext, *sol.model.level_terms(ext))
-              for ext in map(sol.extended_states, range(sol.n_steps + 1)))
-    ext, f, ent, ent_flux, speeds, speed_range = next(levels)
-    for n, nxt in enumerate(levels):
-        dt = sol.times.dt(n)
-        fluxes = llf_interface_fluxes(ext, f, speeds) if llf else sol.interface_fluxes(n)
+class ResidualFold:
+    """The residual kernel: epsilon as a fold over the levels of a run, with
+    O(J) state.  Each level arrives ghost-padded with its model.level_terms
+    and the interface fluxes of the step that produced it, and closes the
+    layer below it.  run feeds the fold while it marches; epsilon(sol) and
+    write_cells_csv replay stored levels through it."""
+
+    def __init__(self, dx: float):
+        self.dx = dx
+        # per-level figures as Python floats, which keep no small numpy buffers alive
+        self.tv: list[list[float]] = []
+        self.speed_range: list[tuple[float, float]] = []
+        self.beta_levels: list[float] = []
+        self.eta_levels: list[float] = []
+        self._last = None  # (t, level terms) of the level folded last
+
+    def add(self, t, padded: np.ndarray, terms, fluxes: np.ndarray | None):
+        """Fold the level at time t; return the layer it closes, (dt, cell
+        bounds, (E1, E2, E3)) with dt = t - t_prev, or None for the first."""
+        jumps = padded[1:] - padded[:-1]
+        self.tv.append(column_sums(np.abs(jumps, out=jumps)).tolist())
+        self.speed_range.append(terms[4])
+        last, self._last = self._last, (t, terms)
+        if last is None:
+            return None
+        t_prev, (f, ent, ent_flux, speeds, _) = last
+        dx, dt = self.dx, float(t) - float(t_prev)
         # the LLF entropy-flux companion, as numerical_entropy_flux computes it
         lam = np.maximum(speeds[:-1], speeds[1:])
         q_hat = 0.5 * (ent_flux[:-1] + ent_flux[1:]) - 0.5 * lam * (ent[1:] - ent[:-1])
-        triplets = _entropy_triplets(dx, dt, q_hat, ent[1:-1] - nxt[2][1:-1], ent_flux[1:-1])
-        yield ext, speed_range, (dt, _cell_bounds(dx, dt, fluxes, f[1:-1]), triplets)
-        ext, f, ent, ent_flux, speeds, speed_range = nxt
-    yield ext, speed_range, None
+        triplets = _entropy_triplets(dx, dt, q_hat, ent[1:-1] - terms[1][1:-1], ent_flux[1:-1])
+        bounds = _cell_bounds(dx, dt, fluxes, f[1:-1])
+        self.beta_levels.append(float(column_sums(bounds).max() / dt))
+        self.eta_levels.append(float(np.abs(np.minimum(triplets[0], 0.0)).sum() / dt))
+        return dt, bounds, triplets
+
+    def report(self, sol: SpaceTimeSolution) -> ResidualReport:
+        """The ResidualReport of the folded levels, which are sol's.
+
+        epsilon = C * max{beta, eta} / sup_n TV[u(t^n)], and 0 for constant
+        solutions (also when both residual rates vanish).  beta is the maximal
+        summed-bound rate over the time layers, eta the maximal rate of cell
+        entropy-inequality violation (the negative part of the constant-test
+        functional); both maxima exclude the very first layer, where the
+        freshly projected initial data still carries unresolved jumps,
+        whenever the run has more than one step.
+        """
+        n_steps = sol.n_steps
+        tv = np.array(self.tv)
+        beta_levels = np.array(self.beta_levels)
+        eta_levels = np.array(self.eta_levels)
+        c_max = float(np.diff(sol.times.t).max(initial=0.0)) / sol.grid.dx
+        tv_scalar = tv.max(axis=1)
+        start = 1 if n_steps >= 2 else 0
+        beta = float(beta_levels[start:].max()) if n_steps else 0.0
+        eta = float(eta_levels[start:].max()) if n_steps else 0.0
+        big_c = max(3.0, float(np.sqrt(8.0 + 8.0 * c_max * c_max)))
+        tv_max = float(tv_scalar.max())
+        if tv_max == 0.0 or max(beta, eta) == 0.0:
+            eps = 0.0
+        else:
+            eps = big_c * max(beta, eta) / tv_max
+        return ResidualReport(
+            flux_kind=normalize_flux_kind(sol.flux_kind),
+            epsilon=eps,
+            beta=beta,
+            eta=eta,
+            stability_constant=big_c,
+            c_max=c_max,
+            tv=tv,
+            tv_scalar=tv_scalar,
+            beta_levels=beta_levels,
+            eta_levels=eta_levels,
+            speed_range=np.array(self.speed_range),
+        )
+
+
+def _stored_levels(sol: SpaceTimeSolution):
+    """(t, ghost-padded level, model.level_terms, fluxes of the step into the
+    level or None) for every recorded level of sol, as run feeds its fold."""
+    kind = normalize_flux_kind(sol.flux_kind)
+    fluxes = None
+    for n, t in enumerate(sol.times.t):
+        padded = sol.extended_states(n)
+        terms = sol.model.level_terms(padded)
+        yield t, padded, terms, fluxes
+        if n < sol.n_steps:
+            fluxes = (llf_interface_fluxes(padded, terms[0], terms[3]) if kind == "llf"
+                      else numerical_flux(kind, sol.model, padded[:-1], padded[1:]))
 
 
 def epsilon(sol: SpaceTimeSolution) -> ResidualReport:
     """Smallest computed constant bounding the weak and entropy residuals of
-    the recorded marching flux.
+    the recorded marching flux (see ResidualFold.report); speed_range keeps
+    each level's extreme signed wave speeds for the slab cover.
 
-    epsilon = C * max{beta, eta} / sup_n TV[u(t^n)], and 0 for constant
-    solutions (also when both residual rates vanish).  beta is the maximal
-    summed-bound rate over the time layers, eta the maximal rate of cell
-    entropy-inequality violation (the negative part of the constant-test
-    functional); both maxima exclude the very first layer, where the freshly
-    projected initial data still carries unresolved jumps, whenever the run
-    has more than one step.  speed_range keeps each level's extreme signed
-    wave speeds for the slab cover.
+    A solution recorded by run carries the report its run folded; any other
+    (a loaded dump, a hand-built or dataclasses.replace'd record) replays its
+    stored levels through the same fold.
     """
-    n_steps = sol.n_steps
-    tv = np.empty((n_steps + 1, sol.model.m))
-    speed_range = np.empty((n_steps + 1, 2))
-    beta_levels = np.zeros(n_steps)
-    eta_levels = np.zeros(n_steps)
-    for n, (ext, speed_range[n], layer) in enumerate(_layers(sol)):
-        tv[n] = column_sums(np.abs(np.diff(ext, axis=0)))
-        if layer is not None:
-            dt, bounds, (e1, _, _) = layer
-            beta_levels[n] = column_sums(bounds).max() / dt
-            eta_levels[n] = np.abs(np.minimum(e1, 0.0)).sum() / dt
-
-    c_max = float(np.diff(sol.times.t).max(initial=0.0)) / sol.grid.dx
-    tv_scalar = tv.max(axis=1)
-    start = 1 if n_steps >= 2 else 0
-    beta = float(beta_levels[start:].max()) if n_steps else 0.0
-    eta = float(eta_levels[start:].max()) if n_steps else 0.0
-    big_c = max(3.0, float(np.sqrt(8.0 + 8.0 * c_max * c_max)))
-    tv_max = float(tv_scalar.max())
-    if tv_max == 0.0 or max(beta, eta) == 0.0:
-        eps = 0.0
-    else:
-        eps = big_c * max(beta, eta) / tv_max
-
-    return ResidualReport(
-        flux_kind=normalize_flux_kind(sol.flux_kind),
-        epsilon=eps,
-        beta=beta,
-        eta=eta,
-        stability_constant=big_c,
-        c_max=c_max,
-        tv=tv,
-        tv_scalar=tv_scalar,
-        beta_levels=beta_levels,
-        eta_levels=eta_levels,
-        speed_range=speed_range,
-    )
+    if sol.residual is not None:
+        return sol.residual
+    fold = ResidualFold(sol.grid.dx)
+    for level in _stored_levels(sol):
+        fold.add(*level)
+    return fold.report(sol)

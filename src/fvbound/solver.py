@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -10,6 +10,7 @@ import numpy as np
 from .grid import Grid1D, TimeLevels, cfl_timestep  # noqa: F401
 from .models import (DomainError, llf_interface_fluxes, make_model, normalize_flux_kind,
                      normalize_model_name, numerical_flux)
+from .residual import ResidualFold, ResidualReport
 
 # march refuses to take more steps than this before reaching t_final.
 MAX_STEPS = 10_000_000
@@ -21,6 +22,9 @@ class SpaceTimeSolution:
 
     states[n] holds the J cell values at time level n; the outer ghost states
     are constant in time (frozen at the initial first/last cell values).
+    residual is the ResidualReport that run folded while marching; it is no
+    init argument, so dataclasses.replace and hand-built records leave it None
+    and epsilon replays their levels.
     """
 
     grid: Grid1D
@@ -31,6 +35,8 @@ class SpaceTimeSolution:
     model: object
     flux_kind: str
     cfl: float
+    residual: ResidualReport | None = field(default=None, init=False, repr=False,
+                                            compare=False)
 
     @property
     def n_steps(self) -> int:
@@ -66,12 +72,14 @@ def step(
     ghost_right: np.ndarray,
     padded: np.ndarray | None = None,
     speeds: np.ndarray | None = None,
+    f: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """One conservative update; returns (new states, interface fluxes).
 
     LLF evaluates each cell's flux and max wave speed once for its two
     interfaces.  The stepping core passes its ghost-padded copy of the states
-    and their speeds, already scanned for the CFL step and checked.
+    and their speeds, already scanned for the CFL step and checked, and the
+    padded fluxes when it has evaluated them for the residual fold.
     """
     if padded is None:
         padded = np.vstack([np.asarray(ghost_left)[None, :], states,
@@ -80,11 +88,75 @@ def step(
         check = speeds is None
         if check:
             speeds = model.max_wave_speed(padded)
-        fluxes = llf_interface_fluxes(padded, model.flux(padded, check=check), speeds)
+        if f is None:
+            f = model.flux(padded, check=check)
+        fluxes = llf_interface_fluxes(padded, f, speeds)
     else:
         fluxes = numerical_flux(flux_kind, model, padded[:-1], padded[1:])
     new = states - (dt / grid.dx) * (fluxes[1:] - fluxes[:-1])
     return new, fluxes
+
+
+def _left_domain(model, states: np.ndarray, n: int, t: float) -> DomainError:
+    j = int(np.argmax(~model.in_domain(states)))
+    return DomainError(f"state left the model domain at cell j={j}, step n={n}, "
+                       f"t={t:.6g}: {states[j]}")
+
+
+def _levels(initial, model, flux_kind: str, grid: Grid1D, cfl: float, t0: float,
+            t_final: float, with_terms: bool):
+    """The stepping core: yield (t, states, padded, terms, fluxes) for every
+    level from t0 to exactly t_final (last step clipped).  padded is the
+    ghost-padded level, valid until the next resume; fluxes are the interface
+    fluxes of the step into the level, None for the first.
+
+    One max-wave-speed scan of the padded states per step gives both dt and
+    the LLF lambda, and each level is checked against the domain once.  With
+    with_terms, model.level_terms of each level is that check, its flux and
+    speeds drive the step, and terms is yielded for the residual fold;
+    otherwise terms is None and the step scans only what it needs.
+    """
+    if not 0.0 < cfl <= 1.0:
+        raise ValueError(f"cfl must lie in (0, 1], got {cfl!r}")
+    flux_kind = normalize_flux_kind(flux_kind)
+    states = np.array(initial, dtype=float)
+    if states.ndim == 1:
+        states = states[:, None]
+    if states.shape != (grid.J, model.m):
+        raise ValueError(f"initial states have shape {states.shape}, expected {(grid.J, model.m)}")
+    padded = np.empty((grid.J + 2, model.m))
+    padded[0] = states[0]
+    padded[-1] = states[-1]
+    padded[1:-1] = states
+    ghost_left, ghost_right = padded[0], padded[-1]
+    if with_terms:
+        terms = model.level_terms(padded)
+    else:
+        model.check_domain(states)
+        terms = None
+    tol = 1e-14 * max(1.0, abs(t_final))
+    t = t0
+    yield t, states, padded, terms, None
+    n = 0
+    while t < t_final - tol:
+        if n >= MAX_STEPS:
+            raise RuntimeError(f"exceeded {MAX_STEPS} time steps before reaching t={t_final}")
+        speeds = terms[3] if with_terms else model.max_wave_speed(padded, check=False)
+        lam = float(speeds.max())
+        dt = t_final - t if lam == 0.0 else min(cfl * grid.dx / lam, t_final - t)
+        states, fluxes = step(states, model, flux_kind, grid, dt, ghost_left, ghost_right,
+                              padded, speeds, terms[0] if with_terms else None)
+        padded[1:-1] = states
+        if with_terms:
+            try:
+                terms = model.level_terms(padded)
+            except DomainError:
+                raise _left_domain(model, states, n, t + dt) from None
+        elif not model.in_domain(states).all():
+            raise _left_domain(model, states, n, t + dt)
+        t = t_final if t_final - (t + dt) <= tol else t + dt
+        n += 1
+        yield t, states, padded, terms, fluxes
 
 
 def march(
@@ -96,48 +168,17 @@ def march(
     t0: float,
     t_final: float,
 ):
-    """The stepping core: yield (t, states) for every level from t0 to
-    exactly t_final (last step clipped) without storing the history.
-
-    One max-wave-speed scan of the ghost-padded states per step gives both
-    dt and the LLF lambda; each new level is checked against the domain once.
-    """
-    if not 0.0 < cfl <= 1.0:
-        raise ValueError(f"cfl must lie in (0, 1], got {cfl!r}")
-    flux_kind = normalize_flux_kind(flux_kind)
-    states = np.array(initial, dtype=float)
-    if states.ndim == 1:
-        states = states[:, None]
-    if states.shape != (grid.J, model.m):
-        raise ValueError(f"initial states have shape {states.shape}, expected {(grid.J, model.m)}")
-    model.check_domain(states)
-    padded = np.empty((grid.J + 2, model.m))
-    padded[0] = states[0]
-    padded[-1] = states[-1]
-    ghost_left, ghost_right = padded[0], padded[-1]
-    tol = 1e-14 * max(1.0, abs(t_final))
-    t = t0
-    yield t, states
-    n = 0
-    while t < t_final - tol:
-        if n >= MAX_STEPS:
-            raise RuntimeError(f"exceeded {MAX_STEPS} time steps before reaching t={t_final}")
-        padded[1:-1] = states
-        speeds = model.max_wave_speed(padded, check=False)
-        lam = float(speeds.max())
-        dt = t_final - t if lam == 0.0 else min(cfl * grid.dx / lam, t_final - t)
-        states, _ = step(states, model, flux_kind, grid, dt, ghost_left, ghost_right,
-                         padded, speeds)
-        bad = ~model.in_domain(states)
-        if bad.any():
-            j = int(np.argmax(bad))
-            raise DomainError(
-                f"state left the model domain at cell j={j}, step n={n}, "
-                f"t={t + dt:.6g}: {states[j]}"
-            )
-        t = t_final if t_final - (t + dt) <= tol else t + dt
-        n += 1
+    """Yield (t, states) for every level from t0 to exactly t_final (last
+    step clipped) without storing the history: the stepping core with the
+    lean per-step terms, which the fine reference marches on."""
+    for t, states, _, _, _ in _levels(initial, model, flux_kind, grid, cfl, t0, t_final,
+                                      with_terms=False):
         yield t, states
+
+
+def _frozen(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
 
 
 def run(
@@ -149,30 +190,32 @@ def run(
     t0: float,
     t_final: float,
 ) -> SpaceTimeSolution:
-    """March from t0 to exactly t_final (last step clipped) and record every
-    level in one buffer, grown in place by a quarter when full, then trimmed."""
+    """March from t0 to exactly t_final (last step clipped), record every
+    level in one buffer, grown in place by a quarter when full, then trimmed,
+    and fold epsilon's residual report from each level's model terms and
+    step fluxes as they are made.  The record is frozen."""
+    fold = ResidualFold(grid.dx)
     times, history = [], np.empty((16, grid.J, model.m))
-    for n, (t, states) in enumerate(march(initial, model, flux_kind, grid, cfl, t0, t_final)):
+    for n, (t, states, padded, terms, fluxes) in enumerate(
+            _levels(initial, model, flux_kind, grid, cfl, t0, t_final, with_terms=True)):
         if n == len(history):
             history.resize((n + n // 4, grid.J, model.m), refcheck=False)
         history[n] = states
         times.append(t)
+        fold.add(t, padded, terms, fluxes)
     history.resize((len(times), grid.J, model.m), refcheck=False)
-    history.setflags(write=False)  # levels are frozen once recorded
-    ghost_left = history[0, 0].copy()
-    ghost_right = history[0, -1].copy()
-    ghost_left.setflags(write=False)
-    ghost_right.setflags(write=False)
-    return SpaceTimeSolution(
+    sol = SpaceTimeSolution(
         grid=grid,
-        times=TimeLevels(np.array(times)),
-        states=history,
-        ghost_left=ghost_left,
-        ghost_right=ghost_right,
+        times=TimeLevels(times),
+        states=_frozen(history),
+        ghost_left=_frozen(history[0, 0].copy()),
+        ghost_right=_frozen(history[0, -1].copy()),
         model=model,
         flux_kind=normalize_flux_kind(flux_kind),
         cfl=cfl,
     )
+    sol.residual = fold.report(sol)
+    return sol
 
 
 def save_solution(sol: SpaceTimeSolution, path: str) -> None:
@@ -256,9 +299,9 @@ def load_solution(path: str) -> SpaceTimeSolution:
     return SpaceTimeSolution(
         grid=grid,
         times=times,
-        states=states,
-        ghost_left=value("ghost_left", _parse_floats),
-        ghost_right=value("ghost_right", _parse_floats),
+        states=_frozen(states),
+        ghost_left=_frozen(value("ghost_left", _parse_floats)),
+        ghost_right=_frozen(value("ghost_right", _parse_floats)),
         model=model,
         flux_kind=value("flux", normalize_flux_kind),
         cfl=value("cfl", float),

@@ -16,7 +16,7 @@ from fvbound import (
     make_model,
     run_case,
 )
-from fvbound import cli
+from fvbound import cli, error_estimator, save_solution, solver
 from fvbound.cli import (
     ConfigError,
     _burgers_curved_averages,
@@ -295,6 +295,52 @@ class TestRunCase:
         assert np.array_equal(named[0].states, custom[0].states)
         centred = run_case(CaseConfig(case=case, level=6))
         assert named[2] != centred[2]
+
+
+class TestLevelTermsCount:
+    """Each level's model terms are evaluated once per run: the run folds
+    epsilon from them, the estimator reuses that report, an audit replays the
+    dump once, and the fine reference marches on the lean per-step terms."""
+
+    @staticmethod
+    def _counted(make_model, counts):
+        def counting_make_model(*args, **kwargs):
+            model = make_model(*args, **kwargs)
+            inner = model.level_terms
+
+            def level_terms(u):
+                counts.append(len(u))
+                return inner(u)
+
+            model.level_terms = level_terms
+            return model
+
+        return counting_make_model
+
+    def test_run_estimate_and_audit(self, monkeypatch, tmp_path):
+        counts = []
+        monkeypatch.setattr(cli, "make_model", self._counted(cli.make_model, counts))
+        sol, _, err, _ = run_case(CaseConfig(case="psys-raref-shock", level=4))
+        assert err is not None and len(counts) == sol.n_steps + 1
+        del counts[:]
+        error_estimator(sol, 0.1)
+        assert counts == []
+
+        dump = tmp_path / "dump.csv"
+        save_solution(sol, str(dump))
+        monkeypatch.setattr(solver, "make_model", self._counted(solver.make_model, counts))
+        assert main(["audit", "--solution", str(dump)]) == 0
+        assert len(counts) == sol.n_steps + 1
+
+    def test_fine_reference_marches_without_level_terms(self):
+        counts = []
+        coarse = run_case(CaseConfig(case="burgers-curved", level=3, ref="none"))[0]
+        config = cli._resolve(CaseConfig(case="burgers-curved", level=3))
+        fine_grid = build_grid(config.x_min, config.x_max, 5)
+        model = self._counted(make_model, counts)("burgers")
+        streamed_fine_reference(_burgers_curved_averages(fine_grid), model, "llf", fine_grid,
+                                config.cfl, config.t0, config.t_final, [coarse])
+        assert counts == []
 
 
 class TestConverge:

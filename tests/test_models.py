@@ -219,3 +219,27 @@ def test_level_terms_refuse_states_outside_the_domain(states, data):
     burgers_u[j, 0] = data.draw(st.sampled_from([np.nan, np.inf, -np.inf]))
     with pytest.raises(DomainError):
         make_model("burgers").level_terms(burgers_u)
+
+
+# Scalar states kept away from underflow, where 0.5*u*u and 0.5*(u*u) may round apart.
+_burgers_states = st.lists(st.floats(-1e3, 1e3).filter(lambda v: v == 0.0 or abs(v) > 1e-100),
+                           min_size=1, max_size=40)
+
+
+@settings(max_examples=60, deadline=None)
+@given(values=_burgers_states,
+       kind=st.sampled_from(["llf", "godunov_burgers", "engquist_osher_burgers"]))
+def test_burgers_numerical_fluxes_are_consistent(values, kind):
+    """F(u, u) = f(u) exactly for every Burgers flux."""
+    burgers = make_model("burgers")
+    u = np.array(values)[:, None]
+    assert np.array_equal(numerical_flux(kind, burgers, u, u), burgers.flux(u))
+
+
+@settings(max_examples=60, deadline=None)
+@given(states=_psystem_levels, params=_psystem_params)
+def test_psystem_llf_flux_is_consistent(states, params):
+    """F(u, u) = f(u) exactly for the p-system LLF flux at random C and gamma."""
+    psystem = make_model("psystem", C=params[0], gamma=params[1])
+    u = np.array(states)
+    assert np.array_equal(numerical_flux("llf", psystem, u, u), psystem.flux(u))

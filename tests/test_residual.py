@@ -1,5 +1,11 @@
+import dataclasses
+import json
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from fvbound import (
     SlabTestFunction,
@@ -15,15 +21,18 @@ from fvbound import (
 from fvbound.grid import Grid1D, TimeLevels
 from fvbound.residual import (
     PROJECTION_MATRIX,
-    _layers,
+    ResidualReport,
+    ResidualFold,
+    _stored_levels,
     level_corner_oracle,
     level_entropy_triplets,
     level_residual_bounds,
 )
 from fvbound.cli import _burgers_curved_averages
-from fvbound.solver import SpaceTimeSolution, run
+from fvbound.estimator import error_estimator
+from fvbound.solver import SpaceTimeSolution, load_solution, run, save_solution
 
-from test_solver import shock_profile
+from test_solver import shock_profile, small_runs
 
 GL_NODES, GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
 
@@ -268,16 +277,19 @@ class TestEpsilon:
         report = epsilon(sol)
         n_steps = sol.n_steps
         assert n_steps > 10
-        layers = list(_layers(sol))
-        assert len(layers) == n_steps + 1 and layers[-1][2] is None
-        for n, (ext, speed_range, layer) in enumerate(layers):
+        fold = ResidualFold(sol.grid.dx)
+        levels = list(_stored_levels(sol))
+        assert len(levels) == n_steps + 1
+        layers = [fold.add(*level) for level in levels]
+        assert layers[0] is None
+        for n, (_, ext, terms, _) in enumerate(levels):
             assert np.array_equal(ext, sol.extended_states(n))
-            assert np.array_equal(speed_range, report.speed_range[n])
+            assert np.array_equal(terms[4], report.speed_range[n])
             tv, scalar = total_variation(sol, n)
             assert np.array_equal(report.tv[n], tv) and report.tv_scalar[n] == scalar
             if n == n_steps:
                 break
-            dt, bounds, (e1, e2, e3) = layer
+            dt, bounds, (e1, e2, e3) = layers[n + 1]
             assert dt == sol.times.dt(n)
             assert np.array_equal(bounds, level_residual_bounds(sol, res_kind, n))
             ref_e1, ref_e2, ref_e3, _ = level_entropy_triplets(sol, n)
@@ -310,6 +322,36 @@ class TestEpsilon:
                 row += [repr(float(v)) for v in (e1[j], e2[j], e3[j], lower[j])]
                 lines.append(",".join(row))
         assert path.read_bytes() == "".join(line + "\r\n" for line in lines).encode()
+
+
+def _assert_reports_identical(a: ResidualReport, b: ResidualReport):
+    for field in dataclasses.fields(ResidualReport):
+        x, y = getattr(a, field.name), getattr(b, field.name)
+        if isinstance(x, np.ndarray):
+            assert (x.dtype, x.shape, x.tobytes()) == (y.dtype, y.shape, y.tobytes()), field.name
+        elif isinstance(x, float):
+            assert float(x).hex() == float(y).hex(), field.name
+        else:
+            assert x == y, field.name
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_runs())
+def test_run_carries_the_report_its_levels_replay_to(sol):
+    """The report run folds while it marches equals epsilon replayed over the
+    recorded levels, bit for bit in every field, whether the record is
+    rebuilt by dataclasses.replace or reloaded from a dump; the estimate it
+    feeds is deterministic."""
+    assert sol.residual is not None and epsilon(sol) is sol.residual
+    rebuilt = dataclasses.replace(sol)
+    assert rebuilt.residual is None
+    _assert_reports_identical(sol.residual, epsilon(rebuilt))
+    with tempfile.TemporaryDirectory() as tmp:
+        dump = str(Path(tmp, "dump.csv"))
+        save_solution(sol, dump)
+        _assert_reports_identical(sol.residual, epsilon(load_solution(dump)))
+    texts = [json.dumps(error_estimator(sol, 0.1).to_json_dict()) for _ in range(2)]
+    assert texts[0] == texts[1]
 
 
 class TestCornerOracle:

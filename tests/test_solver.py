@@ -19,7 +19,7 @@ from fvbound import (
     save_solution,
     solve_riemann,
 )
-from fvbound.grid import Grid1D, cfl_timestep
+from fvbound.grid import Grid1D, TimeLevels, cfl_timestep
 from fvbound.solver import march, run, step
 
 
@@ -100,6 +100,34 @@ def test_recorded_levels_are_immutable():
         sol.states[0, 0, 0] = 99.0
     with pytest.raises(ValueError):
         sol.ghost_left[0] = 99.0
+
+
+def _assert_frozen(sol):
+    for array in (sol.states, sol.ghost_left, sol.ghost_right, sol.times.t):
+        with pytest.raises(ValueError):
+            array[(0,) * array.ndim] = 99.0
+
+
+def test_run_and_load_freeze_what_they_record(tmp_path):
+    model = make_model("psystem", C=1.0, gamma=1.4)
+    grid = build_grid(-5.0, 5.0, 3)
+    initial = np.tile([1.0, 0.5], (grid.J, 1))
+    sol = run(initial, model, "llf", grid, 0.9, 0.0, 0.2)
+    initial[0, 0] = 7.0  # the caller's data stays writable and unrecorded
+    assert sol.states[0, 0, 0] == 1.0
+    _assert_frozen(sol)
+    path = tmp_path / "dump.csv"
+    save_solution(sol, str(path))
+    _assert_frozen(load_solution(str(path)))
+
+
+def test_time_levels_freeze_a_copy_of_the_caller_array():
+    t = np.array([0.0, 0.1, 0.2])
+    levels = TimeLevels(t)
+    t[1] = 0.05
+    assert levels.t[1] == 0.1 and t.flags.writeable
+    with pytest.raises(ValueError):
+        levels.t[1] = 0.05
 
 
 def test_ghost_states_frozen_at_initial_values():
@@ -231,25 +259,37 @@ def test_solution_dump_roundtrip(tmp_path):
     assert epsilon(back).epsilon == epsilon(sol).epsilon
 
 
+RUN_KINDS = [("burgers", "llf"), ("burgers", "godunov"), ("burgers", "eo"), ("psystem", "llf")]
+
+
 @st.composite
-def small_runs(draw):
-    """A short run of random Riemann data: Burgers under each flux, or the
-    p-system with random C and gamma under LLF."""
+def small_runs(draw, kinds=RUN_KINDS):
+    """A short run of random Riemann data from a random t0 at a random CFL
+    number: Burgers under each flux, or the p-system with random C and gamma
+    under LLF.  Some runs take a single step, some start from constant data."""
     level = draw(st.integers(3, 5))
     grid = build_grid(draw(st.floats(-3.0, -1.0)), draw(st.floats(1.0, 3.0)), level)
     x_jump = draw(st.floats(-0.9, 0.9))
-    if draw(st.booleans()):
-        model, flux = make_model("burgers"), draw(st.sampled_from(["llf", "godunov", "eo"]))
+    name, flux = draw(st.sampled_from(kinds))
+    if name == "burgers":
+        model = make_model("burgers")
         left, right = ([draw(st.floats(-2.0, 2.0))] for _ in range(2))
     else:
         model = make_model("psystem", C=draw(st.floats(0.5, 2.0)),
                            gamma=draw(st.floats(1.1, 3.0)))
-        flux = "llf"
         left, right = ([draw(st.floats(0.5, 2.0)), draw(st.floats(-0.5, 0.5))]
                        for _ in range(2))
+    if draw(st.booleans()) and draw(st.booleans()):
+        right = left
     initial = np.where(grid.centers()[:, None] < x_jump, left, right)
-    return run(initial, model, flux, grid, draw(st.floats(0.3, 1.0)), 0.0,
-               draw(st.floats(0.05, 0.6)))
+    cfl = draw(st.floats(0.05, 1.0))
+    t0 = draw(st.sampled_from([0.0, draw(st.floats(-1.0, 1.0))]))
+    duration = draw(st.floats(0.05, 0.6))
+    if draw(st.booleans()) and draw(st.booleans()):
+        lam = float(model.max_wave_speed(initial).max())
+        if lam > 0.1:  # a step shorter than the first CFL step
+            duration = draw(st.floats(0.05, 0.9)) * cfl * grid.dx / lam
+    return run(initial, model, flux, grid, cfl, t0, t0 + duration)
 
 
 @settings(max_examples=30, deadline=None)
@@ -271,6 +311,22 @@ def test_dump_round_trip_is_bit_exact(sol):
         for name, record in [("run.csv", sol), ("audit.csv", back)]:
             epsilon(record).write_cells_csv(record, str(Path(tmp, name)))
         assert Path(tmp, "run.csv").read_bytes() == Path(tmp, "audit.csv").read_bytes()
+
+
+@settings(max_examples=25, deadline=None)
+@pytest.mark.parametrize("kind", RUN_KINDS, ids="-".join)
+@given(data=st.data())
+def test_discrete_conservation_over_random_riemann_data(kind, data):
+    """The cell sums change by the boundary fluxes to roundoff, every step."""
+    sol = data.draw(small_runs(kinds=[kind]))
+    grid = sol.grid
+    for n in range(sol.n_steps):
+        fluxes = sol.interface_fluxes(n)
+        change = grid.dx * (sol.states[n + 1].sum(axis=0) - sol.states[n].sum(axis=0))
+        boundary = sol.times.dt(n) * (fluxes[0] - fluxes[-1])
+        scale = np.maximum(np.abs(change), np.abs(boundary))
+        scale = np.maximum(scale, grid.dx * np.abs(sol.states[n]).sum(axis=0))
+        assert np.all(np.abs(change - boundary) <= 1e-12 * scale)
 
 
 def test_dump_bytes_equal_the_one_string_writer(tmp_path):
