@@ -141,7 +141,7 @@ def restrict_to_coarse(states: np.ndarray, fine_grid: Grid1D, coarse_grid: Grid1
     ):
         raise ConfigError("fine reference grid does not nest the coarse grid")
     ratio = fine_grid.J // coarse_grid.J
-    return states.reshape(coarse_grid.J, ratio, -1).mean(axis=1)
+    return np.add.reduce(states.reshape(coarse_grid.J, ratio, -1), axis=1) / ratio
 
 
 # Both references give each run's per-level sums over cells of |u_j - ubar_j|;

@@ -100,12 +100,17 @@ def level_residual_bounds(sol: SpaceTimeSolution, kind: str, n: int) -> np.ndarr
                         sol.model.flux(sol.states[n]))
 
 
+def _entropy_e1(dx, dt, q_hat, de):
+    """E1 per cell, the only triplet entry epsilon needs, from the J+1
+    numerical entropy fluxes and the entropy decrease over the step."""
+    return dx * de + dt * (q_hat[:-1] - q_hat[1:])
+
+
 def _entropy_triplets(dx, dt, q_hat, de, q_center):
     """(E1, E2, E3) per cell from the J+1 numerical entropy fluxes, the
     entropy decrease over the step and the cell entropy flux."""
-    dq = q_hat[:-1] - q_hat[1:]
     e3 = 0.5 * dx * dx * de + dt * dx * (q_hat[:-1] - q_center)
-    return dx * de + dt * dq, 0.5 * dt * dt * dq, e3
+    return _entropy_e1(dx, dt, q_hat, de), 0.5 * dt * dt * (q_hat[:-1] - q_hat[1:]), e3
 
 
 def level_entropy_triplets(sol: SpaceTimeSolution, n: int):
@@ -259,8 +264,11 @@ class ResidualReport:
     def write_cells_csv(self, sol: SpaceTimeSolution, path: str) -> None:
         """One row per layer and cell of sol: the bound per component, E1, E2,
         E3 and their lower bound, from a replay of sol's levels through the
-        fold that gives epsilon."""
-        fold = ResidualFold(sol.grid.dx)
+        fold that gives epsilon.  A row whose bits equal the same cell's row
+        of the layer before is not formatted again."""
+        dx = sol.grid.dx
+        fold = ResidualFold(dx)
+        rows = _RowTexts(sol.grid.J, sol.model.m + 4, [str(j) for j in range(sol.grid.J)])
         with open(path, "w", newline="") as fh:
             cols = ["n", "j"] + [f"bound_{c}" for c in range(sol.model.m)]
             fh.write(",".join(cols + ["E1", "E2", "E3", "ent_lower"]) + "\r\n")
@@ -268,10 +276,42 @@ class ResidualReport:
                 layer = fold.add(*level)
                 if layer is None:
                     continue
-                _, bounds, (e1, e2, e3) = layer
-                rows = np.column_stack([bounds, e1, e2, e3, _entropy_lower(e1, e2, e3)]).tolist()
-                fh.write("".join(f"{n},{j},{','.join(map(repr, row))}\r\n"
-                                 for j, row in enumerate(rows)))
+                dt, bounds, entropy = layer
+                e1, e2, e3 = _entropy_triplets(dx, dt, *entropy)
+                block = np.column_stack([bounds, e1, e2, e3, _entropy_lower(e1, e2, e3)])
+                fh.write(f"{n}," + f"\r\n{n},".join(rows.update(block)) + "\r\n")
+
+
+class _RowTexts:
+    """The text of each row of a sequence of (rows, width) float blocks: its
+    head, if given, and its values by repr, joined by commas, kept from
+    block to block.  A row is formatted again only where its int64 bit
+    pattern differs from the previous block's (from an all +0.0 block before
+    the first), so -0.0 and 0.0 stay apart and the texts equal formatting
+    every row afresh."""
+
+    def __init__(self, rows: int, width: int, heads: list[str] | None = None):
+        zeros = ",".join(["0.0"] * width)
+        if heads is None:
+            self._heads, texts = None, [zeros] * rows
+        else:
+            self._heads = np.array(heads, dtype=object)
+            texts = [f"{head},{zeros}" for head in heads]
+        self._texts = np.array(texts, dtype=object)
+        self._bits = np.zeros((rows, width), dtype=np.int64)
+
+    def update(self, block: np.ndarray) -> list[str]:
+        """The texts of block's rows; block must stay unchanged until the
+        next update."""
+        bits = block.view(np.int64)
+        changed = np.flatnonzero((bits != self._bits).any(axis=1))
+        values = map(repr, block[changed].ravel().tolist())
+        columns = [values] * block.shape[1]  # one iterator: zip takes width values per row
+        if self._heads is not None:
+            columns.insert(0, self._heads[changed])
+        self._texts[changed] = list(map(",".join, zip(*columns)))
+        self._bits = bits
+        return self._texts.tolist()
 
 
 class ResidualFold:
@@ -292,7 +332,9 @@ class ResidualFold:
 
     def add(self, t, padded: np.ndarray, terms, fluxes: np.ndarray | None):
         """Fold the level at time t; return the layer it closes, (dt, cell
-        bounds, (E1, E2, E3)) with dt = t - t_prev, or None for the first."""
+        bounds, (q_hat, entropy decrease, cell entropy flux)) with
+        dt = t - t_prev, or None for the first.  Only E1 enters epsilon;
+        _entropy_triplets gives (E1, E2, E3) from the returned entropy parts."""
         jumps = padded[1:] - padded[:-1]
         self.tv.append(column_sums(np.abs(jumps, out=jumps)).tolist())
         self.speed_range.append(terms[4])
@@ -304,11 +346,12 @@ class ResidualFold:
         # the LLF entropy-flux companion, as numerical_entropy_flux computes it
         lam = np.maximum(speeds[:-1], speeds[1:])
         q_hat = 0.5 * (ent_flux[:-1] + ent_flux[1:]) - 0.5 * lam * (ent[1:] - ent[:-1])
-        triplets = _entropy_triplets(dx, dt, q_hat, ent[1:-1] - terms[1][1:-1], ent_flux[1:-1])
+        de = ent[1:-1] - terms[1][1:-1]
         bounds = _cell_bounds(dx, dt, fluxes, f[1:-1])
         self.beta_levels.append(float(column_sums(bounds).max() / dt))
-        self.eta_levels.append(float(np.abs(np.minimum(triplets[0], 0.0)).sum() / dt))
-        return dt, bounds, triplets
+        e1 = _entropy_e1(dx, dt, q_hat, de)
+        self.eta_levels.append(float(np.abs(np.minimum(e1, 0.0)).sum() / dt))
+        return dt, bounds, (q_hat, de, ent_flux[1:-1])
 
     def report(self, sol: SpaceTimeSolution) -> ResidualReport:
         """The ResidualReport of the folded levels, which are sol's.

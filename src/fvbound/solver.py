@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -10,7 +11,7 @@ import numpy as np
 from .grid import Grid1D, TimeLevels, cfl_timestep  # noqa: F401
 from .models import (DomainError, llf_interface_fluxes, make_model, normalize_flux_kind,
                      normalize_model_name, numerical_flux)
-from .residual import ResidualFold, ResidualReport
+from .residual import ResidualFold, ResidualReport, _RowTexts
 
 # march refuses to take more steps than this before reaching t_final.
 MAX_STEPS = 10_000_000
@@ -191,15 +192,20 @@ def run(
     t_final: float,
 ) -> SpaceTimeSolution:
     """March from t0 to exactly t_final (last step clipped), record every
-    level in one buffer, grown in place by a quarter when full, then trimmed,
-    and fold epsilon's residual report from each level's model terms and
-    step fluxes as they are made.  The record is frozen."""
+    level in one buffer, then trimmed, and fold epsilon's residual report
+    from each level's model terms and step fluxes as they are made.  The
+    buffer is sized at the first step for the levels that steps of its length
+    take to reach t_final, plus two for roundoff in the summed times, and
+    grown in place by a quarter when rising speeds shorten later steps.  The
+    record is frozen."""
     fold = ResidualFold(grid.dx)
-    times, history = [], np.empty((16, grid.J, model.m))
+    times, history = [], np.empty((1, grid.J, model.m))
     for n, (t, states, padded, terms, fluxes) in enumerate(
             _levels(initial, model, flux_kind, grid, cfl, t0, t_final, with_terms=True)):
         if n == len(history):
-            history.resize((n + n // 4, grid.J, model.m), refcheck=False)
+            size = (min(math.ceil((t_final - t0) / (t - t0)), MAX_STEPS) + 3 if n == 1
+                    else n + n // 4)
+            history.resize((size, grid.J, model.m), refcheck=False)
         history[n] = states
         times.append(t)
         fold.add(t, padded, terms, fluxes)
@@ -221,7 +227,8 @@ def run(
 def save_solution(sol: SpaceTimeSolution, path: str) -> None:
     """Dump the solution to a single text file: header, then one row per
     time level (t followed by the row-major J x m cell states), written
-    row by row rather than held as one string."""
+    row by row rather than held as one string.  A cell whose bits equal its
+    state at the level before keeps that level's text."""
     params = ",".join(f"{k}={v!r}" for k, v in sorted(sol.model.params().items()))
     with open(path, "w") as fh:
         fh.write("# fvbound-solution 1\n")
@@ -231,8 +238,9 @@ def save_solution(sol: SpaceTimeSolution, path: str) -> None:
                  f"m={sol.model.m}\n")
         fh.write(f"# ghost_left={','.join(repr(float(v)) for v in sol.ghost_left)}\n")
         fh.write(f"# ghost_right={','.join(repr(float(v)) for v in sol.ghost_right)}\n")
-        for t, row in zip(sol.times.t.tolist(), sol.states.reshape(len(sol.states), -1)):
-            fh.write(repr(t) + "," + ",".join(map(repr, row.tolist())) + "\n")
+        cells = _RowTexts(sol.grid.J, sol.model.m)
+        for t, level in zip(sol.times.t.tolist(), sol.states):
+            fh.write(repr(t) + "," + ",".join(cells.update(level)) + "\n")
 
 
 # Header entries save_solution writes and load_solution needs (params is optional).

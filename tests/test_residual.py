@@ -269,14 +269,19 @@ class TestEpsilon:
         ("burgers", "llf", "llf"), ("psystem", "llf", "llf"), ("burgers", "godunov", "godunov"),
         ("burgers", "eo", "eo"),
     ])
-    def test_matches_one_level_reference_api(self, name, kind, res_kind):
+    def test_matches_one_level_reference_api(self, name, kind, res_kind, tmp_path):
         """Every layer of the residual kernel equals the one-level reference
-        functions under the marching flux res_kind, bit for bit, and epsilon
-        folds exactly those layers."""
+        functions under the marching flux res_kind, bit for bit, epsilon
+        folds exactly those layers, and the residuals CSV carries their
+        bounds and the E1, E2 and E3 built from the fold's entropy parts."""
         sol = small_run(name, kind)
         report = epsilon(sol)
         n_steps = sol.n_steps
         assert n_steps > 10
+        path = tmp_path / "cells.csv"
+        report.write_cells_csv(sol, str(path))
+        m = sol.model.m
+        cells = np.loadtxt(path, delimiter=",", skiprows=1).reshape(n_steps, sol.grid.J, m + 6)
         fold = ResidualFold(sol.grid.dx)
         levels = list(_stored_levels(sol))
         assert len(levels) == n_steps + 1
@@ -289,9 +294,11 @@ class TestEpsilon:
             assert np.array_equal(report.tv[n], tv) and report.tv_scalar[n] == scalar
             if n == n_steps:
                 break
-            dt, bounds, (e1, e2, e3) = layers[n + 1]
+            dt, bounds, _ = layers[n + 1]
             assert dt == sol.times.dt(n)
             assert np.array_equal(bounds, level_residual_bounds(sol, res_kind, n))
+            assert np.array_equal(cells[n, :, 2:m + 2], bounds)
+            e1, e2, e3 = cells[n, :, m + 2], cells[n, :, m + 3], cells[n, :, m + 4]
             ref_e1, ref_e2, ref_e3, _ = level_entropy_triplets(sol, n)
             assert np.array_equal(e1, ref_e1) and np.array_equal(e2, ref_e2)
             assert np.array_equal(e3, ref_e3)
@@ -310,18 +317,24 @@ class TestEpsilon:
         sol = small_run(name, level=4)
         path = tmp_path / "cells.csv"
         epsilon(sol).write_cells_csv(sol, str(path))
-        m = sol.model.m
-        lines = [",".join(["n", "j"] + [f"bound_{c}" for c in range(m)]
-                          + ["E1", "E2", "E3", "ent_lower"])]
-        for n in range(sol.n_steps):
-            bounds = level_residual_bounds(sol, sol.flux_kind, n)
-            e1, e2, e3, lower = level_entropy_triplets(sol, n)
-            for j in range(sol.grid.J):
-                row = [str(n), str(j)]
-                row += [repr(float(v)) for v in bounds[j]]
-                row += [repr(float(v)) for v in (e1[j], e2[j], e3[j], lower[j])]
-                lines.append(",".join(row))
-        assert path.read_bytes() == "".join(line + "\r\n" for line in lines).encode()
+        assert path.read_bytes() == row_by_row_cells_csv(sol)
+
+
+def row_by_row_cells_csv(sol: SpaceTimeSolution) -> bytes:
+    """The residuals CSV of sol, formatted value by value from the one-level
+    reference functions."""
+    m = sol.model.m
+    lines = [",".join(["n", "j"] + [f"bound_{c}" for c in range(m)]
+                      + ["E1", "E2", "E3", "ent_lower"])]
+    for n in range(sol.n_steps):
+        bounds = level_residual_bounds(sol, sol.flux_kind, n)
+        e1, e2, e3, lower = level_entropy_triplets(sol, n)
+        for j in range(sol.grid.J):
+            row = [str(n), str(j)]
+            row += [repr(float(v)) for v in bounds[j]]
+            row += [repr(float(v)) for v in (e1[j], e2[j], e3[j], lower[j])]
+            lines.append(",".join(row))
+    return "".join(line + "\r\n" for line in lines).encode()
 
 
 def _assert_reports_identical(a: ResidualReport, b: ResidualReport):

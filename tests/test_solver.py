@@ -20,7 +20,7 @@ from fvbound import (
     solve_riemann,
 )
 from fvbound.grid import Grid1D, TimeLevels, cfl_timestep
-from fvbound.solver import march, run, step
+from fvbound.solver import SpaceTimeSolution, march, run, step
 
 
 def shock_profile(grid, left=1.0, right=-1.0, center_zero=True):
@@ -329,13 +329,8 @@ def test_discrete_conservation_over_random_riemann_data(kind, data):
         assert np.all(np.abs(change - boundary) <= 1e-12 * scale)
 
 
-def test_dump_bytes_equal_the_one_string_writer(tmp_path):
-    """save_solution streams its rows; the bytes equal the writer that built
-    the whole dump as one string first."""
-    model = make_model("psystem", C=1.0, gamma=1.4)
-    fan = solve_riemann(model, [0.15, 0.0], [0.1, 0.0])
-    grid = build_grid(-5.0, 5.0, 4)
-    sol = run(cell_average_exact(fan, 0.0, 0.0, grid), model, "llf", grid, 0.9, 0.0, 0.5)
+def one_string_dump(sol: SpaceTimeSolution) -> bytes:
+    """The solution dump of sol, built as one string value by value."""
     params = ",".join(f"{k}={v!r}" for k, v in sorted(sol.model.params().items()))
     lines = [
         "# fvbound-solution 1",
@@ -348,9 +343,19 @@ def test_dump_bytes_equal_the_one_string_writer(tmp_path):
     for n, t in enumerate(sol.times.t):
         lines.append(repr(float(t)) + "," + ",".join(repr(float(v))
                                                      for v in sol.states[n].reshape(-1)))
+    return "".join(line + "\n" for line in lines).encode()
+
+
+def test_dump_bytes_equal_the_one_string_writer(tmp_path):
+    """save_solution streams its rows; the bytes equal the writer that built
+    the whole dump as one string first."""
+    model = make_model("psystem", C=1.0, gamma=1.4)
+    fan = solve_riemann(model, [0.15, 0.0], [0.1, 0.0])
+    grid = build_grid(-5.0, 5.0, 4)
+    sol = run(cell_average_exact(fan, 0.0, 0.0, grid), model, "llf", grid, 0.9, 0.0, 0.5)
     path = tmp_path / "dump.csv"
     save_solution(sol, str(path))
-    assert path.read_bytes() == "".join(line + "\n" for line in lines).encode()
+    assert path.read_bytes() == one_string_dump(sol)
 
 
 def test_load_rejects_other_files(tmp_path):
