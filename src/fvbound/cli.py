@@ -23,6 +23,8 @@ SCHEMA_VERSION = 1
 # Per-cell residual CSV cap: beyond this many cells the file is skipped.
 MAX_RESIDUAL_CSV_CELLS = 500_000
 
+DOMAIN = (-5.0, 5.0)  # (x_min, x_max) of every case
+
 
 class ConfigError(ValueError):
     pass
@@ -36,8 +38,6 @@ class CaseConfig:
     sigma0: float = 0.1
     slab_mode: str = "eps13"
     flux: str = "llf"
-    x_min: float = -5.0
-    x_max: float = 5.0
     t0: float | None = None
     t_final: float | None = None
     ref: str = "default"  # exact | fine:<level> | none | default
@@ -68,11 +68,20 @@ def _check_sigma(sigma0: float) -> None:
         raise ConfigError(f"sigma must be a finite positive number, got {sigma0!r}")
 
 
+def _parse_ref(text: str) -> str:
+    """A reference mode: exact, none, default or fine:<level>."""
+    level = text.removeprefix("fine:")
+    if text not in ("exact", "none", "default") and (level == text or not level.isdigit()):
+        raise ConfigError(f"unknown reference mode '{text}'")
+    return text
+
+
 def _resolve(config: CaseConfig) -> CaseConfig:
-    """Fill the case's window, reference and data in; refuse an unknown case
-    or slab mode, a named case given a model or states, a custom case without
-    states, non-finite cfl, sigma0, t0 or t_final, sigma0 <= 0 and
-    t_final <= t0 before anything is marched."""
+    """Fill the case's window, reference and data in; refuse an unknown case,
+    slab mode or reference mode, an exact reference for a case without one, a
+    named case given a model or states, a custom case without states,
+    non-finite cfl, sigma0, t0 or t_final, sigma0 <= 0 and t_final <= t0
+    before anything is marched."""
     if config.case not in _CASES:
         raise ConfigError(f"unknown case '{config.case}'")
     t0, t_final, ref, data = _CASES[config.case]
@@ -100,6 +109,8 @@ def _resolve(config: CaseConfig) -> CaseConfig:
         raise ConfigError(f"t_final must exceed t0, got t0={config.t0!r}, t_final={config.t_final!r}")
     if config.slab_mode not in _SLAB_MODES:
         raise ConfigError(f"unknown slab mode '{config.slab_mode}'")
+    if _parse_ref(config.ref) == "exact" and config.left is None:
+        raise ConfigError("no exact solution available for this case")
     return config
 
 
@@ -204,91 +215,90 @@ def eoc(values) -> list[float | None]:
     return out
 
 
-def _fine_level(config: CaseConfig, top_level: int) -> int | None:
-    """The level of a fine:<L> reference, None for exact or none.  Refuses an
-    unknown mode, or a fine level not above every run level up to top_level."""
-    if config.ref in ("none", "exact"):
-        return None
-    level = config.ref.removeprefix("fine:")
-    if level == config.ref or not level.isdigit():
-        raise ConfigError(f"unknown reference mode '{config.ref}'")
-    if int(level) <= top_level:
-        raise ConfigError(f"fine reference level {level} must exceed every run level "
-                          f"(up to {top_level})")
-    return int(level)
+def _study(config: CaseConfig, levels: list[int]) -> list[tuple]:
+    """March and estimate the case at each of the ascending levels, give
+    every run its error from one pass of the reference (a fine-grid reference
+    is marched once for all runs), then write each level's files.
 
-
-def _march_and_estimate(config: CaseConfig):
-    """March and estimate one level of a resolved case and write its output
-    files but the report, which waits for the error.  Returns (solution,
-    estimate, exact fan or None, written paths)."""
-    grid = build_grid(config.x_min, config.x_max, config.level)
-    model, initial, fan = _case_setup(config, grid)
-    if config.ref == "exact" and fan is None:
-        raise ConfigError("no exact solution available for this case")
+    Returns (solution, estimate, error or None, written paths) per level.
+    """
+    config = _resolve(config)
+    fine_level = int(config.ref.removeprefix("fine:")) if config.ref.startswith("fine:") else None
+    if fine_level is not None and fine_level <= levels[-1]:
+        raise ConfigError(f"fine reference level {fine_level} must exceed every run level "
+                          f"(up to {levels[-1]})")
     flux_kind = normalize_flux_kind(config.flux)
-    sol = run(initial, model, flux_kind, grid, config.cfl, config.t0, config.t_final)
-    estimate = error_estimator(sol, config.sigma0, config.slab_mode)
-
-    paths: dict[str, str] = {}
-    if config.out_dir:
-        os.makedirs(config.out_dir, exist_ok=True)
-        tag = f"{config.case}_L{config.level}"
-        if sol.n_steps * grid.J <= MAX_RESIDUAL_CSV_CELLS:
-            csv_path = os.path.join(config.out_dir, f"{tag}_residuals.csv")
-            estimate.residual.write_cells_csv(sol, csv_path)
-            paths["residuals"] = csv_path
-
-        slab_path = os.path.join(config.out_dir, f"{tag}_slabs.csv")
-        write_slab_csv(estimate, slab_path)
-        paths["slabs"] = slab_path
-
-        svg_path = os.path.join(config.out_dir, f"{tag}_decomposition.svg")
-        with open(svg_path, "w") as fh:
-            fh.write(render_decomposition_svg(sol, estimate))
-        paths["svg"] = svg_path
-
-        if config.dump_solution:
-            dump_path = os.path.join(config.out_dir, f"{tag}_solution.csv")
-            save_solution(sol, dump_path)
-            paths["solution"] = dump_path
-    return sol, estimate, fan, paths
-
-
-def _errors(config: CaseConfig, fan: WaveFan | None, fine_level: int | None,
-            runs: list[SpaceTimeSolution]) -> list[float | None]:
-    """Each run's L-inf/L1 error against the case reference; a fine-grid
-    reference is marched once for all runs."""
+    runs, estimates = [], []
+    for level in levels:
+        grid = build_grid(*DOMAIN, level)
+        model, initial, fan = _case_setup(config, grid)
+        runs.append(run(initial, model, flux_kind, grid, config.cfl, config.t0, config.t_final))
+        estimates.append(error_estimator(runs[-1], config.sigma0, config.slab_mode))
     if fine_level is not None:
-        fine_grid = build_grid(config.x_min, config.x_max, fine_level)
+        fine_grid = build_grid(*DOMAIN, fine_level)
         model, initial, _ = _case_setup(config, fine_grid)
-        return streamed_fine_reference(initial, model, config.flux, fine_grid, config.cfl,
-                                       config.t0, config.t_final, runs)
-    if config.ref == "exact":
-        return [linf_l1_error(sol, fan, config.origin) for sol in runs]
-    return [None] * len(runs)
+        errors = streamed_fine_reference(initial, model, flux_kind, fine_grid, config.cfl,
+                                         config.t0, config.t_final, runs)
+    elif config.ref == "exact":
+        errors = [linf_l1_error(sol, fan, config.origin) for sol in runs]
+    else:
+        errors = [None] * len(runs)
+    return [(sol, estimate, err, _write_level(replace(config, level=level), sol, estimate, err))
+            for level, sol, estimate, err in zip(levels, runs, estimates, errors)]
 
 
-def _write_report(config: CaseConfig, report: dict) -> str:
-    path = os.path.join(config.out_dir, f"{config.case}_L{config.level}_report.json")
+def _write_level(config: CaseConfig, sol: SpaceTimeSolution, estimate: EstimateReport,
+                 err: float | None) -> dict[str, str]:
+    """Write one level's report first, then its residuals (up to
+    MAX_RESIDUAL_CSV_CELLS cells), slab and SVG files and, if asked, the
+    solution dump; returns their paths by kind, none without out_dir."""
+    if not config.out_dir:
+        return {}
+    os.makedirs(config.out_dir, exist_ok=True)
+    tag = os.path.join(config.out_dir, f"{config.case}_L{config.level}")
+    paths = {"report": _write_json(f"{tag}_report.json", {
+        "schema": SCHEMA_VERSION,
+        "case": config.case,
+        "level": config.level,
+        "cfl": config.cfl,
+        "sigma0": config.sigma0,
+        "flux": normalize_flux_kind(config.flux),
+        "slab_mode": config.slab_mode,
+        "t0": config.t0,
+        "t_final": config.t_final,
+        "reference": config.ref,
+        "linf_l1_error": err,
+        "estimate": estimate.to_json_dict(),
+    })}
+    if sol.n_steps * sol.grid.J <= MAX_RESIDUAL_CSV_CELLS:
+        paths["residuals"] = f"{tag}_residuals.csv"
+        estimate.residual.write_cells_csv(sol, paths["residuals"])
+    paths["slabs"] = f"{tag}_slabs.csv"
+    write_slab_csv(estimate, paths["slabs"])
+    paths["svg"] = f"{tag}_decomposition.svg"
+    with open(paths["svg"], "w") as fh:
+        fh.write(render_decomposition_svg(sol, estimate))
+    if config.dump_solution:
+        paths["solution"] = f"{tag}_solution.csv"
+        save_solution(sol, paths["solution"])
+    return paths
+
+
+def _write_json(path: str, blob: dict) -> str:
     with open(path, "w") as fh:
-        json.dump(report, fh, indent=2)
+        json.dump(blob, fh, indent=2)
         fh.write("\n")
     return path
 
 
 def run_case(config: CaseConfig):
-    """Build, march, estimate and (optionally) write the report files.
+    """Build, march, estimate and (optionally) write the report files of
+    config.level.
 
     Returns (solution, estimate report, error or None, written paths).
     """
-    config = _resolve(config)
-    fine_level = _fine_level(config, config.level)
-    sol, estimate, fan, paths = _march_and_estimate(config)
-    (err,) = _errors(config, fan, fine_level, [sol])
-    if config.out_dir:
-        paths = {"report": _write_report(config, _report_dict(config, estimate, err)), **paths}
-    return sol, estimate, err, paths
+    (result,) = _study(config, [config.level])
+    return result
 
 
 def write_slab_csv(estimate: EstimateReport, path: str) -> None:
@@ -307,23 +317,6 @@ def write_slab_csv(estimate: EstimateReport, path: str) -> None:
                 _format_value(slab.c0),
             ]
             fh.write(",".join(row) + "\r\n")
-
-
-def _report_dict(config: CaseConfig, estimate: EstimateReport, err: float | None) -> dict:
-    return {
-        "schema": SCHEMA_VERSION,
-        "case": config.case,
-        "level": config.level,
-        "cfl": config.cfl,
-        "sigma0": config.sigma0,
-        "flux": normalize_flux_kind(config.flux),
-        "slab_mode": config.slab_mode,
-        "t0": config.t0,
-        "t_final": config.t_final,
-        "reference": config.ref,
-        "linf_l1_error": err,
-        "estimate": estimate.to_json_dict(),
-    }
 
 
 @dataclass
@@ -379,34 +372,16 @@ def _format_value(v) -> str:
 
 
 def converge(config: CaseConfig, l_min: int, l_max: int) -> EoCTable:
-    """Run the case at levels l_min..l_max and assemble the EoC table.
-
-    Every level is marched and estimated first, keeping only its solution;
-    then one pass of the reference gives every level's error.
-    """
+    """Run the case at levels l_min..l_max and assemble the EoC table; one
+    pass of the reference gives every level's error."""
     if l_max < l_min + 1:
         raise ConfigError("need at least two levels for a convergence table")
-    config = _resolve(config)
-    fine_level = _fine_level(config, l_max)
     levels = list(range(l_min, l_max + 1))
-    eps_vals, es_vals, eg_vals, runs, reports = [], [], [], [], []
-    for level in levels:
-        level_config = replace(config, level=level)
-        sol, estimate, fan, _ = _march_and_estimate(level_config)
-        runs.append(sol)
-        eps_vals.append(estimate.epsilon_t)
-        es_vals.append(estimate.e_surge)
-        eg_vals.append(estimate.e_smooth)
-        if config.out_dir:
-            reports.append((level_config, _report_dict(level_config, estimate, None)))
-    errs = _errors(config, fan, fine_level, runs)
-    for (level_config, report), err in zip(reports, errs):
-        report["linf_l1_error"] = err
-        _write_report(level_config, report)
-    table = EoCTable(levels, eps_vals, es_vals, eg_vals, errs)
+    _, estimates, errors, _ = zip(*_study(config, levels))
+    table = EoCTable(levels, [e.epsilon_t for e in estimates], [e.e_surge for e in estimates],
+                     [e.e_smooth for e in estimates], list(errors))
     if config.out_dir:
-        path = os.path.join(config.out_dir, f"{config.case}_eoc.csv")
-        table.to_csv(path)
+        table.to_csv(os.path.join(config.out_dir, f"{config.case}_eoc.csv"))
     return table
 
 
@@ -527,15 +502,15 @@ def _one_of(*choices: str):
     return parse
 
 
-# Config-file keys: the CaseConfig field each sets and how its value is read;
-# a flag given on the command line overrides its key.
+# Config-file keys: the CaseConfig field each sets and how its value is read.
+# Each key is also a --KEY flag, read by the same parser, that overrides it.
 _CONFIG_KEYS = {
-    "case": ("case", str),
+    "case": ("case", _one_of(*_CASES)),
     "cfl": ("cfl", float),
     "sigma": ("sigma0", float),
     "slab-size": ("slab_mode", _one_of(*_SLAB_MODES)),
     "flux": ("flux", normalize_flux_kind),
-    "ref": ("ref", str),
+    "ref": ("ref", _parse_ref),
     "t0": ("t0", float),
     "T": ("t_final", float),
     "model": ("model", normalize_model_name),
@@ -544,6 +519,16 @@ _CONFIG_KEYS = {
     "out": ("out_dir", str),
     "dump-solution": ("dump_solution", lambda text: _one_of("true", "false")(text) == "true"),
 }
+
+
+def _read_key(name: str, key: str, text: str) -> tuple[str, object]:
+    """(CaseConfig field, value) of a config key's text; a value that does not
+    parse is refused with name (the key's place or its flag) and the text."""
+    field, parse = _CONFIG_KEYS[key]
+    try:
+        return field, parse(text)
+    except ValueError as exc:
+        raise ConfigError(f"{name}={text!r}: {exc}") from None
 
 
 def _load_config_file(path: str) -> dict:
@@ -562,40 +547,27 @@ def _load_config_file(path: str) -> dict:
             if key not in _CONFIG_KEYS:
                 raise ConfigError(f"{where}: unknown key '{key}' "
                                   f"(known: {', '.join(_CONFIG_KEYS)})")
-            field, parse = _CONFIG_KEYS[key]
-            try:
-                fields[field] = parse(value)
-            except ValueError as exc:
-                raise ConfigError(f"{where}: {key}={value!r}: {exc}") from None
+            field, parsed = _read_key(f"{where}: {key}", key, value)
+            fields[field] = parsed
     return fields
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    # each dest is the CaseConfig field that _config_from_args gives the flag to
-    parser.add_argument("--config", help="key=value config file; flags override it")
-    parser.add_argument("--case", default=None, choices=list(_CASES))
-    parser.add_argument("--cfl", type=float, default=None)
-    parser.add_argument("--sigma", dest="sigma0", metavar="SIGMA", type=float, default=None)
-    parser.add_argument("--slab-size", dest="slab_mode", choices=_SLAB_MODES, default=None)
-    parser.add_argument("--flux", choices=["llf", "godunov", "eo"], default=None)
-    parser.add_argument("--ref", default=None, help="exact | fine:<level> | none")
-    parser.add_argument("--t0", type=float, default=None)
-    parser.add_argument("--T", dest="t_final", type=float, default=None)
-    parser.add_argument("--model", default=None, choices=["burgers", "psystem"])
-    parser.add_argument("--left", default=None, help="comma-separated left state (custom case)")
-    parser.add_argument("--right", default=None, help="comma-separated right state (custom case)")
-    parser.add_argument("--out", dest="out_dir", metavar="OUT", default=None,
-                        help="output directory")
+def _add_flags(parser: argparse.ArgumentParser, keys) -> None:
+    """A --KEY flag for each config key, kept as text for _flag_fields."""
+    for key in keys:
+        parser.add_argument(f"--{key}", dest=key)
+
+
+def _flag_fields(args) -> dict:
+    """CaseConfig fields of the flags given, each read as its config key is."""
+    return dict(_read_key(f"--{key}", key, text) for key, text in vars(args).items()
+                if key in _CONFIG_KEYS and text is not None)
 
 
 def _config_from_args(args, level: int) -> CaseConfig:
-    """The config file's fields, each overridden by its flag when given; a
-    flag argparse leaves as text is read as its config-file value is."""
+    """The config file's fields, each overridden by its flag when given."""
     fields = _load_config_file(args.config) if args.config else {}
-    for field, parse in _CONFIG_KEYS.values():
-        flag = getattr(args, field, None)
-        if flag is not None:
-            fields[field] = parse(flag) if isinstance(flag, str) else flag
+    fields.update(_flag_fields(args))
     if "case" not in fields:
         raise ConfigError("no case selected (use --case or a config file)")
     return CaseConfig(level=level, **fields)
@@ -607,46 +579,43 @@ def main(argv=None) -> int:
         description="Finite-volume runs with a-posteriori L-inf/L1 error bounds",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
     p_run = sub.add_parser("run", help="run one case at one refinement level")
-    _add_common(p_run)
-    p_run.add_argument("--level", type=int, required=True)
-    p_run.add_argument("--dump-solution", action="store_true", default=None,
-                       help="also write the space-time solution dump")
-
     p_conv = sub.add_parser("converge", help="refinement study over a level range")
-    _add_common(p_conv)
+    for p in (p_run, p_conv):
+        p.add_argument("--config", help="key=value config file; each --KEY flag overrides KEY")
+        _add_flags(p, [key for key in _CONFIG_KEYS if key != "dump-solution"])
+    p_run.add_argument("--level", type=int, required=True)
+    # the switch gives its config key the text true
+    p_run.add_argument("--dump-solution", dest="dump-solution", action="store_const",
+                       const="true", help="also write the space-time solution dump")
     p_conv.add_argument("--levels", required=True, help="range A..B, e.g. 7..10")
-
     p_audit = sub.add_parser("audit", help="estimate a previously dumped solution")
     p_audit.add_argument("--solution", required=True, help="solution dump file")
-    p_audit.add_argument("--sigma", type=float, default=0.1)
-    p_audit.add_argument("--slab-size", dest="slab_size", choices=_SLAB_MODES,
-                         default="eps13")
-    p_audit.add_argument("--out", default=None)
+    _add_flags(p_audit, ("sigma", "slab-size", "out"))
 
     args = parser.parse_args(argv)
     try:
         if args.command == "audit":
             from .solver import load_solution
 
-            _check_sigma(args.sigma)
+            fields = _flag_fields(args)
+            sigma0 = fields.get("sigma0", CaseConfig.sigma0)
+            _check_sigma(sigma0)
             sol = load_solution(args.solution)
-            estimate = error_estimator(sol, args.sigma, args.slab_size)
+            estimate = error_estimator(sol, sigma0, fields.get("slab_mode", CaseConfig.slab_mode))
             print(f"audited {args.solution}: eps={estimate.epsilon_t:.5g} "
                   f"E_S={estimate.e_surge:.5g} E_G={estimate.e_smooth:.5g}")
-            if args.out:
-                os.makedirs(args.out, exist_ok=True)
-                base = os.path.splitext(os.path.basename(args.solution))[0]
-                report_path = os.path.join(args.out, f"{base}_audit.json")
-                with open(report_path, "w") as fh:
-                    json.dump({"schema": SCHEMA_VERSION, "solution": args.solution,
-                               "estimate": estimate.to_json_dict()}, fh, indent=2)
-                    fh.write("\n")
-                write_slab_csv(estimate, os.path.join(args.out, f"{base}_audit_slabs.csv"))
-                with open(os.path.join(args.out, f"{base}_audit.svg"), "w") as fh:
+            out = fields.get("out_dir")
+            if out:
+                os.makedirs(out, exist_ok=True)
+                stem = os.path.splitext(os.path.basename(args.solution))[0]
+                base = os.path.join(out, f"{stem}_audit")
+                _write_json(f"{base}.json", {"schema": SCHEMA_VERSION, "solution": args.solution,
+                                             "estimate": estimate.to_json_dict()})
+                write_slab_csv(estimate, f"{base}_slabs.csv")
+                with open(f"{base}.svg", "w") as fh:
                     fh.write(render_decomposition_svg(sol, estimate))
-                print(f"  wrote report under {args.out}")
+                print(f"  wrote report under {out}")
         elif args.command == "run":
             config = _config_from_args(args, args.level)
             _, estimate, err, paths = run_case(config)

@@ -148,8 +148,7 @@ def error_estimator(
     oscillation aggregates, and the two estimator components."""
     if slab_mode not in ("eps13", "eps"):
         raise ValueError(f"unknown slab mode '{slab_mode}'")
-    # a run carries the report it folded; a loaded or rebuilt record replays
-    res = sol.residual if sol.residual is not None else epsilon(sol)
+    res = epsilon(sol)
     eps_t = res.epsilon
     duration = sol.t_final - sol.t0
 

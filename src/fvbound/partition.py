@@ -257,27 +257,23 @@ def build_surge_trapezoid(
 
 
 def merge_close_regions(regions: list[JumpRegion], min_distance: float) -> list[JumpRegion]:
-    """Agglomerate jump regions until consecutive midpoints are at least
-    min_distance apart.
+    """Agglomerate sorted, disjoint jump regions until consecutive midpoints
+    are at least min_distance apart.
 
     Discontinuities closer than the slab's wave-speed spread cannot be
     treated as isolated surges; enclosing such a cluster in one candidate
-    keeps the separation guarantee without discarding the cluster.
+    keeps the separation guarantee without discarding the cluster.  One pass
+    suffices: a merge only moves the right end of the last region rightwards,
+    so its midpoint rises and its distance to the region before only grows.
     """
-    regions = list(regions)
-    changed = True
-    while changed and len(regions) > 1:
-        changed = False
-        merged: list[JumpRegion] = [regions[0]]
-        for region in regions[1:]:
+    merged: list[JumpRegion] = []
+    for region in regions:
+        if merged and region.midpoint - merged[-1].midpoint < min_distance:
             prev = merged[-1]
-            if region.midpoint - prev.midpoint < min_distance:
-                merged[-1] = JumpRegion(prev.j1, region.j2, prev.x_left, region.x_right)
-                changed = True
-            else:
-                merged.append(region)
-        regions = merged
-    return regions
+            merged[-1] = JumpRegion(prev.j1, region.j2, prev.x_left, region.x_right)
+        else:
+            merged.append(region)
+    return merged
 
 
 def detect_surges(

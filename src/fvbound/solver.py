@@ -119,6 +119,9 @@ def _levels(initial, model, flux_kind: str, grid: Grid1D, cfl: float, t0: float,
     """
     if not 0.0 < cfl <= 1.0:
         raise ValueError(f"cfl must lie in (0, 1], got {cfl!r}")
+    for name, value in (("t0", t0), ("t_final", t_final)):
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value!r}")
     flux_kind = normalize_flux_kind(flux_kind)
     states = np.array(initial, dtype=float)
     if states.ndim == 1:

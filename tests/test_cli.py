@@ -1,4 +1,5 @@
 import json
+import re
 from dataclasses import replace
 from types import SimpleNamespace
 
@@ -336,7 +337,7 @@ class TestLevelTermsCount:
         counts = []
         coarse = run_case(CaseConfig(case="burgers-curved", level=3, ref="none"))[0]
         config = cli._resolve(CaseConfig(case="burgers-curved", level=3))
-        fine_grid = build_grid(config.x_min, config.x_max, 5)
+        fine_grid = build_grid(*cli.DOMAIN, 5)
         model = self._counted(make_model, counts)("burgers")
         streamed_fine_reference(_burgers_curved_averages(fine_grid), model, "llf", fine_grid,
                                 config.cfl, config.t0, config.t_final, [coarse])
@@ -563,6 +564,56 @@ class TestMain:
         err = capsys.readouterr().err
         assert err.startswith("error: case '") and err.endswith(
             f"{given} can only be given for the custom case\n")
+
+    # One bad value for each config key that takes one: out takes any path,
+    # and dump-solution is a switch on the command line.
+    BAD_FLAG_VALUES = {"case": "bogus", "cfl": "abc", "sigma": "1/2", "slab-size": "bogus",
+                       "flux": "bogus", "ref": "fine:x", "t0": "zero", "T": "1e",
+                       "model": "bogus", "left": "1.0,a", "right": "1.0,,2"}
+
+    def test_bad_flag_values_cover_every_key_that_takes_one(self):
+        assert set(self.BAD_FLAG_VALUES) == set(cli._CONFIG_KEYS) - {"out", "dump-solution"}
+
+    @pytest.mark.parametrize("command,levels", [("run", ["--level", "3"]),
+                                                ("converge", ["--levels", "3..4"])])
+    @pytest.mark.parametrize("key", sorted(BAD_FLAG_VALUES))
+    def test_bad_flag_value_is_refused_like_its_config_line(self, capsys, tmp_path, monkeypatch,
+                                                            command, levels, key):
+        def no_marching(*args, **kwargs):
+            raise AssertionError("marched before the flags were checked")
+
+        monkeypatch.setattr(cli, "run", no_marching)
+        value = self.BAD_FLAG_VALUES[key]
+        argv = [command, "--case", "custom", "--model", "burgers", "--left", "1.0",
+                "--right", "-1.0", *levels]
+        assert main([*argv, f"--{key}", value]) == 1
+        flag_error = capsys.readouterr().err
+        assert flag_error.startswith(f"error: --{key}={value!r}: ")
+
+        cfg = tmp_path / "case.cfg"
+        cfg.write_text(f"{key}={value}\n")
+        assert main([*argv, "--config", str(cfg)]) == 1
+        line_error = capsys.readouterr().err
+        assert line_error == f"error: {cfg}, line 1: {flag_error.removeprefix('error: --')}"
+
+    @pytest.mark.parametrize("flag,value", [("--sigma", "abc"), ("--slab-size", "bogus")])
+    def test_audit_refuses_a_bad_flag_value(self, capsys, tmp_path, flag, value):
+        dump = tmp_path / "missing.csv"  # flags are read before the dump
+        assert main(["audit", "--solution", str(dump), flag, value]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {flag}={value!r}: ")
+
+    @pytest.mark.parametrize("command,flags", [
+        ("run", ["--config", "--level", *(f"--{key}" for key in cli._CONFIG_KEYS)]),
+        ("converge", ["--config", "--levels", *(f"--{key}" for key in cli._CONFIG_KEYS
+                                                if key != "dump-solution")]),
+        ("audit", ["--solution", "--sigma", "--slab-size", "--out"]),
+    ])
+    def test_help_lists_every_flag(self, capsys, command, flags):
+        with pytest.raises(SystemExit) as exit_info:
+            main([command, "--help"])
+        assert exit_info.value.code == 0
+        listed = set(re.findall(r"(?<![\w-])--[\w-]+", capsys.readouterr().out))
+        assert set(flags) <= listed
 
     def test_config_file_switch_and_slab_size(self, tmp_path):
         cfg = tmp_path / "case.cfg"

@@ -120,6 +120,29 @@ class TestDetectJumps:
         assert merged[1] == c
         assert merge_close_regions([a, b, c], 1e-6) == [a, b, c]
 
+    @settings(max_examples=200, deadline=None)
+    @given(runs=st.lists(st.tuples(st.integers(1, 40), st.integers(0, 40)), max_size=12),
+           min_distance=st.floats(0.0, 1.0))
+    def test_merged_regions_are_separated_and_cover_the_input_in_order(self, runs,
+                                                                       min_distance):
+        dx = 0.01
+        regions, j = [], 0
+        for gap, width in runs:  # sorted, disjoint runs of flagged interfaces
+            j1, j = j + gap, j + gap + width
+            regions.append(JumpRegion(j1, j, j1 * dx, (j + 1) * dx))
+            j += 1
+        merged = merge_close_regions(regions, min_distance)
+        for left, right in zip(merged, merged[1:]):
+            assert right.midpoint - left.midpoint >= min_distance
+        rest = iter(regions)
+        for region in merged:
+            first = next(rest)
+            assert (first.j1, first.x_left) == (region.j1, region.x_left)
+            last = first
+            while (last.j2, last.x_right) != (region.j2, region.x_right):
+                last = next(rest)
+        assert next(rest, None) is None
+
 
 class TestSurgeTrapezoid:
     def test_symmetric_stationary_surge(self):

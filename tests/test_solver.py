@@ -222,6 +222,18 @@ def test_cfl_outside_unit_interval_is_refused(cfl):
         next(march(states, model, "llf", grid, cfl, 0.0, 0.5))
 
 
+@pytest.mark.parametrize("stepper", [run, lambda *args: next(march(*args))],
+                         ids=["run", "march"])
+@pytest.mark.parametrize("name", ["t0", "t_final"])
+@pytest.mark.parametrize("value", [float("inf"), float("-inf"), float("nan")])
+def test_non_finite_times_are_refused(stepper, name, value):
+    grid = build_grid(-5.0, 5.0, 4)
+    times = {"t0": 0.0, "t_final": 1.0, name: value}
+    with pytest.raises(ValueError, match=f"{name} must be finite, got {value!r}"):
+        stepper(np.linspace(2.0, -2.0, grid.J), make_model("burgers"), "llf", grid, 0.9,
+                times["t0"], times["t_final"])
+
+
 def test_cfl_one_is_accepted():
     grid = build_grid(-5.0, 5.0, 3)
     model = make_model("burgers")
