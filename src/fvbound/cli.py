@@ -15,6 +15,7 @@ import numpy as np
 from .estimator import EstimateReport, error_estimator
 from .grid import Grid1D, build_grid, column_sums
 from .models import make_model, normalize_flux_kind, normalize_model_name
+from .partition import SLAB_FIGURES
 from .riemann import WaveFan, cell_average_exact, exact_l1_distances, solve_riemann
 from .solver import SpaceTimeSolution, march, run, save_solution
 
@@ -302,20 +303,11 @@ def run_case(config: CaseConfig):
 
 
 def write_slab_csv(estimate: EstimateReport, path: str) -> None:
-    """One row of oscillation/width diagnostics per meso-timeslab."""
+    """One row per meso-timeslab: its index and its SLAB_FIGURES."""
     with open(path, "w", newline="") as fh:
-        fh.write("slab,t_lo,t_hi,n_surges,kappa,kappa_prime_max,delta_max,c0\r\n")
-        for slab in estimate.slabs:
-            row = [
-                str(slab.index),
-                _format_value(slab.t_lo),
-                _format_value(slab.t_hi),
-                str(slab.n_surges),
-                _format_value(slab.kappa),
-                _format_value(slab.kappa_prime_max),
-                _format_value(slab.delta_max),
-                _format_value(slab.c0),
-            ]
+        fh.write(",".join(("slab",) + SLAB_FIGURES) + "\r\n")
+        for index, slab in enumerate(estimate.slabs):
+            row = [str(index)] + [_format_value(getattr(slab, name)) for name in SLAB_FIGURES]
             fh.write(",".join(row) + "\r\n")
 
 
@@ -453,7 +445,7 @@ def render_decomposition_svg(sol: SpaceTimeSolution, estimate: EstimateReport) -
             f'stroke="#555555" stroke-width="0.8" stroke-dasharray="6,4"/>'
         )
 
-    for part in estimate.partitions:
+    for part in estimate.slabs:
         for trap in part.smooth:
             polygon(trap, "#1f77b4", dash="3,3")
         for surge in part.surges:
@@ -484,6 +476,12 @@ def render_decomposition_svg(sol: SpaceTimeSolution, estimate: EstimateReport) -
 
 def _parse_state(text: str) -> tuple:
     return tuple(float(tok) for tok in text.split(","))
+
+
+def _parse_level(text: str) -> int:
+    if not text.isdecimal():
+        raise ConfigError(f"--level takes an integer >= 0, e.g. 9; got '{text}'")
+    return int(text)
 
 
 def _parse_levels(text: str) -> tuple[int, int]:
@@ -584,7 +582,7 @@ def main(argv=None) -> int:
     for p in (p_run, p_conv):
         p.add_argument("--config", help="key=value config file; each --KEY flag overrides KEY")
         _add_flags(p, [key for key in _CONFIG_KEYS if key != "dump-solution"])
-    p_run.add_argument("--level", type=int, required=True)
+    p_run.add_argument("--level", required=True)
     # the switch gives its config key the text true
     p_run.add_argument("--dump-solution", dest="dump-solution", action="store_const",
                        const="true", help="also write the space-time solution dump")
@@ -617,7 +615,7 @@ def main(argv=None) -> int:
                     fh.write(render_decomposition_svg(sol, estimate))
                 print(f"  wrote report under {out}")
         elif args.command == "run":
-            config = _config_from_args(args, args.level)
+            config = _config_from_args(args, _parse_level(args.level))
             _, estimate, err, paths = run_case(config)
             print(f"case={config.case} L={config.level} eps={estimate.epsilon_t:.5g} "
                   f"E_S={estimate.e_surge:.5g} E_G={estimate.e_smooth:.5g}"

@@ -12,7 +12,8 @@ up to uncomputable stability constants, reported as unit multipliers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -21,59 +22,58 @@ from .residual import ResidualReport, epsilon
 from .solver import SpaceTimeSolution
 
 
-@dataclass(frozen=True)
-class SlabDiagnostics:
-    index: int
-    n_lo: int
-    n_hi: int
-    t_lo: float
-    t_hi: float
-    n_surges: int
-    kappa: float  # max smooth-trapezoid oscillation
-    kappa_prime_max: float  # max surge oscillation
-    delta_max: float  # max total strip width among the slab's surges
-    c0: float | None  # surge-strength diagnostic, None without surges
-
-    def to_json_dict(self) -> dict:
-        return {
-            "index": self.index,
-            "t_lo": self.t_lo,
-            "t_hi": self.t_hi,
-            "n_surges": self.n_surges,
-            "kappa": self.kappa,
-            "kappa_prime_max": self.kappa_prime_max,
-            "delta_max": self.delta_max,
-            "c0": self.c0,
-        }
-
-
 @dataclass
 class EstimateReport:
-    """Aggregated error-estimator output for one solution."""
+    """Error-estimator output for one solution: epsilon's report, the slab
+    boundary times and each slab's cover with its kappa and c0; the
+    aggregates and the two estimator components are derived from them."""
 
     sigma0: float
     slab_mode: str
-    tau_target: float
-    epsilon_t: float
     residual: ResidualReport
     slab_times: np.ndarray
-    slabs: list[SlabDiagnostics]
-    surge_count: int
-    kappa_sum: float
-    kappa_prime_max: float
-    delta_max: float
-    e_surge: float
-    e_smooth: float
+    slabs: list[SlabPartition]
     # The true stability constants are not computable; estimates are reported
-    # with unit multipliers in their place.
-    c_surge: float = 1.0
-    c_smooth: float = 1.0
-    partitions: list[SlabPartition] = field(default_factory=list, repr=False)
+    # with unit multipliers in their place (class constants, not fields).
+    c_surge = 1.0
+    c_smooth = 1.0
+
+    @property
+    def epsilon_t(self) -> float:
+        return self.residual.epsilon
+
+    @property
+    def tau_target(self) -> float:
+        """Target slab length: eps^(1/3), or eps with the literal slab mode."""
+        return self.epsilon_t ** (1.0 / 3.0) if self.slab_mode == "eps13" else self.epsilon_t
+
+    @property
+    def surge_count(self) -> int:
+        return sum(s.n_surges for s in self.slabs)
+
+    @property
+    def kappa_sum(self) -> float:
+        return sum((s.kappa for s in self.slabs), 0.0)
+
+    @property
+    def kappa_prime_max(self) -> float:
+        return max((s.kappa_prime_max for s in self.slabs), default=0.0)
+
+    @property
+    def delta_max(self) -> float:
+        return max((s.delta_max for s in self.slabs), default=0.0)
+
+    @property
+    def e_surge(self) -> float:
+        eps13 = self.epsilon_t ** (1.0 / 3.0)
+        return (eps13 * self.kappa_prime_max + self.delta_max) * self.surge_count
+
+    @property
+    def e_smooth(self) -> float:
+        duration = float(self.slab_times[-1] - self.slab_times[0])
+        return self.epsilon_t ** (1.0 / 3.0) * (duration + self.kappa_sum)
 
     def to_json_dict(self) -> dict:
-        slabs = [s.to_json_dict() for s in self.slabs]
-        for blob, part in zip(slabs, self.partitions):
-            blob["partition"] = part.to_json_dict()
         return {
             "sigma0": self.sigma0,
             "slab_mode": self.slab_mode,
@@ -81,7 +81,7 @@ class EstimateReport:
             "epsilon": self.epsilon_t,
             "residual": self.residual.to_json_dict(),
             "slab_times": [float(t) for t in self.slab_times],
-            "slabs": slabs,
+            "slabs": [{"index": k, **s.to_json_dict()} for k, s in enumerate(self.slabs)],
             "surge_count": self.surge_count,
             "kappa_sum": self.kappa_sum,
             "kappa_prime_max": self.kappa_prime_max,
@@ -124,13 +124,13 @@ def slab_boundaries(times: np.ndarray, tau_target: float) -> list[int]:
     return bounds
 
 
-def _slab_c0(sigma0: float, eps: float, surges, oscs) -> float | None:
+def _slab_c0(sigma0: float, eps: float, part: SlabPartition) -> float | None:
     """sigma0 / min_k (eps/delta_k + delta_k/eps^(1/3) + 2 kappa'_k)^(1/3)."""
-    if not surges:
+    if not part.surges:
         return None
     eps13 = eps ** (1.0 / 3.0)
     best = np.inf
-    for surge, osc in zip(surges, oscs):
+    for surge, osc in zip(part.surges, part.surge_oscillations):
         delta = surge.delta
         term = (eps / delta if delta > 0 else np.inf) + delta / eps13 + 2.0 * osc
         best = min(best, term)
@@ -144,85 +144,24 @@ def error_estimator(
     sigma0: float,
     slab_mode: str = "eps13",
 ) -> EstimateReport:
-    """Full a-posteriori estimate: epsilon over the whole domain, slab covers,
-    oscillation aggregates, and the two estimator components."""
+    """Full a-posteriori estimate: epsilon over the whole domain and each
+    slab's cover with its oscillations; a run with epsilon = 0 has no slabs.
+    An unknown slab mode, or a sigma0 that is not finite and positive, is
+    refused before anything is estimated."""
     if slab_mode not in ("eps13", "eps"):
         raise ValueError(f"unknown slab mode '{slab_mode}'")
+    if not (math.isfinite(sigma0) and sigma0 > 0):
+        raise ValueError(f"sigma0 must be a finite positive number, got {sigma0!r}")
     res = epsilon(sol)
-    eps_t = res.epsilon
-    duration = sol.t_final - sol.t0
-
-    if eps_t == 0.0:
-        return EstimateReport(
-            sigma0=sigma0,
-            slab_mode=slab_mode,
-            tau_target=0.0,
-            epsilon_t=0.0,
-            residual=res,
-            slab_times=np.array([sol.t0, sol.t_final]),
-            slabs=[],
-            surge_count=0,
-            kappa_sum=0.0,
-            kappa_prime_max=0.0,
-            delta_max=0.0,
-            e_surge=0.0,
-            e_smooth=0.0,
-        )
-
-    eps13 = eps_t ** (1.0 / 3.0)
-    tau_target = eps13 if slab_mode == "eps13" else eps_t
-    bounds = slab_boundaries(sol.times.t, tau_target)
-
-    slabs: list[SlabDiagnostics] = []
-    partitions: list[SlabPartition] = []
-    kappa_sum = 0.0
-    kappa_prime_max = 0.0
-    delta_max = 0.0
-    surge_count = 0
-    for k, (n_lo, n_hi) in enumerate(zip(bounds[:-1], bounds[1:])):
+    report = EstimateReport(sigma0, slab_mode, res, np.array([sol.t0, sol.t_final]), [])
+    if res.epsilon == 0.0:
+        return report
+    bounds = slab_boundaries(sol.times.t, report.tau_target)
+    report.slab_times = sol.times.t[np.array(bounds)]
+    for n_lo, n_hi in zip(bounds[:-1], bounds[1:]):
         block = slab_block(sol, n_lo, n_hi)
-        part = partition_meso_slab(sol, n_lo, n_hi, eps_t, sigma0, res.speed_range, block)
+        part = partition_meso_slab(sol, n_lo, n_hi, res.epsilon, sigma0, res.speed_range, block)
         kappa = max((oscillation(sol, g, n_lo, n_hi, block) for g in part.smooth), default=0.0)
         del block  # dropped before the next slab's block is built
-        kp = max(part.surge_oscillations, default=0.0)
-        dmax = max((s.delta for s in part.surges), default=0.0)
-        slabs.append(SlabDiagnostics(
-            index=k,
-            n_lo=n_lo,
-            n_hi=n_hi,
-            t_lo=part.t_lo,
-            t_hi=part.t_hi,
-            n_surges=len(part.surges),
-            kappa=kappa,
-            kappa_prime_max=kp,
-            delta_max=dmax,
-            c0=_slab_c0(sigma0, eps_t, part.surges, part.surge_oscillations),
-        ))
-        partitions.append(part)
-        kappa_sum += kappa
-        kappa_prime_max = max(kappa_prime_max, kp)
-        delta_max = max(delta_max, dmax)
-        surge_count += len(part.surges)
-
-    if surge_count == 0:
-        e_surge = 0.0
-    else:
-        e_surge = (eps13 * kappa_prime_max + delta_max) * surge_count
-    e_smooth = eps13 * (duration + kappa_sum)
-
-    return EstimateReport(
-        sigma0=sigma0,
-        slab_mode=slab_mode,
-        tau_target=tau_target,
-        epsilon_t=eps_t,
-        residual=res,
-        slab_times=sol.times.t[np.array(bounds)],
-        slabs=slabs,
-        surge_count=surge_count,
-        kappa_sum=kappa_sum,
-        kappa_prime_max=kappa_prime_max,
-        delta_max=delta_max,
-        e_surge=e_surge,
-        e_smooth=e_smooth,
-        partitions=partitions,
-    )
+        report.slabs.append(replace(part, kappa=kappa, c0=_slab_c0(sigma0, res.epsilon, part)))
+    return report

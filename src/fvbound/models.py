@@ -175,9 +175,20 @@ def _llf_lambda(model, uL: np.ndarray, uR: np.ndarray) -> np.ndarray:
     return np.maximum(model.max_wave_speed(uL), model.max_wave_speed(uR))
 
 
-def llf_interface_fluxes(padded: np.ndarray, f: np.ndarray, speeds: np.ndarray) -> np.ndarray:
-    """LLF fluxes at the interfaces of a ghost-padded level from each cell's
-    flux and max wave speed; bit-identical to the pairwise numerical_flux."""
+def interface_fluxes(kind: str, model, padded: np.ndarray, f: np.ndarray | None = None,
+                     speeds: np.ndarray | None = None) -> np.ndarray:
+    """Numerical fluxes at the interfaces of a ghost-padded level, bit-identical
+    to the pairwise numerical_flux.  LLF evaluates each cell's flux and max
+    wave speed once for its two interfaces; a caller that has them (and has
+    checked the level) passes them as f and speeds."""
+    kind = normalize_flux_kind(kind)
+    if kind != "llf":
+        return numerical_flux(kind, model, padded[:-1], padded[1:])
+    check = speeds is None
+    if check:
+        speeds = model.max_wave_speed(padded)
+    if f is None:
+        f = model.flux(padded, check=check)
     lam = np.maximum(speeds[:-1], speeds[1:])
     return 0.5 * (f[:-1] + f[1:]) - 0.5 * lam[..., None] * (padded[1:] - padded[:-1])
 

@@ -341,9 +341,15 @@ def detect_surges(
     return surges, oscs
 
 
-@dataclass
+# The figures of a slab that its report entry and slabs.csv hold, in order.
+SLAB_FIGURES = ("t_lo", "t_hi", "n_surges", "kappa", "kappa_prime_max", "delta_max", "c0")
+
+
+@dataclass(frozen=True)
 class SlabPartition:
-    """Trapezoidal cover of one meso-timeslab."""
+    """Trapezoidal cover of one meso-timeslab with kappa, its largest smooth
+    oscillation, and c0, its surge-strength diagnostic (None without surges),
+    which the estimator fills in."""
 
     n_lo: int
     n_hi: int
@@ -354,16 +360,36 @@ class SlabPartition:
     surges: list[SurgeTrapezoid]
     surge_oscillations: list[float]
     smooth: list[Trapezoid]
+    kappa: float = 0.0
+    c0: float | None = None
+
+    @property
+    def n_surges(self) -> int:
+        return len(self.surges)
+
+    @property
+    def kappa_prime_max(self) -> float:
+        """Largest surge oscillation kappa'."""
+        return max(self.surge_oscillations, default=0.0)
+
+    @property
+    def delta_max(self) -> float:
+        """Largest total strip width among the slab's surges."""
+        return max((s.delta for s in self.surges), default=0.0)
 
     def to_json_dict(self) -> dict:
+        """The report's slab entry: SLAB_FIGURES, then the cover under "partition"."""
         return {
-            "t_lo": self.t_lo,
-            "t_hi": self.t_hi,
-            "lam_minus": self.lam_minus,
-            "lam_plus": self.lam_plus,
-            "surges": [s.to_json_dict() for s in self.surges],
-            "surge_oscillations": list(self.surge_oscillations),
-            "smooth": [g.to_json_dict() for g in self.smooth],
+            **{name: getattr(self, name) for name in SLAB_FIGURES},
+            "partition": {
+                "t_lo": self.t_lo,
+                "t_hi": self.t_hi,
+                "lam_minus": self.lam_minus,
+                "lam_plus": self.lam_plus,
+                "surges": [s.to_json_dict() for s in self.surges],
+                "surge_oscillations": list(self.surge_oscillations),
+                "smooth": [g.to_json_dict() for g in self.smooth],
+            },
         }
 
 

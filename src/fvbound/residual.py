@@ -19,8 +19,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .grid import column_sums
-from .models import (llf_interface_fluxes, normalize_flux_kind, numerical_entropy_flux,
-                     numerical_flux)
+from .models import interface_fluxes, normalize_flux_kind, numerical_entropy_flux
 
 if TYPE_CHECKING:  # solver imports this module to fold epsilon while it marches
     from .solver import SpaceTimeSolution
@@ -397,15 +396,13 @@ class ResidualFold:
 def _stored_levels(sol: SpaceTimeSolution):
     """(t, ghost-padded level, model.level_terms, fluxes of the step into the
     level or None) for every recorded level of sol, as run feeds its fold."""
-    kind = normalize_flux_kind(sol.flux_kind)
     fluxes = None
     for n, t in enumerate(sol.times.t):
         padded = sol.extended_states(n)
         terms = sol.model.level_terms(padded)
         yield t, padded, terms, fluxes
         if n < sol.n_steps:
-            fluxes = (llf_interface_fluxes(padded, terms[0], terms[3]) if kind == "llf"
-                      else numerical_flux(kind, sol.model, padded[:-1], padded[1:]))
+            fluxes = interface_fluxes(sol.flux_kind, sol.model, padded, terms[0], terms[3])
 
 
 def epsilon(sol: SpaceTimeSolution) -> ResidualReport:

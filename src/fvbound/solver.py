@@ -9,7 +9,7 @@ import numpy as np
 
 # perfbench/tracing.py wraps cfl_timestep here; the stepping core fuses its scan.
 from .grid import Grid1D, TimeLevels, cfl_timestep  # noqa: F401
-from .models import (DomainError, llf_interface_fluxes, make_model, normalize_flux_kind,
+from .models import (DomainError, interface_fluxes, make_model, normalize_flux_kind,
                      normalize_model_name, numerical_flux)
 from .residual import ResidualFold, ResidualReport, _RowTexts
 
@@ -77,23 +77,14 @@ def step(
 ) -> tuple[np.ndarray, np.ndarray]:
     """One conservative update; returns (new states, interface fluxes).
 
-    LLF evaluates each cell's flux and max wave speed once for its two
-    interfaces.  The stepping core passes its ghost-padded copy of the states
-    and their speeds, already scanned for the CFL step and checked, and the
+    The stepping core passes its ghost-padded copy of the states and their
+    max wave speeds, already scanned for the CFL step and checked, and the
     padded fluxes when it has evaluated them for the residual fold.
     """
     if padded is None:
         padded = np.vstack([np.asarray(ghost_left)[None, :], states,
                             np.asarray(ghost_right)[None, :]])
-    if normalize_flux_kind(flux_kind) == "llf":
-        check = speeds is None
-        if check:
-            speeds = model.max_wave_speed(padded)
-        if f is None:
-            f = model.flux(padded, check=check)
-        fluxes = llf_interface_fluxes(padded, f, speeds)
-    else:
-        fluxes = numerical_flux(flux_kind, model, padded[:-1], padded[1:])
+    fluxes = interface_fluxes(flux_kind, model, padded, f, speeds)
     new = states - (dt / grid.dx) * (fluxes[1:] - fluxes[:-1])
     return new, fluxes
 

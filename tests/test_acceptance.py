@@ -366,7 +366,7 @@ def test_criterion_8h_slab_cover_invariants(two_raref_study, raref_shock_study,
         for level in study.levels:
             est = study.estimates[level]
             sol = study.sols[level]
-            for part in est.partitions:
+            for part in est.slabs:
                 surge_counts, smooth_counts = cover_counts(sol, part)
                 ok &= bool(np.all(surge_counts + smooth_counts >= 1))
                 ok &= bool(np.all(smooth_counts <= 2))

@@ -479,6 +479,16 @@ class TestMain:
         err = capsys.readouterr().err
         assert "A..B" in err and repr(levels) in err
 
+    @pytest.mark.parametrize("level", ["abc", "1.5", "-1", "", "9x"])
+    def test_malformed_level(self, capsys, monkeypatch, level):
+        def no_marching(*args, **kwargs):
+            raise AssertionError("marched before the level was checked")
+
+        monkeypatch.setattr(cli, "run", no_marching)
+        assert main(["run", "--case", "psys-2raref", f"--level={level}"]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: --level takes an integer >= 0, e.g. 9; got {level!r}\n"
+
     def test_audit_command(self, capsys, tmp_path):
         out = tmp_path / "case"
         code = main([

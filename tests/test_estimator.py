@@ -150,11 +150,26 @@ def test_slab_mode_eps_uses_smaller_slabs(raref_shock_solution):
         error_estimator(raref_shock_solution, 0.1, slab_mode="bogus")
 
 
+@pytest.mark.parametrize("sigma0", [-1.0, 0.0, float("nan"), float("inf")])
+@pytest.mark.parametrize("right", [1.0, -1.0], ids=["constant", "step"])
+def test_meaningless_sigma0_is_refused(right, sigma0):
+    """Refused on a run with epsilon = 0 too, and inf, which would flag no
+    jump and so give E_S = 0, on every run."""
+    grid = build_grid(-5.0, 5.0, 2)
+    initial = np.where(grid.centers() < 0.0, 1.0, right)
+    sol = run(initial, make_model("burgers"), "llf", grid, 0.9, 0.0, 0.5)
+    with pytest.raises(ValueError, match=f"sigma0 must be a finite positive number, got {sigma0!r}"):
+        error_estimator(sol, sigma0)
+
+
 def test_report_serializes(raref_shock_solution):
     report = error_estimator(raref_shock_solution, 0.1)
     blob = report.to_json_dict()
     assert blob["surge_count"] == report.surge_count
     assert len(blob["slabs"]) == len(report.slabs)
+    for k, (entry, slab) in enumerate(zip(blob["slabs"], report.slabs)):
+        assert entry == {"index": k, **slab.to_json_dict()}
+        assert entry["partition"]["lam_minus"] == slab.lam_minus
     assert blob["c_surge"] == 1.0 and blob["c_smooth"] == 1.0
 
 
@@ -166,3 +181,4 @@ def test_single_step_solution_still_produces_epsilon():
     assert sol.n_steps == 1
     report = error_estimator(sol, 0.1)
     assert report.epsilon_t > 0.0
+
