@@ -237,8 +237,9 @@ def build_surge_trapezoid(
     x0 = bottom.midpoint
     a_top = inb(x0 + lam_minus * tau - delta_l - eps13, grid)
     b_top = inb(x0 + lam_plus * tau + delta_r + eps13, grid)
-    a_bot = inb(a_top - lam_plus * tau, grid)
-    b_bot = inb(b_top - lam_minus * tau, grid)
+    # a top end on the domain boundary keeps its bottom end there too
+    a_bot = inb(a_top - lam_plus * tau, grid) if a_top > grid.x_min else grid.x_min
+    b_bot = inb(b_top - lam_minus * tau, grid) if b_top < grid.x_max else grid.x_max
     lam = (top.midpoint - x0) / tau
     left = Trapezoid(
         t_bot, t_top,
@@ -431,13 +432,19 @@ def partition_meso_slab(
         whole = Trapezoid(t_bot, t_top, grid.x_min, grid.x_max, grid.x_min, grid.x_max)
         return SlabPartition(n_lo, n_hi, t_bot, t_top, lam_minus, lam_plus, [], [], [whole])
 
+    def bottom_right(b: float, k: int) -> float:
+        """Bottom right end of the smooth trapezoid whose top ends at b, the top
+        left end of surge k: it reaches that surge's bottom, or the domain's
+        right end past the last surge, so the cover leaves no cell out."""
+        if k == len(surges):
+            return grid.x_max
+        return max(inb(b - tau * lam_minus - eps23, grid), surges[k].outer.a_bot)
+
     raw: list[tuple[Trapezoid, bool]] = []
     first_a = surges[0].outer.a_top
     if grid.x_min < first_a:
         raw.append((
-            Trapezoid(t_bot, t_top,
-                      grid.x_min, inb(first_a - tau * lam_minus - eps23, grid),
-                      grid.x_min, first_a),
+            Trapezoid(t_bot, t_top, grid.x_min, bottom_right(first_a, 0), grid.x_min, first_a),
             False,
         ))
     for k, surge in enumerate(surges):
@@ -449,10 +456,8 @@ def partition_meso_slab(
         if a >= b:
             continue  # overlapping surge trapezoids, nothing to fill
         raw.append((
-            Trapezoid(t_bot, t_top,
-                      inb(a - tau * lam_plus - eps23, grid),
-                      inb(b - tau * lam_minus - eps23, grid),
-                      a, b),
+            Trapezoid(t_bot, t_top, inb(a - tau * lam_plus - eps23, grid),
+                      bottom_right(b, k + 1), a, b),
             between,
         ))
 

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from fvbound import (
     build_grid,
@@ -10,7 +10,9 @@ from fvbound import (
     solve_riemann,
 )
 from fvbound.estimator import slab_boundaries
+from fvbound.partition import cover_counts
 from fvbound.solver import run
+from test_riemann import burgers_riemann_data, psystem_riemann_data
 
 
 @pytest.fixture(scope="module")
@@ -182,3 +184,47 @@ def test_single_step_solution_still_produces_epsilon():
     report = error_estimator(sol, 0.1)
     assert report.epsilon_t > 0.0
 
+
+def burgers_fan(left, right):
+    model = make_model("burgers")
+    return model, [left], [right], solve_riemann(model, [left], [right])
+
+
+@settings(max_examples=30, deadline=None)
+@given(data=st.one_of(psystem_riemann_data(), burgers_riemann_data()),
+       level=st.integers(3, 6), slab_mode=st.sampled_from(["eps13", "eps"]))
+# all speeds positive: the last smooth trapezoid once stopped short of x_max
+@example(data=burgers_fan(0.0, 1.0), level=4, slab_mode="eps13")
+# ... and a surge trapezoid reaching x_max at its top stopped short of it
+@example(data=burgers_fan(1.0, 3.0), level=3, slab_mode="eps13")
+# (lam_plus - lam_minus) * tau < eps^(2/3): a smooth trapezoid once left a
+# gap below the surge trapezoid to its right
+@example(data=burgers_fan(-1.0, -1.5), level=3, slab_mode="eps13")
+def test_slab_covers_of_random_riemann_runs(data, level, slab_mode):
+    """The slabs tile the levels 0..N at slab_times, every cell is covered and
+    lies in at most two smooth trapezoids, and each aggregate is its fold over
+    the slabs."""
+    model, _, _, fan = data
+    grid = build_grid(-5.0, 5.0, level)
+    sol = run(cell_average_exact(fan, 0.0, 0.0, grid), model, "llf", grid, 0.9, 0.0, 1.0)
+    report = error_estimator(sol, 0.1, slab_mode)
+    slabs = report.slabs
+    if report.epsilon_t == 0.0:
+        assert slabs == [] and list(report.slab_times) == [sol.t0, sol.t_final]
+    else:
+        assert [s.n_lo for s in slabs] + [sol.n_steps] == [0] + [s.n_hi for s in slabs]
+        assert all(s.n_lo < s.n_hi for s in slabs)
+        edges = [s.t_lo for s in slabs] + [slabs[-1].t_hi]
+        assert edges == list(report.slab_times) == [sol.times.t[0]] + [
+            sol.times.t[s.n_hi] for s in slabs]
+    for slab in slabs:
+        surge_counts, smooth_counts = cover_counts(sol, slab)
+        assert np.all(surge_counts + smooth_counts >= 1)
+        assert np.all(smooth_counts <= 2)
+    kappa_sum = 0.0
+    for slab in slabs:
+        kappa_sum += slab.kappa
+    assert report.kappa_sum == kappa_sum
+    assert report.surge_count == sum(len(s.surges) for s in slabs)
+    assert report.kappa_prime_max == max([0.0] + [k for s in slabs for k in s.surge_oscillations])
+    assert report.delta_max == max([0.0] + [t.delta_l + t.delta_r for s in slabs for t in s.surges])
