@@ -486,7 +486,7 @@ def _parse_level(text: str) -> int:
 
 def _parse_levels(text: str) -> tuple[int, int]:
     lo, _, hi = text.partition("..")
-    if not (lo.isdigit() and hi.isdigit() and int(lo) < int(hi)):
+    if not (lo.isdecimal() and hi.isdecimal() and int(lo) < int(hi)):
         raise ConfigError(f"--levels takes the form A..B with integers A < B, e.g. 7..10; got '{text}'")
     return int(lo), int(hi)
 

@@ -472,14 +472,14 @@ class TestMain:
         assert code == 1
         assert "error:" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("levels", ["6-8", "8..6", "7..7", "a..b", "6.5..8", "7.."])
+    @pytest.mark.parametrize("levels", ["6-8", "8..6", "7..7", "a..b", "6.5..8", "7..", "²..3"])
     def test_malformed_levels(self, capsys, levels):
         code = main(["converge", "--case", "psys-2raref", "--levels", levels])
         assert code == 1
         err = capsys.readouterr().err
         assert "A..B" in err and repr(levels) in err
 
-    @pytest.mark.parametrize("level", ["abc", "1.5", "-1", "", "9x"])
+    @pytest.mark.parametrize("level", ["abc", "1.5", "-1", "", "9x", "²"])
     def test_malformed_level(self, capsys, monkeypatch, level):
         def no_marching(*args, **kwargs):
             raise AssertionError("marched before the level was checked")

@@ -171,6 +171,8 @@ def test_report_serializes(raref_shock_solution):
     assert len(blob["slabs"]) == len(report.slabs)
     for k, (entry, slab) in enumerate(zip(blob["slabs"], report.slabs)):
         assert entry == {"index": k, **slab.to_json_dict()}
+        assert list(entry) == ["index", "t_lo", "t_hi", "n_surges", "kappa",
+                               "kappa_prime_max", "delta_max", "c0", "partition"]
         assert entry["partition"]["lam_minus"] == slab.lam_minus
     assert blob["c_surge"] == 1.0 and blob["c_smooth"] == 1.0
 
