@@ -313,12 +313,21 @@ class _RowTexts:
         return self._texts.tolist()
 
 
+def _zero_padded_sums(buffer: np.ndarray, rows: slice) -> np.ndarray:
+    """column_sums of a (J, m) buffer that is zero outside rows, bit for bit.
+    With m >= 2 each column is added in order, so the zero rows add nothing
+    and only rows are summed; numpy sums the m = 1 column pairwise, grouped
+    by position, so there the whole buffer is summed."""
+    return column_sums(buffer if buffer.shape[1] == 1 else buffer[rows])
+
+
 class ResidualFold:
     """The residual kernel: epsilon as a fold over the levels of a run, with
     O(J) state.  Each level arrives ghost-padded with its model.level_terms
     and the interface fluxes of the step that produced it, and closes the
-    layer below it.  run feeds the fold while it marches; epsilon(sol) and
-    write_cells_csv replay stored levels through it."""
+    layer below it.  run feeds the fold while it marches, level by level
+    over each step's active window; epsilon(sol) and write_cells_csv replay
+    stored levels through it with the whole grid as the window."""
 
     def __init__(self, dx: float):
         self.dx = dx
@@ -327,29 +336,57 @@ class ResidualFold:
         self.speed_range: list[tuple[float, float]] = []
         self.beta_levels: list[float] = []
         self.eta_levels: list[float] = []
-        self._last = None  # (t, level terms) of the level folded last
+        self._last = None  # (t, first cell of its terms, level terms) of the level folded last
+        # Full-length |jumps|, cell bounds and E1 deficits |min(E1, 0)|, kept
+        # exactly zero outside the window, so their pairwise sums keep the
+        # bits of a whole-grid pass; allocated at the first level.
+        self._jumps = self._bounds = self._deficit = None
+        self._layer = slice(0, 0)  # the window of the layer closed last
 
-    def add(self, t, padded: np.ndarray, terms, fluxes: np.ndarray | None):
+    def add(self, t, padded: np.ndarray, terms, fluxes: np.ndarray | None, window=None):
         """Fold the level at time t; return the layer it closes, (dt, cell
-        bounds, (q_hat, entropy decrease, cell entropy flux)) with
-        dt = t - t_prev, or None for the first.  Only E1 enters epsilon;
-        _entropy_triplets gives (E1, E2, E3) from the returned entropy parts."""
-        jumps = padded[1:] - padded[:-1]
-        self.tv.append(column_sums(np.abs(jumps, out=jumps)).tolist())
+        bounds, (q_hat, entropy decrease, cell entropy flux)) over the cells
+        of window with dt = t - t_prev, or None for the first.  Only E1
+        enters epsilon; _entropy_triplets gives (E1, E2, E3) from the
+        returned entropy parts.
+
+        window (lo, hi) holds the cells the step into the level updated and
+        fluxes are its interface fluxes lo..hi; terms are model.level_terms
+        of padded over the cells of window grown by one on each side.  None
+        means the whole grid, which the first level always is.  Outside
+        window every layer term is exactly zero."""
+        J = len(padded) - 2
+        lo, hi = window or (0, J)
+        a, b = max(lo - 1, 0), min(hi + 1, J)
+        if self._last is None:
+            self._jumps = np.empty((J + 1, padded.shape[1]))
+            self._bounds = np.zeros((J, padded.shape[1]))
+            self._deficit = np.zeros(J)
+        jumps = self._jumps[a:b + 1]
+        np.subtract(padded[a + 1:b + 2], padded[a:b + 1], out=jumps)
+        np.abs(jumps, out=jumps)
+        self.tv.append(_zero_padded_sums(self._jumps, slice(a, b + 1)).tolist())
         self.speed_range.append(terms[4])
-        last, self._last = self._last, (t, terms)
+        last, self._last = self._last, (t, a, terms)
         if last is None:
             return None
-        t_prev, (f, ent, ent_flux, speeds, _) = last
+        t_prev, a_prev, (f, ent, ent_flux, speeds, _) = last
+        rows = slice(lo - a_prev, hi - a_prev + 2)  # the window's padded slice
+        f, ent, ent_flux, speeds = f[rows], ent[rows], ent_flux[rows], speeds[rows]
         dx, dt = self.dx, float(t) - float(t_prev)
         # the LLF entropy-flux companion, as numerical_entropy_flux computes it
         lam = np.maximum(speeds[:-1], speeds[1:])
         q_hat = 0.5 * (ent_flux[:-1] + ent_flux[1:]) - 0.5 * lam * (ent[1:] - ent[:-1])
-        de = ent[1:-1] - terms[1][1:-1]
+        de = ent[1:-1] - terms[1][lo - a + 1:hi - a + 1]
         bounds = _cell_bounds(dx, dt, fluxes, f[1:-1])
-        self.beta_levels.append(float(column_sums(bounds).max() / dt))
         e1 = _entropy_e1(dx, dt, q_hat, de)
-        self.eta_levels.append(float(np.abs(np.minimum(e1, 0.0)).sum() / dt))
+        self._bounds[self._layer] = 0.0
+        self._deficit[self._layer] = 0.0
+        self._layer = slice(lo, hi)
+        self._bounds[lo:hi] = bounds
+        self._deficit[lo:hi] = np.abs(np.minimum(e1, 0.0))
+        self.beta_levels.append(float(_zero_padded_sums(self._bounds, self._layer).max() / dt))
+        self.eta_levels.append(float(self._deficit.sum() / dt))
         return dt, bounds, (q_hat, de, ent_flux[1:-1])
 
     def report(self, sol: SpaceTimeSolution) -> ResidualReport:

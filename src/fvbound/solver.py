@@ -89,24 +89,50 @@ def step(
     return new, fluxes
 
 
-def _left_domain(model, states: np.ndarray, n: int, t: float) -> DomainError:
-    j = int(np.argmax(~model.in_domain(states)))
-    return DomainError(f"state left the model domain at cell j={j}, step n={n}, "
-                       f"t={t:.6g}: {states[j]}")
+def _left_domain(model, states: np.ndarray, lo: int, n: int, t: float) -> DomainError:
+    """The error for a step whose updated cells states, the grid's cells from
+    lo on, left the domain; it names the grid's cell j."""
+    k = int(np.argmax(~model.in_domain(states)))
+    return DomainError(f"state left the model domain at cell j={lo + k}, step n={n}, "
+                       f"t={t:.6g}: {states[k]}")
+
+
+def _window(bits: np.ndarray, lo: int, hi: int) -> tuple[int, int]:
+    """The active window among the interfaces lo..hi of a ghost-padded level,
+    given as its int64 bit patterns: the cells [lo', hi') from the left cell
+    of the first interface whose two states differ in some bit to the right
+    cell of the last, clipped to the grid, or the empty (lo, lo) when no two
+    states there differ."""
+    rows = (bits[lo + 1:hi + 2] != bits[lo:hi + 1]).nonzero()[0]  # in order
+    if not len(rows):
+        return lo, lo
+    return max(lo + int(rows[0]) - 1, 0), min(lo + int(rows[-1]) + 1, len(bits) - 2)
 
 
 def _levels(initial, model, flux_kind: str, grid: Grid1D, cfl: float, t0: float,
             t_final: float, with_terms: bool):
-    """The stepping core: yield (t, states, padded, terms, fluxes) for every
-    level from t0 to exactly t_final (last step clipped).  padded is the
-    ghost-padded level, valid until the next resume; fluxes are the interface
-    fluxes of the step into the level, None for the first.
+    """The stepping core: yield (t, states, padded, terms, fluxes, window) for
+    every level from t0 to exactly t_final (last step clipped).  padded is the
+    ghost-padded level and states its interior, both updated in place and
+    valid until the next resume.  window (lo, hi) holds the cells the step
+    into the level updated, and fluxes that step's interface fluxes lo..hi;
+    both are None for the first level.
 
-    One max-wave-speed scan of the padded states per step gives both dt and
-    the LLF lambda, and each level is checked against the domain once.  With
-    with_terms, model.level_terms of each level is that check, its flux and
-    speeds drive the step, and terms is yielded for the residual fold;
-    otherwise terms is None and the step scans only what it needs.
+    Each step touches only its active window: the cells whose stencil is not
+    constant (_window).  Every cell outside it equals the ghost state on its
+    side, so its update, and every residual, entropy and TV term there, is
+    exactly zero.  The window's padded slice ends in a copy of each ghost
+    state, so the max wave speed over it is the whole level's, and max does
+    not round: dt is bit for bit the full scan's.  The next window lies
+    within this one grown by a cell on each side, and is found there.
+
+    One max-wave-speed scan of the window's padded slice per step gives both
+    dt and the LLF lambda, and each level's updated cells are checked against
+    the domain once.  With with_terms, terms are model.level_terms of the
+    level's padded slice over the cells of window grown by one on each side
+    (the whole grid for the first level); that call is the check, its flux
+    and speeds drive the next step, and terms is yielded for the residual
+    fold.  Otherwise terms is None and the step scans only what it needs.
     """
     if not 0.0 < cfl <= 1.0:
         raise ValueError(f"cfl must lie in (0, 1], got {cfl!r}")
@@ -117,12 +143,14 @@ def _levels(initial, model, flux_kind: str, grid: Grid1D, cfl: float, t0: float,
     states = np.array(initial, dtype=float)
     if states.ndim == 1:
         states = states[:, None]
-    if states.shape != (grid.J, model.m):
-        raise ValueError(f"initial states have shape {states.shape}, expected {(grid.J, model.m)}")
-    padded = np.empty((grid.J + 2, model.m))
+    J = grid.J
+    if states.shape != (J, model.m):
+        raise ValueError(f"initial states have shape {states.shape}, expected {(J, model.m)}")
+    padded = np.empty((J + 2, model.m))
     padded[0] = states[0]
     padded[-1] = states[-1]
     padded[1:-1] = states
+    states = padded[1:-1]
     ghost_left, ghost_right = padded[0], padded[-1]
     if with_terms:
         terms = model.level_terms(padded)
@@ -131,27 +159,35 @@ def _levels(initial, model, flux_kind: str, grid: Grid1D, cfl: float, t0: float,
         terms = None
     tol = 1e-14 * max(1.0, abs(t_final))
     t = t0
-    yield t, states, padded, terms, None
+    yield t, states, padded, terms, None, None
+    bits = padded.view(np.int64)
+    a, (lo, hi) = 0, _window(bits, 0, J)  # a: first cell of the terms' slice
     n = 0
     while t < t_final - tol:
         if n >= MAX_STEPS:
             raise RuntimeError(f"exceeded {MAX_STEPS} time steps before reaching t={t_final}")
-        speeds = terms[3] if with_terms else model.max_wave_speed(padded, check=False)
+        pad = padded[lo:hi + 2]
+        if with_terms:
+            f, speeds = terms[0][lo - a:hi - a + 2], terms[3][lo - a:hi - a + 2]
+        else:
+            f, speeds = None, model.max_wave_speed(pad, check=False)
         lam = float(speeds.max())
         dt = t_final - t if lam == 0.0 else min(cfl * grid.dx / lam, t_final - t)
-        states, fluxes = step(states, model, flux_kind, grid, dt, ghost_left, ghost_right,
-                              padded, speeds, terms[0] if with_terms else None)
-        padded[1:-1] = states
+        new, fluxes = step(states[lo:hi], model, flux_kind, grid, dt, ghost_left, ghost_right,
+                           pad, speeds, f)
+        states[lo:hi] = new
         if with_terms:
+            a = max(lo - 1, 0)
             try:
-                terms = model.level_terms(padded)
+                terms = model.level_terms(padded[a:min(hi + 1, J) + 2])
             except DomainError:
-                raise _left_domain(model, states, n, t + dt) from None
-        elif not model.in_domain(states).all():
-            raise _left_domain(model, states, n, t + dt)
+                raise _left_domain(model, new, lo, n, t + dt) from None
+        elif not model.in_domain(new).all():
+            raise _left_domain(model, new, lo, n, t + dt)
         t = t_final if t_final - (t + dt) <= tol else t + dt
         n += 1
-        yield t, states, padded, terms, fluxes
+        yield t, states, padded, terms, fluxes, (lo, hi)
+        lo, hi = _window(bits, lo, hi)
 
 
 def march(
@@ -166,9 +202,9 @@ def march(
     """Yield (t, states) for every level from t0 to exactly t_final (last
     step clipped) without storing the history: the stepping core with the
     lean per-step terms, which the fine reference marches on."""
-    for t, states, _, _, _ in _levels(initial, model, flux_kind, grid, cfl, t0, t_final,
-                                      with_terms=False):
-        yield t, states
+    for t, states, *_ in _levels(initial, model, flux_kind, grid, cfl, t0, t_final,
+                                 with_terms=False):
+        yield t, states.copy()
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -194,7 +230,7 @@ def run(
     record is frozen."""
     fold = ResidualFold(grid.dx)
     times, history = [], np.empty((1, grid.J, model.m))
-    for n, (t, states, padded, terms, fluxes) in enumerate(
+    for n, (t, states, padded, terms, fluxes, window) in enumerate(
             _levels(initial, model, flux_kind, grid, cfl, t0, t_final, with_terms=True)):
         if n == len(history):
             size = (min(math.ceil((t_final - t0) / (t - t0)), MAX_STEPS) + 3 if n == 1
@@ -202,7 +238,7 @@ def run(
             history.resize((size, grid.J, model.m), refcheck=False)
         history[n] = states
         times.append(t)
-        fold.add(t, padded, terms, fluxes)
+        fold.add(t, padded, terms, fluxes, window)
     history.resize((len(times), grid.J, model.m), refcheck=False)
     sol = SpaceTimeSolution(
         grid=grid,

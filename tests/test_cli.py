@@ -333,6 +333,30 @@ class TestLevelTermsCount:
         assert main(["audit", "--solution", str(dump)]) == 0
         assert len(counts) == sol.n_steps + 1
 
+    def test_run_and_march_hand_on_window_sized_arrays(self, monkeypatch):
+        """On burgers-curved L8, the arrays that run hands level_terms, and
+        that run and march hand step, average below a quarter of the padded
+        grid: each step works on its active window."""
+        config = cli._resolve(CaseConfig(case="burgers-curved", level=8))
+        grid = build_grid(*cli.DOMAIN, 8)
+        terms_lengths, step_lengths = [], []
+        step = solver.step
+
+        def counting_step(states, *args, **kwargs):
+            step_lengths.append(len(states))
+            return step(states, *args, **kwargs)
+
+        monkeypatch.setattr(solver, "step", counting_step)
+        model = self._counted(make_model, terms_lengths)("burgers")
+        args = (_burgers_curved_averages(grid), model, "llf", grid, config.cfl, config.t0,
+                config.t_final)
+        sol = run(*args)
+        assert len(terms_lengths) == sol.n_steps + 1 and len(step_lengths) == sol.n_steps
+        assert sum(1 for _ in solver.march(*args)) == sol.n_steps + 1
+        assert len(terms_lengths) == sol.n_steps + 1 and len(step_lengths) == 2 * sol.n_steps
+        for lengths in (terms_lengths, step_lengths[:sol.n_steps], step_lengths[sol.n_steps:]):
+            assert np.mean(lengths) < (grid.J + 2) / 4
+
     def test_fine_reference_marches_without_level_terms(self):
         counts = []
         coarse = run_case(CaseConfig(case="burgers-curved", level=3, ref="none"))[0]

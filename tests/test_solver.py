@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import tempfile
 import tracemalloc
@@ -5,7 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from fvbound import (
     DomainError,
@@ -20,7 +21,7 @@ from fvbound import (
     solve_riemann,
 )
 from fvbound.grid import Grid1D, TimeLevels, cfl_timestep
-from fvbound.solver import SpaceTimeSolution, march, run, step
+from fvbound.solver import SpaceTimeSolution, _window, march, run, step
 
 
 def shock_profile(grid, left=1.0, right=-1.0, center_zero=True):
@@ -453,3 +454,122 @@ def test_run_accepts_flat_scalar_initial_data():
     model = make_model("burgers")
     sol = run(np.linspace(1.0, -1.0, grid.J), model, "llf", grid, 0.9, 0.0, 0.1)
     assert sol.states.shape[1:] == (grid.J, 1)
+
+
+# (model, flux, level, left, right, jump position as a share of the domain,
+# ramp width as a share of the domain (0: Riemann data), cfl, t0, duration)
+_CONSTANT = ("burgers", "llf", 4, (0.5,), (0.5,), 0.5, 0.0, 0.9, 0.0, 0.5)
+_AT_CELL_0 = ("psystem", "llf", 4, (1.0, 0.3), (0.6, -0.2), 0.04, 0.0, 0.9, 0.0, 0.4)
+_AT_CELL_J_1 = ("burgers", "godunov", 4, (-1.0,), (1.5,), 0.97, 0.0, 0.8, 0.0, 0.4)
+_INTO_THE_BOUNDARY = ("burgers", "eo", 5, (2.0,), (0.0,), 0.8, 0.1, 0.9, 0.3, 1.5)
+# Waves into a state at rest whose windows lose cells: stale bounds and stale
+# E1 deficits outside the window would show in these two.
+_RAMP_TO_REST = ("burgers", "llf", 6, (1.5,), (0.0,), 0.0, 1.0, 0.5, 0.0, 1.0)
+_STEP_TO_REST = ("burgers", "llf", 5, (1.25,), (0.0,), 0.5, 0.0, 1.0, 0.0, 1.0)
+
+
+@st.composite
+def windowed_cases(draw):
+    """Random Riemann or ramp data under every marching flux: Burgers with
+    LLF, Godunov or Engquist-Osher, or the p-system under LLF."""
+    name, flux = draw(st.sampled_from(RUN_KINDS))
+    if name == "burgers":
+        left, right = ((draw(st.floats(-2.0, 2.0)),) for _ in range(2))
+    else:
+        left, right = ((draw(st.floats(0.5, 2.0)), draw(st.floats(-0.5, 0.5)))
+                       for _ in range(2))
+    width = draw(st.sampled_from([0.0, draw(st.floats(0.01, 1.0))]))
+    return (name, flux, draw(st.integers(3, 6)), left, right, draw(st.floats(0.0, 1.0)),
+            width, draw(st.floats(0.05, 1.0)), draw(st.floats(-1.0, 1.0)),
+            draw(st.floats(0.05, 1.5)))
+
+
+def _windowed_case(name, flux, level, left, right, at, width, cfl, t0, duration):
+    grid = build_grid(-3.0, 3.0, level)
+    model = make_model(name)
+    x = (grid.centers()[:, None] - grid.x_min) / (grid.x_max - grid.x_min)
+    share = (x >= at).astype(float) if width == 0.0 else np.clip((x - at) / width, 0.0, 1.0)
+    initial = (1.0 - share) * np.array(left) + share * np.array(right)
+    return initial, model, flux, grid, cfl, t0, t0 + duration
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=windowed_cases())
+@example(case=_CONSTANT)
+@example(case=_AT_CELL_0)
+@example(case=_AT_CELL_J_1)
+@example(case=_INTO_THE_BOUNDARY)
+@example(case=_RAMP_TO_REST)
+@example(case=_STEP_TO_REST)
+def test_windowed_run_equals_the_full_grid_loop_and_replay(case):
+    """run steps and folds only each step's active window; its times and
+    states are the full-grid hand loop's and its report the full-grid
+    replay's, bit for bit."""
+    args = _windowed_case(*case)
+    sol = run(*args)
+    expected, _ = _hand_march(*args)
+    for got, want in ((sol.times.t, np.array([t for t, _ in expected])),
+                      (sol.states, np.array([u for _, u in expected]))):
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    replay = epsilon(dataclasses.replace(sol))
+    assert replay is not sol.residual
+    assert json.dumps(sol.residual.to_json_dict()) == json.dumps(replay.to_json_dict())
+    for name in ("tv", "tv_scalar", "beta_levels", "eta_levels", "speed_range"):
+        got, want = getattr(sol.residual, name), getattr(replay, name)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes(), name
+
+
+def _windows(sol):
+    """The active window of every recorded level of sol."""
+    return [_window(sol.extended_states(n).view(np.int64), 0, sol.grid.J)
+            for n in range(sol.n_steps + 1)]
+
+
+def test_windowed_examples_reach_their_edge_cases():
+    """The examples above reach what they name: an empty window, a window
+    from cell 0, one to cell J-1, a wave that runs from inside the grid into
+    its right boundary, and windows that lose cells."""
+    constant, at_0, at_j, boundary, *shrinking = (run(*_windowed_case(*case)) for case in (
+        _CONSTANT, _AT_CELL_0, _AT_CELL_J_1, _INTO_THE_BOUNDARY, _RAMP_TO_REST, _STEP_TO_REST))
+    assert constant.n_steps > 1 and {lo == hi for lo, hi in _windows(constant)} == {True}
+    assert any(lo == 0 < hi < at_0.grid.J for lo, hi in _windows(at_0))
+    assert any(0 < lo < hi == at_j.grid.J for lo, hi in _windows(at_j))
+    windows = _windows(boundary)
+    assert windows[0][1] < boundary.grid.J == windows[-1][1]
+    assert boundary.states[-1, -1] != boundary.ghost_right
+    for sol in shrinking:
+        windows = _windows(sol)
+        assert any(lo < next_lo or next_hi < hi
+                   for (lo, hi), (next_lo, next_hi) in zip(windows, windows[1:]))
+
+
+def test_march_yields_levels_that_no_later_step_changes():
+    """march updates its window in place but yields a copy of each level, so
+    a kept list of its levels is run's record bit for bit, on a run whose
+    window moves."""
+    from fvbound.cli import _burgers_curved_averages
+
+    grid = build_grid(-5.0, 5.0, 6)
+    model = make_model("burgers")
+    args = (_burgers_curved_averages(grid), model, "llf", grid, 0.9, 0.0, 1.0)
+    levels = list(march(*args))
+    sol = run(*args)
+    assert len({lo for lo, hi in _windows(sol)}) > 1 and len({hi for lo, hi in _windows(sol)}) > 1
+    assert np.array([t for t, _ in levels]).tobytes() == sol.times.t.tobytes()
+    assert np.array([u for _, u in levels]).tobytes() == sol.states.tobytes()
+
+
+@pytest.mark.parametrize("stepper", [run, lambda *args: list(march(*args))],
+                         ids=["run", "march"])
+@pytest.mark.parametrize("kind", ["godunov", "eo"])
+def test_domain_exit_names_the_grid_cell_inside_a_window(stepper, kind):
+    """A cell that leaves the domain inside a window that does not start at
+    cell 0 is named by its index on the grid."""
+    grid = Grid1D(0.0, 1.0, 64)
+    states = np.zeros((grid.J, 1))
+    states[40] = 1e200  # its right flux overflows, so cell 40 is the first non-finite
+    padded = np.vstack([states[:1], states, states[-1:]])
+    assert _window(padded.view(np.int64), 0, grid.J) == (39, 42)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(DomainError, match="cell j=40, step n=0"):
+            stepper(states, make_model("burgers"), kind, grid, 0.9, 0.0, 1.0)
