@@ -313,6 +313,15 @@ class _RowTexts:
         return self._texts.tolist()
 
 
+def _terms_cells(lo: int, hi: int, J: int) -> tuple[int, int]:
+    """The cells [a, b) whose model.level_terms a level carries after a step
+    that updated the cells [lo, hi): those grown by one cell on each side,
+    clipped to the grid.  They hold the next step's window, and a copy of
+    each ghost state wherever cells lie beyond them, so the terms' speed
+    extremes over their interior are the whole level's."""
+    return max(lo - 1, 0), min(hi + 1, J)
+
+
 def _zero_padded_sums(buffer: np.ndarray, rows: slice) -> np.ndarray:
     """column_sums of a (J, m) buffer that is zero outside rows, bit for bit.
     With m >= 2 each column is added in order, so the zero rows add nothing
@@ -352,12 +361,12 @@ class ResidualFold:
 
         window (lo, hi) holds the cells the step into the level updated and
         fluxes are its interface fluxes lo..hi; terms are model.level_terms
-        of padded over the cells of window grown by one on each side.  None
-        means the whole grid, which the first level always is.  Outside
-        window every layer term is exactly zero."""
+        of padded over _terms_cells(window).  None means the whole grid,
+        which the first level always is.  Outside window every layer term is
+        exactly zero."""
         J = len(padded) - 2
         lo, hi = window or (0, J)
-        a, b = max(lo - 1, 0), min(hi + 1, J)
+        a, b = _terms_cells(lo, hi, J)
         if self._last is None:
             self._jumps = np.empty((J + 1, padded.shape[1]))
             self._bounds = np.zeros((J, padded.shape[1]))

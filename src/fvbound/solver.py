@@ -11,7 +11,7 @@ import numpy as np
 from .grid import Grid1D, TimeLevels, cfl_timestep  # noqa: F401
 from .models import (DomainError, interface_fluxes, make_model, normalize_flux_kind,
                      normalize_model_name, numerical_flux)
-from .residual import ResidualFold, ResidualReport, _RowTexts
+from .residual import ResidualFold, ResidualReport, _RowTexts, _terms_cells
 
 # march refuses to take more steps than this before reaching t_final.
 MAX_STEPS = 10_000_000
@@ -129,10 +129,10 @@ def _levels(initial, model, flux_kind: str, grid: Grid1D, cfl: float, t0: float,
     One max-wave-speed scan of the window's padded slice per step gives both
     dt and the LLF lambda, and each level's updated cells are checked against
     the domain once.  With with_terms, terms are model.level_terms of the
-    level's padded slice over the cells of window grown by one on each side
-    (the whole grid for the first level); that call is the check, its flux
-    and speeds drive the next step, and terms is yielded for the residual
-    fold.  Otherwise terms is None and the step scans only what it needs.
+    level's padded slice over _terms_cells(window), the whole grid for the
+    first level; that call is the check, its flux and speeds drive the next
+    step, and terms is yielded for the residual fold.  Otherwise terms is
+    None and the step scans only what it needs.
     """
     if not 0.0 < cfl <= 1.0:
         raise ValueError(f"cfl must lie in (0, 1], got {cfl!r}")
@@ -177,9 +177,9 @@ def _levels(initial, model, flux_kind: str, grid: Grid1D, cfl: float, t0: float,
                            pad, speeds, f)
         states[lo:hi] = new
         if with_terms:
-            a = max(lo - 1, 0)
+            a, b = _terms_cells(lo, hi, J)
             try:
-                terms = model.level_terms(padded[a:min(hi + 1, J) + 2])
+                terms = model.level_terms(padded[a:b + 2])
             except DomainError:
                 raise _left_domain(model, new, lo, n, t + dt) from None
         elif not model.in_domain(new).all():
