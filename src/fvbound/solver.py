@@ -90,8 +90,9 @@ def step(
 
 
 def _left_domain(model, states: np.ndarray, lo: int, n: int, t: float) -> DomainError:
-    """The error for a step whose updated cells states, the grid's cells from
-    lo on, left the domain; it names the grid's cell j."""
+    """The error for a step whose updated cells, states, starting at the
+    grid's cell lo, left the domain; it names the first such cell by its
+    index j on the grid."""
     k = int(np.argmax(~model.in_domain(states)))
     return DomainError(f"state left the model domain at cell j={lo + k}, step n={n}, "
                        f"t={t:.6g}: {states[k]}")
