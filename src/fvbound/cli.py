@@ -72,7 +72,7 @@ def _check_sigma(sigma0: float) -> None:
 def _parse_ref(text: str) -> str:
     """A reference mode: exact, none, default or fine:<level>."""
     level = text.removeprefix("fine:")
-    if text not in ("exact", "none", "default") and (level == text or not level.isdigit()):
+    if text not in ("exact", "none", "default") and (level == text or not level.isdecimal()):
         raise ConfigError(f"unknown reference mode '{text}'")
     return text
 
@@ -143,17 +143,27 @@ def _case_setup(config: CaseConfig, grid: Grid1D):
     return model, cell_average_exact(fan, config.origin, config.t0, grid), fan
 
 
-def restrict_to_coarse(states: np.ndarray, fine_grid: Grid1D, coarse_grid: Grid1D) -> np.ndarray:
-    """Conservative restriction: mean over the fine cells nested in each
-    coarse cell."""
+def _nesting_ratio(fine_grid: Grid1D, coarse_grid: Grid1D) -> int:
+    """The number of fine cells in each coarse cell; refuses grids that do
+    not nest."""
     if (
         fine_grid.x_min != coarse_grid.x_min
         or fine_grid.x_max != coarse_grid.x_max
         or fine_grid.J % coarse_grid.J != 0
     ):
         raise ConfigError("fine reference grid does not nest the coarse grid")
-    ratio = fine_grid.J // coarse_grid.J
-    return np.add.reduce(states.reshape(coarse_grid.J, ratio, -1), axis=1) / ratio
+    return fine_grid.J // coarse_grid.J
+
+
+def _restrict(states: np.ndarray, ratio: int) -> np.ndarray:
+    """The mean of each run of ratio consecutive cells of states."""
+    return np.add.reduce(states.reshape(len(states) // ratio, ratio, -1), axis=1) / ratio
+
+
+def restrict_to_coarse(states: np.ndarray, fine_grid: Grid1D, coarse_grid: Grid1D) -> np.ndarray:
+    """Conservative restriction: mean over the fine cells nested in each
+    coarse cell."""
+    return _restrict(states, _nesting_ratio(fine_grid, coarse_grid))
 
 
 # Both references give each run's per-level sums over cells of |u_j - ubar_j|;
@@ -170,27 +180,43 @@ def streamed_fine_reference(
 ) -> list[float]:
     """Each run's L-inf/L1 error against a fine run marched once without
     storing it: at each of a run's time levels, the fine solution (linear
-    interpolation between fine levels) restricted to the run's grid."""
+    interpolation between fine levels) restricted to the run's grid.
+
+    Only the coarse cells whose fine cells meet the window of the step into
+    the fine level (the whole grid at t0) are interpolated and restricted,
+    with one more coarse cell on each side where one exists.  Outside the
+    window the fine level and the one before both equal the ghost state on
+    their side, so that outer cell's mean, the same reduce over the same
+    values, is the mean of every coarse cell beyond it.  The differences,
+    their sums and the running max stay over the whole coarse grid.
+    """
+    ratios = [_nesting_ratio(fine_grid, sol.grid) for sol in runs]
+    averages = [np.empty(sol.states.shape[1:]) for sol in runs]
     errors = [0.0] * len(runs)
     pending = [0] * len(runs)
     prev_t = None
-    prev_states = None
+    prev_states = np.empty((fine_grid.J, model.m))
     slop = 1e-12 * max(1.0, abs(t_final))
-    for t, states in march(initial_fine, model, flux_kind, fine_grid, cfl, t0, t_final):
-        for k, sol in enumerate(runs):
+    for t, states, window in march(initial_fine, model, flux_kind, fine_grid, cfl, t0, t_final):
+        lo, hi = window or (0, fine_grid.J)
+        for k, (sol, ratio, ubar) in enumerate(zip(runs, ratios, averages)):
             eval_times = sol.times.t
             while pending[k] < len(eval_times) and eval_times[pending[k]] <= t + slop:
                 wanted = eval_times[pending[k]]
+                a, b = max(lo // ratio - 1, 0), min(-(-hi // ratio) + 1, sol.grid.J)
+                cells = slice(a * ratio, b * ratio)
                 if prev_t is None or abs(t - wanted) <= slop:
-                    snap = states
+                    snap = states[cells]
                 else:
                     w = (wanted - prev_t) / (t - prev_t)
-                    snap = (1.0 - w) * prev_states + w * states
-                averages = restrict_to_coarse(snap, fine_grid, sol.grid)
-                diff = np.abs(sol.states[pending[k]] - averages)
+                    snap = (1.0 - w) * prev_states[cells] + w * states[cells]
+                ubar[a:b] = _restrict(snap, ratio)
+                ubar[:a], ubar[b:] = ubar[a], ubar[b - 1]
+                diff = np.abs(sol.states[pending[k]] - ubar)
                 errors[k] = max(errors[k], float((column_sums(diff) * sol.grid.dx).max()))
                 pending[k] += 1
-        prev_t, prev_states = t, states
+        prev_t = t
+        prev_states[lo:hi] = states[lo:hi]
     if any(done < len(sol.times.t) for done, sol in zip(pending, runs)):
         raise ConfigError("fine reference run ended before the last eval time")
     return errors

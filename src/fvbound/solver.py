@@ -200,12 +200,19 @@ def march(
     t0: float,
     t_final: float,
 ):
-    """Yield (t, states) for every level from t0 to exactly t_final (last
-    step clipped) without storing the history: the stepping core with the
-    lean per-step terms, which the fine reference marches on."""
-    for t, states, *_ in _levels(initial, model, flux_kind, grid, cfl, t0, t_final,
-                                 with_terms=False):
-        yield t, states.copy()
+    """Yield (t, states, window) for every level from t0 to exactly t_final
+    (last step clipped) without storing the history: the stepping core with
+    the lean per-step terms, which the fine reference marches on.  states is
+    the core's level, updated in place, as a read-only view that is valid
+    until the next resume.  window (lo, hi) holds the cells the step into the
+    level updated; every other cell equals the ghost state on its side, in
+    this level and the one before.  window is None at t0."""
+    levels = _levels(initial, model, flux_kind, grid, cfl, t0, t_final, with_terms=False)
+    t, states, *_ = next(levels)
+    view = _frozen(states.view())
+    yield t, view, None
+    for t, _, _, _, _, window in levels:
+        yield t, view, window
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:

@@ -357,6 +357,27 @@ class TestLevelTermsCount:
         for lengths in (terms_lengths, step_lengths[:sol.n_steps], step_lengths[sol.n_steps:]):
             assert np.mean(lengths) < (grid.J + 2) / 4
 
+    def test_fine_reference_restricts_window_sized_slices(self, monkeypatch):
+        """On burgers-curved L8 against fine:10, the fine slices that the
+        reference interpolates and restricts average below a quarter of the
+        fine grid: each holds the coarse cells that meet the window of the
+        step into the fine level."""
+        coarse = run_case(CaseConfig(case="burgers-curved", level=8, ref="none"))[0]
+        config = cli._resolve(CaseConfig(case="burgers-curved", level=8))
+        fine_grid = build_grid(*cli.DOMAIN, 10)
+        lengths = []
+        restrict = cli._restrict
+
+        def counting_restrict(states, ratio):
+            lengths.append(len(states))
+            return restrict(states, ratio)
+
+        monkeypatch.setattr(cli, "_restrict", counting_restrict)
+        streamed_fine_reference(_burgers_curved_averages(fine_grid), make_model("burgers"), "llf",
+                                fine_grid, config.cfl, config.t0, config.t_final, [coarse])
+        assert len(lengths) == coarse.n_steps + 1
+        assert np.mean(lengths) < fine_grid.J / 4
+
     def test_fine_reference_marches_without_level_terms(self):
         counts = []
         coarse = run_case(CaseConfig(case="burgers-curved", level=3, ref="none"))[0]
@@ -608,16 +629,16 @@ class TestMain:
     def test_bad_flag_values_cover_every_key_that_takes_one(self):
         assert set(self.BAD_FLAG_VALUES) == set(cli._CONFIG_KEYS) - {"out", "dump-solution"}
 
-    @pytest.mark.parametrize("command,levels", [("run", ["--level", "3"]),
-                                                ("converge", ["--levels", "3..4"])])
-    @pytest.mark.parametrize("key", sorted(BAD_FLAG_VALUES))
-    def test_bad_flag_value_is_refused_like_its_config_line(self, capsys, tmp_path, monkeypatch,
-                                                            command, levels, key):
+    @staticmethod
+    def _refused_like_its_config_line(capsys, tmp_path, monkeypatch, command, levels, key,
+                                      value) -> str:
+        """The error that a bad flag value and its config line both exit 1
+        with, before anything is marched."""
         def no_marching(*args, **kwargs):
             raise AssertionError("marched before the flags were checked")
 
         monkeypatch.setattr(cli, "run", no_marching)
-        value = self.BAD_FLAG_VALUES[key]
+        monkeypatch.setattr(cli, "march", no_marching)
         argv = [command, "--case", "custom", "--model", "burgers", "--left", "1.0",
                 "--right", "-1.0", *levels]
         assert main([*argv, f"--{key}", value]) == 1
@@ -629,6 +650,25 @@ class TestMain:
         assert main([*argv, "--config", str(cfg)]) == 1
         line_error = capsys.readouterr().err
         assert line_error == f"error: {cfg}, line 1: {flag_error.removeprefix('error: --')}"
+        return flag_error
+
+    @pytest.mark.parametrize("command,levels", [("run", ["--level", "3"]),
+                                                ("converge", ["--levels", "3..4"])])
+    @pytest.mark.parametrize("key", sorted(BAD_FLAG_VALUES))
+    def test_bad_flag_value_is_refused_like_its_config_line(self, capsys, tmp_path, monkeypatch,
+                                                            command, levels, key):
+        self._refused_like_its_config_line(capsys, tmp_path, monkeypatch, command, levels, key,
+                                           self.BAD_FLAG_VALUES[key])
+
+    @pytest.mark.parametrize("command,levels", [("run", ["--level", "3"]),
+                                                ("converge", ["--levels", "3..4"])])
+    def test_superscript_fine_level_is_refused_as_a_reference_mode(self, capsys, tmp_path,
+                                                                   monkeypatch, command, levels):
+        """str.isdigit accepts a superscript digit and int does not, so the
+        fine level is read with str.isdecimal."""
+        error = self._refused_like_its_config_line(capsys, tmp_path, monkeypatch, command,
+                                                   levels, "ref", "fine:\u00b2")
+        assert error.endswith("unknown reference mode 'fine:\u00b2'\n")
 
     @pytest.mark.parametrize("flag,value", [("--sigma", "abc"), ("--slab-size", "bogus")])
     def test_audit_refuses_a_bad_flag_value(self, capsys, tmp_path, flag, value):

@@ -147,7 +147,7 @@ def test_march_agrees_with_run():
     model = make_model("burgers")
     states = np.linspace(2.0, -2.0, grid.J)[:, None]
     sol = run(states, model, "llf", grid, 0.9, 0.0, 0.4)
-    streamed = list(march(states, model, "llf", grid, 0.9, 0.0, 0.4))
+    streamed = [(t, u.copy()) for t, u, _ in march(states, model, "llf", grid, 0.9, 0.0, 0.4)]
     assert len(streamed) == sol.n_steps + 1
     for (t, u), n in zip(streamed, range(sol.n_steps + 1)):
         assert t == pytest.approx(float(sol.times.t[n]), abs=1e-15)
@@ -184,7 +184,7 @@ def test_stepping_core_matches_hand_loop(name, kind):
     else:
         states = cell_average_exact(solve_riemann(model, [0.15, 0.0], [0.1, 0.0]), 0.0, 0.0, grid)
     expected, expected_fluxes = _hand_march(states, model, kind, grid, 0.9, 0.0, 1.0)
-    streamed = list(march(states, model, kind, grid, 0.9, 0.0, 1.0))
+    streamed = [(t, u.copy()) for t, u, _ in march(states, model, kind, grid, 0.9, 0.0, 1.0)]
     assert len(streamed) == len(expected) > 10
     for (t, u), (t_ref, u_ref) in zip(streamed, expected):
         assert t == t_ref
@@ -543,20 +543,35 @@ def test_windowed_examples_reach_their_edge_cases():
                    for (lo, hi), (next_lo, next_hi) in zip(windows, windows[1:]))
 
 
-def test_march_yields_levels_that_no_later_step_changes():
-    """march updates its window in place but yields a copy of each level, so
-    a kept list of its levels is run's record bit for bit, on a run whose
-    window moves."""
+def test_march_yields_a_read_only_level_and_its_window():
+    """march yields the core's in-place level as a read-only view and the
+    window of the step into it, None at t0: a copy taken at each yield is
+    run's record bit for bit, and every cell outside the window equals the
+    level before and the ghost state on its side, on a run whose window
+    moves."""
     from fvbound.cli import _burgers_curved_averages
 
     grid = build_grid(-5.0, 5.0, 6)
     model = make_model("burgers")
     args = (_burgers_curved_averages(grid), model, "llf", grid, 0.9, 0.0, 1.0)
-    levels = list(march(*args))
+    times, levels, windows = [], [], []
+    for t, states, window in march(*args):
+        assert not states.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            states[0] = 0.0
+        times.append(t)
+        levels.append(states.copy())
+        windows.append(window)
     sol = run(*args)
-    assert len({lo for lo, hi in _windows(sol)}) > 1 and len({hi for lo, hi in _windows(sol)}) > 1
-    assert np.array([t for t, _ in levels]).tobytes() == sol.times.t.tobytes()
-    assert np.array([u for _, u in levels]).tobytes() == sol.states.tobytes()
+    assert np.array(times).tobytes() == sol.times.t.tobytes()
+    assert np.array(levels).tobytes() == sol.states.tobytes()
+    assert windows[0] is None
+    for (lo, hi), before, level in zip(windows[1:], levels, levels[1:]):
+        assert 0 <= lo <= hi <= grid.J
+        for cells, ghost in ((slice(0, lo), sol.ghost_left), (slice(hi, None), sol.ghost_right)):
+            assert level[cells].tobytes() == before[cells].tobytes()
+            assert level[cells].tobytes() == np.tile(ghost, (len(level[cells]), 1)).tobytes()
+    assert len({lo for lo, _ in windows[1:]}) > 1 and len({hi for _, hi in windows[1:]}) > 1
 
 
 @pytest.mark.parametrize("stepper", [run, lambda *args: list(march(*args))],
