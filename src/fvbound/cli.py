@@ -188,10 +188,12 @@ def streamed_fine_reference(
     window the fine level and the one before both equal the ghost state on
     their side, so that outer cell's mean, the same reduce over the same
     values, is the mean of every coarse cell beyond it.  The differences,
-    their sums and the running max stay over the whole coarse grid.
+    their sums and the running max stay over the whole coarse grid, and each
+    run's levels come from one forward walk of its history.
     """
     ratios = [_nesting_ratio(fine_grid, sol.grid) for sol in runs]
     averages = [np.empty(sol.states.shape[1:]) for sol in runs]
+    walks = [sol.states.walk() for sol in runs]
     errors = [0.0] * len(runs)
     pending = [0] * len(runs)
     prev_t = None
@@ -212,7 +214,7 @@ def streamed_fine_reference(
                     snap = (1.0 - w) * prev_states[cells] + w * states[cells]
                 ubar[a:b] = _restrict(snap, ratio)
                 ubar[:a], ubar[b:] = ubar[a], ubar[b - 1]
-                diff = np.abs(sol.states[pending[k]] - ubar)
+                diff = np.abs(next(walks[k]) - ubar)
                 errors[k] = max(errors[k], float((column_sums(diff) * sol.grid.dx).max()))
                 pending[k] += 1
         prev_t = t
@@ -226,7 +228,7 @@ def linf_l1_error(sol: SpaceTimeSolution, fan: WaveFan, origin: float = 0.0) -> 
     """L-inf/L1 error against the exact fan centred at origin: max over time
     levels of the componentwise L1 distance to its cell averages, reduced by
     the sup norm over components; one fused pass per level."""
-    distances = exact_l1_distances(fan, origin, sol.grid, sol.times.t, sol.states)
+    distances = exact_l1_distances(fan, origin, sol.grid, sol.times.t, sol.states.walk())
     return float((distances * sol.grid.dx).max())
 
 
@@ -408,6 +410,9 @@ def converge(config: CaseConfig, l_min: int, l_max: int) -> EoCTable:
 
 
 def _downsample(states: np.ndarray, max_rows: int, max_cols: int) -> np.ndarray:
+    """Means of row_stride x col_stride blocks of a (levels, cells) array, at
+    most max_rows x max_cols of them; the rows and columns past the last
+    whole block are dropped."""
     n, j = states.shape
     row_stride = max(1, n // max_rows)
     col_stride = max(1, j // max_cols)
@@ -415,6 +420,20 @@ def _downsample(states: np.ndarray, max_rows: int, max_cols: int) -> np.ndarray:
     blocks = trim.reshape(trim.shape[0] // row_stride, row_stride,
                           trim.shape[1] // col_stride, col_stride)
     return blocks.mean(axis=(1, 3))
+
+
+def _raster(sol: SpaceTimeSolution, max_rows: int, max_cols: int) -> np.ndarray:
+    """_downsample of the first component of sol's levels, taken one band of
+    row_stride levels at a time from a forward walk of the history; each
+    band's means are the same reduce over the same values."""
+    n = len(sol.states)
+    row_stride = max(1, n // max_rows)
+    band, rows = np.empty((row_stride, sol.grid.J)), []
+    for k, level in enumerate(sol.states.walk(0, n // row_stride * row_stride)):
+        band[k % row_stride] = level[:, 0]
+        if k % row_stride == row_stride - 1:
+            rows.append(_downsample(band, 1, max_cols)[0])
+    return np.array(rows)
 
 
 def render_decomposition_svg(sol: SpaceTimeSolution, estimate: EstimateReport) -> str:
@@ -436,7 +455,7 @@ def render_decomposition_svg(sol: SpaceTimeSolution, estimate: EstimateReport) -
         f'<rect x="0" y="0" width="{width}" height="{height}" fill="white"/>',
     ]
 
-    raster = _downsample(sol.states[:, :, 0], 160, 240)
+    raster = _raster(sol, 160, 240)
     vmin, vmax = float(raster.min()), float(raster.max())
     vspan = vmax - vmin if vmax > vmin else 1.0
     n_rows, n_cols = raster.shape

@@ -153,9 +153,13 @@ def trapezoid_cell_ranges(
 
 def slab_block(sol: SpaceTimeSolution, n_lo: int, n_hi: int) -> np.ndarray:
     """Levels n_lo..n_hi-1 as one component-major (m, L*J) array, so cell j
-    of level n sits at column (n - n_lo)*J + j; a view for m = 1."""
-    states = sol.states[n_lo:n_hi]
-    return np.ascontiguousarray(states.transpose(2, 0, 1)).reshape(states.shape[2], -1)
+    of level n sits at column (n - n_lo)*J + j; built in one forward walk of
+    the history."""
+    _, J, m = sol.states.shape
+    block = np.empty((m, (n_hi - n_lo) * J))
+    for k, level in enumerate(sol.states.walk(n_lo, n_hi)):
+        block[:, k * J:(k + 1) * J] = level.T
+    return block
 
 
 def trapezoid_minmax(sol: SpaceTimeSolution, trap: Trapezoid, n_lo: int, n_hi: int,

@@ -300,8 +300,7 @@ class _RowTexts:
         self._bits = np.zeros((rows, width), dtype=np.int64)
 
     def update(self, block: np.ndarray) -> list[str]:
-        """The texts of block's rows; block must stay unchanged until the
-        next update."""
+        """The texts of block's rows; block may change after the call."""
         bits = block.view(np.int64)
         changed = np.flatnonzero((bits != self._bits).any(axis=1))
         values = map(repr, block[changed].ravel().tolist())
@@ -309,7 +308,7 @@ class _RowTexts:
         if self._heads is not None:
             columns.insert(0, self._heads[changed])
         self._texts[changed] = list(map(",".join, zip(*columns)))
-        self._bits = bits
+        self._bits[changed] = bits[changed]
         return self._texts.tolist()
 
 
@@ -441,10 +440,11 @@ class ResidualFold:
 
 def _stored_levels(sol: SpaceTimeSolution):
     """(t, ghost-padded level, model.level_terms, fluxes of the step into the
-    level or None) for every recorded level of sol, as run feeds its fold."""
+    level or None) for every recorded level of sol, as run feeds its fold,
+    walking the history forward."""
     fluxes = None
-    for n, t in enumerate(sol.times.t):
-        padded = sol.extended_states(n)
+    for n, (t, level) in enumerate(zip(sol.times.t, sol.states.walk())):
+        padded = np.vstack([sol.ghost_left[None, :], level, sol.ghost_right[None, :]])
         terms = sol.model.level_terms(padded)
         yield t, padded, terms, fluxes
         if n < sol.n_steps:

@@ -389,9 +389,10 @@ def cell_average_exact(fan: WaveFan, origin: float, t: float, grid: Grid1D) -> n
 
 
 def exact_l1_distances(fan: WaveFan, origin: float, grid: Grid1D, times: np.ndarray,
-                       states: np.ndarray) -> np.ndarray:
-    """Per time level and component, the sum over cells of |states - exact
-    cell averages|, (N+1, m).
+                       levels) -> np.ndarray:
+    """Per time level and component, the sum over cells of |u - exact cell
+    averages|, (N+1, m), where levels yields the (J, m) level u at each of
+    times in turn.
 
     One fused pass per level: cells wholly inside a constant state are
     compared with that state directly, and only the rarefaction and cut cells
@@ -400,9 +401,8 @@ def exact_l1_distances(fan: WaveFan, origin: float, grid: Grid1D, times: np.ndar
     edges = grid.interfaces()
     rows = _constant_rows(fan, grid.J)
     out = np.empty((len(times), fan.model.m))
-    diff = np.empty(states.shape[1:])
-    for n, t in enumerate(times.tolist()):
-        u = states[n]
+    diff = np.empty((grid.J, fan.model.m))
+    for n, (t, u) in enumerate(zip(times.tolist(), levels)):
         if t == 0.0:
             np.subtract(u, cell_average_exact(fan, origin, 0.0, grid), out=diff)
         else:

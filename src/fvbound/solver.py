@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass, field
 
@@ -17,20 +18,170 @@ from .residual import ResidualFold, ResidualReport, _RowTexts, _terms_cells
 MAX_STEPS = 10_000_000
 
 
+class LevelHistory:
+    """The (N+1, J, m) levels of a space-time solution, stored as deltas.
+
+    Level 0 is stored in full.  Each later level is stored as the values of
+    the cells [lo, hi) that hold every bit that changed since the level
+    before, all in one flat buffer with a (lo, hi, offset) row per level.  A
+    level is stored in full instead when the values stored since the last
+    full level, plus its own, would reach one level (J*m values).  So the
+    history holds at most the dense values and at most twice the deltas, and
+    any level is rebuilt from the last full level by copying less than one
+    level of deltas.
+
+    append builds the history level by level and freeze makes it read-only.
+    Readers walk the levels forward (walk); history[n] rebuilds one level,
+    iteration yields each level as a read-only copy, and history[a:b] and
+    np.asarray(history) give the dense form, for tests and small studies
+    only.  Only this class reads the stored deltas.
+    """
+
+    def __init__(self, J: int, m: int):
+        self._J, self._m = J, m
+        self._values = np.empty(J * m)
+        self._index = np.empty((16, 3), dtype=np.intp)  # (lo, hi, offset) per level
+        self._fulls: list[int] = []  # the levels stored in full, ascending
+        self._n = self._used = 0  # levels and values stored
+        self._since = 0  # values stored since the last full level
+
+    @classmethod
+    def from_levels(cls, levels) -> LevelHistory:
+        """The frozen history of a dense (N+1, J, m) array of levels."""
+        levels = np.ascontiguousarray(levels, dtype=float)
+        history, before = cls(*levels.shape[1:]), None
+        for level in levels:
+            history.append(level, *_changed_cells(before, level))
+            before = level
+        return history.freeze()
+
+    def append(self, level: np.ndarray, lo: int, hi: int) -> None:
+        """Store the (J, m) level after the last one; every cell of level
+        outside [lo, hi) must hold the bits it held in the level before."""
+        if not self._values.flags.writeable:
+            raise ValueError("the history is frozen")
+        J, m = self._J, self._m
+        width = (hi - lo) * m
+        if not self._n or self._since + width >= J * m:
+            lo, hi, width, self._since = 0, J, J * m, 0
+            self._fulls.append(self._n)
+        else:
+            self._since += width
+        end = self._used + width
+        if end > len(self._values):  # grown in place by half: at most 1.5x the values held
+            self._values.resize(max(end, len(self._values) * 3 // 2), refcheck=False)
+        if self._n == len(self._index):
+            self._index.resize((self._n * 3 // 2, 3), refcheck=False)
+        self._values[self._used:end].reshape(hi - lo, m)[...] = level[lo:hi]
+        self._index[self._n] = lo, hi, self._used
+        self._n, self._used = self._n + 1, end
+
+    def freeze(self) -> LevelHistory:
+        """Trim the buffers to what they hold and make them read-only."""
+        self._values.resize(self._used, refcheck=False)
+        self._index.resize((self._n, 3), refcheck=False)
+        _frozen(self._values)
+        _frozen(self._index)
+        return self
+
+    @property
+    def shape(self) -> tuple[int, int, int]:
+        return self._n, self._J, self._m
+
+    @property
+    def nbytes(self) -> int:
+        """The bytes of the cell values held; the index adds 24 bytes a level."""
+        return self._used * self._values.itemsize
+
+    def __len__(self) -> int:
+        return self._n
+
+    def _apply(self, level: np.ndarray, start: int, stop: int) -> None:
+        """Write the stored cells of levels start..stop-1 into level, in order."""
+        m, values = self._m, self._values
+        for lo, hi, offset in self._index[start:stop].tolist():
+            level[lo:hi] = values[offset:offset + (hi - lo) * m].reshape(hi - lo, m)
+
+    def _rebuild(self, n: int) -> np.ndarray:
+        """Level n as a new array: the last full level, then the deltas after it."""
+        level = np.empty((self._J, self._m))
+        self._apply(level, self._fulls[bisect.bisect_right(self._fulls, n) - 1], n + 1)
+        return level
+
+    def walk(self, start: int = 0, stop: int | None = None):
+        """Yield the levels start..stop-1 as one read-only (J, m) view,
+        rebuilt at start and updated in place: each is valid until the next
+        resume."""
+        stop = self._n if stop is None else stop
+        if not 0 <= start <= stop <= self._n:
+            raise IndexError(f"levels {start}..{stop} out of range for {self._n} levels")
+        if start == stop:
+            return
+        level = self._rebuild(start)
+        view = _frozen(level.view())
+        yield view
+        for n in range(start + 1, stop):
+            self._apply(level, n, n + 1)
+            yield view
+
+    def __iter__(self):
+        for level in self.walk():
+            yield _frozen(level.copy())
+
+    def __getitem__(self, key):
+        """Level key, rebuilt and read-only.  Any other key indexes the dense
+        form; a slice builds only the levels it names."""
+        if isinstance(key, slice):
+            return self._stack(range(*key.indices(self._n)))
+        if not isinstance(key, (int, np.integer)):
+            return self._stack(range(self._n))[key]
+        n = int(key)
+        if not -self._n <= n < self._n:
+            raise IndexError(f"level {n} out of range for {self._n} levels")
+        return _frozen(self._rebuild(n % self._n))
+
+    def __array__(self, dtype=None, copy=None):
+        if copy is False:
+            raise ValueError("the dense form of a level history is always a copy")
+        dense = self._stack(range(self._n))
+        return dense if dtype is None else dense.astype(dtype, copy=False)
+
+    def _stack(self, rows: range) -> np.ndarray:
+        """The dense (len(rows), J, m) array of the levels in rows."""
+        out = np.empty((len(rows), self._J, self._m))
+        if rows:
+            lo, hi = min(rows[0], rows[-1]), max(rows[0], rows[-1])
+            for n, level in enumerate(self.walk(lo, hi + 1), start=lo):
+                k, off = divmod(n - rows[0], rows.step)
+                if not off:
+                    out[k] = level
+        return out
+
+
+def _changed_cells(before: np.ndarray | None, level: np.ndarray) -> tuple[int, int]:
+    """The hull [lo, hi) of the cells of level whose bits differ from those of
+    the level before, (0, 0) when none do; every cell without a level before."""
+    if before is None:
+        return 0, len(level)
+    rows = np.flatnonzero((level.view(np.int64) != before.view(np.int64)).any(axis=1))
+    return (int(rows[0]), int(rows[-1]) + 1) if rows.size else (0, 0)
+
+
 @dataclass
 class SpaceTimeSolution:
     """Piecewise-constant numerical solution on [t^0, T] x [x_min, x_max].
 
-    states[n] holds the J cell values at time level n; the outer ghost states
-    are constant in time (frozen at the initial first/last cell values).
-    residual is the ResidualReport that run folded while marching; it is no
-    init argument, so dataclasses.replace and hand-built records leave it None
-    and epsilon replays their levels.
+    states is the LevelHistory of the (N+1, J, m) cell values; a hand-built
+    record may pass the dense array, which is stored as a history.  The
+    outer ghost states are constant in time (frozen at the initial first/last
+    cell values).  residual is the ResidualReport that run folded while
+    marching; it is no init argument, so dataclasses.replace and hand-built
+    records leave it None and epsilon replays their levels.
     """
 
     grid: Grid1D
     times: TimeLevels
-    states: np.ndarray  # (N+1, J, m)
+    states: LevelHistory  # (N+1, J, m)
     ghost_left: np.ndarray  # (m,)
     ghost_right: np.ndarray  # (m,)
     model: object
@@ -38,6 +189,10 @@ class SpaceTimeSolution:
     cfl: float
     residual: ResidualReport | None = field(default=None, init=False, repr=False,
                                             compare=False)
+
+    def __post_init__(self):
+        if not isinstance(self.states, LevelHistory):
+            self.states = LevelHistory.from_levels(self.states)
 
     @property
     def n_steps(self) -> int:
@@ -229,31 +384,23 @@ def run(
     t0: float,
     t_final: float,
 ) -> SpaceTimeSolution:
-    """March from t0 to exactly t_final (last step clipped), record every
-    level in one buffer, then trimmed, and fold epsilon's residual report
-    from each level's model terms and step fluxes as they are made.  The
-    buffer is sized at the first step for the levels that steps of its length
-    take to reach t_final, plus two for roundoff in the summed times, and
-    grown in place by a quarter when rising speeds shorten later steps.  The
-    record is frozen."""
+    """March from t0 to exactly t_final (last step clipped), record each
+    level in the history as the cells its step updated, and fold epsilon's
+    residual report from each level's model terms and step fluxes as they
+    are made.  The record is frozen."""
     fold = ResidualFold(grid.dx)
-    times, history = [], np.empty((1, grid.J, model.m))
-    for n, (t, states, padded, terms, fluxes, window) in enumerate(
-            _levels(initial, model, flux_kind, grid, cfl, t0, t_final, with_terms=True)):
-        if n == len(history):
-            size = (min(math.ceil((t_final - t0) / (t - t0)), MAX_STEPS) + 3 if n == 1
-                    else n + n // 4)
-            history.resize((size, grid.J, model.m), refcheck=False)
-        history[n] = states
+    times, history = [], LevelHistory(grid.J, model.m)
+    for t, states, padded, terms, fluxes, window in _levels(
+            initial, model, flux_kind, grid, cfl, t0, t_final, with_terms=True):
+        history.append(states, *(window or (0, grid.J)))
         times.append(t)
         fold.add(t, padded, terms, fluxes, window)
-    history.resize((len(times), grid.J, model.m), refcheck=False)
     sol = SpaceTimeSolution(
         grid=grid,
         times=TimeLevels(times),
-        states=_frozen(history),
-        ghost_left=_frozen(history[0, 0].copy()),
-        ghost_right=_frozen(history[0, -1].copy()),
+        states=history.freeze(),
+        ghost_left=_frozen(padded[0].copy()),
+        ghost_right=_frozen(padded[-1].copy()),
         model=model,
         flux_kind=normalize_flux_kind(flux_kind),
         cfl=cfl,
@@ -277,7 +424,7 @@ def save_solution(sol: SpaceTimeSolution, path: str) -> None:
         fh.write(f"# ghost_left={','.join(repr(float(v)) for v in sol.ghost_left)}\n")
         fh.write(f"# ghost_right={','.join(repr(float(v)) for v in sol.ghost_right)}\n")
         cells = _RowTexts(sol.grid.J, sol.model.m)
-        for t, level in zip(sol.times.t.tolist(), sol.states):
+        for t, level in zip(sol.times.t.tolist(), sol.states.walk()):
             fh.write(repr(t) + "," + ",".join(cells.update(level)) + "\n")
 
 
@@ -294,11 +441,35 @@ def _parse_floats(text: str) -> np.ndarray:
 
 
 def load_solution(path: str) -> SpaceTimeSolution:
-    """Read a save_solution dump; a malformed time-level row raises a
-    ValueError naming the file and the line, a missing or malformed header
-    entry one naming the file and the key."""
+    """Read a save_solution dump, each row parsed straight into the history
+    as the hull of the cells whose bits changed; a malformed time-level row
+    raises a ValueError naming the file and the line, a missing or malformed
+    header entry one naming the file and the key."""
     header: dict[str, str] = {}
-    rows = []
+
+    def value(key: str, parse):
+        try:
+            return parse(header[key])
+        except ValueError as exc:
+            raise ValueError(f"{path}: header value {key}={header[key]!r} does not parse: "
+                             f"{exc}") from None
+
+    def record() -> dict:
+        """The record's fields that the header gives."""
+        missing = [key for key in _DUMP_KEYS if key not in header]
+        if missing:
+            raise ValueError(f"{path}: header is missing {', '.join(map(repr, missing))}")
+        params = value("params", _parse_params) if header.get("params") else {}
+        return dict(
+            model=make_model(value("model", normalize_model_name), **params),
+            grid=Grid1D(value("x_min", float), value("x_max", float), value("J", int)),
+            ghost_left=_frozen(value("ghost_left", _parse_floats)),
+            ghost_right=_frozen(value("ghost_right", _parse_floats)),
+            flux_kind=value("flux", normalize_flux_kind),
+            cfl=value("cfl", float),
+        )
+
+    fields, times, before = None, [], None
     with open(path) as fh:
         magic = fh.readline().strip()
         if magic != "# fvbound-solution 1":
@@ -312,43 +483,23 @@ def load_solution(path: str) -> SpaceTimeSolution:
                     if "=" in tok:
                         k, v = tok.split("=", 1)
                         header[k] = v
-            else:
-                try:
-                    rows.append((lineno, np.array(line.split(","), dtype=float)))
-                except ValueError as exc:
-                    raise ValueError(f"{path}, line {lineno}: {exc}") from None
-    missing = [key for key in _DUMP_KEYS if key not in header]
-    if missing:
-        raise ValueError(f"{path}: header is missing {', '.join(map(repr, missing))}")
-
-    def value(key: str, parse):
-        try:
-            return parse(header[key])
-        except ValueError as exc:
-            raise ValueError(f"{path}: header value {key}={header[key]!r} does not parse: "
-                             f"{exc}") from None
-
-    params = value("params", _parse_params) if header.get("params") else {}
-    model = make_model(value("model", normalize_model_name), **params)
-    grid = Grid1D(value("x_min", float), value("x_max", float), value("J", int))
-    m = value("m", int)
-    if not rows:
+                continue
+            if fields is None:  # the header precedes the rows
+                fields, m = record(), value("m", int)
+                J = fields["grid"].J
+                history = LevelHistory(J, m)
+            try:
+                row = np.array(line.split(","), dtype=float)
+            except ValueError as exc:
+                raise ValueError(f"{path}, line {lineno}: {exc}") from None
+            if row.size != J * m + 1:
+                raise ValueError(f"{path}, line {lineno}: {row.size} columns, expected "
+                                 f"J*m + 1 = {J * m + 1} (t, then the J x m cell states)")
+            level = row[1:].reshape(J, m)
+            history.append(level, *_changed_cells(before, level))
+            times.append(float(row[0]))
+            before = level
+    if fields is None:
+        record()
         raise ValueError(f"{path} holds no time levels after its header")
-    width = grid.J * m + 1
-    for lineno, row in rows:
-        if row.size != width:
-            raise ValueError(f"{path}, line {lineno}: {row.size} columns, expected "
-                             f"J*m + 1 = {width} (t, then the J x m cell states)")
-    data = np.array([row for _, row in rows])
-    times = TimeLevels(data[:, 0])
-    states = data[:, 1:].reshape(len(rows), grid.J, m)
-    return SpaceTimeSolution(
-        grid=grid,
-        times=times,
-        states=_frozen(states),
-        ghost_left=_frozen(value("ghost_left", _parse_floats)),
-        ghost_right=_frozen(value("ghost_right", _parse_floats)),
-        model=model,
-        flux_kind=value("flux", normalize_flux_kind),
-        cfl=value("cfl", float),
-    )
+    return SpaceTimeSolution(times=TimeLevels(times), states=history.freeze(), **fields)

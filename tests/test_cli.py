@@ -1,6 +1,10 @@
 import json
+import os
 import re
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -17,6 +21,7 @@ from fvbound import (
     make_model,
     run_case,
 )
+import fvbound
 from fvbound import cli, error_estimator, save_solution, solver
 from fvbound.cli import (
     ConfigError,
@@ -27,7 +32,7 @@ from fvbound.cli import (
     streamed_fine_reference,
 )
 from fvbound.riemann import cell_average_exact, sample, solve_riemann
-from fvbound.solver import run
+from fvbound.solver import LevelHistory, run
 
 
 class TestEoC:
@@ -202,7 +207,8 @@ class TestFusedExactError:
         rng = np.random.default_rng(seed)
         exact = np.array([_gauss_cell_averages(fan, origin, ti, grid) for ti in t])
         states = exact + noise * (1.0 + np.abs(exact)) * rng.uniform(-1.0, 1.0, exact.shape)
-        sol = SimpleNamespace(grid=grid, times=TimeLevels(np.array(t)), states=states)
+        sol = SimpleNamespace(grid=grid, times=TimeLevels(np.array(t)),
+                              states=LevelHistory.from_levels(states))
         _assert_fused_error_matches_oracles(sol, fan, origin)
 
     @pytest.mark.parametrize("left,right", [([1.0], [3.0]), ([3.0], [1.0]), ([0.0], [2.0]),
@@ -215,7 +221,8 @@ class TestFusedExactError:
         t = grid.dx * np.array([0.0, 1.0, 2.0, 5.0])
         exact = np.array([_gauss_cell_averages(fan, 0.0, ti, grid) for ti in t])
         states = exact + 0.1 * np.random.default_rng(3).uniform(-1.0, 1.0, exact.shape)
-        sol = SimpleNamespace(grid=grid, times=TimeLevels(t), states=states)
+        sol = SimpleNamespace(grid=grid, times=TimeLevels(t),
+                              states=LevelHistory.from_levels(states))
         _assert_fused_error_matches_oracles(sol, fan, 0.0)
 
     @pytest.mark.parametrize("origin", [0.0, 0.37, -1.3])
@@ -484,6 +491,20 @@ class TestSvg:
         assert lines[2 : 2 + len(rows)] == rows
         assert lines[2 + len(rows)].startswith("<line")  # the overlay follows the raster
         assert svg.endswith("</svg>\n")
+
+    def test_raster_bands_equal_the_dense_downsample(self):
+        """Past 320 levels each raster row is the mean of a band of
+        row_stride >= 2 levels taken from a walk of the history; it equals
+        the mean over the dense array bit for bit, with the levels past the
+        last whole band dropped."""
+        grid = build_grid(-5.0, 5.0, 9)
+        sol = run(_burgers_curved_averages(grid), make_model("burgers"), "llf", grid,
+                  0.9, 0.0, 1.0)
+        row_stride = len(sol.states) // 160
+        assert row_stride >= 2 and len(sol.states) % row_stride
+        want = cli._downsample(np.asarray(sol.states)[:, :, 0], 160, 240)
+        got = cli._raster(sol, 160, 240)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
 class TestMain:
@@ -758,3 +779,19 @@ class TestFormatting:
         config = CaseConfig(case="burgers-curved", level=5, ref="fine:5")
         with pytest.raises(ConfigError):
             run_case(config)
+
+
+def test_python_m_fvbound_runs_the_cli_quietly():
+    """`python -m fvbound` runs the command line from a source tree and exits
+    with its status, with nothing on stderr."""
+    src = str(Path(fvbound.__file__).resolve().parents[1])
+    path = filter(None, [src, os.environ.get("PYTHONPATH")])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+    args = [sys.executable, "-m", "fvbound", "run", "--case", "psys-raref-shock", "--level", "3",
+            "--ref", "none"]
+    done = subprocess.run(args, capture_output=True, text=True, env=env, timeout=120)
+    assert (done.returncode, done.stderr) == (0, "")
+    assert done.stdout.startswith("case=psys-raref-shock L=3 eps=")
+    failed = subprocess.run(args[:3] + ["run", "--case", "nope", "--level", "3"],
+                            capture_output=True, text=True, env=env, timeout=120)
+    assert failed.returncode == 1 and failed.stderr.startswith("error:")

@@ -97,14 +97,22 @@ def test_recorded_levels_are_immutable():
     grid = build_grid(-5.0, 5.0, 3)
     model = make_model("burgers")
     sol = run(np.full((grid.J, 1), 1.0), model, "llf", grid, 0.9, 0.0, 0.1)
+    with pytest.raises(TypeError):
+        sol.states[0] = np.full((grid.J, 1), 99.0)
     with pytest.raises(ValueError):
-        sol.states[0, 0, 0] = 99.0
+        sol.states[0][0, 0] = 99.0
     with pytest.raises(ValueError):
         sol.ghost_left[0] = 99.0
 
 
 def _assert_frozen(sol):
-    for array in (sol.states, sol.ghost_left, sol.ghost_right, sol.times.t):
+    """The history has no item assignment, every level it returns is
+    read-only, and so are the ghost states and the times."""
+    with pytest.raises(TypeError):
+        sol.states[0] = sol.states[0]
+    levels = [sol.states[n] for n in range(len(sol.states))] + list(sol.states)
+    levels += [level for level in sol.states.walk()]
+    for array in levels + [sol.ghost_left, sol.ghost_right, sol.times.t]:
         with pytest.raises(ValueError):
             array[(0,) * array.ndim] = 99.0
 
@@ -314,7 +322,8 @@ def test_dump_round_trip_is_bit_exact(sol):
         dump = Path(tmp, "dump.csv")
         save_solution(sol, str(dump))
         back = load_solution(str(dump))
-        for a, b in [(back.times.t, sol.times.t), (back.states, sol.states),
+        for a, b in [(back.times.t, sol.times.t),
+                     (np.asarray(back.states), np.asarray(sol.states)),
                      (back.ghost_left, sol.ghost_left), (back.ghost_right, sol.ghost_right)]:
             assert a.shape == b.shape and a.tobytes() == b.tobytes()
         assert (back.grid, back.model.name, back.model.params(), back.flux_kind, back.cfl) == (
@@ -509,7 +518,7 @@ def test_windowed_run_equals_the_full_grid_loop_and_replay(case):
     sol = run(*args)
     expected, _ = _hand_march(*args)
     for got, want in ((sol.times.t, np.array([t for t, _ in expected])),
-                      (sol.states, np.array([u for _, u in expected]))):
+                      (np.asarray(sol.states), np.array([u for _, u in expected]))):
         assert got.shape == want.shape and got.tobytes() == want.tobytes()
     replay = epsilon(dataclasses.replace(sol))
     assert replay is not sol.residual
@@ -564,7 +573,7 @@ def test_march_yields_a_read_only_level_and_its_window():
         windows.append(window)
     sol = run(*args)
     assert np.array(times).tobytes() == sol.times.t.tobytes()
-    assert np.array(levels).tobytes() == sol.states.tobytes()
+    assert np.array(levels).tobytes() == np.asarray(sol.states).tobytes()
     assert windows[0] is None
     for (lo, hi), before, level in zip(windows[1:], levels, levels[1:]):
         assert 0 <= lo <= hi <= grid.J

@@ -77,9 +77,9 @@ class TestFormatCount:
             layers.append(np.column_stack([level_residual_bounds(sol, sol.flux_kind, n),
                                            e1, e2, e3, lower]))
         csv_values = _changed_rows(np.array(layers)) * (m + 4)
-        dump_values = _changed_rows(sol.states) * m
+        dump_values = _changed_rows(np.asarray(sol.states)) * m
         assert 0 < csv_values < sol.n_steps * J * (m + 4)
-        assert 0 < dump_values < sol.states.size
+        assert 0 < dump_values < np.asarray(sol.states).size
 
         calls = []
 
