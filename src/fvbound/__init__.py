@@ -17,7 +17,6 @@ from .riemann import (
     Wave,
     WaveFan,
     cell_average_exact,
-    sample,
     solve_riemann,
 )
 from .solver import SpaceTimeSolution, load_solution, run, save_solution, step

@@ -6,8 +6,12 @@ smooth trapezoids everywhere else.  Trapezoid slopes come from the extreme
 wave speeds observed in the slab, which the residual pass records per level.
 
 The cells a trapezoid meets are (levels, j_lo, j_hi) arrays computed for all
-of a slab's levels at once; its min and max come from one reduceat each over
-the slab's levels laid out as one component-major block.
+of a slab's levels at once.  A slab's block (SlabBlock) holds only each
+level's ghost hull, the cells between the runs that hold the ghost states'
+bits, as one component-major array of per-level segments with an offset
+table.  A trapezoid's min and max clip each level's range to the hull and
+reduce the clipped segments with one reduceat each; a ghost state joins
+wherever a range reaches past the hull on its side.
 """
 
 from __future__ import annotations
@@ -151,31 +155,71 @@ def trapezoid_cell_ranges(
     return levels[keep], j_lo[keep], j_hi[keep]
 
 
-def slab_block(sol: SpaceTimeSolution, n_lo: int, n_hi: int) -> np.ndarray:
-    """Levels n_lo..n_hi-1 as one component-major (m, L*J) array, so cell j
-    of level n sits at column (n - n_lo)*J + j; built in one forward walk of
-    the history."""
-    _, J, m = sol.states.shape
-    block = np.empty((m, (n_hi - n_lo) * J))
-    for k, level in enumerate(sol.states.walk(n_lo, n_hi)):
-        block[:, k * J:(k + 1) * J] = level.T
-    return block
+@dataclass(frozen=True)
+class SlabBlock:
+    """The ghost-hull cells of levels n_lo..n_hi-1, level after level, as one
+    component-major (m, S) array: cell j of level n_lo + k sits at column
+    start[k] + j - lo[k] for lo[k] <= j < hi[k].  Every other cell of the
+    level holds the bits of the ghost state on its side."""
+
+    values: np.ndarray  # (m, S)
+    lo: np.ndarray  # (L,) each level's ghost hull [lo, hi)
+    hi: np.ndarray
+    start: np.ndarray  # (L,) the column of each level's first hull cell
+
+
+def slab_block(sol: SpaceTimeSolution, n_lo: int, n_hi: int) -> SlabBlock:
+    """The SlabBlock of levels n_lo..n_hi-1, built in one forward walk of the
+    history."""
+    lo, hi = sol.ghost_hulls[n_lo:n_hi].T
+    ends = np.cumsum(hi - lo)
+    start = ends - (hi - lo)
+    values = np.empty((sol.states.shape[2], int(ends[-1]) if len(ends) else 0))
+    for (a, b, c), level in zip(zip(lo.tolist(), hi.tolist(), start.tolist()),
+                                sol.states.walk(n_lo, n_hi)):
+        values[:, c:c + b - a] = level[a:b].T
+    return SlabBlock(values, lo, hi, start)
 
 
 def trapezoid_minmax(sol: SpaceTimeSolution, trap: Trapezoid, n_lo: int, n_hi: int,
-                     block: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+                     block: SlabBlock) -> tuple[np.ndarray, np.ndarray] | None:
     """Componentwise (min, max) over all cells meeting the trapezoid, None if
-    it meets none; block is slab_block(sol, n_lo, n_hi)."""
+    it meets none; block is slab_block(sol, n_lo, n_hi).  Each level's range
+    is clipped to the level's ghost hull, the clipped segments are reduced,
+    and a ghost state joins wherever a range reaches past the hull on its
+    side; min and max do not round, so this is the min and max over the
+    ranges."""
     levels, j_lo, j_hi = trapezoid_cell_ranges(trap, sol, n_lo, n_hi)
     if levels.size == 0:
         return None
-    base = (levels - n_lo) * sol.grid.J
-    # interleaved start/stop offsets: even reduceat segments are the ranges
-    offsets = np.stack([base + j_lo, base + j_hi + 1], axis=1).ravel()
-    if offsets[-1] == block.shape[1]:
-        offsets = offsets[:-1]  # the last range runs to the end of the block
-    return (np.minimum.reduceat(block, offsets, axis=1)[:, ::2].min(axis=1),
-            np.maximum.reduceat(block, offsets, axis=1)[:, ::2].max(axis=1))
+    k = levels - n_lo
+    lo, hi = block.lo[k], block.hi[k]
+    shift = block.start[k] - lo
+    starts, stops = np.maximum(j_lo, lo) + shift, np.minimum(j_hi + 1, hi) + shift
+    keep = starts < stops
+    mm = _segments_minmax(block.values, starts[keep], stops[keep]) if keep.any() else None
+    # a range that misses the hull reaches past it on one side, so mm is set
+    for reaches, ghost in ((j_lo < lo, sol.ghost_left), (j_hi >= hi, sol.ghost_right)):
+        if reaches.any():
+            ghost = np.asarray(ghost, dtype=float)
+            mm = (ghost, ghost) if mm is None else (np.minimum(mm[0], ghost),
+                                                    np.maximum(mm[1], ghost))
+    return mm
+
+
+def _segments_minmax(values: np.ndarray, starts: np.ndarray,
+                     stops: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Componentwise (min, max) over the ascending, disjoint column segments
+    [starts, stops) of values: one reduceat each over interleaved start/stop
+    offsets on the columns from the first start to the last stop, keeping
+    the segments' results and dropping those of the gaps between them."""
+    first = int(starts[0])
+    offsets = np.empty(2 * len(starts) - 1, dtype=np.intp)
+    offsets[0::2] = starts - first
+    offsets[1::2] = stops[:-1] - first
+    span = values[:, first:int(stops[-1])]
+    return (np.minimum.reduceat(span, offsets, axis=1)[:, ::2].min(axis=1),
+            np.maximum.reduceat(span, offsets, axis=1)[:, ::2].max(axis=1))
 
 
 def _range_osc(mm) -> float:
@@ -183,7 +227,7 @@ def _range_osc(mm) -> float:
 
 
 def oscillation(sol: SpaceTimeSolution, trap: Trapezoid, n_lo: int, n_hi: int,
-                block: np.ndarray) -> float:
+                block: SlabBlock) -> float:
     """Sup-norm range of the solution over all cells meeting the trapezoid;
     block is slab_block(sol, n_lo, n_hi)."""
     return _range_osc(trapezoid_minmax(sol, trap, n_lo, n_hi, block))
@@ -283,7 +327,7 @@ def merge_close_regions(regions: list[JumpRegion], min_distance: float) -> list[
 
 def detect_surges(
     sol: SpaceTimeSolution, n_lo: int, n_hi: int, sigma0: float, lam_minus: float,
-    lam_plus: float, eps: float, block: np.ndarray,
+    lam_plus: float, eps: float, block: SlabBlock,
 ) -> tuple[list[SurgeTrapezoid], list[float]]:
     """Confirmed surge trapezoids of a slab and their oscillations kappa'.
 
@@ -408,7 +452,7 @@ def _span_union(t1: Trapezoid, t2: Trapezoid) -> Trapezoid:
 
 def partition_meso_slab(
     sol: SpaceTimeSolution, n_lo: int, n_hi: int, eps: float, sigma0: float,
-    speed_range: np.ndarray, block: np.ndarray,
+    speed_range: np.ndarray, block: SlabBlock,
 ) -> SlabPartition:
     """Cover the slab by surge trapezoids plus gap-filling smooth trapezoids.
 
@@ -484,20 +528,3 @@ def partition_meso_slab(
 
     return SlabPartition(n_lo, n_hi, t_bot, t_top, lam_minus, lam_plus,
                          surges, oscs, smooth)
-
-
-def cover_counts(sol: SpaceTimeSolution, part: SlabPartition) -> tuple[np.ndarray, np.ndarray]:
-    """Per-cell intersection counts with (surge, smooth) trapezoids; rows are
-    the slab's cell levels."""
-    rows = part.n_hi - part.n_lo
-    surge_counts = np.zeros((rows, sol.grid.J), dtype=int)
-    smooth_counts = np.zeros((rows, sol.grid.J), dtype=int)
-    for counts, traps in (
-        (surge_counts, [s.outer for s in part.surges]),
-        (smooth_counts, part.smooth),
-    ):
-        for trap in traps:
-            levels, j_lo, j_hi = trapezoid_cell_ranges(trap, sol, part.n_lo, part.n_hi)
-            for level, a, b in zip(levels - part.n_lo, j_lo, j_hi + 1):
-                counts[level, a:b] += 1
-    return surge_counts, smooth_counts

@@ -243,41 +243,6 @@ def solve_riemann(model, uL, uR) -> WaveFan:
     return _psystem_fan(model, uL, uR)
 
 
-def _fan_profile(fan: WaveFan, family: int, xi: np.ndarray) -> np.ndarray:
-    """State inside the rarefaction fan of the given family at xi = x/t."""
-    model = fan.model
-    if isinstance(model, Burgers):
-        return xi[..., None]
-    gamma = model.gamma
-    if family == 0:
-        w = _riemann_invariant(model, fan.left, 0)
-        c = (gamma - 1.0) / (gamma + 1.0) * (w - xi)
-        v = xi + c
-    else:
-        w = _riemann_invariant(model, fan.right, 1)
-        c = (gamma - 1.0) / (gamma + 1.0) * (xi - w)
-        v = xi - c
-    rho = (c * c / (model.C * gamma)) ** (1.0 / (gamma - 1.0))
-    return np.stack([rho, rho * v], axis=-1)
-
-
-def sample(fan: WaveFan, xi) -> np.ndarray:
-    """Self-similar solution value(s) at xi = x/t."""
-    xi = np.asarray(xi, dtype=float)
-    scalar_input = xi.ndim == 0
-    xi = np.atleast_1d(xi)
-    out = np.empty(xi.shape + (fan.model.m,))
-    for lo, hi, kind, payload in fan.segments:
-        mask = (xi >= lo) & (xi < hi) if hi != np.inf else (xi >= lo)
-        if not mask.any():
-            continue
-        if kind == "const":
-            out[mask] = payload
-        else:
-            out[mask] = _fan_profile(fan, payload, xi[mask])
-    return out[0] if scalar_input else out
-
-
 def _fan_integral(fan: WaveFan, family: int, a: np.ndarray, b: np.ndarray,
                   origin: float, t: float) -> np.ndarray:
     """Integral of the rarefaction profile of the given family over the

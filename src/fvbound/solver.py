@@ -30,6 +30,10 @@ class LevelHistory:
     any level is rebuilt from the last full level by copying less than one
     level of deltas.
 
+    The stored cells [lo, hi) are the hull of the bits that changed, not a
+    ghost hull (SpaceTimeSolution.ghost_hulls): a constant that is no ghost
+    state and does not change stays out of them.
+
     append builds the history level by level and freeze makes it read-only.
     Readers walk the levels forward (walk); history[n] rebuilds one level,
     iteration yields each level as a read-only copy, and history[a:b] and
@@ -120,8 +124,9 @@ class LevelHistory:
         level = self._rebuild(start)
         view = _frozen(level.view())
         yield view
-        for n in range(start + 1, stop):
-            self._apply(level, n, n + 1)
+        m, values = self._m, self._values
+        for lo, hi, offset in self._index[start + 1:stop].tolist():
+            level[lo:hi] = values[offset:offset + (hi - lo) * m].reshape(hi - lo, m)
             yield view
 
     def __iter__(self):
@@ -167,6 +172,20 @@ def _changed_cells(before: np.ndarray | None, level: np.ndarray) -> tuple[int, i
     return (int(rows[0]), int(rows[-1]) + 1) if rows.size else (0, 0)
 
 
+def _ghost_hull(level: np.ndarray, ghost_left: np.ndarray,
+                ghost_right: np.ndarray) -> tuple[int, int]:
+    """The tightest ghost hull [lo, hi) of a (J, m) level: every cell left of
+    lo holds the bits of ghost_left and every cell at or right of hi those of
+    ghost_right."""
+    bits = level.view(np.int64)
+    off_left = (bits != np.asarray(ghost_left, dtype=float).view(np.int64)).any(axis=1)
+    off_right = (bits != np.asarray(ghost_right, dtype=float).view(np.int64)).any(axis=1)
+    J = len(level)
+    lo = int(off_left.argmax()) if off_left.any() else J
+    hi = J - int(off_right[::-1].argmax()) if off_right.any() else 0
+    return lo, max(lo, hi)  # cells in [hi, lo) hold both ghosts' bits
+
+
 @dataclass
 class SpaceTimeSolution:
     """Piecewise-constant numerical solution on [t^0, T] x [x_min, x_max].
@@ -174,9 +193,17 @@ class SpaceTimeSolution:
     states is the LevelHistory of the (N+1, J, m) cell values; a hand-built
     record may pass the dense array, which is stored as a history.  The
     outer ghost states are constant in time (frozen at the initial first/last
-    cell values).  residual is the ResidualReport that run folded while
-    marching; it is no init argument, so dataclasses.replace and hand-built
-    records leave it None and epsilon replays their levels.
+    cell values).  ghost_hulls gives each level's ghost hull [lo, hi): every
+    cell outside it holds the bits of the ghost state on its side, so a
+    reader that needs the cells' values reads only the hull.  It is not the
+    history's delta hull, which leaves out any cell that did not change,
+    ghost or not.
+
+    residual is the ResidualReport that run folded while marching, and
+    _hulls the ghost hulls that run or load_solution recorded.  Neither is
+    an init argument, so dataclasses.replace and hand-built records leave
+    them None: epsilon replays their levels, and ghost_hulls derives the
+    hulls from the levels against the record's own ghosts on first use.
     """
 
     grid: Grid1D
@@ -189,10 +216,19 @@ class SpaceTimeSolution:
     cfl: float
     residual: ResidualReport | None = field(default=None, init=False, repr=False,
                                             compare=False)
+    _hulls: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not isinstance(self.states, LevelHistory):
             self.states = LevelHistory.from_levels(self.states)
+
+    @property
+    def ghost_hulls(self) -> np.ndarray:
+        """The read-only (N+1, 2) ghost hulls [lo, hi) of the levels."""
+        if self._hulls is None:
+            self._hulls = _hull_array([_ghost_hull(level, self.ghost_left, self.ghost_right)
+                                       for level in self.states.walk()])
+        return self._hulls
 
     @property
     def n_steps(self) -> int:
@@ -375,6 +411,10 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _hull_array(hulls: list[tuple[int, int]]) -> np.ndarray:
+    return _frozen(np.array(hulls, dtype=np.intp).reshape(-1, 2))
+
+
 def run(
     initial: np.ndarray,
     model,
@@ -387,12 +427,14 @@ def run(
     """March from t0 to exactly t_final (last step clipped), record each
     level in the history as the cells its step updated, and fold epsilon's
     residual report from each level's model terms and step fluxes as they
-    are made.  The record is frozen."""
+    are made.  Each step's window is its level's ghost hull, and the initial
+    active window level 0's.  The record is frozen."""
     fold = ResidualFold(grid.dx)
-    times, history = [], LevelHistory(grid.J, model.m)
+    times, history, hulls = [], LevelHistory(grid.J, model.m), []
     for t, states, padded, terms, fluxes, window in _levels(
             initial, model, flux_kind, grid, cfl, t0, t_final, with_terms=True):
         history.append(states, *(window or (0, grid.J)))
+        hulls.append(window or _window(padded.view(np.int64), 0, grid.J))
         times.append(t)
         fold.add(t, padded, terms, fluxes, window)
     sol = SpaceTimeSolution(
@@ -406,6 +448,7 @@ def run(
         cfl=cfl,
     )
     sol.residual = fold.report(sol)
+    sol._hulls = _hull_array(hulls)
     return sol
 
 
@@ -442,9 +485,10 @@ def _parse_floats(text: str) -> np.ndarray:
 
 def load_solution(path: str) -> SpaceTimeSolution:
     """Read a save_solution dump, each row parsed straight into the history
-    as the hull of the cells whose bits changed; a malformed time-level row
-    raises a ValueError naming the file and the line, a missing or malformed
-    header entry one naming the file and the key."""
+    as the hull of the cells whose bits changed, and its ghost hull taken
+    against the header's ghosts; a malformed time-level row raises a
+    ValueError naming the file and the line, a missing or malformed header
+    entry one naming the file and the key."""
     header: dict[str, str] = {}
 
     def value(key: str, parse):
@@ -460,16 +504,21 @@ def load_solution(path: str) -> SpaceTimeSolution:
         if missing:
             raise ValueError(f"{path}: header is missing {', '.join(map(repr, missing))}")
         params = value("params", _parse_params) if header.get("params") else {}
+        m = value("m", int)
+        ghosts = {key: _frozen(value(key, _parse_floats)) for key in ("ghost_left", "ghost_right")}
+        for key, ghost in ghosts.items():
+            if ghost.shape != (m,):
+                raise ValueError(f"{path}: header value {key}={header[key]!r} holds "
+                                 f"{ghost.size} values, expected m = {m}")
         return dict(
             model=make_model(value("model", normalize_model_name), **params),
             grid=Grid1D(value("x_min", float), value("x_max", float), value("J", int)),
-            ghost_left=_frozen(value("ghost_left", _parse_floats)),
-            ghost_right=_frozen(value("ghost_right", _parse_floats)),
             flux_kind=value("flux", normalize_flux_kind),
             cfl=value("cfl", float),
+            **ghosts,
         )
 
-    fields, times, before = None, [], None
+    fields, times, hulls, before = None, [], [], None
     with open(path) as fh:
         magic = fh.readline().strip()
         if magic != "# fvbound-solution 1":
@@ -497,9 +546,12 @@ def load_solution(path: str) -> SpaceTimeSolution:
                                  f"J*m + 1 = {J * m + 1} (t, then the J x m cell states)")
             level = row[1:].reshape(J, m)
             history.append(level, *_changed_cells(before, level))
+            hulls.append(_ghost_hull(level, fields["ghost_left"], fields["ghost_right"]))
             times.append(float(row[0]))
             before = level
     if fields is None:
         record()
         raise ValueError(f"{path} holds no time levels after its header")
-    return SpaceTimeSolution(times=TimeLevels(times), states=history.freeze(), **fields)
+    sol = SpaceTimeSolution(times=TimeLevels(times), states=history.freeze(), **fields)
+    sol._hulls = _hull_array(hulls)
+    return sol

@@ -20,10 +20,10 @@ from fvbound import (
     solve_riemann,
 )
 from fvbound.cli import _burgers_curved_averages, eoc
-from fvbound.partition import cover_counts
 from fvbound.residual import level_corner_oracle, level_residual_bounds
 from fvbound.solver import run
 
+from oracles import cover_counts
 from test_models import (
     _finite_difference_gradient,
     _finite_difference_jacobian,

@@ -31,8 +31,9 @@ from fvbound.cli import (
     restrict_to_coarse,
     streamed_fine_reference,
 )
-from fvbound.riemann import cell_average_exact, sample, solve_riemann
+from fvbound.riemann import cell_average_exact, solve_riemann
 from fvbound.solver import LevelHistory, run
+from oracles import sample
 
 
 class TestEoC:

@@ -1,3 +1,7 @@
+import dataclasses
+import os
+import tempfile
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -18,13 +22,13 @@ from fvbound import (
 from fvbound.grid import Grid1D, TimeLevels
 from fvbound.partition import (
     JumpRegion,
-    cover_counts,
     merge_close_regions,
     slab_block,
     trapezoid_cell_ranges,
     trapezoid_minmax,
 )
-from fvbound.solver import SpaceTimeSolution, run
+from fvbound.solver import SpaceTimeSolution, load_solution, run, save_solution
+from oracles import cover_counts
 
 
 def manual_solution(grid, times, levels, model=None):
@@ -364,20 +368,104 @@ def minmax_oracle(sol, ranges):
     return mins, maxs
 
 
+# Cell values that include the ghost candidates, signed zeros apart.
+VALUES = (0.0, -0.0, 1.0, -1.5)
+PLATEAU = 3.25  # a constant that is no ghost state
+
+
+def _assert_ghost_hulls(sol):
+    """Every level's cells left of its ghost hull hold the bits of
+    ghost_left and those at or right of it the bits of ghost_right."""
+    levels = np.asarray(sol.states)
+    hulls = sol.ghost_hulls
+    assert hulls.shape == (len(levels), 2) and not hulls.flags.writeable
+    for level, (lo, hi) in zip(levels, hulls.tolist()):
+        assert 0 <= lo <= hi <= sol.grid.J
+        for cells, ghost in ((level[:lo], sol.ghost_left), (level[hi:], sol.ghost_right)):
+            assert cells.tobytes() == np.tile(ghost, (len(cells), 1)).tobytes()
+
+
 @st.composite
-def slabs_and_trapezoids(draw):
-    """A random record on [0, 1] with a trapezoid that may stick out of the
-    domain or the slab, degenerate, cross inside a level, or have no height."""
+def ghosted_levels(draw, J, m, ghost_left, ghost_right, n_levels):
+    """Levels whose first level has runs of ghost cells at both ends and an
+    interior constant plateau that is no ghost state; each later level gives
+    one window of cells new values (ghosts among them) and keeps the rest,
+    so the plateau and the ghost runs stay out of the history's deltas."""
+    a = draw(st.integers(0, J))
+    b = draw(st.integers(a, J))
+    level = np.empty((J, m))
+    level[:a], level[b:] = ghost_left, ghost_right
+    level[a:b] = PLATEAU
+    if b - a > 2:
+        inner = draw(st.integers(a + 1, b - 1))
+        level[inner] = draw(st.floats(-10.0, 10.0))
+    levels = [level]
+    cell = st.one_of(st.sampled_from(VALUES), st.floats(-10.0, 10.0),
+                     st.sampled_from([ghost_left, ghost_right]).map(tuple))
+    for _ in range(n_levels - 1):
+        level = levels[-1].copy()
+        lo = draw(st.integers(0, J))
+        hi = draw(st.integers(lo, J))
+        for j in range(lo, hi):
+            level[j] = draw(cell)
+        levels.append(level)
+    return np.array(levels)
+
+
+@st.composite
+def records(draw):
+    """A random record on [0, 1] with its ghost hulls from one of their
+    sources: run's windows, load_solution's parsed rows, or the levels of a
+    hand-built (or dataclasses.replace'd) record, derived on first use."""
     J = draw(st.integers(1, 12))
     m = draw(st.sampled_from([1, 2]))
+    grid = Grid1D(0.0, 1.0, J)
+    model = make_model("burgers") if m == 1 else make_model("psystem")
+    source = draw(st.sampled_from(["random", "hand-built", "replace", "load", "run"]))
+    if source == "run":
+        # states well inside the p-system's domain: density in [0.5, 2], |v| < 1
+        state = st.tuples(st.floats(0.5, 2.0), st.floats(-0.3, 0.3)).map(
+            lambda s: np.array(s[:m]))
+        a = draw(st.integers(0, J))
+        b = draw(st.integers(a, J))
+        initial = np.empty((J, m))
+        initial[:a], initial[b:], initial[a:b] = draw(state), draw(state), draw(state)
+        if b - a > 2:
+            initial[draw(st.integers(a + 1, b - 1))] = draw(state)
+        sol = run(initial, model, "llf", grid, 0.9, 0.0, draw(st.floats(0.05, 0.5)))
+        return sol, source
     steps = draw(st.lists(st.floats(0.01, 1.0), min_size=1, max_size=6))
     times = np.concatenate([[0.0], np.cumsum(steps)])
-    grid = Grid1D(0.0, 1.0, J)
-    values = draw(st.lists(st.floats(-10.0, 10.0), min_size=len(times) * J * m,
-                           max_size=len(times) * J * m))
-    states = np.array(values).reshape(len(times), J, m)
-    model = make_model("burgers") if m == 1 else make_model("psystem")
-    sol = manual_solution(grid, times, states, model=model)
+    if source == "random":
+        values = draw(st.lists(st.floats(-10.0, 10.0), min_size=len(times) * J * m,
+                               max_size=len(times) * J * m))
+        return manual_solution(grid, times, np.array(values).reshape(len(times), J, m),
+                               model=model), source
+    ghost = st.lists(st.sampled_from(VALUES), min_size=m, max_size=m).map(np.array)
+    ghost_left, ghost_right = draw(ghost), draw(ghost)
+    sol = SpaceTimeSolution(
+        grid=grid, times=TimeLevels(times),
+        states=draw(ghosted_levels(J, m, ghost_left, ghost_right, len(times))),
+        ghost_left=ghost_left, ghost_right=ghost_right, model=model, flux_kind="llf",
+        cfl=0.9)
+    if source == "replace":
+        assert sol.ghost_hulls is sol._hulls  # derived and kept: replace must drop them
+        sol = dataclasses.replace(sol, ghost_left=ghost_right, ghost_right=ghost_left)
+    elif source == "load":
+        with tempfile.TemporaryDirectory() as tmp:
+            save_solution(sol, os.path.join(tmp, "dump.csv"))
+            back = load_solution(os.path.join(tmp, "dump.csv"))
+        assert np.array_equal(back.ghost_hulls, sol.ghost_hulls)
+        sol = back
+    return sol, source
+
+
+@st.composite
+def slabs_and_trapezoids(draw):
+    """A random record with a trapezoid that may stick out of the domain or
+    the slab, degenerate, cross inside a level, or have no height."""
+    sol, source = draw(records())
+    J, times = sol.grid.J, sol.times.t
     # x on the cell edges too, where the 1e-9 slop decides touching
     x = st.one_of(st.floats(-0.3, 1.3), st.integers(-2, J + 2).map(lambda k: k / J))
     t = st.one_of(st.floats(-0.2, float(times[-1]) + 0.2), st.sampled_from(list(times)))
@@ -386,13 +474,18 @@ def slabs_and_trapezoids(draw):
     trap = Trapezoid(t_bot, t_top, draw(x), draw(x), draw(x), draw(x))
     n_lo = draw(st.integers(0, len(times) - 2))
     n_hi = draw(st.integers(n_lo + 1, len(times) - 1))
-    return sol, trap, n_lo, n_hi
+    return sol, source, trap, n_lo, n_hi
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=400, deadline=None)
 @given(case=slabs_and_trapezoids())
 def test_range_arrays_and_block_minmax_equal_the_per_level_loop(case):
-    sol, trap, n_lo, n_hi = case
+    """With the ghost hulls of each source, the min and max over the hull
+    segments and the ghosts the ranges reach are the per-level loop's."""
+    sol, source, trap, n_lo, n_hi = case
+    _assert_ghost_hulls(sol)
+    if source == "run":
+        assert sol._hulls is not None  # recorded while marching
     levels, j_lo, j_hi = trapezoid_cell_ranges(trap, sol, n_lo, n_hi)
     ranges = ranges_oracle(trap, sol, n_lo, n_hi)
     assert list(zip(levels.tolist(), j_lo.tolist(), j_hi.tolist())) == ranges
@@ -404,15 +497,65 @@ def test_range_arrays_and_block_minmax_equal_the_per_level_loop(case):
         assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
 
 
+def test_ghost_hull_is_not_the_delta_hull():
+    """A plateau that is no ghost state and never changes lies outside every
+    delta the history stores after level 0, but inside each ghost hull; a
+    level that holds one ghost state only has an empty hull at its end or its
+    start; a replaced record derives its hulls against its own ghosts."""
+    grid = Grid1D(0.0, 1.0, 6)
+    first = np.array([0.0, 0.0, 3.25, 3.25, 1.0, 1.0])
+    second = np.array([0.0, 0.5, 3.25, 3.25, 1.0, 1.0])
+    sol = manual_solution(grid, [0.0, 0.1, 0.2, 0.3],
+                          [first, second, np.zeros(6), np.ones(6)])
+    assert sol._hulls is None
+    assert sol.ghost_hulls.tolist() == [[2, 4], [1, 4], [6, 6], [0, 0]]
+    assert sol._hulls is sol.ghost_hulls
+    swapped = dataclasses.replace(sol, ghost_left=sol.ghost_right, ghost_right=sol.ghost_left)
+    assert swapped._hulls is None
+    assert swapped.ghost_hulls.tolist() == [[0, 6], [0, 6], [0, 0], [6, 6]]
+
+
+def test_run_records_its_windows_as_ghost_hulls():
+    """run's hulls are its step windows, level 0's the initial active window,
+    so they may hold ghost cells at their ends; a dump of the run loads the
+    tightest hulls, which lie inside them."""
+    grid = Grid1D(0.0, 1.0, 16)
+    states = np.where(grid.centers() < 0.5, 1.0, 0.0)[:, None]
+    sol = run(states, make_model("burgers"), "llf", grid, 0.9, 0.0, 0.2)
+    _assert_ghost_hulls(sol)
+    assert sol.ghost_hulls[0].tolist() == [7, 9]
+    tight = SpaceTimeSolution(sol.grid, sol.times, sol.states, sol.ghost_left,
+                              sol.ghost_right, sol.model, sol.flux_kind, sol.cfl)
+    assert np.all(tight.ghost_hulls[:, 0] >= sol.ghost_hulls[:, 0])
+    assert np.all(tight.ghost_hulls[:, 1] <= sol.ghost_hulls[:, 1])
+    assert not np.array_equal(tight.ghost_hulls, sol.ghost_hulls)
+
+
 def test_slab_block_layout():
-    grid = Grid1D(0.0, 1.0, 3)
-    states = np.arange(4 * 3 * 2, dtype=float).reshape(4, 3, 2)
-    sol = manual_solution(grid, [0.0, 0.1, 0.2, 0.3], states, make_model("psystem"))
-    block = slab_block(sol, 1, 3)
-    assert block.flags.c_contiguous
-    assert np.array_equal(block, states[1:3].transpose(2, 0, 1).reshape(2, 6))
-    scalar = manual_solution(grid, [0.0, 0.1, 0.2, 0.3], states[:, :, :1])
-    assert np.array_equal(slab_block(scalar, 1, 3), states[1:3, :, 0].reshape(1, 6))
+    """The block holds each level's ghost-hull cells, component-major, one
+    level after the other; an empty hull adds no column."""
+    grid = Grid1D(0.0, 1.0, 5)
+    ghost_left, ghost_right = np.array([1.0, 0.0]), np.array([2.0, -0.0])
+    levels = np.empty((4, 5, 2))
+    levels[:] = ghost_right
+    levels[:, :2] = ghost_left
+    levels[1, 1:4] = [[5.0, 6.0], [7.0, 8.0], [9.0, 10.0]]
+    levels[2, 0] = [11.0, 12.0]
+    levels[3, 4] = [0.0, 0.0]  # -0.0 is the ghost's momentum, 0.0 is not
+    sol = SpaceTimeSolution(grid, TimeLevels([0.0, 0.1, 0.2, 0.3]), levels, ghost_left,
+                            ghost_right, make_model("psystem"), "llf", 0.9)
+    assert sol.ghost_hulls.tolist() == [[2, 2], [1, 4], [0, 2], [2, 5]]
+    block = slab_block(sol, 0, 4)
+    assert block.values.flags.c_contiguous
+    assert (block.lo.tolist(), block.hi.tolist(), block.start.tolist()) == (
+        [2, 1, 0, 2], [2, 4, 2, 5], [0, 0, 3, 5])
+    want = np.concatenate([levels[1, 1:4], levels[2, 0:2], levels[3, 2:5]]).T
+    assert block.values.tobytes() == want.tobytes()
+    later = slab_block(sol, 2, 4)
+    assert later.start.tolist() == [0, 2] and later.values.tobytes() == want[:, 3:].tobytes()
+    scalar = manual_solution(grid, [0.0, 0.1], [[1.0, 1.0, 4.0, 3.0, 3.0]] * 2)
+    block = slab_block(scalar, 0, 2)
+    assert block.values.tobytes() == np.array([[4.0, 4.0]]).tobytes()
 
 
 def test_surge_oscillation_keeps_cells_the_shrinking_strip_drops():

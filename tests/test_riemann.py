@@ -10,9 +10,9 @@ from fvbound import (
     build_grid,
     cell_average_exact,
     make_model,
-    sample,
     solve_riemann,
 )
+from oracles import sample
 
 
 @pytest.fixture

@@ -445,6 +445,16 @@ def test_load_names_a_malformed_header_value(tmp_path, key, bad):
     assert str(info.value).startswith(f"{path}: header value {key}={bad!r} does not parse: ")
 
 
+@pytest.mark.parametrize("key,bad", [("ghost_left", "1.0"), ("ghost_right", "1.0,0.5,0.0")])
+def test_load_names_a_ghost_of_the_wrong_length(tmp_path, key, bad):
+    path, lines = _dump_lines(tmp_path)
+    path.write_text("".join(lines).replace(f"# {key}=1.0,0.5\n", f"# {key}={bad}\n", 1))
+    with pytest.raises(ValueError) as info:
+        load_solution(str(path))
+    assert str(info.value) == (f"{path}: header value {key}={bad!r} holds "
+                               f"{bad.count(',') + 1} values, expected m = 2")
+
+
 def test_load_stores_the_canonical_flux_name(tmp_path):
     path, lines = _dump_lines(tmp_path)
     path.write_text("".join(lines).replace("# flux=llf ", "# flux=LLF ", 1))
