@@ -6,12 +6,12 @@ smooth trapezoids everywhere else.  Trapezoid slopes come from the extreme
 wave speeds observed in the slab, which the residual pass records per level.
 
 The cells a trapezoid meets are (levels, j_lo, j_hi) arrays computed for all
-of a slab's levels at once.  A slab's block (SlabBlock) holds only each
-level's ghost hull, the cells between the runs that hold the ghost states'
-bits, as one component-major array of per-level segments with an offset
-table.  A trapezoid's min and max clip each level's range to the hull and
-reduce the clipped segments with one reduceat each; a ghost state joins
-wherever a range reaches past the hull on its side.
+of a slab's levels at once.  A slab's block (SlabBlock) is the history's run
+of its levels' ghost-hull cells, the cells between the runs that hold the
+ghost states' bits, as one component-major array of per-level segments with
+an offset table.  A trapezoid's min and max clip each level's range to the
+hull and reduce the clipped segments with one reduceat each; a ghost state
+joins wherever a range reaches past the hull on its side.
 """
 
 from __future__ import annotations
@@ -169,15 +169,10 @@ class SlabBlock:
 
 
 def slab_block(sol: SpaceTimeSolution, n_lo: int, n_hi: int) -> SlabBlock:
-    """The SlabBlock of levels n_lo..n_hi-1, built in one forward walk of the
-    history."""
+    """The SlabBlock of levels n_lo..n_hi-1, read in place from the history,
+    which stores their hull cells as one run: a view of it at m = 1."""
+    values, start = sol.states.hull_cells(n_lo, n_hi)
     lo, hi = sol.ghost_hulls[n_lo:n_hi].T
-    ends = np.cumsum(hi - lo)
-    start = ends - (hi - lo)
-    values = np.empty((sol.states.shape[2], int(ends[-1]) if len(ends) else 0))
-    for (a, b, c), level in zip(zip(lo.tolist(), hi.tolist(), start.tolist()),
-                                sol.states.walk(n_lo, n_hi)):
-        values[:, c:c + b - a] = level[a:b].T
     return SlabBlock(values, lo, hi, start)
 
 

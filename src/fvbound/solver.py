@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import bisect
 import math
 from dataclasses import dataclass, field
 
@@ -19,59 +18,59 @@ MAX_STEPS = 10_000_000
 
 
 class LevelHistory:
-    """The (N+1, J, m) levels of a space-time solution, stored as deltas.
+    """The (N+1, J, m) levels of a space-time solution, each stored as its
+    ghost hull.
 
-    Level 0 is stored in full.  Each later level is stored as the values of
-    the cells [lo, hi) that hold every bit that changed since the level
-    before, all in one flat buffer with a (lo, hi, offset) row per level.  A
-    level is stored in full instead when the values stored since the last
-    full level, plus its own, would reach one level (J*m values).  So the
-    history holds at most the dense values and at most twice the deltas, and
-    any level is rebuilt from the last full level by copying less than one
-    level of deltas.
-
-    The stored cells [lo, hi) are the hull of the bits that changed, not a
-    ghost hull (SpaceTimeSolution.ghost_hulls): a constant that is no ghost
-    state and does not change stays out of them.
+    Every cell of a level left of its hull [lo, hi) holds the bits of
+    ghost_left and every cell at or right of hi those of ghost_right; only
+    the hull cells are stored, all in one flat buffer with a (lo, hi, offset)
+    row per level, so the levels start..stop-1 are one contiguous run of it.
 
     append builds the history level by level and freeze makes it read-only.
-    Readers walk the levels forward (walk); history[n] rebuilds one level,
+    Readers walk the levels forward (walk); history[n] builds one level,
     iteration yields each level as a read-only copy, and history[a:b] and
     np.asarray(history) give the dense form, for tests and small studies
-    only.  Only this class reads the stored deltas.
+    only.  hulls gives the (lo, hi) rows and hull_cells a run of the buffer;
+    only this class reads the buffer.
     """
 
-    def __init__(self, J: int, m: int):
+    def __init__(self, J: int, m: int, ghost_left, ghost_right):
         self._J, self._m = J, m
+        self.ghost_left = _frozen(np.array(ghost_left, dtype=float).reshape(m))
+        self.ghost_right = _frozen(np.array(ghost_right, dtype=float).reshape(m))
         self._values = np.empty(J * m)
         self._index = np.empty((16, 3), dtype=np.intp)  # (lo, hi, offset) per level
-        self._fulls: list[int] = []  # the levels stored in full, ascending
         self._n = self._used = 0  # levels and values stored
-        self._since = 0  # values stored since the last full level
 
     @classmethod
-    def from_levels(cls, levels) -> LevelHistory:
-        """The frozen history of a dense (N+1, J, m) array of levels."""
-        levels = np.ascontiguousarray(levels, dtype=float)
-        history, before = cls(*levels.shape[1:]), None
+    def from_levels(cls, levels, ghost_left, ghost_right) -> LevelHistory:
+        """The frozen history of the (J, m) levels of a dense (N+1, J, m)
+        array or of a LevelHistory, each stored as its tightest ghost hull
+        against ghost_left and ghost_right."""
+        if isinstance(levels, LevelHistory):
+            shape, levels = levels.shape, levels.walk()
+        else:
+            levels = np.ascontiguousarray(levels, dtype=float)
+            shape = levels.shape
+        history = cls(*shape[1:], ghost_left, ghost_right)
         for level in levels:
-            history.append(level, *_changed_cells(before, level))
-            before = level
+            history.append(level, *_ghost_hull(level, ghost_left, ghost_right))
         return history.freeze()
 
+    def keyed_on(self, ghost_left, ghost_right) -> bool:
+        """Whether the history's ghosts hold the bits of these."""
+        return all(np.asarray(new, dtype=float).tobytes() == own.tobytes()
+                   for new, own in ((ghost_left, self.ghost_left),
+                                    (ghost_right, self.ghost_right)))
+
     def append(self, level: np.ndarray, lo: int, hi: int) -> None:
-        """Store the (J, m) level after the last one; every cell of level
-        outside [lo, hi) must hold the bits it held in the level before."""
+        """Store the (J, m) level after the last one by its ghost hull
+        [lo, hi): every cell of level outside it must hold the bits of the
+        ghost state on its side."""
         if not self._values.flags.writeable:
             raise ValueError("the history is frozen")
-        J, m = self._J, self._m
-        width = (hi - lo) * m
-        if not self._n or self._since + width >= J * m:
-            lo, hi, width, self._since = 0, J, J * m, 0
-            self._fulls.append(self._n)
-        else:
-            self._since += width
-        end = self._used + width
+        m = self._m
+        end = self._used + (hi - lo) * m
         if end > len(self._values):  # grown in place by half: at most 1.5x the values held
             self._values.resize(max(end, len(self._values) * 3 // 2), refcheck=False)
         if self._n == len(self._index):
@@ -97,44 +96,57 @@ class LevelHistory:
         """The bytes of the cell values held; the index adds 24 bytes a level."""
         return self._used * self._values.itemsize
 
+    @property
+    def hulls(self) -> np.ndarray:
+        """The (N+1, 2) ghost hulls [lo, hi) of the levels, read-only once frozen."""
+        return self._index[:self._n, :2]
+
+    def hull_cells(self, start: int, stop: int) -> tuple[np.ndarray, np.ndarray]:
+        """The hull cells of levels start..stop-1, level after level, as one
+        component-major (m, S) array, and the column of each level's first
+        hull cell: a view of the buffer at m = 1, a copy at m >= 2."""
+        first, end = self._offset(start), self._offset(stop)
+        return (np.ascontiguousarray(self._values[first:end].reshape(-1, self._m).T),
+                (self._index[start:stop, 2] - first) // self._m)
+
+    def _offset(self, n: int) -> int:
+        """Where level n's hull cells start in the buffer; the end at n = N."""
+        return int(self._index[n, 2]) if n < self._n else self._used
+
     def __len__(self) -> int:
         return self._n
 
-    def _apply(self, level: np.ndarray, start: int, stop: int) -> None:
-        """Write the stored cells of levels start..stop-1 into level, in order."""
-        m, values = self._m, self._values
-        for lo, hi, offset in self._index[start:stop].tolist():
-            level[lo:hi] = values[offset:offset + (hi - lo) * m].reshape(hi - lo, m)
-
-    def _rebuild(self, n: int) -> np.ndarray:
-        """Level n as a new array: the last full level, then the deltas after it."""
-        level = np.empty((self._J, self._m))
-        self._apply(level, self._fulls[bisect.bisect_right(self._fulls, n) - 1], n + 1)
-        return level
-
     def walk(self, start: int = 0, stop: int | None = None):
         """Yield the levels start..stop-1 as one read-only (J, m) view,
-        rebuilt at start and updated in place: each is valid until the next
-        resume."""
+        updated in place: each is valid until the next resume.  A step
+        writes the level's hull cells and gives the cells that leave the
+        hull the ghost state on their new side."""
         stop = self._n if stop is None else stop
         if not 0 <= start <= stop <= self._n:
             raise IndexError(f"levels {start}..{stop} out of range for {self._n} levels")
-        if start == stop:
-            return
-        level = self._rebuild(start)
+        level = np.empty((self._J, self._m))
         view = _frozen(level.view())
-        yield view
-        m, values = self._m, self._values
-        for lo, hi, offset in self._index[start + 1:stop].tolist():
-            level[lo:hi] = values[offset:offset + (hi - lo) * m].reshape(hi - lo, m)
+        before = 0, self._J  # every cell is written at start
+        for row in self._index[start:stop].tolist():
+            before = self._write(level, before, *row)
             yield view
+
+    def _write(self, level: np.ndarray, before: tuple[int, int], lo: int, hi: int,
+               offset: int) -> tuple[int, int]:
+        """Turn level, whose cells outside its ghost hull before hold the
+        ghost states, into the level stored at (lo, hi, offset)."""
+        m = self._m
+        level[before[0]:lo] = self.ghost_left
+        level[hi:before[1]] = self.ghost_right
+        level[lo:hi] = self._values[offset:offset + (hi - lo) * m].reshape(hi - lo, m)
+        return lo, hi
 
     def __iter__(self):
         for level in self.walk():
             yield _frozen(level.copy())
 
     def __getitem__(self, key):
-        """Level key, rebuilt and read-only.  Any other key indexes the dense
+        """Level key, built and read-only.  Any other key indexes the dense
         form; a slice builds only the levels it names."""
         if isinstance(key, slice):
             return self._stack(range(*key.indices(self._n)))
@@ -143,7 +155,9 @@ class LevelHistory:
         n = int(key)
         if not -self._n <= n < self._n:
             raise IndexError(f"level {n} out of range for {self._n} levels")
-        return _frozen(self._rebuild(n % self._n))
+        level = np.empty((self._J, self._m))
+        self._write(level, (0, self._J), *self._index[n % self._n].tolist())
+        return _frozen(level)
 
     def __array__(self, dtype=None, copy=None):
         if copy is False:
@@ -161,15 +175,6 @@ class LevelHistory:
                 if not off:
                     out[k] = level
         return out
-
-
-def _changed_cells(before: np.ndarray | None, level: np.ndarray) -> tuple[int, int]:
-    """The hull [lo, hi) of the cells of level whose bits differ from those of
-    the level before, (0, 0) when none do; every cell without a level before."""
-    if before is None:
-        return 0, len(level)
-    rows = np.flatnonzero((level.view(np.int64) != before.view(np.int64)).any(axis=1))
-    return (int(rows[0]), int(rows[-1]) + 1) if rows.size else (0, 0)
 
 
 def _ghost_hull(level: np.ndarray, ghost_left: np.ndarray,
@@ -190,20 +195,19 @@ def _ghost_hull(level: np.ndarray, ghost_left: np.ndarray,
 class SpaceTimeSolution:
     """Piecewise-constant numerical solution on [t^0, T] x [x_min, x_max].
 
-    states is the LevelHistory of the (N+1, J, m) cell values; a hand-built
-    record may pass the dense array, which is stored as a history.  The
-    outer ghost states are constant in time (frozen at the initial first/last
-    cell values).  ghost_hulls gives each level's ghost hull [lo, hi): every
-    cell outside it holds the bits of the ghost state on its side, so a
-    reader that needs the cells' values reads only the hull.  It is not the
-    history's delta hull, which leaves out any cell that did not change,
-    ghost or not.
+    states is the LevelHistory of the (N+1, J, m) cell values, which stores
+    each level as its ghost hull against the record's ghosts; a hand-built
+    record may pass the dense array, and a record whose ghosts differ from
+    its history's (dataclasses.replace with new ghosts) stores its levels
+    again against its own.  The outer ghost states are constant in time
+    (frozen at the initial first/last cell values).  ghost_hulls gives each
+    level's ghost hull [lo, hi): every cell outside it holds the bits of the
+    ghost state on its side, so a reader that needs the cells' values reads
+    only the hull.
 
-    residual is the ResidualReport that run folded while marching, and
-    _hulls the ghost hulls that run or load_solution recorded.  Neither is
-    an init argument, so dataclasses.replace and hand-built records leave
-    them None: epsilon replays their levels, and ghost_hulls derives the
-    hulls from the levels against the record's own ghosts on first use.
+    residual is the ResidualReport that run folded while marching.  It is
+    not an init argument, so dataclasses.replace and hand-built records
+    leave it None, and epsilon replays their levels.
     """
 
     grid: Grid1D
@@ -216,19 +220,17 @@ class SpaceTimeSolution:
     cfl: float
     residual: ResidualReport | None = field(default=None, init=False, repr=False,
                                             compare=False)
-    _hulls: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if not isinstance(self.states, LevelHistory):
-            self.states = LevelHistory.from_levels(self.states)
+        if not (isinstance(self.states, LevelHistory)
+                and self.states.keyed_on(self.ghost_left, self.ghost_right)):
+            self.states = LevelHistory.from_levels(self.states, self.ghost_left,
+                                                   self.ghost_right)
 
     @property
     def ghost_hulls(self) -> np.ndarray:
         """The read-only (N+1, 2) ghost hulls [lo, hi) of the levels."""
-        if self._hulls is None:
-            self._hulls = _hull_array([_ghost_hull(level, self.ghost_left, self.ghost_right)
-                                       for level in self.states.walk()])
-        return self._hulls
+        return self.states.hulls
 
     @property
     def n_steps(self) -> int:
@@ -411,10 +413,6 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def _hull_array(hulls: list[tuple[int, int]]) -> np.ndarray:
-    return _frozen(np.array(hulls, dtype=np.intp).reshape(-1, 2))
-
-
 def run(
     initial: np.ndarray,
     model,
@@ -425,30 +423,30 @@ def run(
     t_final: float,
 ) -> SpaceTimeSolution:
     """March from t0 to exactly t_final (last step clipped), record each
-    level in the history as the cells its step updated, and fold epsilon's
-    residual report from each level's model terms and step fluxes as they
-    are made.  Each step's window is its level's ghost hull, and the initial
-    active window level 0's.  The record is frozen."""
+    level in the history by its ghost hull, and fold epsilon's residual
+    report from each level's model terms and step fluxes as they are made.
+    A level's ghost hull is the window of the step into it, and level 0's
+    the initial active window.  The record is frozen."""
     fold = ResidualFold(grid.dx)
-    times, history, hulls = [], LevelHistory(grid.J, model.m), []
+    times = []
     for t, states, padded, terms, fluxes, window in _levels(
             initial, model, flux_kind, grid, cfl, t0, t_final, with_terms=True):
-        history.append(states, *(window or (0, grid.J)))
-        hulls.append(window or _window(padded.view(np.int64), 0, grid.J))
+        if window is None:  # level 0
+            history = LevelHistory(grid.J, model.m, padded[0], padded[-1])
+        history.append(states, *(window or _window(padded.view(np.int64), 0, grid.J)))
         times.append(t)
         fold.add(t, padded, terms, fluxes, window)
     sol = SpaceTimeSolution(
         grid=grid,
         times=TimeLevels(times),
         states=history.freeze(),
-        ghost_left=_frozen(padded[0].copy()),
-        ghost_right=_frozen(padded[-1].copy()),
+        ghost_left=history.ghost_left,
+        ghost_right=history.ghost_right,
         model=model,
         flux_kind=normalize_flux_kind(flux_kind),
         cfl=cfl,
     )
     sol.residual = fold.report(sol)
-    sol._hulls = _hull_array(hulls)
     return sol
 
 
@@ -485,10 +483,9 @@ def _parse_floats(text: str) -> np.ndarray:
 
 def load_solution(path: str) -> SpaceTimeSolution:
     """Read a save_solution dump, each row parsed straight into the history
-    as the hull of the cells whose bits changed, and its ghost hull taken
-    against the header's ghosts; a malformed time-level row raises a
-    ValueError naming the file and the line, a missing or malformed header
-    entry one naming the file and the key."""
+    as its ghost hull against the header's ghosts; a malformed time-level
+    row raises a ValueError naming the file and the line, a missing or
+    malformed header entry one naming the file and the key."""
     header: dict[str, str] = {}
 
     def value(key: str, parse):
@@ -518,7 +515,7 @@ def load_solution(path: str) -> SpaceTimeSolution:
             **ghosts,
         )
 
-    fields, times, hulls, before = None, [], [], None
+    fields, times = None, []
     with open(path) as fh:
         magic = fh.readline().strip()
         if magic != "# fvbound-solution 1":
@@ -536,7 +533,7 @@ def load_solution(path: str) -> SpaceTimeSolution:
             if fields is None:  # the header precedes the rows
                 fields, m = record(), value("m", int)
                 J = fields["grid"].J
-                history = LevelHistory(J, m)
+                history = LevelHistory(J, m, fields["ghost_left"], fields["ghost_right"])
             try:
                 row = np.array(line.split(","), dtype=float)
             except ValueError as exc:
@@ -545,13 +542,9 @@ def load_solution(path: str) -> SpaceTimeSolution:
                 raise ValueError(f"{path}, line {lineno}: {row.size} columns, expected "
                                  f"J*m + 1 = {J * m + 1} (t, then the J x m cell states)")
             level = row[1:].reshape(J, m)
-            history.append(level, *_changed_cells(before, level))
-            hulls.append(_ghost_hull(level, fields["ghost_left"], fields["ghost_right"]))
+            history.append(level, *_ghost_hull(level, history.ghost_left, history.ghost_right))
             times.append(float(row[0]))
-            before = level
     if fields is None:
         record()
         raise ValueError(f"{path} holds no time levels after its header")
-    sol = SpaceTimeSolution(times=TimeLevels(times), states=history.freeze(), **fields)
-    sol._hulls = _hull_array(hulls)
-    return sol
+    return SpaceTimeSolution(times=TimeLevels(times), states=history.freeze(), **fields)

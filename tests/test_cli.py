@@ -209,7 +209,7 @@ class TestFusedExactError:
         exact = np.array([_gauss_cell_averages(fan, origin, ti, grid) for ti in t])
         states = exact + noise * (1.0 + np.abs(exact)) * rng.uniform(-1.0, 1.0, exact.shape)
         sol = SimpleNamespace(grid=grid, times=TimeLevels(np.array(t)),
-                              states=LevelHistory.from_levels(states))
+                              states=LevelHistory.from_levels(states, states[0, 0], states[0, -1]))
         _assert_fused_error_matches_oracles(sol, fan, origin)
 
     @pytest.mark.parametrize("left,right", [([1.0], [3.0]), ([3.0], [1.0]), ([0.0], [2.0]),
@@ -223,7 +223,7 @@ class TestFusedExactError:
         exact = np.array([_gauss_cell_averages(fan, 0.0, ti, grid) for ti in t])
         states = exact + 0.1 * np.random.default_rng(3).uniform(-1.0, 1.0, exact.shape)
         sol = SimpleNamespace(grid=grid, times=TimeLevels(t),
-                              states=LevelHistory.from_levels(states))
+                              states=LevelHistory.from_levels(states, states[0, 0], states[0, -1]))
         _assert_fused_error_matches_oracles(sol, fan, 0.0)
 
     @pytest.mark.parametrize("origin", [0.0, 0.37, -1.3])

@@ -1,6 +1,6 @@
 """The level history: every way of reading it gives the dense stack of its
-levels bit for bit, it never holds more than the dense values, and the main
-paths read it without building the dense form."""
+levels bit for bit, it holds only each level's ghost-hull cells, and the
+main paths read it without building the dense form."""
 
 import tracemalloc
 
@@ -15,29 +15,35 @@ from fvbound.models import make_model
 from fvbound.riemann import cell_average_exact, solve_riemann
 from fvbound.solver import LevelHistory, load_solution, run, save_solution
 
-# Signed zeros apart, so a level that only flips 0.0 to -0.0 still changes.
+# Signed zeros apart, so a cell of -0.0 is no ghost 0.0.
 VALUES = (0.0, -0.0, 1.0, -1.5, 2.5e-300, 7.0)
+GHOSTS = (0.0, -0.0, 1.0)
 
 
-def _sequence(J, m, windows, fills=None):
-    """Levels (N+1, J, m): level 0, then each window's cells given new values
-    (fills, or a counter) and every other cell kept from the level before."""
-    counter = iter(range(1, 10**6))
-    levels = [np.arange(J * m, dtype=float).reshape(J, m)]
-    for k, (lo, hi) in enumerate(windows):
-        level = levels[-1].copy()
+def _sequence(J, m, hulls, ghost_left=0.0, ghost_right=1.0, fills=None):
+    """Levels (N+1, J, m), one per ghost hull: ghost_left left of the hull,
+    ghost_right at and right of its end, and inside it the fills (or a
+    counter's values, which are no ghost state)."""
+    counter = iter(range(2, 10**6))
+    ghost_left = np.broadcast_to(np.asarray(ghost_left, dtype=float), (m,))
+    ghost_right = np.broadcast_to(np.asarray(ghost_right, dtype=float), (m,))
+    levels = np.empty((len(hulls), J, m))
+    for level, (lo, hi), k in zip(levels, hulls, range(len(hulls))):
         new = (fills[k] if fills is not None
                else [float(next(counter)) for _ in range((hi - lo) * m)])
+        level[:lo], level[hi:] = ghost_left, ghost_right
         level[lo:hi] = np.reshape(new, (hi - lo, m))
-        levels.append(level)
-    return np.array(levels), list(windows)
+    return levels, list(hulls), ghost_left.copy(), ghost_right.copy()
 
 
 @st.composite
-def level_sequences(draw):
+def ghosted_sequences(draw):
     J, m = draw(st.integers(1, 7)), draw(st.integers(1, 2))
-    windows, fills = [], []
-    for _ in range(draw(st.integers(0, 10))):
+    ghost = st.lists(st.sampled_from(GHOSTS), min_size=m, max_size=m)
+    ghost_left = draw(ghost)
+    ghost_right = list(ghost_left) if draw(st.booleans()) else draw(ghost)
+    hulls, fills = [], []
+    for _ in range(draw(st.integers(1, 10))):
         kind = draw(st.sampled_from(["any", "empty", "full", "first", "last"]))
         if kind == "empty":
             lo = hi = draw(st.integers(0, J))
@@ -50,23 +56,23 @@ def level_sequences(draw):
         else:
             lo = draw(st.integers(0, J))
             hi = draw(st.integers(lo, J))
-        windows.append((lo, hi))
+        hulls.append((lo, hi))
         fills.append(draw(st.lists(st.sampled_from(VALUES), min_size=(hi - lo) * m,
                                    max_size=(hi - lo) * m)))
-    return _sequence(J, m, windows, fills)
+    return _sequence(J, m, hulls, ghost_left, ghost_right, fills)
 
 
-def _stored_values(level_values, widths):
-    """Values the full-level rule stores: level 0 in full, then each delta
-    unless the values since the last full level, plus its own, reach one
-    level, which is then stored in full."""
-    total, since = level_values, 0
-    for width in widths:
-        if since + width >= level_values:
-            total, since = total + level_values, 0
-        else:
-            total, since = total + width, since + width
-    return total
+def _tightest_hulls(dense, ghost_left, ghost_right):
+    """Per level, cell by cell: the first cell whose bits are not
+    ghost_left's and the end of the last whose bits are not ghost_right's."""
+    hulls = []
+    for level in dense:
+        J = len(level)
+        lo = next((j for j in range(J) if level[j].tobytes() != ghost_left.tobytes()), J)
+        hi = next((j + 1 for j in reversed(range(J))
+                   if level[j].tobytes() != ghost_right.tobytes()), 0)
+        hulls.append((lo, max(lo, hi)))
+    return hulls
 
 
 def _same(a, b) -> bool:
@@ -74,9 +80,9 @@ def _same(a, b) -> bool:
     return a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
-def _appended(dense, windows):
-    history = LevelHistory(*dense.shape[1:])
-    for level, (lo, hi) in zip(dense, [(0, dense.shape[1])] + windows):
+def _appended(dense, hulls, ghost_left, ghost_right):
+    history = LevelHistory(*dense.shape[1:], ghost_left, ghost_right)
+    for level, (lo, hi) in zip(dense, hulls):
         history.append(level, lo, hi)
     return history.freeze()
 
@@ -85,10 +91,12 @@ SLICES = (slice(None), slice(1, None), slice(None, -1), slice(None, None, 2),
           slice(None, None, -1), slice(-3, -1), slice(5, 2, -2), slice(7, 99), slice(3, 1))
 
 
-def _assert_reads_the_dense_stack(history, dense):
+def _assert_reads_the_dense_stack(history, dense, hulls):
     n_levels, J, m = dense.shape
     assert len(history) == n_levels and history.shape == dense.shape
-    assert history.nbytes <= dense.nbytes
+    assert history.hulls.tolist() == [list(h) for h in hulls]
+    assert not history.hulls.flags.writeable
+    assert history.nbytes == 8 * m * sum(hi - lo for lo, hi in hulls)
     for n in range(-n_levels, n_levels):
         level = history[n]
         assert _same(level, dense[n]) and not level.flags.writeable
@@ -105,47 +113,34 @@ def _assert_reads_the_dense_stack(history, dense):
 
 
 @settings(max_examples=150, deadline=None)
-@given(sequence=level_sequences())
-# J*m = 4: deltas of 2 and then 2 reach one level, so the second is stored in full
-@example(sequence=_sequence(4, 1, [(0, 2), (1, 3), (3, 4)]))
-# 2 and then 1 stay one value short of it, and the next 1 reaches it
-@example(sequence=_sequence(4, 1, [(0, 2), (1, 2), (2, 3)]))
-# J*m = 6: a single delta of 3 cells is a whole level
-@example(sequence=_sequence(3, 2, [(1, 2), (0, 3), (0, 0), (2, 3)]))
-# a flip of 0.0 to -0.0 is a change
-@example(sequence=_sequence(3, 1, [(0, 1), (0, 1)], fills=[[0.0], [-0.0]]))
+@given(sequence=ghosted_sequences())
+# a hull that jumps wholly past the one before, to the right and back
+@example(sequence=_sequence(6, 1, [(0, 2), (5, 6), (0, 2)]))
+@example(sequence=_sequence(6, 2, [(4, 6), (0, 1), (3, 5), (0, 6)]))
+# empty hulls at cell 0, mid-grid and J, in both orders
+@example(sequence=_sequence(6, 1, [(0, 0), (3, 3), (6, 6), (3, 3), (0, 0), (1, 5)]))
+# ghost_left bit-equal to ghost_right
+@example(sequence=_sequence(4, 2, [(1, 3), (4, 4), (0, 0), (2, 3)], 1.0, 1.0))
+# +-0.0 ghosts, and hull cells that hold the other signed zero
+@example(sequence=_sequence(3, 1, [(0, 1), (2, 3), (1, 1)], 0.0, -0.0,
+                            fills=[[-0.0], [0.0], []]))
 def test_history_reads_the_dense_stack(sequence):
-    """Built from each step's window or from the dense stack, the history
-    gives every level, the iteration, slices, walks and np.asarray bit for
-    bit, and holds what the full-level rule stores: at most the dense values
-    and at most twice the deltas."""
-    dense, windows = sequence
-    J, m = dense.shape[1:]
-    appended = _appended(dense, windows)
-    _assert_reads_the_dense_stack(appended, dense)
-    widths = [(hi - lo) * m for lo, hi in windows]
-    assert appended.nbytes == 8 * _stored_values(J * m, widths)
-    assert appended.nbytes <= 2 * 8 * (J * m + sum(widths))
-    hulls = LevelHistory.from_levels(dense)
-    _assert_reads_the_dense_stack(hulls, dense)
-    bits = dense.view(np.int64)
-    changed = [np.flatnonzero((a != b).any(axis=1)) for a, b in zip(bits, bits[1:])]
-    widths = [(rows[-1] + 1 - rows[0]) * m if rows.size else 0 for rows in changed]
-    assert hulls.nbytes == 8 * _stored_values(J * m, widths)
-
-
-def test_full_level_rule_at_its_edge():
-    """J*m = 4: the deltas 2 + 2 reach one level, so the second of them is
-    stored in full (4 values); 2 + 1 do not."""
-    dense, windows = _sequence(4, 1, [(0, 2), (1, 3)])
-    assert _appended(dense, windows).nbytes == 8 * (4 + 2 + 4)
-    dense, windows = _sequence(4, 1, [(0, 2), (1, 2)])
-    assert _appended(dense, windows).nbytes == 8 * (4 + 2 + 1)
+    """Built from each level's ghost hull, or from the dense stack with the
+    tightest hulls, the history gives every level, the iteration, slices,
+    walks and np.asarray bit for bit, and stores only the hull cells."""
+    dense, hulls, ghost_left, ghost_right = sequence
+    _assert_reads_the_dense_stack(_appended(dense, hulls, ghost_left, ghost_right), dense,
+                                  hulls)
+    tightest = LevelHistory.from_levels(dense, ghost_left, ghost_right)
+    _assert_reads_the_dense_stack(tightest, dense, _tightest_hulls(dense, ghost_left,
+                                                                   ghost_right))
+    again = LevelHistory.from_levels(tightest, ghost_right, ghost_left)
+    _assert_reads_the_dense_stack(again, dense, _tightest_hulls(dense, ghost_right, ghost_left))
 
 
 def test_frozen_history_takes_no_more_levels():
-    dense, windows = _sequence(3, 1, [(0, 1)])
-    history = _appended(dense, windows)
+    dense, hulls, ghost_left, ghost_right = _sequence(3, 1, [(0, 3), (0, 1)])
+    history = _appended(dense, hulls, ghost_left, ghost_right)
     with pytest.raises(ValueError, match="frozen"):
         history.append(dense[0], 0, 3)
     with pytest.raises(TypeError):
@@ -155,14 +150,13 @@ def test_frozen_history_takes_no_more_levels():
 
 
 def test_dense_accessors_refuse_a_view():
-    dense, windows = _sequence(2, 1, [(0, 1)])
     with pytest.raises(ValueError, match="copy"):
-        np.asarray(_appended(dense, windows), copy=False)
+        np.asarray(_appended(*_sequence(2, 1, [(0, 2), (0, 1)])), copy=False)
 
 
 def test_load_parses_rows_straight_into_the_history(tmp_path):
-    """Loading the psys-raref-shock L9 dump holds the history, two levels
-    (the row being parsed and the one before) and little else."""
+    """Loading the psys-raref-shock L9 dump holds the history, the row being
+    parsed and little else."""
     model = make_model("psystem")
     grid = build_grid(-5.0, 5.0, 9)
     fan = solve_riemann(model, (0.15, 0.0), (0.1, 0.0))

@@ -27,7 +27,7 @@ from fvbound.partition import (
     trapezoid_cell_ranges,
     trapezoid_minmax,
 )
-from fvbound.solver import SpaceTimeSolution, load_solution, run, save_solution
+from fvbound.solver import SpaceTimeSolution, load_solution, march, run, save_solution
 from oracles import cover_counts
 
 
@@ -385,12 +385,25 @@ def _assert_ghost_hulls(sol):
             assert cells.tobytes() == np.tile(ghost, (len(cells), 1)).tobytes()
 
 
+def tightest_hulls(sol):
+    """Per level, cell by cell: from the first cell whose bits are not
+    ghost_left's to the end of the last whose bits are not ghost_right's."""
+    hulls = []
+    for level in np.asarray(sol.states):
+        lo = next((j for j, cell in enumerate(level)
+                   if cell.tobytes() != np.asarray(sol.ghost_left, float).tobytes()), len(level))
+        hi = max((j + 1 for j, cell in enumerate(level)
+                  if cell.tobytes() != np.asarray(sol.ghost_right, float).tobytes()), default=0)
+        hulls.append([lo, max(lo, hi)])
+    return hulls
+
+
 @st.composite
 def ghosted_levels(draw, J, m, ghost_left, ghost_right, n_levels):
     """Levels whose first level has runs of ghost cells at both ends and an
     interior constant plateau that is no ghost state; each later level gives
     one window of cells new values (ghosts among them) and keeps the rest,
-    so the plateau and the ghost runs stay out of the history's deltas."""
+    so the plateau may outlast the level it started in."""
     a = draw(st.integers(0, J))
     b = draw(st.integers(a, J))
     level = np.empty((J, m))
@@ -415,8 +428,9 @@ def ghosted_levels(draw, J, m, ghost_left, ghost_right, n_levels):
 @st.composite
 def records(draw):
     """A random record on [0, 1] with its ghost hulls from one of their
-    sources: run's windows, load_solution's parsed rows, or the levels of a
-    hand-built (or dataclasses.replace'd) record, derived on first use."""
+    sources: run's windows, or the tightest hulls of load_solution's parsed
+    rows or of a hand-built (or dataclasses.replace'd) record's levels
+    against its own ghosts."""
     J = draw(st.integers(1, 12))
     m = draw(st.sampled_from([1, 2]))
     grid = Grid1D(0.0, 1.0, J)
@@ -449,8 +463,9 @@ def records(draw):
         ghost_left=ghost_left, ghost_right=ghost_right, model=model, flux_kind="llf",
         cfl=0.9)
     if source == "replace":
-        assert sol.ghost_hulls is sol._hulls  # derived and kept: replace must drop them
-        sol = dataclasses.replace(sol, ghost_left=ghost_right, ghost_right=ghost_left)
+        swapped = dataclasses.replace(sol, ghost_left=ghost_right, ghost_right=ghost_left)
+        assert np.asarray(swapped.states).tobytes() == np.asarray(sol.states).tobytes()
+        sol = swapped
     elif source == "load":
         with tempfile.TemporaryDirectory() as tmp:
             save_solution(sol, os.path.join(tmp, "dump.csv"))
@@ -484,8 +499,8 @@ def test_range_arrays_and_block_minmax_equal_the_per_level_loop(case):
     segments and the ghosts the ranges reach are the per-level loop's."""
     sol, source, trap, n_lo, n_hi = case
     _assert_ghost_hulls(sol)
-    if source == "run":
-        assert sol._hulls is not None  # recorded while marching
+    if source != "run":  # run's hulls are its windows
+        assert sol.ghost_hulls.tolist() == tightest_hulls(sol)
     levels, j_lo, j_hi = trapezoid_cell_ranges(trap, sol, n_lo, n_hi)
     ranges = ranges_oracle(trap, sol, n_lo, n_hi)
     assert list(zip(levels.tolist(), j_lo.tolist(), j_hi.tolist())) == ranges
@@ -497,35 +512,40 @@ def test_range_arrays_and_block_minmax_equal_the_per_level_loop(case):
         assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
 
 
-def test_ghost_hull_is_not_the_delta_hull():
-    """A plateau that is no ghost state and never changes lies outside every
-    delta the history stores after level 0, but inside each ghost hull; a
-    level that holds one ghost state only has an empty hull at its end or its
-    start; a replaced record derives its hulls against its own ghosts."""
+def test_hand_built_and_replaced_records_store_their_tightest_hulls():
+    """A plateau that is no ghost state lies inside each ghost hull; a level
+    that holds one ghost state only has an empty hull at its end or its
+    start; a replaced record stores the same levels against its own ghosts."""
     grid = Grid1D(0.0, 1.0, 6)
     first = np.array([0.0, 0.0, 3.25, 3.25, 1.0, 1.0])
     second = np.array([0.0, 0.5, 3.25, 3.25, 1.0, 1.0])
     sol = manual_solution(grid, [0.0, 0.1, 0.2, 0.3],
                           [first, second, np.zeros(6), np.ones(6)])
-    assert sol._hulls is None
     assert sol.ghost_hulls.tolist() == [[2, 4], [1, 4], [6, 6], [0, 0]]
-    assert sol._hulls is sol.ghost_hulls
+    assert sol.states.nbytes == 8 * (2 + 3 + 0 + 0)
     swapped = dataclasses.replace(sol, ghost_left=sol.ghost_right, ghost_right=sol.ghost_left)
-    assert swapped._hulls is None
     assert swapped.ghost_hulls.tolist() == [[0, 6], [0, 6], [0, 0], [6, 6]]
+    assert np.asarray(swapped.states).tobytes() == np.asarray(sol.states).tobytes()
+    assert dataclasses.replace(swapped, ghost_left=sol.ghost_left,
+                               ghost_right=sol.ghost_right).ghost_hulls.tolist() == (
+        sol.ghost_hulls.tolist())
 
 
 def test_run_records_its_windows_as_ghost_hulls():
     """run's hulls are its step windows, level 0's the initial active window,
-    so they may hold ghost cells at their ends; a dump of the run loads the
-    tightest hulls, which lie inside them."""
+    so they may hold ghost cells at their ends; a record built from the
+    run's dense levels stores the tightest hulls, which lie inside them."""
     grid = Grid1D(0.0, 1.0, 16)
     states = np.where(grid.centers() < 0.5, 1.0, 0.0)[:, None]
-    sol = run(states, make_model("burgers"), "llf", grid, 0.9, 0.0, 0.2)
+    model = make_model("burgers")
+    sol = run(states, model, "llf", grid, 0.9, 0.0, 0.2)
     _assert_ghost_hulls(sol)
-    assert sol.ghost_hulls[0].tolist() == [7, 9]
-    tight = SpaceTimeSolution(sol.grid, sol.times, sol.states, sol.ghost_left,
+    windows = [list(window) for _, _, window in march(states, model, "llf", grid, 0.9, 0.0,
+                                                       0.2) if window is not None]
+    assert sol.ghost_hulls.tolist() == [[7, 9]] + windows
+    tight = SpaceTimeSolution(sol.grid, sol.times, np.asarray(sol.states), sol.ghost_left,
                               sol.ghost_right, sol.model, sol.flux_kind, sol.cfl)
+    assert tight.ghost_hulls.tolist() == tightest_hulls(sol)
     assert np.all(tight.ghost_hulls[:, 0] >= sol.ghost_hulls[:, 0])
     assert np.all(tight.ghost_hulls[:, 1] <= sol.ghost_hulls[:, 1])
     assert not np.array_equal(tight.ghost_hulls, sol.ghost_hulls)
@@ -533,7 +553,8 @@ def test_run_records_its_windows_as_ghost_hulls():
 
 def test_slab_block_layout():
     """The block holds each level's ghost-hull cells, component-major, one
-    level after the other; an empty hull adds no column."""
+    level after the other; an empty hull adds no column; at m = 1 it is the
+    history's buffer."""
     grid = Grid1D(0.0, 1.0, 5)
     ghost_left, ghost_right = np.array([1.0, 0.0]), np.array([2.0, -0.0])
     levels = np.empty((4, 5, 2))
@@ -556,6 +577,7 @@ def test_slab_block_layout():
     scalar = manual_solution(grid, [0.0, 0.1], [[1.0, 1.0, 4.0, 3.0, 3.0]] * 2)
     block = slab_block(scalar, 0, 2)
     assert block.values.tobytes() == np.array([[4.0, 4.0]]).tobytes()
+    assert np.shares_memory(block.values, scalar.states._values)  # read in place at m = 1
 
 
 def test_surge_oscillation_keeps_cells_the_shrinking_strip_drops():
