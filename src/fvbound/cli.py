@@ -227,7 +227,8 @@ def streamed_fine_reference(
 def linf_l1_error(sol: SpaceTimeSolution, fan: WaveFan, origin: float = 0.0) -> float:
     """L-inf/L1 error against the exact fan centred at origin: max over time
     levels of the componentwise L1 distance to its cell averages, reduced by
-    the sup norm over components; one fused pass per level."""
+    the sup norm over components; the averages come a block of levels at a
+    time."""
     distances = exact_l1_distances(fan, origin, sol.grid, sol.times.t, sol.states.walk())
     return float((distances * sol.grid.dx).max())
 
@@ -465,10 +466,11 @@ def render_decomposition_svg(sol: SpaceTimeSolution, estimate: EstimateReport) -
     shades = np.rint(235 - 195 * (raster - vmin) / vspan).astype(np.uint8)
     x_attrs = [f'<rect x="{pad + c * cell_w:.2f}" y="' for c in range(n_cols)]
     size_attrs = f'" width="{cell_w + 0.5:.2f}" height="{cell_h + 0.5:.2f}" fill="rgb('
+    fills = [f'{s},{s},{s})"/>' for s in range(256)]
     for r in range(n_rows):
         y = f"{height - pad - (r + 1) * cell_h:.2f}{size_attrs}"
         row = zip(x_attrs, shades[r].tolist())
-        parts.append("".join(f'{x}{y}{s},{s},{s})"/>' for x, s in row))
+        parts.append("".join(x + y + fills[s] for x, s in row))
 
     def polygon(trap, color: str, fill: str = "none", opacity: str = "1.0", dash: str = ""):
         pts = (

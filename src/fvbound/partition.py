@@ -60,26 +60,36 @@ def detect_jumps(
     over the whole time level (so the threshold is invariant under solution
     rescaling and offsets); the detector takes the max over components.
     Only interfaces inside x_interval are considered.
+
+    Only level n's ghost hull is read, with a ghost cell on each side that
+    has one: the level's values are those cells' values, and every jump
+    outside them, between two cells of one ghost state, is zero.
     """
     if not sigma0 > 0:  # NaN included
         raise ValueError(f"sigma0 must be positive, got {sigma0}")
-    states = sol.states[n]
     grid = sol.grid
     if grid.J < 2:
         return []
+    n = range(len(sol.ghost_hulls))[n]
+    lo, hi = sol.ghost_hulls[n].tolist()
+    ghosts_left = [sol.ghost_left[None, :]] * (lo > 0)
+    ghosts_right = [sol.ghost_right[None, :]] * (hi < grid.J)
+    # the cells first..first+len(states)-1 of level n
+    states = np.concatenate([*ghosts_left, sol.states.hull_cells(n, n + 1)[0].T, *ghosts_right])
+    first = lo - len(ghosts_left)
     span = states.max(axis=0) - states.min(axis=0)
     # components that are constant up to roundoff cannot carry a jump
     scale = np.where(span > 1e-12 * (1.0 + np.abs(states).max(axis=0)), span, np.inf)
     detail = (np.abs(np.diff(states, axis=0)) / scale).max(axis=1)
     flagged = detail > sigma0
+    edges = grid.interfaces()
     if x_interval is not None:
-        pos = grid.interfaces()[1:-1]
-        lo, hi = x_interval
-        flagged &= (pos >= lo) & (pos <= hi)
+        pos = edges[first + 1:first + len(states)]
+        x_lo, x_hi = x_interval
+        flagged &= (pos >= x_lo) & (pos <= x_hi)
 
     regions: list[JumpRegion] = []
-    edges = grid.interfaces()
-    idx = np.nonzero(flagged)[0]
+    idx = np.nonzero(flagged)[0] + first
     if idx.size == 0:
         return regions
     run_start = idx[0]

@@ -17,6 +17,11 @@ RH_TOL = 1e-10
 STAR_ATOL = 1e-13
 MAX_ITER = 200
 
+# Cells per block of levels in exact_l1_distances: a block's averages hold
+# BLOCK_CELLS * m floats (256 KiB at m = 2), and a rarefaction's cells in it
+# about as much again in temporaries.
+BLOCK_CELLS = 1 << 14
+
 
 class VacuumError(ValueError):
     """The Riemann data admit no positive-density solution."""
@@ -244,9 +249,10 @@ def solve_riemann(model, uL, uR) -> WaveFan:
 
 
 def _fan_integral(fan: WaveFan, family: int, a: np.ndarray, b: np.ndarray,
-                  origin: float, t: float) -> np.ndarray:
+                  origin: float, t) -> np.ndarray:
     """Integral of the rarefaction profile of the given family over the
-    x-intervals [a, b] inside it at time t > 0, in closed form, (n, m)."""
+    x-intervals [a, b] inside it at the times t > 0 (one per interval, or
+    one for all), in closed form, (n, m)."""
     model = fan.model
     if isinstance(model, Burgers):
         return ((b - a) * (0.5 * (a + b) - origin) / t)[:, None]
@@ -267,67 +273,113 @@ def _fan_integral(fan: WaveFan, family: int, a: np.ndarray, b: np.ndarray,
     return out
 
 
-def _constant_rows(fan: WaveFan, J: int) -> list:
-    """Each constant segment's state repeated over J rows (None for a fan):
-    row-wise slices of it combine with a level far faster than numpy's
-    broadcast of one m-vector over every row."""
-    return [np.tile(payload, (J, 1)) if kind == "const" else None
-            for _, _, kind, payload in fan.segments]
+def _ragged(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The row r and column j of every lo[r] <= j < hi[r], row after row."""
+    counts = np.maximum(hi - lo, 0)
+    rows = np.repeat(np.arange(lo.size), counts)
+    return rows, np.arange(rows.size) + (lo - (np.cumsum(counts) - counts))[rows]
 
 
-def _average_pieces(fan: WaveFan, origin: float, t: float, edges: np.ndarray, dx: float,
-                    rows: list):
-    """Cover the cells at time t > 0 with (cell slice, averages) pairs: the
-    cells wholly inside a constant state get that state (sliced from rows,
-    see _constant_rows), the cells wholly inside a rarefaction their
-    closed-form averages, and each cell that a breakpoint cuts the sum of its
-    pieces.
+def _average_blocks(fan: WaveFan, origin: float, t: np.ndarray, edges: np.ndarray,
+                    dx: float, per_block: int):
+    """Yield the cell averages of the self-similar solution at the times t,
+    per_block levels at a time, each block (levels, J, m).
 
-    One searchsorted of the breakpoints x_k = origin + t*xi_k on the grid
-    edges places them all; a breakpoint on an edge cuts no cell.
+    At t > 0 the breakpoints x_k = origin + t*xi_k split each level: the
+    cells wholly inside a constant state get that state, the cells wholly
+    inside a rarefaction their closed-form averages, and each cell that
+    breakpoints cut the sum of its pieces in segment order, from 0.0; a
+    breakpoint on an edge cuts no cell.  At t = 0 the cell straddling the
+    origin gets the width-weighted mix of the two states.  What is per
+    breakpoint is found for all the levels at once, and what is per cell one
+    block at a time.
     """
-    J = edges.size - 1
-    x = [origin + t * seg[1] for seg in fan.segments[:-1]]
-    left = edges.searchsorted(x, "left").tolist()
-    right = edges.searchsorted(x, "right").tolist()
-    cuts = [r - 1 if l == r and 0 < r <= J else None for l, r in zip(left, right)]
-    firsts = [0] + [min(i, J) for i in left]  # first cell wholly right of x_{k-1}
-    stops = [max(i - 1, 0) for i in right] + [J]  # past the cells wholly left of x_k
-    cut_parts: dict[int, np.ndarray] = {}
+    J, m, N = edges.size - 1, fan.model.m, t.size
+    zero = t == 0.0
+    t = np.where(zero, 1.0, t)  # the t = 0 levels are overwritten with the mix below
+    # Segment k spans x[:, k]..x[:, k + 1]; -inf and inf close the fan.
+    x = np.empty((N, len(fan.segments) + 1))
+    x[:, 0], x[:, -1] = -np.inf, np.inf
+    with np.errstate(over="ignore"):  # a breakpoint past the float range is off the grid
+        x[:, 1:-1] = origin + t[:, None] * [seg[1] for seg in fan.segments[:-1]]
+    left, right = edges.searchsorted(x, "left"), edges.searchsorted(x, "right")
+    firsts = np.minimum(left[:, :-1], J)  # each segment's first cell wholly right of its left end
+    stops = np.maximum(right[:, 1:] - 1, 0)  # past its cells wholly left of its right end
+    fans = [(k, family) for k, (_, _, kind, family) in enumerate(fan.segments) if kind == "fan"]
 
-    def add_cut(cell, integral):
-        cut_parts[cell] = cut_parts.get(cell, 0.0) + integral
-
+    # Each level in runs: segment 0's whole cells, the cell that breakpoint
+    # x[:, 1] cuts (or none), segment 1's whole cells, ...; a run that would
+    # end before the one ahead of it is empty.
+    ends = np.empty((N, 2 * len(fan.segments) - 1), dtype=np.intp)
+    ends[:, 0::2], ends[:, 1::2] = stops, firsts[:, 1:]
+    lengths = np.diff(np.maximum.accumulate(ends, axis=1), axis=1, prepend=0)
+    runs = np.zeros((len(fan.segments), 2, m))  # a segment's state, then its cut cell's 0.0
+    states = runs[:, 0]
     for k, (_, _, kind, payload) in enumerate(fan.segments):
-        lo, hi = firsts[k], stops[k]
-        x_lo, x_hi = (x[k - 1] if k else -np.inf), (x[k] if k < len(x) else np.inf)
-        c_lo, c_hi = (cuts[k - 1] if k else None), (cuts[k] if k < len(x) else None)
         if kind == "const":
-            if lo < hi:
-                yield slice(lo, hi), rows[k][lo:hi]
-            if c_lo is not None:
-                add_cut(c_lo, (min(edges[c_lo + 1], x_hi) - x_lo) * payload)
-            if c_hi is not None and c_hi != c_lo:
-                add_cut(c_hi, (x_hi - max(edges[c_hi], x_lo)) * payload)
-            continue
-        points = [edges[lo:hi + 1]]
-        if c_lo is not None:
-            points.insert(0, [x_lo])
-        if c_hi is not None:
-            points.append([x_hi])
-        points = np.concatenate(points)
-        if points.size < 2:
-            continue
-        integrals = _fan_integral(fan, payload, points[:-1], points[1:], origin, t)
-        first = int(c_lo is not None)
-        if lo < hi:
-            yield slice(lo, hi), integrals[first:first + hi - lo] / dx
-        if c_lo is not None:
-            add_cut(c_lo, integrals[0])
-        if c_hi is not None and c_hi != c_lo:
-            add_cut(c_hi, integrals[-1])
-    for cell, integral in cut_parts.items():
-        yield slice(cell, cell + 1), integral / dx
+            states[k] = payload
+    runs = np.tile(runs.reshape(-1, m)[:-1], (min(per_block, N), 1))
+
+    # The inner breakpoints x[:, 1:-1]: the cell each cuts, and its pieces in
+    # the segments up to its left (read only from the leftmost breakpoint in
+    # a cell, so from the cell's left edge) and down to its right.  Clipped
+    # to the grid, the breakpoints keep the bits of every piece that is read
+    # and leave the others finite.
+    cut = (left[:, 1:-1] == right[:, 1:-1]) & (0 < right[:, 1:-1]) & (right[:, 1:-1] <= J)
+    cell = np.minimum(right[:, 1:-1], J) - 1
+    shared = np.zeros((N, cut.shape[1] + 1), dtype=bool)  # [:, k + 1]: k and k + 1 cut one cell
+    shared[:, 1:-1] = cut[:, :-1] & cut[:, 1:] & (cell[:, :-1] == cell[:, 1:])
+    leads = cut & ~shared[:, :-1]  # the leftmost breakpoint in its cell
+    clipped = np.clip(x, edges[0], edges[-1])
+    up_a, up_b = edges[cell], clipped[:, 1:-1]
+    down_a, down_b = clipped[:, 1:-1], np.minimum(edges[cell + 1], clipped[:, 2:])
+    up = (up_b - up_a)[:, :, None] * states[:-1]
+    down = (down_b - down_a)[:, :, None] * states[1:]
+    for k, family in fans:
+        # the levels where the fan's left end cuts a cell, and where its right end does first
+        downs = cut[:, k - 1].nonzero()[0] if k else np.arange(0)
+        ups = leads[:, k].nonzero()[0] if k < cut.shape[1] else np.arange(0)
+        pieces = _fan_integral(fan, family, np.concatenate([down_a[downs, k - 1], up_a[ups, k]]),
+                               np.concatenate([down_b[downs, k - 1], up_b[ups, k]]), origin,
+                               np.concatenate([t[downs], t[ups]]))
+        down[downs, k - 1], up[ups, k] = pieces[:downs.size], pieces[downs.size:]
+    # Each cut cell sums its pieces left to right: the piece up from its
+    # leftmost breakpoint, then each breakpoint's piece down.
+    sums = np.empty_like(down)
+    for k in range(cut.shape[1]):
+        head = np.where(leads[:, k, None], 0.0 + up[:, k], sums[:, k - 1] if k else 0.0)
+        np.add(head, down[:, k], out=sums[:, k])
+    cut_rows, k = (cut & ~shared[:, 1:]).nonzero()  # the rightmost breakpoint in its cell
+    cut_cells, cut_averages = cell[cut_rows, k], sums[cut_rows, k] / dx
+    if zero.any():
+        left_w = np.clip(origin, edges[:-1], edges[1:]) - edges[:-1]
+        mix = (left_w[:, None] * fan.left + (dx - left_w)[:, None] * fan.right) / dx
+
+    for start in range(0, N, per_block):
+        stop = min(start + per_block, N)
+        run_lengths = lengths[start:stop].ravel()
+        out = np.repeat(runs[:run_lengths.size], run_lengths, axis=0).reshape(stop - start, J, m)
+        for k, family in fans:
+            rows, cells = _ragged(firsts[start:stop, k], stops[start:stop, k])
+            out[rows, cells] = _fan_integral(fan, family, edges[cells], edges[cells + 1],
+                                             origin, t[start:stop][rows]) / dx
+        a, b = cut_rows.searchsorted([start, stop])
+        out[cut_rows[a:b] - start, cut_cells[a:b]] = cut_averages[a:b]
+        if zero[start:stop].any():
+            out[zero[start:stop]] = mix
+        yield out
+        del out  # with the caller's, so that one block at a time is held
+
+
+def _check_times(origin: float, times: np.ndarray) -> None:
+    """Refuse a non-finite origin and a non-finite or negative time."""
+    if not np.isfinite(origin):
+        raise ValueError(f"origin must be finite, got {origin}")
+    bad = times[~np.isfinite(times)]
+    if bad.size:
+        raise ValueError(f"time must be finite, got {bad[0]}")
+    if (times < 0).any():
+        raise ValueError(f"time must be non-negative, got {times[times < 0][0]}")
 
 
 def cell_average_exact(fan: WaveFan, origin: float, t: float, grid: Grid1D) -> np.ndarray:
@@ -339,18 +391,9 @@ def cell_average_exact(fan: WaveFan, origin: float, t: float, grid: Grid1D) -> n
     contact or a fan edge cuts sum the pieces on either side.  At t = 0 the
     cell straddling the origin gets the width-weighted mix of the two states.
     """
-    if t < 0:
-        raise ValueError("time must be non-negative")
-    edges = grid.interfaces()
-    if t == 0.0:
-        left_w = np.clip(origin, edges[:-1], edges[1:]) - edges[:-1]
-        out = (left_w[:, None] * fan.left + (grid.dx - left_w)[:, None] * fan.right)
-        return out / grid.dx
-    out = np.empty((grid.J, fan.model.m))
-    rows = _constant_rows(fan, grid.J)
-    for cells, averages in _average_pieces(fan, origin, t, edges, grid.dx, rows):
-        out[cells] = averages
-    return out
+    times = np.array([t], dtype=float)
+    _check_times(origin, times)
+    return next(_average_blocks(fan, origin, times, grid.interfaces(), grid.dx, 1))[0]
 
 
 def exact_l1_distances(fan: WaveFan, origin: float, grid: Grid1D, times: np.ndarray,
@@ -359,19 +402,21 @@ def exact_l1_distances(fan: WaveFan, origin: float, grid: Grid1D, times: np.ndar
     averages|, (N+1, m), where levels yields the (J, m) level u at each of
     times in turn.
 
-    One fused pass per level: cells wholly inside a constant state are
-    compared with that state directly, and only the rarefaction and cut cells
-    get averages (as in cell_average_exact, which also gives the t = 0 level).
+    The exact averages (those of cell_average_exact) come a block of
+    BLOCK_CELLS cells' levels at a time; each level then takes one subtract
+    and one sum over its cells.
     """
-    edges = grid.interfaces()
-    rows = _constant_rows(fan, grid.J)
+    times = np.asarray(times, dtype=float)
+    _check_times(origin, times)
+    blocks = _average_blocks(fan, origin, times, grid.interfaces(), grid.dx,
+                             max(1, BLOCK_CELLS // grid.J))
     out = np.empty((len(times), fan.model.m))
     diff = np.empty((grid.J, fan.model.m))
-    for n, (t, u) in enumerate(zip(times.tolist(), levels)):
-        if t == 0.0:
-            np.subtract(u, cell_average_exact(fan, origin, 0.0, grid), out=diff)
-        else:
-            for cells, averages in _average_pieces(fan, origin, t, edges, grid.dx, rows):
-                np.subtract(u[cells], averages, out=diff[cells])
-        out[n] = column_sums(np.abs(diff, out=diff))
+    n, levels = 0, iter(levels)
+    for block in blocks:
+        for b, u in zip(range(len(block)), levels):
+            np.subtract(u, block[b], out=diff)
+            out[n + b] = column_sums(np.abs(diff, out=diff))
+        n += len(block)
+        del block  # so that the next block is built in this one's place
     return out

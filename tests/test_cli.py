@@ -3,9 +3,11 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 from types import SimpleNamespace
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -13,6 +15,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from fvbound import (
     CaseConfig,
+    Grid1D,
     TimeLevels,
     build_grid,
     converge,
@@ -22,7 +25,7 @@ from fvbound import (
     run_case,
 )
 import fvbound
-from fvbound import cli, error_estimator, save_solution, solver
+from fvbound import cli, error_estimator, riemann, save_solution, solver
 from fvbound.cli import (
     ConfigError,
     _burgers_curved_averages,
@@ -33,7 +36,7 @@ from fvbound.cli import (
 )
 from fvbound.riemann import cell_average_exact, solve_riemann
 from fvbound.solver import LevelHistory, run
-from oracles import sample
+from oracles import per_level_cell_averages, per_level_l1_distances, sample
 
 
 class TestEoC:
@@ -236,6 +239,95 @@ class TestFusedExactError:
         fan = solve_riemann(make_model("psystem"), config.left, config.right)
         assert err == linf_l1_error(sol, fan, origin)
         _assert_fused_error_matches_oracles(sol, fan, origin)
+
+
+def _hex(values) -> list[str]:
+    return [float(v).hex() for v in np.ravel(values)]
+
+
+@st.composite
+def _edge_times(draw, fan, origin, grid):
+    """Times t > 0 at which a breakpoint origin + t*xi lands exactly on a
+    cell edge, where one is found next to (edge - origin)/xi."""
+    speeds = [seg[1] for seg in fan.segments[:-1] if seg[1] != 0.0]
+    if not speeds:
+        return []
+    edges = grid.interfaces()
+    times = []
+    for xi, edge in draw(st.lists(st.tuples(st.sampled_from(speeds), st.sampled_from(edges)),
+                                  max_size=3)):
+        t = (edge - origin) / xi
+        for _ in range(4):
+            if t > 0.0 and origin + t * xi == edge:
+                times.append(t)
+                break
+            t = np.nextafter(t, np.inf if origin + t * xi < edge else -np.inf)
+    return times
+
+
+class TestBlockedExactPass:
+    """The exact averages come a block of levels at a time; the distances
+    and the averages must be the per-level loop's (oracles.per_level_*) as
+    float hex."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(name=st.sampled_from(sorted(_FANS)), origin=st.floats(-7.0, 7.0),
+           J=st.integers(1, 40), block=st.integers(1, 120), data=st.data(),
+           seed=st.integers(0, 2**32 - 1))
+    @example(name="psystem-2raref", origin=0.0, J=32, block=96, data=None, seed=0)
+    def test_random_levels_equal_the_per_level_oracle(self, name, origin, J, block, data, seed):
+        """Any grid and block size, so that the level count may end a block,
+        fall short of one or run past it; times at 0, 1e-9 (a fan inside one
+        cell), with a breakpoint on a cell edge, and late enough (or from an
+        origin far enough out) that waves leave the grid."""
+        fan = _FANS[name]
+        grid = Grid1D(-5.0, 5.0, J)
+        if data is None:  # the example: 3 levels of 32 cells a block, 7 levels
+            times = [0.0, 1e-9, 0.25, 0.5, 1.0, 4.0, 12.0]
+        else:
+            time = st.one_of(st.sampled_from([0.0, 1e-9]), st.floats(1e-9, 12.0))
+            times = (data.draw(st.lists(time, min_size=1, max_size=14))
+                     + data.draw(_edge_times(fan, origin, grid)))
+        times = np.array(times)
+        exact = np.array([per_level_cell_averages(fan, origin, t, grid) for t in times.tolist()])
+        rng = np.random.default_rng(seed)
+        noise = rng.uniform(-1.0, 1.0, exact.shape) * rng.integers(0, 2, (len(times), 1, 1))
+        states = exact + 0.1 * (1.0 + np.abs(exact)) * noise  # some levels exact
+        with patch.object(riemann, "BLOCK_CELLS", block):
+            got = riemann.exact_l1_distances(fan, origin, grid, times, iter(states))
+        assert _hex(got) == _hex(per_level_l1_distances(fan, origin, grid, times, iter(states)))
+        for t, averages in zip(times.tolist(), exact):
+            assert _hex(cell_average_exact(fan, origin, t, grid)) == _hex(averages)
+
+    @pytest.mark.parametrize("name",
+                             ["psystem-raref-shock", "psystem-2raref", "burgers-rarefaction"])
+    @pytest.mark.parametrize("n_levels", [1, 7, 8, 9, 17])
+    def test_level_counts_around_the_block_size(self, name, n_levels):
+        """At BLOCK_CELLS itself, on the grid whose blocks hold 8 levels."""
+        fan = _FANS[name]
+        grid = Grid1D(-5.0, 5.0, riemann.BLOCK_CELLS // 8)
+        times = np.linspace(0.0, 1.5, n_levels)
+        exact = np.array([per_level_cell_averages(fan, 0.1, t, grid) for t in times.tolist()])
+        states = exact + np.random.default_rng(n_levels).uniform(-0.01, 0.01, exact.shape)
+        assert _hex(riemann.exact_l1_distances(fan, 0.1, grid, times, iter(states))) == _hex(
+            per_level_l1_distances(fan, 0.1, grid, times, iter(states)))
+
+
+def test_exact_error_holds_little_beyond_the_per_level_pass():
+    """At psys-raref-shock L10 (321 levels of J = 2048) the per-level pass
+    peaked at 432,032 traced bytes; the blocks of levels may add 1 MiB."""
+    grid = build_grid(-5.0, 5.0, 10)
+    model = make_model("psystem")
+    fan = solve_riemann(model, [0.15, 0.0], [0.1, 0.0])
+    sol = run(cell_average_exact(fan, 0.0, 0.0, grid), model, "llf", grid, 0.9, 0.0, 1.5)
+    assert len(sol.times.t) > 8 * max(1, riemann.BLOCK_CELLS // grid.J)
+    tracemalloc.start()
+    try:
+        linf_l1_error(sol, fan, 0.0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 432_032 + 2**20
 
 
 class TestRunCase:

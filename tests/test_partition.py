@@ -28,7 +28,7 @@ from fvbound.partition import (
     trapezoid_minmax,
 )
 from fvbound.solver import SpaceTimeSolution, load_solution, march, run, save_solution
-from oracles import cover_counts
+from oracles import cover_counts, whole_level_jumps
 
 
 def manual_solution(grid, times, levels, model=None):
@@ -510,6 +510,22 @@ def test_range_arrays_and_block_minmax_equal_the_per_level_loop(case):
         assert got is None
     else:
         assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=records(), data=st.data())
+def test_detect_jumps_on_the_hull_equals_the_whole_level_scan(case, data):
+    """Reading only the ghost hull and the ghosts beside it, detect_jumps
+    flags the regions of the scan over every cell of the level, for whole
+    and partial intervals (an empty one included)."""
+    sol, _ = case
+    n = data.draw(st.integers(-len(sol.times.t), len(sol.times.t) - 1))
+    x = st.floats(-0.3, 1.3)
+    x_interval = data.draw(st.one_of(st.none(), st.tuples(x, x),
+                                     st.tuples(x, x).map(sorted).map(tuple)))
+    sigma0 = data.draw(st.one_of(st.sampled_from([1e-3, 0.1, 0.5]), st.floats(1e-6, 2.0)))
+    assert detect_jumps(sol, n, x_interval, sigma0) == whole_level_jumps(sol, n, x_interval,
+                                                                         sigma0)
 
 
 def test_hand_built_and_replaced_records_store_their_tightest_hulls():

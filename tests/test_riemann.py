@@ -258,3 +258,34 @@ def test_fan_conservation(data, origin, reach):
     for t in (0.5 * reach / fastest, reach / fastest):
         total = cell_average_exact(fan, origin, t, grid).sum(axis=0) * grid.dx
         assert np.allclose(total, base + t * f_diff, rtol=1e-10, atol=1e-10)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+def test_non_finite_time_or_origin_is_refused(psystem, bad):
+    """A NaN slips past a t < 0 check, and an infinite time puts every
+    breakpoint off the grid; both are refused by name, not averaged."""
+    fan = solve_riemann(psystem, [0.15, 0.0], [0.1, 0.0])
+    grid = build_grid(-5.0, 5.0, 3)
+    levels = np.tile(fan.left, (2, grid.J, 1))
+    calls = {
+        "time": (lambda: cell_average_exact(fan, 0.0, bad, grid),
+                 lambda: riemann.exact_l1_distances(fan, 0.0, grid, np.array([0.0, bad]),
+                                                    iter(levels))),
+        "origin": (lambda: cell_average_exact(fan, bad, 0.5, grid),
+                   lambda: riemann.exact_l1_distances(fan, bad, grid, np.array([0.0, 0.5]),
+                                                      iter(levels))),
+    }
+    for name, pair in calls.items():
+        for call in pair:
+            with pytest.raises(ValueError, match=f"{name} must be finite, got {bad}$"):
+                call()
+
+
+def test_negative_time_is_refused(psystem):
+    fan = solve_riemann(psystem, [0.15, 0.0], [0.1, 0.0])
+    grid = build_grid(-5.0, 5.0, 3)
+    with pytest.raises(ValueError, match="time must be non-negative, got -0.5"):
+        cell_average_exact(fan, 0.0, -0.5, grid)
+    with pytest.raises(ValueError, match="time must be non-negative, got -0.5"):
+        riemann.exact_l1_distances(fan, 0.0, grid, np.array([0.0, -0.5]),
+                                   iter(np.tile(fan.left, (2, grid.J, 1))))
