@@ -189,37 +189,44 @@ def streamed_fine_reference(
     their side, so that outer cell's mean, the same reduce over the same
     values, is the mean of every coarse cell beyond it.  The differences,
     their sums and the running max stay over the whole coarse grid, and each
-    run's levels come from one forward walk of its history.
+    run's levels come from one forward walk of its history.  A fine level
+    before the earliest eval time still pending visits no run.
     """
     ratios = [_nesting_ratio(fine_grid, sol.grid) for sol in runs]
     averages = [np.empty(sol.states.shape[1:]) for sol in runs]
     walks = [sol.states.walk() for sol in runs]
+    eval_times = [sol.times.t.tolist() for sol in runs]
     errors = [0.0] * len(runs)
     pending = [0] * len(runs)
+    # the earliest eval time still pending
+    upcoming = min((times[0] for times in eval_times), default=math.inf)
     prev_t = None
     prev_states = np.empty((fine_grid.J, model.m))
     slop = 1e-12 * max(1.0, abs(t_final))
     for t, states, window in march(initial_fine, model, flux_kind, fine_grid, cfl, t0, t_final):
         lo, hi = window or (0, fine_grid.J)
-        for k, (sol, ratio, ubar) in enumerate(zip(runs, ratios, averages)):
-            eval_times = sol.times.t
-            while pending[k] < len(eval_times) and eval_times[pending[k]] <= t + slop:
-                wanted = eval_times[pending[k]]
-                a, b = max(lo // ratio - 1, 0), min(-(-hi // ratio) + 1, sol.grid.J)
-                cells = slice(a * ratio, b * ratio)
-                if prev_t is None or abs(t - wanted) <= slop:
-                    snap = states[cells]
-                else:
-                    w = (wanted - prev_t) / (t - prev_t)
-                    snap = (1.0 - w) * prev_states[cells] + w * states[cells]
-                ubar[a:b] = _restrict(snap, ratio)
-                ubar[:a], ubar[b:] = ubar[a], ubar[b - 1]
-                diff = np.abs(next(walks[k]) - ubar)
-                errors[k] = max(errors[k], float((column_sums(diff) * sol.grid.dx).max()))
-                pending[k] += 1
+        if upcoming <= t + slop:
+            for k, (sol, ratio, ubar, times) in enumerate(zip(runs, ratios, averages,
+                                                               eval_times)):
+                while pending[k] < len(times) and times[pending[k]] <= t + slop:
+                    wanted = times[pending[k]]
+                    a, b = max(lo // ratio - 1, 0), min(-(-hi // ratio) + 1, sol.grid.J)
+                    cells = slice(a * ratio, b * ratio)
+                    if prev_t is None or abs(t - wanted) <= slop:
+                        snap = states[cells]
+                    else:
+                        w = (wanted - prev_t) / (t - prev_t)
+                        snap = (1.0 - w) * prev_states[cells] + w * states[cells]
+                    ubar[a:b] = _restrict(snap, ratio)
+                    ubar[:a], ubar[b:] = ubar[a], ubar[b - 1]
+                    diff = np.abs(next(walks[k]) - ubar)
+                    errors[k] = max(errors[k], float((column_sums(diff) * sol.grid.dx).max()))
+                    pending[k] += 1
+            upcoming = min((times[done] for times, done in zip(eval_times, pending)
+                            if done < len(times)), default=math.inf)
         prev_t = t
         prev_states[lo:hi] = states[lo:hi]
-    if any(done < len(sol.times.t) for done, sol in zip(pending, runs)):
+    if any(done < len(times) for done, times in zip(pending, eval_times)):
         raise ConfigError("fine reference run ended before the last eval time")
     return errors
 

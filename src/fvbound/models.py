@@ -43,12 +43,12 @@ class Burgers:
         return u * u * u / 3.0  # u**3 takes numpy's much slower pow path
 
     def level_terms(self, u: np.ndarray):
-        """(flux, entropy, entropy flux, max wave speed, (min, max) wave speed
-        over the interior cells u[1:-1]) of a padded level after one domain check."""
+        """(flux, entropy, entropy flux, max wave speed, lowest and highest
+        signed wave speed) per cell of states u after one domain check; the
+        signed speeds are both u itself."""
         self.check_domain(u)
         v = u[..., 0]
-        extremes = (float(v[1:-1].min()), float(v[1:-1].max()))
-        return 0.5 * u * u, 0.5 * v**2, v * v * v / 3.0, np.abs(v), extremes
+        return 0.5 * u * u, 0.5 * v**2, v * v * v / 3.0, np.abs(v), v, v
 
     def in_domain(self, u: np.ndarray) -> np.ndarray:
         return np.isfinite(u[..., 0])
@@ -115,19 +115,19 @@ class PSystem:
         return (q / rho) * (self.entropy(u) + self.pressure(rho))
 
     def level_terms(self, u: np.ndarray):
-        """(flux, entropy, entropy flux, max wave speed, (min v - c, max v + c)
-        over the interior cells u[1:-1]) of a ghost-padded level after one
-        domain check; the flux and the entropy share one pressure C*rho^gamma.
-        rho and q are copied out of u once, so each ufunc runs on contiguous data."""
+        """(flux, entropy, entropy flux, max wave speed, lowest and highest
+        signed wave speed v - c and v + c) per cell of states u after one
+        domain check; the flux and the entropy share one pressure
+        C*rho^gamma.  rho and q are copied out of u once, in u's memory
+        order, so each ufunc runs on contiguous data."""
         self.check_domain(u)
-        rho, q = np.ascontiguousarray(u[..., 0]), np.ascontiguousarray(u[..., 1])
+        rho, q = u[..., 0].copy(order="K"), u[..., 1].copy(order="K")
         v = q / rho
         c = self.sound_speed(rho)
         p = self.C * rho**self.gamma
         eta = 0.5 * q * q / rho + p / (self.gamma - 1.0)
         f = np.stack([q, q * q / rho + p], axis=-1)
-        extremes = (float((v[1:-1] - c[1:-1]).min()), float((v[1:-1] + c[1:-1]).max()))
-        return f, eta, v * (eta + p), np.abs(v) + c, extremes
+        return f, eta, v * (eta + p), np.abs(v) + c, v - c, v + c
 
     def in_domain(self, u: np.ndarray) -> np.ndarray:
         rho, q = u[..., 0], u[..., 1]

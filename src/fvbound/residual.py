@@ -14,14 +14,13 @@ the scalar consistency parameter epsilon.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
-from .grid import column_sums
 from .models import interface_fluxes, normalize_flux_kind, numerical_entropy_flux
 
-if TYPE_CHECKING:  # solver imports this module to fold epsilon while it marches
+if TYPE_CHECKING:  # solver imports this module to give each run its epsilon
     from .solver import SpaceTimeSolution
 
 # Maps the edge averages (left, top, right) of an affine test function
@@ -228,6 +227,15 @@ def global_weak_residual(
     return total
 
 
+# The residual pass works a block of consecutive levels at a time: a
+# block's dense (cells, levels, m) array of states holds at most
+# BLOCK_CELLS cells (cells x levels), and the zero-padded rows that its
+# m = 1 sums go through (levels x (J + 1)) at most BLOCK_ROWS values at a
+# time.  A block holds at least one level.
+BLOCK_CELLS = 1 << 13
+BLOCK_ROWS = 1 << 15
+
+
 @dataclass
 class ResidualReport:
     """Weak-residual and entropy-dissipation bounds for a full solution."""
@@ -262,23 +270,24 @@ class ResidualReport:
 
     def write_cells_csv(self, sol: SpaceTimeSolution, path: str) -> None:
         """One row per layer and cell of sol: the bound per component, E1, E2,
-        E3 and their lower bound, from a replay of sol's levels through the
-        fold that gives epsilon.  A row whose bits equal the same cell's row
-        of the layer before is not formatted again."""
-        dx = sol.grid.dx
-        fold = ResidualFold(dx)
-        rows = _RowTexts(sol.grid.J, sol.model.m + 4, [str(j) for j in range(sol.grid.J)])
+        E3 and their lower bound, from the residual pass that gives epsilon.
+        Every cell outside a block's cells is +0.0.  A row whose bits equal
+        the same cell's row of the layer before is not formatted again."""
+        dx, J, m = sol.grid.dx, sol.grid.J, sol.model.m
+        rows = _RowTexts(J, m + 4, [str(j) for j in range(J)])
+        layer = np.zeros((J, m + 4))
         with open(path, "w", newline="") as fh:
-            cols = ["n", "j"] + [f"bound_{c}" for c in range(sol.model.m)]
+            cols = ["n", "j"] + [f"bound_{c}" for c in range(m)]
             fh.write(",".join(cols + ["E1", "E2", "E3", "ent_lower"]) + "\r\n")
-            for n, level in enumerate(_stored_levels(sol), start=-1):
-                layer = fold.add(*level)
-                if layer is None:
-                    continue
-                dt, bounds, entropy = layer
-                e1, e2, e3 = _entropy_triplets(dx, dt, *entropy)
-                block = np.column_stack([bounds, e1, e2, e3, _entropy_lower(e1, e2, e3)])
-                fh.write(f"{n}," + f"\r\n{n},".join(rows.update(block)) + "\r\n")
+            for block in _layer_blocks(sol):
+                e1, e2, e3 = _entropy_triplets(dx, block.dt, *block.entropy)
+                cells = np.concatenate(
+                    [block.bounds, np.stack([e1, e2, e3, _entropy_lower(e1, e2, e3)], axis=-1)],
+                    axis=-1)
+                layer[:] = 0.0
+                for k, n in enumerate(range(block.first, block.first + len(block.dt))):
+                    layer[block.cells] = cells[:, k]
+                    fh.write(f"{n}," + f"\r\n{n},".join(rows.update(layer)) + "\r\n")
 
 
 class _RowTexts:
@@ -312,157 +321,176 @@ class _RowTexts:
         return self._texts.tolist()
 
 
-def _terms_cells(lo: int, hi: int, J: int) -> tuple[int, int]:
-    """The cells [a, b) whose model.level_terms a level carries after a step
-    that updated the cells [lo, hi): those grown by one cell on each side,
-    clipped to the grid.  They hold the next step's window, and a copy of
-    each ghost state wherever cells lie beyond them, so the terms' speed
-    extremes over their interior are the whole level's."""
-    return max(lo - 1, 0), min(hi + 1, J)
+class _Block(NamedTuple):
+    """One block of the residual pass: its levels first..first+B-1 over the
+    grid cells cells = [c0, c1), W = c1 - c0 + 2 cells with the cell on
+    each side, and the L layers that start at its levels."""
+
+    first: int
+    cells: slice
+    tv: np.ndarray  # (B, m) each level's total variation
+    speed_range: np.ndarray  # (B, 2) each level's lowest and highest signed wave speed
+    dt: np.ndarray  # (L,) each layer's time step
+    bounds: np.ndarray  # (W - 2, L, m) each layer's cell bounds
+    entropy: tuple  # q_hat (W - 1, L), entropy decrease and cell entropy flux (W - 2, L)
 
 
-def _zero_padded_sums(buffer: np.ndarray, rows: slice) -> np.ndarray:
-    """column_sums of a (J, m) buffer that is zero outside rows, bit for bit.
-    With m >= 2 each column is added in order, so the zero rows add nothing
-    and only rows are summed; numpy sums the m = 1 column pairwise, grouped
-    by position, so there the whole buffer is summed."""
-    return column_sums(buffer if buffer.shape[1] == 1 else buffer[rows])
+def _block_ranges(hulls: np.ndarray, J: int):
+    """Split the levels into blocks: yield (first, stop, c0, c1) per block,
+    whose levels first..stop-1 get their terms, while level stop, when there
+    is one, gives only the entropy that closes the block's last layer.  The
+    cells c0..c1-1 are the union of the hulls of levels first..stop grown by
+    two cells and clipped to the grid, so they hold every cell whose stencil
+    is not constant in any of the block's layers, and a ghost cell on each
+    side of each hull where the grid has one."""
+    count = len(hulls)
+
+    def too_big(levels: int, slots: int, lo: int, hi: int) -> bool:
+        width = min(hi + 2, J) - max(lo - 2, 0) + 2
+        return levels > 1 and slots * width > BLOCK_CELLS
+
+    # 256 hulls at a time as Python ints, so no list of all N + 1 is held
+    rows = (row for start in range(0, count, 256) for row in hulls[start:start + 256].tolist())
+    first, (lo, hi) = 0, next(rows)  # the union of the hulls of levels first..k-1
+    before = lo, hi  # the hull of level k - 1
+    for k, (row_lo, row_hi) in enumerate(rows, start=1):
+        next_lo, next_hi = min(lo, row_lo), max(hi, row_hi)
+        if too_big(k - first, k - first + 1, next_lo, next_hi):
+            # levels first..k-2 close with level k - 1, which starts the next block
+            yield first, k - 1, max(lo - 2, 0), min(hi + 2, J)
+            first, next_lo, next_hi = k - 1, min(before[0], row_lo), max(before[1], row_hi)
+        lo, hi, before = next_lo, next_hi, (row_lo, row_hi)
+    if too_big(count - first, count - first, lo, hi):  # the last level on its own
+        yield first, count - 1, max(lo - 2, 0), min(hi + 2, J)
+        first, (lo, hi) = count - 1, before
+    yield first, count, max(lo - 2, 0), min(hi + 2, J)
 
 
-class ResidualFold:
-    """The residual kernel: epsilon as a fold over the levels of a run, with
-    O(J) state.  Each level arrives ghost-padded with its model.level_terms
-    and the interface fluxes of the step that produced it, and closes the
-    layer below it.  run feeds the fold while it marches, level by level
-    over each step's active window; epsilon(sol) and write_cells_csv replay
-    stored levels through it with the whole grid as the window."""
-
-    def __init__(self, dx: float):
-        self.dx = dx
-        # per-level figures as Python floats, which keep no small numpy buffers alive
-        self.tv: list[list[float]] = []
-        self.speed_range: list[tuple[float, float]] = []
-        self.beta_levels: list[float] = []
-        self.eta_levels: list[float] = []
-        self._last = None  # (t, first cell of its terms, level terms) of the level folded last
-        # Full-length |jumps|, cell bounds and E1 deficits |min(E1, 0)|, kept
-        # exactly zero outside the window, so their pairwise sums keep the
-        # bits of a whole-grid pass; allocated at the first level.
-        self._jumps = self._bounds = self._deficit = None
-        self._layer = slice(0, 0)  # the window of the layer closed last
-
-    def add(self, t, padded: np.ndarray, terms, fluxes: np.ndarray | None, window=None):
-        """Fold the level at time t; return the layer it closes, (dt, cell
-        bounds, (q_hat, entropy decrease, cell entropy flux)) over the cells
-        of window with dt = t - t_prev, or None for the first.  Only E1
-        enters epsilon; _entropy_triplets gives (E1, E2, E3) from the
-        returned entropy parts.
-
-        window (lo, hi) holds the cells the step into the level updated and
-        fluxes are its interface fluxes lo..hi; terms are model.level_terms
-        of padded over _terms_cells(window).  None means the whole grid,
-        which the first level always is.  Outside window every layer term is
-        exactly zero."""
-        J = len(padded) - 2
-        lo, hi = window or (0, J)
-        a, b = _terms_cells(lo, hi, J)
-        if self._last is None:
-            self._jumps = np.empty((J + 1, padded.shape[1]))
-            self._bounds = np.zeros((J, padded.shape[1]))
-            self._deficit = np.zeros(J)
-        jumps = self._jumps[a:b + 1]
-        np.subtract(padded[a + 1:b + 2], padded[a:b + 1], out=jumps)
-        np.abs(jumps, out=jumps)
-        self.tv.append(_zero_padded_sums(self._jumps, slice(a, b + 1)).tolist())
-        self.speed_range.append(terms[4])
-        last, self._last = self._last, (t, a, terms)
-        if last is None:
-            return None
-        t_prev, a_prev, (f, ent, ent_flux, speeds, _) = last
-        rows = slice(lo - a_prev, hi - a_prev + 2)  # the window's padded slice
-        f, ent, ent_flux, speeds = f[rows], ent[rows], ent_flux[rows], speeds[rows]
-        dx, dt = self.dx, float(t) - float(t_prev)
-        # the LLF entropy-flux companion, as numerical_entropy_flux computes it
-        lam = np.maximum(speeds[:-1], speeds[1:])
-        q_hat = 0.5 * (ent_flux[:-1] + ent_flux[1:]) - 0.5 * lam * (ent[1:] - ent[:-1])
-        de = ent[1:-1] - terms[1][lo - a + 1:hi - a + 1]
-        bounds = _cell_bounds(dx, dt, fluxes, f[1:-1])
-        e1 = _entropy_e1(dx, dt, q_hat, de)
-        self._bounds[self._layer] = 0.0
-        self._deficit[self._layer] = 0.0
-        self._layer = slice(lo, hi)
-        self._bounds[lo:hi] = bounds
-        self._deficit[lo:hi] = np.abs(np.minimum(e1, 0.0))
-        self.beta_levels.append(float(_zero_padded_sums(self._bounds, self._layer).max() / dt))
-        self.eta_levels.append(float(self._deficit.sum() / dt))
-        return dt, bounds, (q_hat, de, ent_flux[1:-1])
-
-    def report(self, sol: SpaceTimeSolution) -> ResidualReport:
-        """The ResidualReport of the folded levels, which are sol's.
-
-        epsilon = C * max{beta, eta} / sup_n TV[u(t^n)], and 0 for constant
-        solutions (also when both residual rates vanish).  beta is the maximal
-        summed-bound rate over the time layers, eta the maximal rate of cell
-        entropy-inequality violation (the negative part of the constant-test
-        functional); both maxima exclude the very first layer, where the
-        freshly projected initial data still carries unresolved jumps,
-        whenever the run has more than one step.
-        """
-        n_steps = sol.n_steps
-        tv = np.array(self.tv)
-        beta_levels = np.array(self.beta_levels)
-        eta_levels = np.array(self.eta_levels)
-        c_max = float(np.diff(sol.times.t).max(initial=0.0)) / sol.grid.dx
-        tv_scalar = tv.max(axis=1)
-        start = 1 if n_steps >= 2 else 0
-        beta = float(beta_levels[start:].max()) if n_steps else 0.0
-        eta = float(eta_levels[start:].max()) if n_steps else 0.0
-        big_c = max(3.0, float(np.sqrt(8.0 + 8.0 * c_max * c_max)))
-        tv_max = float(tv_scalar.max())
-        if tv_max == 0.0 or max(beta, eta) == 0.0:
-            eps = 0.0
-        else:
-            eps = big_c * max(beta, eta) / tv_max
-        return ResidualReport(
-            flux_kind=normalize_flux_kind(sol.flux_kind),
-            epsilon=eps,
-            beta=beta,
-            eta=eta,
-            stability_constant=big_c,
-            c_max=c_max,
-            tv=tv,
-            tv_scalar=tv_scalar,
-            beta_levels=beta_levels,
-            eta_levels=eta_levels,
-            speed_range=np.array(self.speed_range),
-        )
+def _layer_blocks(sol: SpaceTimeSolution):
+    """The residual pass: yield the _Block of each block of consecutive
+    levels of sol (_block_ranges), one at a time."""
+    for first, stop, c0, c1 in _block_ranges(sol.ghost_hulls, sol.grid.J):
+        yield _layer_block(sol, first, stop, c0, c1)
 
 
-def _stored_levels(sol: SpaceTimeSolution):
-    """(t, ghost-padded level, model.level_terms, fluxes of the step into the
-    level or None) for every recorded level of sol, as run feeds its fold,
-    walking the history forward."""
-    fluxes = None
-    for n, (t, level) in enumerate(zip(sol.times.t, sol.states.walk())):
-        padded = np.vstack([sol.ghost_left[None, :], level, sol.ghost_right[None, :]])
-        terms = sol.model.level_terms(padded)
-        yield t, padded, terms, fluxes
-        if n < sol.n_steps:
-            fluxes = interface_fluxes(sol.flux_kind, sol.model, padded, terms[0], terms[3])
+def _layer_block(sol: SpaceTimeSolution, first: int, stop: int, c0: int, c1: int) -> _Block:
+    """The _Block of levels first..stop-1 over the cells c0..c1-1, from one
+    dense array of their cells indexed (cell, level, component), each level
+    contiguous in memory (LevelHistory.columns), so that pair and layer
+    operations are slices along the cells and numpy's loops run along each
+    level.  Every term is the same expression, in the same order, as on one
+    level's whole grid: model.level_terms, the interface fluxes of the marching flux
+    (models.interface_fluxes, as the stepping core's), the cell bounds, the
+    LLF entropy flux q_hat and the entropy decrease.  Outside a level's
+    non-constant stencils every layer term is exactly +0.0 (F(u, u) = f(u)
+    and x - x = +0), so the block's cells hold all that is not.  Each
+    array is dropped once used, to keep the block's peak low."""
+    model, J, t, last = sol.model, sol.grid.J, sol.times.t, sol.n_steps
+    n_levels, n_layers = stop - first, min(stop, last) - first
+    u = sol.states.columns(first, min(stop + 1, last + 1), c0 - 1, c1 + 1)
+    f, ent, ent_flux, speeds, low, high = model.level_terms(u[:, :n_levels])
+    jumps = u[1:, :n_levels] - u[:-1, :n_levels]
+    tv = _sums(np.abs(jumps, out=jumps), c0, J + 1)
+    del jumps
+    # each level's speeds over the grid cells; min and max may take either
+    # signed zero of tied cells, by layout: + 0.0 makes it +0.0
+    speed_range = np.empty((n_levels, 2))
+    speed_range[:, 0] = low[1:-1].T.min(axis=1) + 0.0
+    speed_range[:, 1] = high[1:-1].T.max(axis=1) + 0.0
+    del low, high
+    layers = slice(0, n_layers)
+    dt = t[first + 1:first + n_layers + 1] - t[first:first + n_layers]
+    f, ent_flux, speeds = f[:, layers], ent_flux[:, layers], speeds[:, layers]
+    fluxes = interface_fluxes(sol.flux_kind, model, u[:, layers], f, speeds)
+    de = np.empty((len(u) - 2, n_layers))
+    np.subtract(ent[1:-1, :n_levels - 1], ent[1:-1, 1:], out=de[:, :n_levels - 1])
+    if n_layers == n_levels:  # level stop closes the last layer
+        np.subtract(ent[1:-1, -1], model.entropy(u[1:-1, -1]), out=de[:, -1])
+    del u
+    bounds = _cell_bounds(sol.grid.dx, dt[:, None], fluxes, f[1:-1])
+    del fluxes, f
+    # the LLF entropy-flux companion, as numerical_entropy_flux computes it
+    lam = np.maximum(speeds[:-1], speeds[1:])
+    q_hat = (0.5 * (ent_flux[:-1] + ent_flux[1:])
+             - 0.5 * lam * (ent[1:, layers] - ent[:-1, layers]))
+    return _Block(first, slice(c0, c1), tv, speed_range, dt, bounds, (q_hat, de, ent_flux[1:-1]))
+
+
+def _sums(block: np.ndarray, first: int, length: int) -> np.ndarray:
+    """Per level, the column sums of a zero (length, m) array whose rows
+    first.. hold the level's (W, m) slice of a (W, B, m) block of terms, bit
+    for bit.  numpy sums a single column pairwise, grouped by position, so at
+    m = 1 each level's terms go into a zero row of the whole length, at most
+    BLOCK_ROWS values of rows at a time; at m >= 2 the einsum of
+    grid.column_sums adds rows in order, so the zero rows, the terms being
+    non-negative, add nothing and only the block is summed."""
+    width, levels, m = block.shape
+    if m >= 2:
+        return np.einsum("wbm->bm", block)
+    out = np.empty((levels, 1))
+    chunk = max(1, min(levels, BLOCK_ROWS // length))
+    rows = np.zeros((chunk, length))  # only the block's columns are ever written
+    for a in range(0, levels, chunk):
+        b = min(a + chunk, levels)
+        rows[:b - a, first:first + width] = block[:, a:b, 0].T
+        out[a:b, 0] = rows[:b - a].sum(axis=1)
+    return out
 
 
 def epsilon(sol: SpaceTimeSolution) -> ResidualReport:
-    """Smallest computed constant bounding the weak and entropy residuals of
-    the recorded marching flux (see ResidualFold.report); speed_range keeps
-    each level's extreme signed wave speeds for the slab cover.
+    """The ResidualReport of sol: the smallest computed constant bounding
+    the weak and entropy residuals of the recorded marching flux, with the
+    per-level figures it comes from; speed_range keeps each level's extreme
+    signed wave speeds for the slab cover.
 
-    A solution recorded by run carries the report its run folded; any other
-    (a loaded dump, a hand-built or dataclasses.replace'd record) replays its
-    stored levels through the same fold.
+    epsilon = C * max{beta, eta} / sup_n TV[u(t^n)], and 0 for constant
+    solutions (also when both residual rates vanish).  beta is the maximal
+    summed-bound rate over the time layers, eta the maximal rate of cell
+    entropy-inequality violation (the negative part of the constant-test
+    functional); both maxima exclude the very first layer, where the freshly
+    projected initial data still carries unresolved jumps, whenever the run
+    has more than one step.
+
+    A solution recorded by run carries the report run computed; any other (a
+    loaded dump, a hand-built or dataclasses.replace'd record) gets it from
+    the same residual pass over its stored levels.
     """
     if sol.residual is not None:
         return sol.residual
-    fold = ResidualFold(sol.grid.dx)
-    for level in _stored_levels(sol):
-        fold.add(*level)
-    return fold.report(sol)
+    n_steps, J, m = sol.n_steps, sol.grid.J, sol.model.m
+    tv = np.empty((n_steps + 1, m))
+    speed_range = np.empty((n_steps + 1, 2))
+    beta_levels = np.empty(n_steps)
+    eta_levels = np.empty(n_steps)
+    for block in _layer_blocks(sol):
+        c0, levels = block.cells.start, slice(block.first, block.first + len(block.tv))
+        tv[levels], speed_range[levels] = block.tv, block.speed_range
+        layers = slice(block.first, block.first + len(block.dt))
+        beta_levels[layers] = _sums(block.bounds, c0, J).max(axis=1) / block.dt
+        deficit = np.abs(np.minimum(_entropy_e1(sol.grid.dx, block.dt, *block.entropy[:2]), 0.0))
+        eta_levels[layers] = _sums(deficit[..., None], c0, J)[:, 0] / block.dt
+        del block, deficit  # before the next block is built
+    c_max = float(np.diff(sol.times.t).max(initial=0.0)) / sol.grid.dx
+    tv_scalar = tv.max(axis=1)
+    start = 1 if n_steps >= 2 else 0
+    beta = float(beta_levels[start:].max()) if n_steps else 0.0
+    eta = float(eta_levels[start:].max()) if n_steps else 0.0
+    big_c = max(3.0, float(np.sqrt(8.0 + 8.0 * c_max * c_max)))
+    tv_max = float(tv_scalar.max())
+    if tv_max == 0.0 or max(beta, eta) == 0.0:
+        eps = 0.0
+    else:
+        eps = big_c * max(beta, eta) / tv_max
+    return ResidualReport(
+        flux_kind=normalize_flux_kind(sol.flux_kind),
+        epsilon=eps,
+        beta=beta,
+        eta=eta,
+        stability_constant=big_c,
+        c_max=c_max,
+        tv=tv,
+        tv_scalar=tv_scalar,
+        beta_levels=beta_levels,
+        eta_levels=eta_levels,
+        speed_range=speed_range,
+    )

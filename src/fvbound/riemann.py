@@ -400,7 +400,8 @@ def exact_l1_distances(fan: WaveFan, origin: float, grid: Grid1D, times: np.ndar
                        levels) -> np.ndarray:
     """Per time level and component, the sum over cells of |u - exact cell
     averages|, (N+1, m), where levels yields the (J, m) level u at each of
-    times in turn.
+    times in turn; a ValueError names both counts when it yields fewer or
+    more levels than there are times.
 
     The exact averages (those of cell_average_exact) come a block of
     BLOCK_CELLS cells' levels at a time; each level then takes one subtract
@@ -412,11 +413,18 @@ def exact_l1_distances(fan: WaveFan, origin: float, grid: Grid1D, times: np.ndar
                              max(1, BLOCK_CELLS // grid.J))
     out = np.empty((len(times), fan.model.m))
     diff = np.empty((grid.J, fan.model.m))
-    n, levels = 0, iter(levels)
+    n = walked = 0
+    levels = iter(levels)
     for block in blocks:
         for b, u in zip(range(len(block)), levels):
             np.subtract(u, block[b], out=diff)
-            out[n + b] = column_sums(np.abs(diff, out=diff))
+            out[walked] = column_sums(np.abs(diff, out=diff))
+            walked += 1
         n += len(block)
+        if walked < n:  # levels ran out
+            break
         del block  # so that the next block is built in this one's place
+    walked += sum(1 for _ in levels)
+    if walked != len(times):
+        raise ValueError(f"levels yields {walked} levels for {len(times)} times")
     return out

@@ -11,7 +11,7 @@ import numpy as np
 from .grid import Grid1D, TimeLevels, cfl_timestep  # noqa: F401
 from .models import (DomainError, interface_fluxes, make_model, normalize_flux_kind,
                      normalize_model_name, numerical_flux)
-from .residual import ResidualFold, ResidualReport, _RowTexts, _terms_cells
+from .residual import ResidualReport, _RowTexts, epsilon
 
 # march refuses to take more steps than this before reaching t_final.
 MAX_STEPS = 10_000_000
@@ -30,8 +30,9 @@ class LevelHistory:
     Readers walk the levels forward (walk); history[n] builds one level,
     iteration yields each level as a read-only copy, and history[a:b] and
     np.asarray(history) give the dense form, for tests and small studies
-    only.  hulls gives the (lo, hi) rows and hull_cells a run of the buffer;
-    only this class reads the buffer.
+    only.  hulls gives the (lo, hi) rows, hull_cells a run of the buffer and
+    columns a dense block of levels over a range of cells; only this class
+    reads the buffer.
     """
 
     def __init__(self, J: int, m: int, ghost_left, ghost_right):
@@ -108,6 +109,20 @@ class LevelHistory:
         first, end = self._offset(start), self._offset(stop)
         return (np.ascontiguousarray(self._values[first:end].reshape(-1, self._m).T),
                 (self._index[start:stop, 2] - first) // self._m)
+
+    def columns(self, start: int, stop: int, a: int, b: int) -> np.ndarray:
+        """The cells a..b-1 of levels start..stop-1 as one (b - a, stop -
+        start, m) array whose levels each lie contiguous in memory; the cells
+        must hold every level's hull.  Each level's hull cells are one slice
+        copy, and every other cell, a = -1 and b = J + 1 included, holds the
+        ghost state on its side."""
+        m = self._m
+        out = np.empty((stop - start, b - a, m))
+        for level, (lo, hi, offset) in zip(out, self._index[start:stop].tolist()):
+            level[:lo - a] = self.ghost_left
+            level[lo - a:hi - a] = self._values[offset:offset + (hi - lo) * m].reshape(hi - lo, m)
+            level[hi - a:] = self.ghost_right
+        return out.transpose(1, 0, 2)
 
     def _offset(self, n: int) -> int:
         """Where level n's hull cells start in the buffer; the end at n = N."""
@@ -205,9 +220,9 @@ class SpaceTimeSolution:
     ghost state on its side, so a reader that needs the cells' values reads
     only the hull.
 
-    residual is the ResidualReport that run folded while marching.  It is
-    not an init argument, so dataclasses.replace and hand-built records
-    leave it None, and epsilon replays their levels.
+    residual is the ResidualReport that run computed from the history.  It
+    is not an init argument, so dataclasses.replace and hand-built records
+    leave it None, and epsilon computes theirs the same way.
     """
 
     grid: Grid1D
@@ -266,18 +281,16 @@ def step(
     ghost_right: np.ndarray,
     padded: np.ndarray | None = None,
     speeds: np.ndarray | None = None,
-    f: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """One conservative update; returns (new states, interface fluxes).
 
     The stepping core passes its ghost-padded copy of the states and their
-    max wave speeds, already scanned for the CFL step and checked, and the
-    padded fluxes when it has evaluated them for the residual fold.
+    max wave speeds, already scanned for the CFL step and checked.
     """
     if padded is None:
         padded = np.vstack([np.asarray(ghost_left)[None, :], states,
                             np.asarray(ghost_right)[None, :]])
-    fluxes = interface_fluxes(flux_kind, model, padded, f, speeds)
+    fluxes = interface_fluxes(flux_kind, model, padded, speeds=speeds)
     new = states - (dt / grid.dx) * (fluxes[1:] - fluxes[:-1])
     return new, fluxes
 
@@ -303,30 +316,31 @@ def _window(bits: np.ndarray, lo: int, hi: int) -> tuple[int, int]:
     return max(lo + int(rows[0]) - 1, 0), min(lo + int(rows[-1]) + 1, len(bits) - 2)
 
 
-def _levels(initial, model, flux_kind: str, grid: Grid1D, cfl: float, t0: float,
-            t_final: float, with_terms: bool):
-    """The stepping core: yield (t, states, padded, terms, fluxes, window) for
-    every level from t0 to exactly t_final (last step clipped).  padded is the
-    ghost-padded level and states its interior, both updated in place and
-    valid until the next resume.  window (lo, hi) holds the cells the step
-    into the level updated, and fluxes that step's interface fluxes lo..hi;
-    both are None for the first level.
+def march(
+    initial: np.ndarray,
+    model,
+    flux_kind: str,
+    grid: Grid1D,
+    cfl: float,
+    t0: float,
+    t_final: float,
+):
+    """The stepping core: yield (t, states, window) for every level from t0
+    to exactly t_final (last step clipped) without storing the history.
+    states is the core's level, updated in place, as a read-only view that
+    is valid until the next resume.  window (lo, hi) holds the cells the step
+    into the level updated; every other cell equals the ghost state on its
+    side, in this level and the one before.  window is None at t0.
 
     Each step touches only its active window: the cells whose stencil is not
     constant (_window).  Every cell outside it equals the ghost state on its
-    side, so its update, and every residual, entropy and TV term there, is
-    exactly zero.  The window's padded slice ends in a copy of each ghost
-    state, so the max wave speed over it is the whole level's, and max does
-    not round: dt is bit for bit the full scan's.  The next window lies
-    within this one grown by a cell on each side, and is found there.
-
-    One max-wave-speed scan of the window's padded slice per step gives both
-    dt and the LLF lambda, and each level's updated cells are checked against
-    the domain once.  With with_terms, terms are model.level_terms of the
-    level's padded slice over _terms_cells(window), the whole grid for the
-    first level; that call is the check, its flux and speeds drive the next
-    step, and terms is yielded for the residual fold.  Otherwise terms is
-    None and the step scans only what it needs.
+    side, so its update is exactly zero.  The window's padded slice ends in
+    a copy of each ghost state, so the max wave speed over it is the whole
+    level's, and max does not round: dt is bit for bit the full scan's.  The
+    next window lies within this one grown by a cell on each side, and is
+    found there.  One max-wave-speed scan of the window's padded slice per
+    step gives both dt and the LLF lambda, and each level's updated cells
+    are checked against the domain once.
     """
     if not 0.0 < cfl <= 1.0:
         raise ValueError(f"cfl must lie in (0, 1], got {cfl!r}")
@@ -346,66 +360,30 @@ def _levels(initial, model, flux_kind: str, grid: Grid1D, cfl: float, t0: float,
     padded[1:-1] = states
     states = padded[1:-1]
     ghost_left, ghost_right = padded[0], padded[-1]
-    if with_terms:
-        terms = model.level_terms(padded)
-    else:
-        model.check_domain(states)
-        terms = None
+    model.check_domain(states)
     tol = 1e-14 * max(1.0, abs(t_final))
     t = t0
-    yield t, states, padded, terms, None, None
+    view = _frozen(states.view())
+    yield t, view, None
     bits = padded.view(np.int64)
-    a, (lo, hi) = 0, _window(bits, 0, J)  # a: first cell of the terms' slice
+    lo, hi = _window(bits, 0, J)
     n = 0
     while t < t_final - tol:
         if n >= MAX_STEPS:
             raise RuntimeError(f"exceeded {MAX_STEPS} time steps before reaching t={t_final}")
         pad = padded[lo:hi + 2]
-        if with_terms:
-            f, speeds = terms[0][lo - a:hi - a + 2], terms[3][lo - a:hi - a + 2]
-        else:
-            f, speeds = None, model.max_wave_speed(pad, check=False)
+        speeds = model.max_wave_speed(pad, check=False)
         lam = float(speeds.max())
         dt = t_final - t if lam == 0.0 else min(cfl * grid.dx / lam, t_final - t)
-        new, fluxes = step(states[lo:hi], model, flux_kind, grid, dt, ghost_left, ghost_right,
-                           pad, speeds, f)
+        new, _ = step(states[lo:hi], model, flux_kind, grid, dt, ghost_left, ghost_right,
+                      pad, speeds)
         states[lo:hi] = new
-        if with_terms:
-            a, b = _terms_cells(lo, hi, J)
-            try:
-                terms = model.level_terms(padded[a:b + 2])
-            except DomainError:
-                raise _left_domain(model, new, lo, n, t + dt) from None
-        elif not model.in_domain(new).all():
+        if not model.in_domain(new).all():
             raise _left_domain(model, new, lo, n, t + dt)
         t = t_final if t_final - (t + dt) <= tol else t + dt
         n += 1
-        yield t, states, padded, terms, fluxes, (lo, hi)
+        yield t, view, (lo, hi)
         lo, hi = _window(bits, lo, hi)
-
-
-def march(
-    initial: np.ndarray,
-    model,
-    flux_kind: str,
-    grid: Grid1D,
-    cfl: float,
-    t0: float,
-    t_final: float,
-):
-    """Yield (t, states, window) for every level from t0 to exactly t_final
-    (last step clipped) without storing the history: the stepping core with
-    the lean per-step terms, which the fine reference marches on.  states is
-    the core's level, updated in place, as a read-only view that is valid
-    until the next resume.  window (lo, hi) holds the cells the step into the
-    level updated; every other cell equals the ghost state on its side, in
-    this level and the one before.  window is None at t0."""
-    levels = _levels(initial, model, flux_kind, grid, cfl, t0, t_final, with_terms=False)
-    t, states, *_ = next(levels)
-    view = _frozen(states.view())
-    yield t, view, None
-    for t, _, _, _, _, window in levels:
-        yield t, view, window
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -422,20 +400,19 @@ def run(
     t0: float,
     t_final: float,
 ) -> SpaceTimeSolution:
-    """March from t0 to exactly t_final (last step clipped), record each
-    level in the history by its ghost hull, and fold epsilon's residual
-    report from each level's model terms and step fluxes as they are made.
-    A level's ghost hull is the window of the step into it, and level 0's
-    the initial active window.  The record is frozen."""
-    fold = ResidualFold(grid.dx)
+    """March from t0 to exactly t_final (last step clipped) on the stepping
+    core, record each level in the history by its ghost hull, then compute
+    epsilon's residual report from the history.  A level's ghost hull is the
+    window of the step into it, and level 0's the initial active window.
+    The record is frozen."""
     times = []
-    for t, states, padded, terms, fluxes, window in _levels(
-            initial, model, flux_kind, grid, cfl, t0, t_final, with_terms=True):
-        if window is None:  # level 0
-            history = LevelHistory(grid.J, model.m, padded[0], padded[-1])
-        history.append(states, *(window or _window(padded.view(np.int64), 0, grid.J)))
+    for t, states, window in march(initial, model, flux_kind, grid, cfl, t0, t_final):
+        if window is None:  # level 0: the ghosts are its first and last cell
+            history = LevelHistory(grid.J, model.m, states[0], states[-1])
+            padded = np.vstack([states[:1], states, states[-1:]])
+            window = _window(padded.view(np.int64), 0, grid.J)
+        history.append(states, *window)
         times.append(t)
-        fold.add(t, padded, terms, fluxes, window)
     sol = SpaceTimeSolution(
         grid=grid,
         times=TimeLevels(times),
@@ -446,7 +423,7 @@ def run(
         flux_kind=normalize_flux_kind(flux_kind),
         cfl=cfl,
     )
-    sol.residual = fold.report(sol)
+    sol.residual = epsilon(sol)
     return sol
 
 

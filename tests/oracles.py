@@ -1,13 +1,16 @@
 """Reference code the tests check fvbound against and nothing in fvbound
 calls: pointwise sampling of an exact Riemann fan, its cell averages and L1
 distances built one level at a time, jump detection over a whole level,
-and the per-cell cover counts of a slab partition."""
+the per-cell cover counts of a slab partition, and the residual report and
+residuals CSV folded one level at a time."""
 
 import numpy as np
 
 from fvbound.grid import Grid1D, column_sums
-from fvbound.models import Burgers
+from fvbound.models import Burgers, interface_fluxes, normalize_flux_kind
 from fvbound.partition import JumpRegion, SlabPartition, trapezoid_cell_ranges
+from fvbound.residual import (ResidualReport, _RowTexts, _cell_bounds, _entropy_e1,
+                              _entropy_lower, _entropy_triplets)
 from fvbound.riemann import WaveFan, _fan_integral, _riemann_invariant
 from fvbound.solver import SpaceTimeSolution
 
@@ -179,3 +182,110 @@ def per_level_l1_distances(fan: WaveFan, origin: float, grid: Grid1D, times: np.
                 np.subtract(u[cells], averages, out=diff[cells])
         out[n] = column_sums(np.abs(diff, out=diff))
     return out
+
+
+class ResidualFold:
+    """epsilon as a fold over the levels of a record, one level at a time
+    over the whole grid.  Each level arrives ghost-padded with its terms
+    (see level_terms) and the interface fluxes of the step that produced
+    it, and closes the layer below it."""
+
+    def __init__(self, dx: float):
+        self.dx = dx
+        self.tv: list[list[float]] = []
+        self.speed_range: list[tuple[float, float]] = []
+        self.beta_levels: list[float] = []
+        self.eta_levels: list[float] = []
+        self._last = None  # (t, level terms) of the level folded last
+
+    def add(self, t, padded: np.ndarray, terms, fluxes: np.ndarray | None):
+        """Fold the level at time t; return the layer it closes, (dt, cell
+        bounds, (q_hat, entropy decrease, cell entropy flux)) with
+        dt = t - t_prev, or None for the first."""
+        self.tv.append(column_sums(np.abs(np.diff(padded, axis=0))).tolist())
+        self.speed_range.append(terms[4])
+        last, self._last = self._last, (t, terms)
+        if last is None:
+            return None
+        t_prev, (f, ent, ent_flux, speeds, _) = last
+        dx, dt = self.dx, float(t) - float(t_prev)
+        # the LLF entropy-flux companion, as numerical_entropy_flux computes it
+        lam = np.maximum(speeds[:-1], speeds[1:])
+        q_hat = 0.5 * (ent_flux[:-1] + ent_flux[1:]) - 0.5 * lam * (ent[1:] - ent[:-1])
+        de = ent[1:-1] - terms[1][1:-1]
+        bounds = _cell_bounds(dx, dt, fluxes, f[1:-1])
+        e1 = _entropy_e1(dx, dt, q_hat, de)
+        self.beta_levels.append(float(column_sums(bounds).max() / dt))
+        self.eta_levels.append(float(np.abs(np.minimum(e1, 0.0)).sum() / dt))
+        return dt, bounds, (q_hat, de, ent_flux[1:-1])
+
+    def report(self, sol: SpaceTimeSolution) -> ResidualReport:
+        """The ResidualReport of the folded levels, which are sol's."""
+        n_steps = sol.n_steps
+        tv = np.array(self.tv)
+        beta_levels = np.array(self.beta_levels)
+        eta_levels = np.array(self.eta_levels)
+        c_max = float(np.diff(sol.times.t).max(initial=0.0)) / sol.grid.dx
+        tv_scalar = tv.max(axis=1)
+        start = 1 if n_steps >= 2 else 0
+        beta = float(beta_levels[start:].max()) if n_steps else 0.0
+        eta = float(eta_levels[start:].max()) if n_steps else 0.0
+        big_c = max(3.0, float(np.sqrt(8.0 + 8.0 * c_max * c_max)))
+        tv_max = float(tv_scalar.max())
+        if tv_max == 0.0 or max(beta, eta) == 0.0:
+            eps = 0.0
+        else:
+            eps = big_c * max(beta, eta) / tv_max
+        return ResidualReport(
+            flux_kind=normalize_flux_kind(sol.flux_kind), epsilon=eps, beta=beta, eta=eta,
+            stability_constant=big_c, c_max=c_max, tv=tv, tv_scalar=tv_scalar,
+            beta_levels=beta_levels, eta_levels=eta_levels,
+            speed_range=np.array(self.speed_range))
+
+
+def level_terms(model, padded: np.ndarray):
+    """model.level_terms of a ghost-padded level with its signed speeds
+    reduced to the level's (lowest, highest) over the interior cells; a zero
+    extreme is +0.0, whichever signed zero the cells hold."""
+    f, ent, ent_flux, speeds, low, high = model.level_terms(padded)
+    return f, ent, ent_flux, speeds, (float(low[1:-1].min()) + 0.0,
+                                      float(high[1:-1].max()) + 0.0)
+
+
+def stored_levels(sol: SpaceTimeSolution):
+    """(t, ghost-padded level, level_terms, fluxes of the step into the level
+    or None) for every recorded level of sol, walking the history forward."""
+    fluxes = None
+    for n, (t, level) in enumerate(zip(sol.times.t, sol.states.walk())):
+        padded = np.vstack([sol.ghost_left[None, :], level, sol.ghost_right[None, :]])
+        terms = level_terms(sol.model, padded)
+        yield t, padded, terms, fluxes
+        if n < sol.n_steps:
+            fluxes = interface_fluxes(sol.flux_kind, sol.model, padded, terms[0], terms[3])
+
+
+def per_level_epsilon(sol: SpaceTimeSolution) -> ResidualReport:
+    """epsilon(sol), folded one level at a time over the whole grid."""
+    fold = ResidualFold(sol.grid.dx)
+    for level in stored_levels(sol):
+        fold.add(*level)
+    return fold.report(sol)
+
+
+def per_level_cells_csv(sol: SpaceTimeSolution, path: str) -> None:
+    """ResidualReport.write_cells_csv(sol, path), each layer folded one
+    level at a time over the whole grid."""
+    dx = sol.grid.dx
+    fold = ResidualFold(dx)
+    rows = _RowTexts(sol.grid.J, sol.model.m + 4, [str(j) for j in range(sol.grid.J)])
+    with open(path, "w", newline="") as fh:
+        cols = ["n", "j"] + [f"bound_{c}" for c in range(sol.model.m)]
+        fh.write(",".join(cols + ["E1", "E2", "E3", "ent_lower"]) + "\r\n")
+        for n, level in enumerate(stored_levels(sol), start=-1):
+            layer = fold.add(*level)
+            if layer is None:
+                continue
+            dt, bounds, entropy = layer
+            e1, e2, e3 = _entropy_triplets(dx, dt, *entropy)
+            block = np.column_stack([bounds, e1, e2, e3, _entropy_lower(e1, e2, e3)])
+            fh.write(f"{n}," + f"\r\n{n},".join(rows.update(block)) + "\r\n")

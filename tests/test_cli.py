@@ -399,9 +399,12 @@ class TestRunCase:
 
 
 class TestLevelTermsCount:
-    """Each level's model terms are evaluated once per run: the run folds
-    epsilon from them, the estimator reuses that report, an audit replays the
-    dump once, and the fine reference marches on the lean per-step terms."""
+    """Each level's model terms are evaluated once per run: the run's
+    residual pass gives epsilon from them, the estimator reuses that report,
+    an audit's pass evaluates the dump's levels once, and the fine reference
+    marches on the lean per-step terms.  counts gets one entry per level
+    evaluated, the rows of the array it was evaluated on: level_terms takes
+    a (rows, levels, m) block of levels."""
 
     @staticmethod
     def _counted(make_model, counts):
@@ -410,7 +413,7 @@ class TestLevelTermsCount:
             inner = model.level_terms
 
             def level_terms(u):
-                counts.append(len(u))
+                counts.extend([len(u)] * (u.shape[1] if u.ndim == 3 else 1))
                 return inner(u)
 
             model.level_terms = level_terms
@@ -434,9 +437,10 @@ class TestLevelTermsCount:
         assert len(counts) == sol.n_steps + 1
 
     def test_run_and_march_hand_on_window_sized_arrays(self, monkeypatch):
-        """On burgers-curved L8, the arrays that run hands level_terms, and
-        that run and march hand step, average below a quarter of the padded
-        grid: each step works on its active window."""
+        """On burgers-curved L8, the rows per level of the blocks that run's
+        residual pass hands level_terms, and the arrays that run and march
+        hand step, average below a quarter of the padded grid: each step
+        works on its active window, and each block on its levels' hulls."""
         config = cli._resolve(CaseConfig(case="burgers-curved", level=8))
         grid = build_grid(*cli.DOMAIN, 8)
         terms_lengths, step_lengths = [], []

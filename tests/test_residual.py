@@ -5,7 +5,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings, strategies as st
 
 from fvbound import (
     SlabTestFunction,
@@ -19,11 +19,10 @@ from fvbound import (
     total_variation,
 )
 from fvbound.grid import Grid1D, TimeLevels
+from fvbound import residual
 from fvbound.residual import (
     PROJECTION_MATRIX,
     ResidualReport,
-    ResidualFold,
-    _stored_levels,
     level_corner_oracle,
     level_entropy_triplets,
     level_residual_bounds,
@@ -32,7 +31,8 @@ from fvbound.cli import _burgers_curved_averages
 from fvbound.estimator import error_estimator
 from fvbound.solver import SpaceTimeSolution, load_solution, run, save_solution
 
-from test_solver import shock_profile, small_runs
+from oracles import ResidualFold, per_level_cells_csv, per_level_epsilon, stored_levels
+from test_solver import RUN_KINDS, _windowed_case, shock_profile, small_runs, windowed_cases
 
 GL_NODES, GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
 
@@ -283,7 +283,7 @@ class TestEpsilon:
         m = sol.model.m
         cells = np.loadtxt(path, delimiter=",", skiprows=1).reshape(n_steps, sol.grid.J, m + 6)
         fold = ResidualFold(sol.grid.dx)
-        levels = list(_stored_levels(sol))
+        levels = list(stored_levels(sol))
         assert len(levels) == n_steps + 1
         layers = [fold.add(*level) for level in levels]
         assert layers[0] is None
@@ -365,6 +365,118 @@ def test_run_carries_the_report_its_levels_replay_to(sol):
         _assert_reports_identical(sol.residual, epsilon(load_solution(dump)))
     texts = [json.dumps(error_estimator(sol, 0.1).to_json_dict()) for _ in range(2)]
     assert texts[0] == texts[1]
+
+
+def _hand_built(name, flux, J, times, ghost_left, ghost_right, levels):
+    """A record of the given levels, each a (lo, hi, values) triple: the
+    ghosts left of lo and at or right of hi, the values in between."""
+    m = len(ghost_left)
+    states = np.empty((len(times), J, m))
+    for level, (lo, hi, values) in zip(states, levels):
+        level[:lo], level[hi:] = ghost_left, ghost_right
+        level[lo:hi] = np.reshape(values, (hi - lo, m))
+    return SpaceTimeSolution(grid=Grid1D(-1.0, 1.0, J), times=TimeLevels(times), states=states,
+                             ghost_left=np.array(ghost_left), ghost_right=np.array(ghost_right),
+                             model=make_model(name), flux_kind=flux, cfl=0.9)
+
+
+# Burgers states with both signed zeros, and p-system states well inside the domain.
+_BURGERS_STATE = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.5]), st.floats(-3.0, 3.0)).map(
+    lambda v: (v,))
+_PSYSTEM_STATE = st.tuples(st.one_of(st.sampled_from([0.5, 1.0]), st.floats(0.3, 3.0)),
+                           st.one_of(st.sampled_from([0.0, -0.0, 0.4]), st.floats(-1.0, 1.0)))
+
+
+@st.composite
+def pass_records(draw):
+    """A record of a marching flux (Burgers under LLF, Godunov or
+    Engquist-Osher, the p-system under LLF) from one source: run on random
+    step or ramp data, at times with no step or a single one; that run's dump
+    reloaded, whose tightest hulls may be narrower than the step windows; the
+    run with its ghosts swapped by dataclasses.replace; or a hand-built
+    record whose levels have ghost runs, empty hulls, hulls at cell 0 and at
+    J, and both signed zeros."""
+    source = draw(st.sampled_from(["run", "load", "replace", "hand-built"]))
+    if source == "hand-built":
+        name, flux = draw(st.sampled_from(RUN_KINDS))
+        state = _BURGERS_STATE if name == "burgers" else _PSYSTEM_STATE
+        J = draw(st.integers(1, 9))
+        steps = draw(st.lists(st.floats(0.01, 1.0), max_size=5))
+        times = np.concatenate([[draw(st.floats(-1.0, 1.0))], steps]).cumsum()
+        levels = []
+        for _ in times:
+            lo = draw(st.integers(0, J))
+            hi = draw(st.integers(lo, J))
+            levels.append((lo, hi, draw(st.lists(state, min_size=hi - lo, max_size=hi - lo))))
+        return _hand_built(name, flux, J, times, draw(state), draw(state), levels)
+    initial, model, flux, grid, cfl, t0, t_final = _windowed_case(*draw(windowed_cases()))
+    steps = draw(st.sampled_from(["many", "none", "one"]))
+    lam = float(model.max_wave_speed(initial).max())
+    if steps == "none":
+        t_final = t0
+    elif steps == "one" and lam > 0.1:  # a step shorter than the first CFL step
+        t_final = t0 + 0.5 * cfl * grid.dx / lam
+    sol = run(initial, model, flux, grid, cfl, t0, t_final)
+    if source == "load":
+        with tempfile.TemporaryDirectory() as tmp:
+            save_solution(sol, str(Path(tmp, "dump.csv")))
+            sol = load_solution(str(Path(tmp, "dump.csv")))
+    elif source == "replace":
+        sol = dataclasses.replace(sol, ghost_left=sol.ghost_right, ghost_right=sol.ghost_left)
+    return sol
+
+
+def _assert_pass_equals_the_per_level_fold(sol, cells, rows):
+    """With blocks of at most cells cells and sum rows of at most rows
+    values, epsilon's report and the residuals CSV equal the per-level
+    fold's, bit for bit; a run's own report does too."""
+    want = per_level_epsilon(sol)
+    if sol.residual is not None:
+        _assert_reports_identical(sol.residual, want)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(residual, "BLOCK_CELLS", cells)
+        patch.setattr(residual, "BLOCK_ROWS", rows)
+        _assert_reports_identical(epsilon(dataclasses.replace(sol)), want)
+        with tempfile.TemporaryDirectory() as tmp:
+            got, ref = Path(tmp, "got.csv"), Path(tmp, "ref.csv")
+            want.write_cells_csv(sol, str(got))
+            per_level_cells_csv(sol, str(ref))
+            assert got.read_bytes() == ref.read_bytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(sol=pass_records(), cells=st.integers(1, 80), rows=st.integers(1, 80))
+@example(sol=_hand_built("burgers", "llf", 4, [0.0, 0.5, 1.0], (0.0,), (-0.0,),
+                         [(0, 0, []), (4, 4, []), (0, 4, [(-0.0,), (0.0,), (-0.0,), (0.0,)])]),
+         cells=1, rows=1)
+@example(sol=_hand_built("burgers", "godunov", 3, [0.0], (1.0,), (-1.0,), [(1, 2, [(0.0,)])]),
+         cells=64, rows=64)
+@example(sol=_hand_built("psystem", "llf", 5, [0.0, 0.1], (1.0, 0.0), (0.5, -0.0),
+                         [(0, 5, [(1.0, -0.0)] * 5), (5, 5, [])]), cells=3, rows=5)
+def test_blocked_pass_equals_the_per_level_fold(sol, cells, rows):
+    """The blocked residual pass, over any split of the levels into blocks
+    (a block per level at cells = 1), gives every field of the report and
+    every byte of the residuals CSV that the per-level fold gives."""
+    _assert_pass_equals_the_per_level_fold(sol, cells, rows)
+
+
+def test_pass_splits_the_levels_where_the_constants_say():
+    """At the module's block sizes, on burgers-curved L7 and the p-system's
+    rarefaction-shock L9, the blocks cover every level once, in more than
+    one block, each over the union of its levels' hulls grown by two cells,
+    and hold at most BLOCK_CELLS cells unless one level alone is wider."""
+    for sol in (small_run("burgers", level=7), small_run("psystem", level=9)):
+        hulls, J = sol.ghost_hulls, sol.grid.J
+        blocks = list(residual._block_ranges(hulls, J))
+        assert blocks[0][0] == 0 and blocks[-1][1] == sol.n_steps + 1
+        assert all(a[1] == b[0] for a, b in zip(blocks, blocks[1:]))
+        for first, stop, c0, c1 in blocks:
+            last = min(stop, sol.n_steps)  # the level that closes the block, or its last
+            assert c0 == max(int(hulls[first:last + 1, 0].min()) - 2, 0)
+            assert c1 == min(int(hulls[first:last + 1, 1].max()) + 2, J)
+            assert stop - first == 1 or (c1 - c0 + 2) * (last + 1 - first) <= residual.BLOCK_CELLS
+        assert len(blocks) > 1
+        _assert_pass_equals_the_per_level_fold(sol, residual.BLOCK_CELLS, residual.BLOCK_ROWS)
 
 
 class TestCornerOracle:

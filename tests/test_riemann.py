@@ -12,6 +12,7 @@ from fvbound import (
     make_model,
     solve_riemann,
 )
+from fvbound.riemann import exact_l1_distances
 from oracles import sample
 
 
@@ -289,3 +290,20 @@ def test_negative_time_is_refused(psystem):
     with pytest.raises(ValueError, match="time must be non-negative, got -0.5"):
         riemann.exact_l1_distances(fan, 0.0, grid, np.array([0.0, -0.5]),
                                    iter(np.tile(fan.left, (2, grid.J, 1))))
+
+
+@pytest.mark.parametrize("walked", [0, 2, 5, 9])
+def test_a_walk_of_the_wrong_length_is_refused(walked):
+    """exact_l1_distances refuses levels that yield fewer or more levels than
+    there are times, naming both counts, whether the walk ends inside the
+    first block of levels, at a block's end, or runs past the last."""
+    model = make_model("psystem")
+    fan = solve_riemann(model, [0.15, 0.0], [0.1, 0.0])
+    grid = build_grid(-5.0, 5.0, 3)
+    times = [0.0, 0.1, 0.2, 0.3]
+    level = np.full((grid.J, 2), 0.12)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(riemann, "BLOCK_CELLS", 2 * grid.J)  # blocks of two levels
+        with pytest.raises(ValueError, match=f"yields {walked} levels for 4 times"):
+            exact_l1_distances(fan, 0.0, grid, times, iter([level] * walked))
+        assert exact_l1_distances(fan, 0.0, grid, times, iter([level] * 4)).shape == (4, 2)

@@ -220,6 +220,25 @@ def test_run_holds_the_history_once():
     assert peak <= 1.5 * sol.states.nbytes + 2**20
 
 
+def test_run_peak_stays_at_the_per_level_fold():
+    """At burgers-curved L10 run's traced peak, the history plus the residual
+    pass over its blocks of levels, stays at or below the 3,956,556 bytes
+    that run traced when it folded epsilon one level at a time while
+    marching (4,039,530 in a process's first run)."""
+    from fvbound.cli import _burgers_curved_averages
+
+    grid = build_grid(-5.0, 5.0, 10)
+    initial = _burgers_curved_averages(grid)
+    tracemalloc.start()
+    try:
+        sol = run(initial, make_model("burgers"), "llf", grid, 0.9, 0.0, 1.0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert sol.states.nbytes == 2_648_824
+    assert peak <= 3_956_556
+
+
 @pytest.mark.parametrize("cfl", [1.5, 4.0, 0.0, -0.5, float("nan")])
 def test_cfl_outside_unit_interval_is_refused(cfl):
     grid = build_grid(-5.0, 5.0, 3)
