@@ -80,9 +80,9 @@ def _parse_ref(text: str) -> str:
 def _resolve(config: CaseConfig) -> CaseConfig:
     """Fill the case's window, reference and data in; refuse an unknown case,
     slab mode or reference mode, an exact reference for a case without one, a
-    named case given a model or states, a custom case without states,
-    non-finite cfl, sigma0, t0 or t_final, sigma0 <= 0 and t_final <= t0
-    before anything is marched."""
+    named case given a model or states, a custom case without states or with
+    a state that does not hold the model's m values, non-finite cfl, sigma0,
+    t0 or t_final, sigma0 <= 0 and t_final <= t0 before anything is marched."""
     if config.case not in _CASES:
         raise ConfigError(f"unknown case '{config.case}'")
     t0, t_final, ref, data = _CASES[config.case]
@@ -101,6 +101,13 @@ def _resolve(config: CaseConfig) -> CaseConfig:
         updates["model"], updates["left"], updates["right"] = data
     elif config.model is None or config.left is None or config.right is None:
         raise ConfigError("custom cases need model, left and right states")
+    else:
+        m = make_model(config.model).m
+        for name in ("left", "right"):
+            state = getattr(config, name)
+            if len(state) != m:
+                raise ConfigError(f"{name}={','.join(map(repr, state))}: model {config.model} "
+                                  f"takes states of m = {m} values, got {len(state)}")
     config = replace(config, **updates)
     for name, value in (("cfl", config.cfl), ("t0", config.t0), ("t_final", config.t_final)):
         if not math.isfinite(value):

@@ -6,12 +6,14 @@ smooth trapezoids everywhere else.  Trapezoid slopes come from the extreme
 wave speeds observed in the slab, which the residual pass records per level.
 
 The cells a trapezoid meets are (levels, j_lo, j_hi) arrays computed for all
-of a slab's levels at once.  A slab's block (SlabBlock) is the history's run
-of its levels' ghost-hull cells, the cells between the runs that hold the
-ghost states' bits, as one component-major array of per-level segments with
-an offset table.  A trapezoid's min and max clip each level's range to the
-hull and reduce the clipped segments with one reduceat each; a ghost state
-joins wherever a range reaches past the hull on its side.
+of a slab's levels at once.  A slab's block (SlabBlock) is the history's runs
+of its levels' ghost-hull cells, one piece per chunk of the history, the
+cells between the runs holding the ghost states' bits; each piece is one
+component-major array of per-level segments with an offset table.  A
+trapezoid's min and max clip each level's range to the hull, reduce each
+piece's clipped segments with one reduceat each and join the pieces'
+results; a ghost state joins wherever a range reaches past the hull on its
+side.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grid import Grid1D
-from .solver import SpaceTimeSolution
+from .solver import SpaceTimeSolution, _runs
 
 
 def inb(x: float, grid: Grid1D) -> float:
@@ -75,7 +77,8 @@ def detect_jumps(
     ghosts_left = [sol.ghost_left[None, :]] * (lo > 0)
     ghosts_right = [sol.ghost_right[None, :]] * (hi < grid.J)
     # the cells first..first+len(states)-1 of level n
-    states = np.concatenate([*ghosts_left, sol.states.hull_cells(n, n + 1)[0].T, *ghosts_right])
+    [(_, cells, _)] = sol.states.hull_cells(n, n + 1)
+    states = np.concatenate([*ghosts_left, cells.T, *ghosts_right])
     first = lo - len(ghosts_left)
     span = states.max(axis=0) - states.min(axis=0)
     # components that are constant up to roundoff cannot carry a jump
@@ -167,33 +170,37 @@ def trapezoid_cell_ranges(
 
 @dataclass(frozen=True)
 class SlabBlock:
-    """The ghost-hull cells of levels n_lo..n_hi-1, level after level, as one
-    component-major (m, S) array: cell j of level n_lo + k sits at column
-    start[k] + j - lo[k] for lo[k] <= j < hi[k].  Every other cell of the
+    """The ghost-hull cells of levels n_lo..n_hi-1, one piece per chunk of
+    the history they lie in: piece p holds the levels n_lo + first[p] up to
+    the next piece's first, level after level, as one component-major
+    (m, S) array, and cell j of level n_lo + k sits at column start[k] + j -
+    lo[k] of its piece for lo[k] <= j < hi[k].  Every other cell of the
     level holds the bits of the ghost state on its side."""
 
-    values: np.ndarray  # (m, S)
+    pieces: tuple[np.ndarray, ...]  # (m, S) each
+    first: np.ndarray  # (P,) each piece's first level, counted from n_lo
     lo: np.ndarray  # (L,) each level's ghost hull [lo, hi)
     hi: np.ndarray
-    start: np.ndarray  # (L,) the column of each level's first hull cell
+    start: np.ndarray  # (L,) the column of each level's first hull cell in its piece
 
 
 def slab_block(sol: SpaceTimeSolution, n_lo: int, n_hi: int) -> SlabBlock:
     """The SlabBlock of levels n_lo..n_hi-1, read in place from the history,
-    which stores their hull cells as one run: a view of it at m = 1."""
-    values, start = sol.states.hull_cells(n_lo, n_hi)
+    which stores the hull cells of the levels in one chunk as one run: each
+    piece is a view of its chunk at m = 1."""
+    first, pieces, start = zip(*sol.states.hull_cells(n_lo, n_hi))
     lo, hi = sol.ghost_hulls[n_lo:n_hi].T
-    return SlabBlock(values, lo, hi, start)
+    return SlabBlock(pieces, np.array(first), lo, hi, np.concatenate(start))
 
 
 def trapezoid_minmax(sol: SpaceTimeSolution, trap: Trapezoid, n_lo: int, n_hi: int,
                      block: SlabBlock) -> tuple[np.ndarray, np.ndarray] | None:
     """Componentwise (min, max) over all cells meeting the trapezoid, None if
     it meets none; block is slab_block(sol, n_lo, n_hi).  Each level's range
-    is clipped to the level's ghost hull, the clipped segments are reduced,
-    and a ghost state joins wherever a range reaches past the hull on its
-    side; min and max do not round, so this is the min and max over the
-    ranges."""
+    is clipped to the level's ghost hull, each piece's clipped segments are
+    reduced in place and the pieces' results joined, and a ghost state joins
+    wherever a range reaches past the hull on its side; min and max do not
+    round, so this is the min and max over the ranges."""
     levels, j_lo, j_hi = trapezoid_cell_ranges(trap, sol, n_lo, n_hi)
     if levels.size == 0:
         return None
@@ -202,14 +209,24 @@ def trapezoid_minmax(sol: SpaceTimeSolution, trap: Trapezoid, n_lo: int, n_hi: i
     shift = block.start[k] - lo
     starts, stops = np.maximum(j_lo, lo) + shift, np.minimum(j_hi + 1, hi) + shift
     keep = starts < stops
-    mm = _segments_minmax(block.values, starts[keep], stops[keep]) if keep.any() else None
+    k, starts, stops = k[keep], starts[keep], stops[keep]
+    piece = np.searchsorted(block.first, k, side="right") - 1
+    mm = None
+    for a, b in _runs(piece):
+        mm = _join(mm, _segments_minmax(block.pieces[piece[a]], starts[a:b], stops[a:b]))
     # a range that misses the hull reaches past it on one side, so mm is set
     for reaches, ghost in ((j_lo < lo, sol.ghost_left), (j_hi >= hi, sol.ghost_right)):
         if reaches.any():
             ghost = np.asarray(ghost, dtype=float)
-            mm = (ghost, ghost) if mm is None else (np.minimum(mm[0], ghost),
-                                                    np.maximum(mm[1], ghost))
+            mm = _join(mm, (ghost, ghost))
     return mm
+
+
+def _join(mm, new):
+    """The componentwise (min, max) of two, either of which may be None."""
+    if mm is None or new is None:
+        return mm or new
+    return np.minimum(mm[0], new[0]), np.maximum(mm[1], new[1])
 
 
 def _segments_minmax(values: np.ndarray, starts: np.ndarray,
@@ -362,10 +379,7 @@ def detect_surges(
 
     def union(mm, trap: Trapezoid):
         """Running (min, max) extended by the cells meeting trap."""
-        new = trapezoid_minmax(sol, trap, n_lo, n_hi, block)
-        if mm is None or new is None:
-            return mm or new
-        return np.minimum(mm[0], new[0]), np.maximum(mm[1], new[1])
+        return _join(mm, trapezoid_minmax(sol, trap, n_lo, n_hi, block))
 
     for region in bottom:
         cone = (region.x_left + lam_minus * tau, region.x_right + lam_plus * tau)

@@ -16,6 +16,9 @@ from .residual import ResidualReport, _RowTexts, epsilon
 # march refuses to take more steps than this before reaching t_final.
 MAX_STEPS = 10_000_000
 
+# The values a chunk of a LevelHistory holds, unless one level needs more.
+CHUNK = 2**16
+
 
 class LevelHistory:
     """The (N+1, J, m) levels of a space-time solution, each stored as its
@@ -23,25 +26,30 @@ class LevelHistory:
 
     Every cell of a level left of its hull [lo, hi) holds the bits of
     ghost_left and every cell at or right of hi those of ghost_right; only
-    the hull cells are stored, all in one flat buffer with a (lo, hi, offset)
-    row per level, so the levels start..stop-1 are one contiguous run of it.
+    the hull cells are stored, in chunks of one fixed capacity, max(CHUNK,
+    J*m) values, with a (lo, hi, chunk, at) row per level.  A level never
+    straddles two chunks: one that does not fit in the rest of the last
+    chunk starts a new one, so the levels in a chunk are one contiguous run
+    of it.  Each chunk is allocated once and never grown; freeze trims only
+    the last.
 
     append builds the history level by level and freeze makes it read-only.
     Readers walk the levels forward (walk); history[n] builds one level,
     iteration yields each level as a read-only copy, and history[a:b] and
     np.asarray(history) give the dense form, for tests and small studies
-    only.  hulls gives the (lo, hi) rows, hull_cells a run of the buffer and
-    columns a dense block of levels over a range of cells; only this class
-    reads the buffer.
+    only.  hulls gives the (lo, hi) rows, hull_cells the runs of a range of
+    levels, one per chunk, and columns a dense block of levels over a range
+    of cells; every reader reaches the stored cells through _cells.
     """
 
     def __init__(self, J: int, m: int, ghost_left, ghost_right):
         self._J, self._m = J, m
         self.ghost_left = _frozen(np.array(ghost_left, dtype=float).reshape(m))
         self.ghost_right = _frozen(np.array(ghost_right, dtype=float).reshape(m))
-        self._values = np.empty(J * m)
-        self._index = np.empty((16, 3), dtype=np.intp)  # (lo, hi, offset) per level
-        self._n = self._used = 0  # levels and values stored
+        self._capacity = max(CHUNK, J * m)
+        self._chunks = [np.empty(self._capacity)]
+        self._index = np.empty((16, 4), dtype=np.intp)  # (lo, hi, chunk, at) per level
+        self._n = self._at = self._used = 0  # levels, values in the last chunk, values held
 
     @classmethod
     def from_levels(cls, levels, ghost_left, ghost_right) -> LevelHistory:
@@ -68,23 +76,26 @@ class LevelHistory:
         """Store the (J, m) level after the last one by its ghost hull
         [lo, hi): every cell of level outside it must hold the bits of the
         ghost state on its side."""
-        if not self._values.flags.writeable:
+        if not self._index.flags.writeable:
             raise ValueError("the history is frozen")
-        m = self._m
-        end = self._used + (hi - lo) * m
-        if end > len(self._values):  # grown in place by half: at most 1.5x the values held
-            self._values.resize(max(end, len(self._values) * 3 // 2), refcheck=False)
+        size = (hi - lo) * self._m
+        if self._at + size > self._capacity:
+            self._chunks.append(np.empty(self._capacity))
+            self._at = 0
         if self._n == len(self._index):
-            self._index.resize((self._n * 3 // 2, 3), refcheck=False)
-        self._values[self._used:end].reshape(hi - lo, m)[...] = level[lo:hi]
-        self._index[self._n] = lo, hi, self._used
-        self._n, self._used = self._n + 1, end
+            self._index.resize((self._n * 3 // 2, 4), refcheck=False)
+        chunk = len(self._chunks) - 1
+        self._cells(chunk, self._at, self._at + size)[...] = level[lo:hi]
+        self._index[self._n] = lo, hi, chunk, self._at
+        self._n, self._at, self._used = self._n + 1, self._at + size, self._used + size
 
     def freeze(self) -> LevelHistory:
-        """Trim the buffers to what they hold and make them read-only."""
-        self._values.resize(self._used, refcheck=False)
-        self._index.resize((self._n, 3), refcheck=False)
-        _frozen(self._values)
+        """Trim the last chunk and the index to what they hold and make them
+        read-only."""
+        self._chunks[-1].resize(self._at, refcheck=False)
+        self._index.resize((self._n, 4), refcheck=False)
+        for chunk in self._chunks:
+            _frozen(chunk)
         _frozen(self._index)
         return self
 
@@ -94,21 +105,33 @@ class LevelHistory:
 
     @property
     def nbytes(self) -> int:
-        """The bytes of the cell values held; the index adds 24 bytes a level."""
-        return self._used * self._values.itemsize
+        """The bytes of the cell values held; the index adds 32 bytes a level."""
+        return self._used * self._chunks[0].itemsize
 
     @property
     def hulls(self) -> np.ndarray:
         """The (N+1, 2) ghost hulls [lo, hi) of the levels, read-only once frozen."""
         return self._index[:self._n, :2]
 
-    def hull_cells(self, start: int, stop: int) -> tuple[np.ndarray, np.ndarray]:
-        """The hull cells of levels start..stop-1, level after level, as one
-        component-major (m, S) array, and the column of each level's first
-        hull cell: a view of the buffer at m = 1, a copy at m >= 2."""
-        first, end = self._offset(start), self._offset(stop)
-        return (np.ascontiguousarray(self._values[first:end].reshape(-1, self._m).T),
-                (self._index[start:stop, 2] - first) // self._m)
+    def _cells(self, chunk: int, at: int, end: int) -> np.ndarray:
+        """The values at..end-1 of a chunk as (cells, m) rows: a level's
+        hull cells, or those of a run of levels that lie in the chunk."""
+        return self._chunks[chunk][at:end].reshape(-1, self._m)
+
+    def hull_cells(self, start: int, stop: int) -> list[tuple[int, np.ndarray, np.ndarray]]:
+        """The hull cells of levels start..stop-1 as one piece per chunk
+        they lie in: (the piece's first level, counted from start; its
+        levels' hull cells, level after level, as one component-major
+        (m, S) array, a view of the chunk at m = 1 and a copy at m >= 2;
+        the column of each of its levels' first hull cell)."""
+        rows = self._index[start:stop]
+        pieces = []
+        for a, b in _runs(rows[:, 2]):
+            lo, hi, chunk, at = rows[b - 1].tolist()
+            first = int(rows[a, 3])
+            cells = self._cells(chunk, first, at + (hi - lo) * self._m)
+            pieces.append((a, np.ascontiguousarray(cells.T), (rows[a:b, 3] - first) // self._m))
+        return pieces
 
     def columns(self, start: int, stop: int, a: int, b: int) -> np.ndarray:
         """The cells a..b-1 of levels start..stop-1 as one (b - a, stop -
@@ -118,15 +141,11 @@ class LevelHistory:
         ghost state on its side."""
         m = self._m
         out = np.empty((stop - start, b - a, m))
-        for level, (lo, hi, offset) in zip(out, self._index[start:stop].tolist()):
+        for level, (lo, hi, chunk, at) in zip(out, self._index[start:stop].tolist()):
             level[:lo - a] = self.ghost_left
-            level[lo - a:hi - a] = self._values[offset:offset + (hi - lo) * m].reshape(hi - lo, m)
+            level[lo - a:hi - a] = self._cells(chunk, at, at + (hi - lo) * m)
             level[hi - a:] = self.ghost_right
         return out.transpose(1, 0, 2)
-
-    def _offset(self, n: int) -> int:
-        """Where level n's hull cells start in the buffer; the end at n = N."""
-        return int(self._index[n, 2]) if n < self._n else self._used
 
     def __len__(self) -> int:
         return self._n
@@ -147,13 +166,12 @@ class LevelHistory:
             yield view
 
     def _write(self, level: np.ndarray, before: tuple[int, int], lo: int, hi: int,
-               offset: int) -> tuple[int, int]:
+               chunk: int, at: int) -> tuple[int, int]:
         """Turn level, whose cells outside its ghost hull before hold the
-        ghost states, into the level stored at (lo, hi, offset)."""
-        m = self._m
+        ghost states, into the level stored at (lo, hi, chunk, at)."""
         level[before[0]:lo] = self.ghost_left
         level[hi:before[1]] = self.ghost_right
-        level[lo:hi] = self._values[offset:offset + (hi - lo) * m].reshape(hi - lo, m)
+        level[lo:hi] = self._cells(chunk, at, at + (hi - lo) * self._m)
         return lo, hi
 
     def __iter__(self):
@@ -190,6 +208,14 @@ class LevelHistory:
                 if not off:
                     out[k] = level
         return out
+
+
+def _runs(values: np.ndarray) -> list[tuple[int, int]]:
+    """The runs [a, b) of equal entries of a 1-D array."""
+    if not len(values):
+        return []
+    cuts = (np.flatnonzero(values[1:] != values[:-1]) + 1).tolist()
+    return list(zip([0, *cuts], [*cuts, len(values)]))
 
 
 def _ghost_hull(level: np.ndarray, ghost_left: np.ndarray,
@@ -462,7 +488,8 @@ def load_solution(path: str) -> SpaceTimeSolution:
     """Read a save_solution dump, each row parsed straight into the history
     as its ghost hull against the header's ghosts; a malformed time-level
     row raises a ValueError naming the file and the line, a missing or
-    malformed header entry one naming the file and the key."""
+    malformed header entry, or an m that is not the model's, one naming the
+    file and the key."""
     header: dict[str, str] = {}
 
     def value(key: str, parse):
@@ -478,14 +505,18 @@ def load_solution(path: str) -> SpaceTimeSolution:
         if missing:
             raise ValueError(f"{path}: header is missing {', '.join(map(repr, missing))}")
         params = value("params", _parse_params) if header.get("params") else {}
+        model = make_model(value("model", normalize_model_name), **params)
         m = value("m", int)
+        if m != model.m:
+            raise ValueError(f"{path}: header value m={header['m']!r} does not match model "
+                             f"{model.name}, whose m = {model.m}")
         ghosts = {key: _frozen(value(key, _parse_floats)) for key in ("ghost_left", "ghost_right")}
         for key, ghost in ghosts.items():
             if ghost.shape != (m,):
                 raise ValueError(f"{path}: header value {key}={header[key]!r} holds "
                                  f"{ghost.size} values, expected m = {m}")
         return dict(
-            model=make_model(value("model", normalize_model_name), **params),
+            model=model,
             grid=Grid1D(value("x_min", float), value("x_max", float), value("J", int)),
             flux_kind=value("flux", normalize_flux_kind),
             cfl=value("cfl", float),

@@ -738,6 +738,33 @@ class TestMain:
         assert err.startswith("error: case '") and err.endswith(
             f"{given} can only be given for the custom case\n")
 
+    @pytest.mark.parametrize("model,left,right,message", [
+        ("psystem", "0.15", "0.1,0", "left=0.15: model psystem takes states of m = 2 values, "
+                                     "got 1"),
+        ("psystem", "0.15,0", "0.1,0,2", "right=0.1,0.0,2.0: model psystem takes states of "
+                                         "m = 2 values, got 3"),
+        ("burgers", "1,2", "-1", "left=1.0,2.0: model burgers takes states of m = 1 values, "
+                                 "got 2"),
+    ])
+    @pytest.mark.parametrize("where", ["flags", "config-file"])
+    def test_custom_state_of_the_wrong_length_is_refused(self, capsys, tmp_path, monkeypatch,
+                                                         model, left, right, message, where):
+        def no_marching(*args, **kwargs):
+            raise AssertionError("marched a state of the wrong length")
+
+        monkeypatch.setattr(cli, "run", no_marching)
+        monkeypatch.setattr(cli, "march", no_marching)
+        argv = ["run", "--case", "custom", "--level", "3", "--ref", "none"]
+        states = {"model": model, "left": left, "right": right}
+        if where == "flags":
+            argv += [arg for key, value in states.items() for arg in (f"--{key}", value)]
+        else:
+            cfg = tmp_path / "case.cfg"
+            cfg.write_text("".join(f"{key}={value}\n" for key, value in states.items()))
+            argv += ["--config", str(cfg)]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+
     # One bad value for each config key that takes one: out takes any path,
     # and dump-solution is a switch on the command line.
     BAD_FLAG_VALUES = {"case": "bogus", "cfl": "abc", "sigma": "1/2", "slab-size": "bogus",

@@ -3,12 +3,13 @@ levels bit for bit, it holds only each level's ghost-hull cells, and the
 main paths read it without building the dense form."""
 
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from fvbound import cli
+from fvbound import cli, solver
 from fvbound.cli import CaseConfig, converge, run_case
 from fvbound.grid import build_grid
 from fvbound.models import make_model
@@ -106,36 +107,86 @@ def _assert_reads_the_dense_stack(history, dense, hulls):
     assert _same(np.asarray(history), dense)
     for key in SLICES:
         assert _same(history[key], dense[key]), key
+    padded = np.concatenate([np.broadcast_to(history.ghost_left, (n_levels, 1, m)), dense,
+                             np.broadcast_to(history.ghost_right, (n_levels, 1, m))], axis=1)
     for start in range(n_levels + 1):
         for stop in range(start, n_levels + 1):
             walked = [level.copy() for level in history.walk(start, stop)]
             assert _same(np.array(walked).reshape(-1, J, m), dense[start:stop])
+            assert _same(history.columns(start, stop, -1, J + 1),
+                         padded[start:stop].transpose(1, 0, 2))
+            _assert_hull_cells(history, dense, hulls, start, stop)
+
+
+def _assert_hull_cells(history, dense, hulls, start, stop):
+    """hull_cells gives each level's hull cells, one piece per chunk of
+    consecutive levels, at the columns it names."""
+    pieces = history.hull_cells(start, stop)
+    firsts = [first for first, _, _ in pieces]
+    assert firsts == sorted(set(firsts)) and firsts[:1] == [0] * (stop > start)
+    for (first, values, columns), end in zip(pieces, firsts[1:] + [stop - start]):
+        assert values.shape[0] == history.shape[2] and len(columns) == end - first
+        for k, column in zip(range(start + first, start + end), columns.tolist()):
+            lo, hi = hulls[k]
+            assert _same(values[:, column:column + hi - lo], dense[k, lo:hi].T)
+        assert values.shape[1] == sum(hi - lo for lo, hi in hulls[start + first:start + end])
 
 
 @settings(max_examples=150, deadline=None)
-@given(sequence=ghosted_sequences())
+@given(sequence=ghosted_sequences(), chunk=st.one_of(st.just(solver.CHUNK), st.integers(1, 16)))
 # a hull that jumps wholly past the one before, to the right and back
-@example(sequence=_sequence(6, 1, [(0, 2), (5, 6), (0, 2)]))
-@example(sequence=_sequence(6, 2, [(4, 6), (0, 1), (3, 5), (0, 6)]))
+@example(sequence=_sequence(6, 1, [(0, 2), (5, 6), (0, 2)]), chunk=solver.CHUNK)
+@example(sequence=_sequence(6, 2, [(4, 6), (0, 1), (3, 5), (0, 6)]), chunk=solver.CHUNK)
 # empty hulls at cell 0, mid-grid and J, in both orders
-@example(sequence=_sequence(6, 1, [(0, 0), (3, 3), (6, 6), (3, 3), (0, 0), (1, 5)]))
+@example(sequence=_sequence(6, 1, [(0, 0), (3, 3), (6, 6), (3, 3), (0, 0), (1, 5)]),
+         chunk=solver.CHUNK)
 # ghost_left bit-equal to ghost_right
-@example(sequence=_sequence(4, 2, [(1, 3), (4, 4), (0, 0), (2, 3)], 1.0, 1.0))
+@example(sequence=_sequence(4, 2, [(1, 3), (4, 4), (0, 0), (2, 3)], 1.0, 1.0),
+         chunk=solver.CHUNK)
 # +-0.0 ghosts, and hull cells that hold the other signed zero
 @example(sequence=_sequence(3, 1, [(0, 1), (2, 3), (1, 1)], 0.0, -0.0,
-                            fills=[[-0.0], [0.0], []]))
-def test_history_reads_the_dense_stack(sequence):
+                            fills=[[-0.0], [0.0], []]), chunk=solver.CHUNK)
+# chunks of 8 values: levels that fill one exactly, empty hulls at its end
+# and at the start of the history, a level that starts the next chunk
+@example(sequence=_sequence(7, 1, [(0, 0), (0, 5), (4, 7), (7, 7), (2, 2), (1, 2), (0, 7)]),
+         chunk=8)
+# chunks of 4 values under 6-cell levels: a chunk holds max(CHUNK, J*m) values,
+# and a full level fills one exactly
+@example(sequence=_sequence(6, 1, [(0, 6), (0, 0), (1, 6), (2, 3), (6, 6), (0, 6)]), chunk=4)
+@example(sequence=_sequence(3, 2, [(0, 3), (1, 2), (1, 3), (3, 3), (0, 1)]), chunk=1)
+def test_history_reads_the_dense_stack(sequence, chunk):
     """Built from each level's ghost hull, or from the dense stack with the
-    tightest hulls, the history gives every level, the iteration, slices,
-    walks and np.asarray bit for bit, and stores only the hull cells."""
+    tightest hulls, in chunks of any size, the history gives every level,
+    the iteration, slices, walks, columns, hull_cells and np.asarray bit for
+    bit, and stores only the hull cells."""
     dense, hulls, ghost_left, ghost_right = sequence
-    _assert_reads_the_dense_stack(_appended(dense, hulls, ghost_left, ghost_right), dense,
-                                  hulls)
-    tightest = LevelHistory.from_levels(dense, ghost_left, ghost_right)
-    _assert_reads_the_dense_stack(tightest, dense, _tightest_hulls(dense, ghost_left,
-                                                                   ghost_right))
-    again = LevelHistory.from_levels(tightest, ghost_right, ghost_left)
-    _assert_reads_the_dense_stack(again, dense, _tightest_hulls(dense, ghost_right, ghost_left))
+    with mock.patch.object(solver, "CHUNK", chunk):
+        _assert_reads_the_dense_stack(_appended(dense, hulls, ghost_left, ghost_right), dense,
+                                      hulls)
+        tightest = LevelHistory.from_levels(dense, ghost_left, ghost_right)
+        _assert_reads_the_dense_stack(tightest, dense, _tightest_hulls(dense, ghost_left,
+                                                                       ghost_right))
+        again = LevelHistory.from_levels(tightest, ghost_right, ghost_left)
+        _assert_reads_the_dense_stack(again, dense,
+                                      _tightest_hulls(dense, ghost_right, ghost_left))
+
+
+def test_a_level_never_straddles_two_chunks(monkeypatch):
+    """A level that does not fit in the rest of the last chunk starts a new
+    one, an empty level stays at the end of a full chunk, and freeze trims
+    only the last chunk."""
+    monkeypatch.setattr(solver, "CHUNK", 8)
+    history = LevelHistory(7, 1, 0.0, 1.0)
+    dense, hulls, _, _ = _sequence(7, 1, [(0, 0), (0, 5), (4, 7), (7, 7), (2, 2), (1, 2),
+                                          (0, 7), (3, 4)])
+    for level, (lo, hi) in zip(dense, hulls):
+        history.append(level, lo, hi)
+    assert [len(chunk) for chunk in history._chunks] == [8, 8, 8]
+    history.freeze()
+    assert history._index[:, 2:].tolist() == [[0, 0], [0, 0], [0, 5], [0, 8], [0, 8], [1, 0],
+                                              [1, 1], [2, 0]]
+    assert [len(chunk) for chunk in history._chunks] == [8, 8, 1]
+    assert _same(np.asarray(history), dense)
 
 
 def test_frozen_history_takes_no_more_levels():

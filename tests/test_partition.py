@@ -1,6 +1,7 @@
 import dataclasses
 import os
 import tempfile
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -27,6 +28,7 @@ from fvbound.partition import (
     trapezoid_cell_ranges,
     trapezoid_minmax,
 )
+from fvbound import solver
 from fvbound.solver import SpaceTimeSolution, load_solution, march, run, save_solution
 from oracles import cover_counts, whole_level_jumps
 
@@ -430,7 +432,13 @@ def records(draw):
     """A random record on [0, 1] with its ghost hulls from one of their
     sources: run's windows, or the tightest hulls of load_solution's parsed
     rows or of a hand-built (or dataclasses.replace'd) record's levels
-    against its own ghosts."""
+    against its own ghosts.  Its history is built with chunks of 1 to 8
+    values (at least a level's), so a slab's levels often span several."""
+    with mock.patch.object(solver, "CHUNK", draw(st.integers(1, 8))):
+        return _record(draw)
+
+
+def _record(draw):
     J = draw(st.integers(1, 12))
     m = draw(st.sampled_from([1, 2]))
     grid = Grid1D(0.0, 1.0, J)
@@ -567,10 +575,10 @@ def test_run_records_its_windows_as_ghost_hulls():
     assert not np.array_equal(tight.ghost_hulls, sol.ghost_hulls)
 
 
-def test_slab_block_layout():
+def test_slab_block_layout(monkeypatch):
     """The block holds each level's ghost-hull cells, component-major, one
-    level after the other; an empty hull adds no column; at m = 1 it is the
-    history's buffer."""
+    level after the other, in one piece per chunk of the history; an empty
+    hull adds no column; at m = 1 each piece is its chunk."""
     grid = Grid1D(0.0, 1.0, 5)
     ghost_left, ghost_right = np.array([1.0, 0.0]), np.array([2.0, -0.0])
     levels = np.empty((4, 5, 2))
@@ -583,17 +591,30 @@ def test_slab_block_layout():
                             ghost_right, make_model("psystem"), "llf", 0.9)
     assert sol.ghost_hulls.tolist() == [[2, 2], [1, 4], [0, 2], [2, 5]]
     block = slab_block(sol, 0, 4)
-    assert block.values.flags.c_contiguous
-    assert (block.lo.tolist(), block.hi.tolist(), block.start.tolist()) == (
-        [2, 1, 0, 2], [2, 4, 2, 5], [0, 0, 3, 5])
+    assert len(block.pieces) == 1 and block.pieces[0].flags.c_contiguous
+    assert (block.first.tolist(), block.lo.tolist(), block.hi.tolist(),
+            block.start.tolist()) == ([0], [2, 1, 0, 2], [2, 4, 2, 5], [0, 0, 3, 5])
     want = np.concatenate([levels[1, 1:4], levels[2, 0:2], levels[3, 2:5]]).T
-    assert block.values.tobytes() == want.tobytes()
+    assert block.pieces[0].tobytes() == want.tobytes()
     later = slab_block(sol, 2, 4)
-    assert later.start.tolist() == [0, 2] and later.values.tobytes() == want[:, 3:].tobytes()
-    scalar = manual_solution(grid, [0.0, 0.1], [[1.0, 1.0, 4.0, 3.0, 3.0]] * 2)
-    block = slab_block(scalar, 0, 2)
-    assert block.values.tobytes() == np.array([[4.0, 4.0]]).tobytes()
-    assert np.shares_memory(block.values, scalar.states._values)  # read in place at m = 1
+    assert later.start.tolist() == [0, 2] and later.pieces[0].tobytes() == want[:, 3:].tobytes()
+    # chunks of 10 values: level 3 does not fit after levels 0..2 and starts the next
+    monkeypatch.setattr(solver, "CHUNK", 10)
+    chunked = dataclasses.replace(sol, states=levels)
+    block = slab_block(chunked, 0, 4)
+    assert (block.first.tolist(), block.start.tolist()) == ([0, 3], [0, 0, 3, 0])
+    assert [p.tobytes() for p in block.pieces] == [want[:, :5].tobytes(),
+                                                   want[:, 5:].tobytes()]
+    scalar = manual_solution(grid, [0.0, 0.1, 0.2], [[1.0, 1.0, 4.0, 3.0, 3.0]] * 3)
+    block = slab_block(scalar, 0, 3)  # chunks of 10 values at J = 5: one piece
+    assert block.pieces[0].tobytes() == np.array([[4.0, 4.0, 4.0]]).tobytes()
+    assert np.shares_memory(block.pieces[0], scalar.states._chunks[0])  # in place at m = 1
+    monkeypatch.setattr(solver, "CHUNK", 2)  # chunks of J = 5 values: one 3-cell hull each
+    scalar = manual_solution(grid, [0.0, 0.1, 0.2], [[1.0, 4.0, 5.0, 6.0, 3.0]] * 3)
+    block = slab_block(scalar, 0, 3)
+    assert block.first.tolist() == [0, 1, 2] and block.start.tolist() == [0, 0, 0]
+    assert [p.tobytes() for p in block.pieces] == [np.array([[4.0, 5.0, 6.0]]).tobytes()] * 3
+    assert all(np.shares_memory(p, c) for p, c in zip(block.pieces, scalar.states._chunks))
 
 
 def test_surge_oscillation_keeps_cells_the_shrinking_strip_drops():

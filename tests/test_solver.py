@@ -239,6 +239,40 @@ def test_run_peak_stays_at_the_per_level_fold():
     assert peak <= 3_956_556
 
 
+def test_run_holds_the_history_and_one_chunk_while_marching(monkeypatch):
+    """At burgers-curved L11, run's traced peak up to the residual pass is
+    at most the history's values, the chunk tails left by levels that did
+    not fit (each less than a level, J values), one chunk, and 2**19 bytes
+    for the index, the times and the stepping core's level; the residual
+    pass adds its blocks, 2**20 bytes, after that.  One buffer grown by half
+    peaked at about 14.75 MB while marching, for a 9,767,160-byte history
+    (this bound at CHUNK = 2**16: 11,471,096 bytes)."""
+    from fvbound import solver
+    from fvbound.cli import _burgers_curved_averages
+
+    grid = build_grid(-5.0, 5.0, 11)
+    initial = _burgers_curved_averages(grid)
+    marching = []
+
+    def traced_epsilon(sol):
+        marching.append(tracemalloc.get_traced_memory()[1])
+        return epsilon(sol)
+
+    monkeypatch.setattr(solver, "epsilon", traced_epsilon)
+    tracemalloc.start()
+    try:
+        sol = run(initial, make_model("burgers"), "llf", grid, 0.9, 0.0, 1.0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    history, level = sol.states.nbytes, 8 * grid.J
+    chunk = 8 * max(solver.CHUNK, grid.J)
+    tails = (history // (chunk - level) + 1) * level
+    assert history == 9_767_160
+    assert marching[0] <= history + tails + chunk + 2**19
+    assert peak <= history + tails + chunk + 2**19 + 2**20
+
+
 @pytest.mark.parametrize("cfl", [1.5, 4.0, 0.0, -0.5, float("nan")])
 def test_cfl_outside_unit_interval_is_refused(cfl):
     grid = build_grid(-5.0, 5.0, 3)
@@ -472,6 +506,31 @@ def test_load_names_a_ghost_of_the_wrong_length(tmp_path, key, bad):
         load_solution(str(path))
     assert str(info.value) == (f"{path}: header value {key}={bad!r} holds "
                                f"{bad.count(',') + 1} values, expected m = 2")
+
+
+@pytest.mark.parametrize("whole", [False, True], ids=["header", "whole-dump"])
+def test_load_refuses_an_m_that_is_not_the_models(tmp_path, whole):
+    """A p-system dump whose header says m=1, alone or with one-value ghosts
+    and J + 1 columns a row, is refused at its header, and so is a Burgers
+    dump that says m=2."""
+    path, lines = _dump_lines(tmp_path)
+    text = "".join(lines).replace(" m=2\n", " m=1\n", 1)
+    if whole:
+        text = text.replace("=1.0,0.5\n", "=1.0\n")
+        text = "".join((line if line.startswith("#") else ",".join(line.split(",")[:9])) + "\n"
+                       for line in text.splitlines())  # t and J = 8 values a row
+    path.write_text(text)
+    with pytest.raises(ValueError) as info:
+        load_solution(str(path))
+    assert str(info.value) == (f"{path}: header value m='1' does not match model psystem, "
+                               f"whose m = 2")
+    grid = build_grid(-5.0, 5.0, 2)
+    sol = run(np.linspace(1.0, -1.0, grid.J), make_model("burgers"), "llf", grid, 0.9, 0.0, 0.2)
+    save_solution(sol, str(path))
+    path.write_text(path.read_text().replace(" m=1\n", " m=2\n", 1))
+    with pytest.raises(ValueError, match=r"dump.csv: header value m='2' does not match model "
+                                         r"burgers, whose m = 1$"):
+        load_solution(str(path))
 
 
 def test_load_stores_the_canonical_flux_name(tmp_path):
