@@ -291,12 +291,12 @@ class ResidualReport:
 
 
 class _RowTexts:
-    """The text of each row of a sequence of (rows, width) float blocks: its
-    head, if given, and its values by repr, joined by commas, kept from
-    block to block.  A row is formatted again only where its int64 bit
-    pattern differs from the previous block's (from an all +0.0 block before
-    the first), so -0.0 and 0.0 stay apart and the texts equal formatting
-    every row afresh."""
+    """The text of each row of a sequence of (rows, width) float blocks, or
+    of runs of their rows: its head, if given, and its values by repr,
+    joined by commas, kept from block to block.  A row is formatted again
+    only where its int64 bit pattern differs from the one it was last
+    formatted with (all +0.0 before the first), so -0.0 and 0.0 stay apart
+    and the texts equal formatting every row afresh."""
 
     def __init__(self, rows: int, width: int, heads: list[str] | None = None):
         zeros = ",".join(["0.0"] * width)
@@ -308,17 +308,20 @@ class _RowTexts:
         self._texts = np.array(texts, dtype=object)
         self._bits = np.zeros((rows, width), dtype=np.int64)
 
-    def update(self, block: np.ndarray) -> list[str]:
-        """The texts of block's rows; block may change after the call."""
+    def update(self, block: np.ndarray, start: int = 0) -> list[str]:
+        """The texts of the rows start..start+len(block)-1, whose values block
+        holds; block may change after the call."""
+        rows = slice(start, start + len(block))
         bits = block.view(np.int64)
-        changed = np.flatnonzero((bits != self._bits).any(axis=1))
+        changed = np.flatnonzero((bits != self._bits[rows]).any(axis=1))
         values = map(repr, block[changed].ravel().tolist())
         columns = [values] * block.shape[1]  # one iterator: zip takes width values per row
+        at = changed + start
         if self._heads is not None:
-            columns.insert(0, self._heads[changed])
-        self._texts[changed] = list(map(",".join, zip(*columns)))
-        self._bits[changed] = bits[changed]
-        return self._texts.tolist()
+            columns.insert(0, self._heads[at])
+        self._texts[at] = list(map(",".join, zip(*columns)))
+        self._bits[at] = bits[changed]
+        return self._texts[rows].tolist()
 
 
 class _Block(NamedTuple):

@@ -63,7 +63,8 @@ class LevelHistory:
             shape = levels.shape
         history = cls(*shape[1:], ghost_left, ghost_right)
         for level in levels:
-            history.append(level, *_ghost_hull(level, ghost_left, ghost_right))
+            lo, hi = _ghost_hull(level, ghost_left, ghost_right)
+            history.append(level[lo:hi], lo, hi)
         return history.freeze()
 
     def keyed_on(self, ghost_left, ghost_right) -> bool:
@@ -72,10 +73,10 @@ class LevelHistory:
                    for new, own in ((ghost_left, self.ghost_left),
                                     (ghost_right, self.ghost_right)))
 
-    def append(self, level: np.ndarray, lo: int, hi: int) -> None:
-        """Store the (J, m) level after the last one by its ghost hull
-        [lo, hi): every cell of level outside it must hold the bits of the
-        ghost state on its side."""
+    def append(self, cells: np.ndarray, lo: int, hi: int) -> None:
+        """Store the level after the last one by its ghost hull [lo, hi) and
+        its (hi - lo, m) hull cells: every other cell of the level holds the
+        bits of the ghost state on its side."""
         if not self._index.flags.writeable:
             raise ValueError("the history is frozen")
         size = (hi - lo) * self._m
@@ -85,7 +86,7 @@ class LevelHistory:
         if self._n == len(self._index):
             self._index.resize((self._n * 3 // 2, 4), refcheck=False)
         chunk = len(self._chunks) - 1
-        self._cells(chunk, self._at, self._at + size)[...] = level[lo:hi]
+        self._cells(chunk, self._at, self._at + size)[...] = cells
         self._index[self._n] = lo, hi, chunk, self._at
         self._n, self._at, self._used = self._n + 1, self._at + size, self._used + size
 
@@ -437,7 +438,8 @@ def run(
             history = LevelHistory(grid.J, model.m, states[0], states[-1])
             padded = np.vstack([states[:1], states, states[-1:]])
             window = _window(padded.view(np.int64), 0, grid.J)
-        history.append(states, *window)
+        lo, hi = window
+        history.append(states[lo:hi], lo, hi)
         times.append(t)
     sol = SpaceTimeSolution(
         grid=grid,
@@ -453,14 +455,21 @@ def run(
     return sol
 
 
+# The first line of a solution dump: the format that save_solution writes and
+# load_solution reads.
+_MAGIC = "# fvbound-solution "
+_VERSION = "2"
+
+
 def save_solution(sol: SpaceTimeSolution, path: str) -> None:
-    """Dump the solution to a single text file: header, then one row per
-    time level (t followed by the row-major J x m cell states), written
-    row by row rather than held as one string.  A cell whose bits equal its
-    state at the level before keeps that level's text."""
+    """Dump the solution to a single text file, format 2: header, then one
+    row per time level, t, the level's ghost hull lo and hi, and its
+    (hi - lo) x m hull cells row-major (no trailing comma when the hull is
+    empty), written row by row rather than held as one string.  A hull cell
+    whose bits equal those it was last written with keeps that text."""
     params = ",".join(f"{k}={v!r}" for k, v in sorted(sol.model.params().items()))
     with open(path, "w") as fh:
-        fh.write("# fvbound-solution 1\n")
+        fh.write(f"{_MAGIC}{_VERSION}\n")
         fh.write(f"# model={sol.model.name} params={params}\n")
         fh.write(f"# flux={sol.flux_kind} cfl={sol.cfl!r}\n")
         fh.write(f"# x_min={sol.grid.x_min!r} x_max={sol.grid.x_max!r} J={sol.grid.J} "
@@ -468,8 +477,9 @@ def save_solution(sol: SpaceTimeSolution, path: str) -> None:
         fh.write(f"# ghost_left={','.join(repr(float(v)) for v in sol.ghost_left)}\n")
         fh.write(f"# ghost_right={','.join(repr(float(v)) for v in sol.ghost_right)}\n")
         cells = _RowTexts(sol.grid.J, sol.model.m)
-        for t, level in zip(sol.times.t.tolist(), sol.states.walk()):
-            fh.write(repr(t) + "," + ",".join(cells.update(level)) + "\n")
+        rows = zip(sol.times.t.tolist(), sol.ghost_hulls.tolist(), sol.states.walk())
+        for t, (lo, hi), level in rows:
+            fh.write(",".join([f"{t!r},{lo},{hi}", *cells.update(level[lo:hi], lo)]) + "\n")
 
 
 # Header entries save_solution writes and load_solution needs (params is optional).
@@ -484,12 +494,40 @@ def _parse_floats(text: str) -> np.ndarray:
     return np.array(text.split(","), dtype=float)
 
 
+def _parse_row(line: str, J: int, m: int,
+               before: float | None) -> tuple[float, int, int, np.ndarray]:
+    """The time, ghost hull and (hi - lo, m) hull cells of the dump row
+    t,lo,hi,cells...: t must be finite and exceed the time before, if any,
+    and 0 <= lo <= hi <= J."""
+    values = line.split(",")
+    if len(values) < 3:
+        raise ValueError(f"{len(values)} columns, expected t, lo, hi and the hull cells")
+    t = float(values[0])
+    if not math.isfinite(t):
+        raise ValueError(f"time {t!r} is not finite")
+    if before is not None and not t > before:
+        raise ValueError(f"time {t!r} does not exceed the time before, {before!r}")
+    try:
+        lo, hi = int(values[1]), int(values[2])
+    except ValueError:
+        raise ValueError(f"ghost hull lo={values[1]!r} hi={values[2]!r} is not two "
+                         f"integers") from None
+    if not 0 <= lo <= hi <= J:
+        raise ValueError(f"ghost hull lo={lo} hi={hi} is not within 0 <= lo <= hi <= J = {J}")
+    cells = np.array(values[3:], dtype=float)
+    if cells.size != (hi - lo) * m:
+        raise ValueError(f"{cells.size} hull cell values, expected (hi - lo)*m = "
+                         f"{(hi - lo) * m}")
+    return t, lo, hi, cells.reshape(hi - lo, m)
+
+
 def load_solution(path: str) -> SpaceTimeSolution:
-    """Read a save_solution dump, each row parsed straight into the history
-    as its ghost hull against the header's ghosts; a malformed time-level
-    row raises a ValueError naming the file and the line, a missing or
-    malformed header entry, or an m that is not the model's, one naming the
-    file and the key."""
+    """Read a save_solution dump of format 2, each row's hull cells appended
+    straight into the history with the row's ghost hull.  Another format is
+    refused with its version.  A malformed time-level row raises a
+    ValueError naming the file and the line; a missing or malformed header
+    entry, an m that is not the model's, or a grid that Grid1D refuses, one
+    naming the file and the key."""
     header: dict[str, str] = {}
 
     def value(key: str, parse):
@@ -498,6 +536,15 @@ def load_solution(path: str) -> SpaceTimeSolution:
         except ValueError as exc:
             raise ValueError(f"{path}: header value {key}={header[key]!r} does not parse: "
                              f"{exc}") from None
+
+    def grid() -> Grid1D:
+        x_min, x_max, J = value("x_min", float), value("x_max", float), value("J", int)
+        try:
+            return Grid1D(x_min, x_max, J)
+        except ValueError as exc:
+            keys = ("J",) if x_max > x_min else ("x_min", "x_max")
+            given = " ".join(f"{key}={header[key]!r}" for key in keys)
+            raise ValueError(f"{path}: header value {given} is refused: {exc}") from None
 
     def record() -> dict:
         """The record's fields that the header gives."""
@@ -517,7 +564,7 @@ def load_solution(path: str) -> SpaceTimeSolution:
                                  f"{ghost.size} values, expected m = {m}")
         return dict(
             model=model,
-            grid=Grid1D(value("x_min", float), value("x_max", float), value("J", int)),
+            grid=grid(),
             flux_kind=value("flux", normalize_flux_kind),
             cfl=value("cfl", float),
             **ghosts,
@@ -526,8 +573,12 @@ def load_solution(path: str) -> SpaceTimeSolution:
     fields, times = None, []
     with open(path) as fh:
         magic = fh.readline().strip()
-        if magic != "# fvbound-solution 1":
-            raise ValueError(f"{path} is not a fvbound solution dump")
+        if magic != _MAGIC + _VERSION:
+            if not magic.startswith(_MAGIC):
+                raise ValueError(f"{path} is not a fvbound solution dump")
+            raise ValueError(f"{path}, line 1: a fvbound solution dump of format "
+                             f"{magic[len(_MAGIC):]}, and only format {_VERSION} is read: "
+                             f"dump the solution again with `fvbound run --dump-solution`")
         for lineno, line in enumerate(fh, start=2):
             line = line.strip()
             if not line:
@@ -543,15 +594,11 @@ def load_solution(path: str) -> SpaceTimeSolution:
                 J = fields["grid"].J
                 history = LevelHistory(J, m, fields["ghost_left"], fields["ghost_right"])
             try:
-                row = np.array(line.split(","), dtype=float)
+                t, lo, hi, cells = _parse_row(line, J, m, times[-1] if times else None)
             except ValueError as exc:
                 raise ValueError(f"{path}, line {lineno}: {exc}") from None
-            if row.size != J * m + 1:
-                raise ValueError(f"{path}, line {lineno}: {row.size} columns, expected "
-                                 f"J*m + 1 = {J * m + 1} (t, then the J x m cell states)")
-            level = row[1:].reshape(J, m)
-            history.append(level, *_ghost_hull(level, history.ghost_left, history.ghost_right))
-            times.append(float(row[0]))
+            history.append(cells, lo, hi)
+            times.append(t)
     if fields is None:
         record()
         raise ValueError(f"{path} holds no time levels after its header")

@@ -676,8 +676,11 @@ class TestMain:
         rows = [k for k, line in enumerate(lines) if not line.startswith("#")]
         assert len(rows) > 4
         k = rows[len(rows) // 2]  # an interior time level
-        values = lines[k].split(",")
-        values[1 + 2 * 5] = "-0.25"  # rho of cell j=5
+        values = lines[k].split(",")  # t, lo, hi, then the hull cells
+        lo, hi = int(values[1]), int(values[2])
+        j = (lo + hi) // 2
+        assert lo <= j < hi
+        values[3 + 2 * (j - lo)] = "-0.25"  # rho of hull cell j
         lines[k] = ",".join(values)
         dump.write_text("".join(lines))
         capsys.readouterr()

@@ -84,7 +84,7 @@ def _same(a, b) -> bool:
 def _appended(dense, hulls, ghost_left, ghost_right):
     history = LevelHistory(*dense.shape[1:], ghost_left, ghost_right)
     for level, (lo, hi) in zip(dense, hulls):
-        history.append(level, lo, hi)
+        history.append(level[lo:hi], lo, hi)
     return history.freeze()
 
 
@@ -180,7 +180,7 @@ def test_a_level_never_straddles_two_chunks(monkeypatch):
     dense, hulls, _, _ = _sequence(7, 1, [(0, 0), (0, 5), (4, 7), (7, 7), (2, 2), (1, 2),
                                           (0, 7), (3, 4)])
     for level, (lo, hi) in zip(dense, hulls):
-        history.append(level, lo, hi)
+        history.append(level[lo:hi], lo, hi)
     assert [len(chunk) for chunk in history._chunks] == [8, 8, 8]
     history.freeze()
     assert history._index[:, 2:].tolist() == [[0, 0], [0, 0], [0, 5], [0, 8], [0, 8], [1, 0],

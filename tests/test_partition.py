@@ -430,10 +430,11 @@ def ghosted_levels(draw, J, m, ghost_left, ghost_right, n_levels):
 @st.composite
 def records(draw):
     """A random record on [0, 1] with its ghost hulls from one of their
-    sources: run's windows, or the tightest hulls of load_solution's parsed
-    rows or of a hand-built (or dataclasses.replace'd) record's levels
-    against its own ghosts.  Its history is built with chunks of 1 to 8
-    values (at least a level's), so a slab's levels often span several."""
+    sources: run's windows, or the tightest hulls of a hand-built (or
+    dataclasses.replace'd) record's levels against its own ghosts, which
+    load_solution reads back from the record's dump.  Its history is built
+    with chunks of 1 to 8 values (at least a level's), so a slab's levels
+    often span several."""
     with mock.patch.object(solver, "CHUNK", draw(st.integers(1, 8))):
         return _record(draw)
 

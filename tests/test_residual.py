@@ -392,10 +392,10 @@ def pass_records(draw):
     """A record of a marching flux (Burgers under LLF, Godunov or
     Engquist-Osher, the p-system under LLF) from one source: run on random
     step or ramp data, at times with no step or a single one; that run's dump
-    reloaded, whose tightest hulls may be narrower than the step windows; the
-    run with its ghosts swapped by dataclasses.replace; or a hand-built
-    record whose levels have ghost runs, empty hulls, hulls at cell 0 and at
-    J, and both signed zeros."""
+    reloaded, which keeps the step windows as its hulls; the run with its
+    ghosts swapped by dataclasses.replace; or a hand-built record whose
+    levels have ghost runs, empty hulls, hulls at cell 0 and at J, and both
+    signed zeros."""
     source = draw(st.sampled_from(["run", "load", "replace", "hand-built"]))
     if source == "hand-built":
         name, flux = draw(st.sampled_from(RUN_KINDS))

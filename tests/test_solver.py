@@ -21,7 +21,7 @@ from fvbound import (
     solve_riemann,
 )
 from fvbound.grid import Grid1D, TimeLevels, cfl_timestep
-from fvbound.solver import SpaceTimeSolution, _window, march, run, step
+from fvbound.solver import LevelHistory, SpaceTimeSolution, _window, march, run, step
 
 
 def shock_profile(grid, left=1.0, right=-1.0, center_zero=True):
@@ -405,19 +405,20 @@ def test_discrete_conservation_over_random_riemann_data(kind, data):
 
 
 def one_string_dump(sol: SpaceTimeSolution) -> bytes:
-    """The solution dump of sol, built as one string value by value."""
+    """The solution dump of sol, built as one string value by value: each
+    level's row holds t, its ghost hull lo and hi, and its hull cells."""
     params = ",".join(f"{k}={v!r}" for k, v in sorted(sol.model.params().items()))
     lines = [
-        "# fvbound-solution 1",
+        "# fvbound-solution 2",
         f"# model={sol.model.name} params={params}",
         f"# flux={sol.flux_kind} cfl={sol.cfl!r}",
         f"# x_min={sol.grid.x_min!r} x_max={sol.grid.x_max!r} J={sol.grid.J} m={sol.model.m}",
         f"# ghost_left={','.join(repr(float(v)) for v in sol.ghost_left)}",
         f"# ghost_right={','.join(repr(float(v)) for v in sol.ghost_right)}",
     ]
-    for n, t in enumerate(sol.times.t):
-        lines.append(repr(float(t)) + "," + ",".join(repr(float(v))
-                                                     for v in sol.states[n].reshape(-1)))
+    for n, (t, (lo, hi)) in enumerate(zip(sol.times.t, sol.ghost_hulls)):
+        lines.append(",".join([repr(float(t)), str(int(lo)), str(int(hi)),
+                               *(repr(float(v)) for v in sol.states[n][lo:hi].reshape(-1))]))
     return "".join(line + "\n" for line in lines).encode()
 
 
@@ -433,6 +434,49 @@ def test_dump_bytes_equal_the_one_string_writer(tmp_path):
     assert path.read_bytes() == one_string_dump(sol)
 
 
+# Cell values with both signed zeros, infinities and subnormals.
+_CELL_VALUES = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -2.5]), st.floats(allow_nan=False))
+
+
+@st.composite
+def hull_records(draw):
+    """A record built from its levels' ghost hulls: m = 1 or 2, J = 1..6,
+    one to six levels whose hulls may be empty or touch cell 0 or J, and
+    whose hull cells may hold -0.0 or a ghost's bits."""
+    m, J = draw(st.sampled_from([1, 2])), draw(st.integers(1, 6))
+    ghost = st.lists(_CELL_VALUES, min_size=m, max_size=m)
+    ghost_left, ghost_right = draw(ghost), draw(ghost)
+    times = draw(st.lists(st.floats(-1e3, 1e3), min_size=1, max_size=6, unique=True))
+    history = LevelHistory(J, m, ghost_left, ghost_right)
+    cell = st.one_of(_CELL_VALUES, st.sampled_from(ghost_left + ghost_right))
+    for _ in times:
+        lo = draw(st.sampled_from([0, J, draw(st.integers(0, J))]))
+        hi = draw(st.sampled_from([lo, J, draw(st.integers(lo, J))]))
+        cells = draw(st.lists(cell, min_size=(hi - lo) * m, max_size=(hi - lo) * m))
+        history.append(np.reshape(cells, (hi - lo, m)), lo, hi)
+    model = make_model("burgers") if m == 1 else make_model("psystem")
+    return SpaceTimeSolution(Grid1D(-1.0, 1.0, J), TimeLevels(sorted(times)), history.freeze(),
+                             history.ghost_left, history.ghost_right, model, "llf", 0.9)
+
+
+@settings(max_examples=150, deadline=None)
+@given(hull_records())
+def test_dump_round_trips_each_level_by_its_hull(sol):
+    """A reloaded dump has the record's times and ghost hulls, and its levels
+    are the record's bit for bit."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = str(Path(tmp, "dump.csv"))
+        save_solution(sol, path)
+        back = load_solution(path)
+    assert back.times.t.tobytes() == sol.times.t.tobytes()
+    assert back.ghost_hulls.tolist() == sol.ghost_hulls.tolist()
+    for a, b in [(back.ghost_left, sol.ghost_left), (back.ghost_right, sol.ghost_right)]:
+        assert a.tobytes() == b.tobytes()
+    assert back.states.shape == sol.states.shape
+    for a, b in zip(back.states.walk(), sol.states.walk()):
+        assert a.tobytes() == b.tobytes()
+
+
 def test_load_rejects_other_files(tmp_path):
     path = tmp_path / "junk.csv"
     path.write_text("a,b,c\n1,2,3\n")
@@ -440,30 +484,120 @@ def test_load_rejects_other_files(tmp_path):
         load_solution(str(path))
 
 
-def _dump_lines(tmp_path):
+def _dump_lines(tmp_path, right=(1.0, 0.5)):
+    """The path and lines of a p-system dump at J = 8 from the state
+    (1.0, 0.5) on the left half and right on the right half; with no jump,
+    every level's hull is empty."""
     model = make_model("psystem", C=1.0, gamma=1.4)
     grid = build_grid(-5.0, 5.0, 2)
-    sol = run(np.tile([1.0, 0.5], (grid.J, 1)), model, "llf", grid, 0.9, 0.0, 0.2)
+    initial = np.where(grid.centers()[:, None] < 0.0, [1.0, 0.5], right)
+    sol = run(initial, model, "llf", grid, 0.9, 0.0, 0.2)
     path = tmp_path / "dump.csv"
     save_solution(sol, str(path))
     return path, path.read_text().splitlines(keepends=True)
 
 
 def test_load_names_the_line_of_a_ragged_row(tmp_path):
-    path, lines = _dump_lines(tmp_path)
+    path, lines = _dump_lines(tmp_path, right=(0.8, 0.3))
+    lo, hi = map(int, lines[7].split(",")[1:3])
+    size = (hi - lo) * 2
+    assert size > 0
     lines[7] = lines[7].rstrip("\n") + ",1.0\n"  # the second time level, line 8
     path.write_text("".join(lines))
-    with pytest.raises(ValueError, match=r"dump.csv, line 8: 18 columns, expected J\*m \+ 1 = 17"):
+    with pytest.raises(ValueError, match=rf"dump.csv, line 8: {size + 1} hull cell values, "
+                                         rf"expected \(hi - lo\)\*m = {size}$"):
         load_solution(str(path))
 
 
 def test_load_names_the_line_of_a_truncated_last_row(tmp_path):
-    path, lines = _dump_lines(tmp_path)
+    path, lines = _dump_lines(tmp_path, right=(0.8, 0.3))
+    assert lines[-1].count(",") > 2  # the last level's hull holds cells
     path.write_text("".join(lines)[: -len(lines[-1].rsplit(",", 1)[1])])
     with pytest.raises(ValueError, match=f"dump.csv, line {len(lines)}: could not convert"):
         load_solution(str(path))
 
 
+@pytest.mark.parametrize("edit,message", [
+    (lambda t, lo, hi, cells: [t, str(hi + 1), str(hi), *cells],
+     "ghost hull lo={hi1} hi={hi} is not within 0 <= lo <= hi <= J = 8"),
+    (lambda t, lo, hi, cells: [t, str(lo), "9", *cells, *["0.5"] * (2 * (9 - hi))],
+     "ghost hull lo={lo} hi=9 is not within 0 <= lo <= hi <= J = 8"),
+    (lambda t, lo, hi, cells: [t, "-1", str(hi), "1.0", "0.5", *cells],
+     "ghost hull lo=-1 hi={hi} is not within 0 <= lo <= hi <= J = 8"),
+    (lambda t, lo, hi, cells: [t, f"{lo}.5", str(hi), *cells],
+     "ghost hull lo='{lo}.5' hi='{hi}' is not two integers"),
+    (lambda t, lo, hi, cells: [t, str(lo), str(hi), *cells[:-1]],
+     "{size1} hull cell values, expected (hi - lo)*m = {size}"),
+    (lambda t, lo, hi, cells: [t, str(lo)], "2 columns, expected t, lo, hi and the hull cells"),
+], ids=["lo-above-hi", "hi-above-J", "negative-lo", "non-integer-lo", "value-count",
+        "no-hull"])
+def test_load_names_the_line_of_a_bad_hull(tmp_path, edit, message):
+    """A row whose ghost hull is not 0 <= lo <= hi <= J, or whose value
+    count is not (hi - lo)*m, is refused with the file and the line."""
+    path, lines = _dump_lines(tmp_path, right=(0.8, 0.3))
+    t, lo, hi, *cells = lines[7].rstrip("\n").split(",")
+    lo, hi = int(lo), int(hi)
+    lines[7] = ",".join(edit(t, lo, hi, cells)) + "\n"  # the second time level, line 8
+    path.write_text("".join(lines))
+    size = (hi - lo) * 2
+    expected = message.format(lo=lo, hi=hi, hi1=hi + 1, size=size, size1=size - 1)
+    with pytest.raises(ValueError) as info:
+        load_solution(str(path))
+    assert str(info.value) == f"{path}, line 8: {expected}"
+
+
+@pytest.mark.parametrize("version", ["1", "3"])
+def test_load_refuses_another_format_by_its_version(tmp_path, version):
+    """A dump of format 1, which held all J x m cells of every level, or of
+    any format but 2, is refused with its version and told to dump again."""
+    path, lines = _dump_lines(tmp_path)
+    assert lines[0] == "# fvbound-solution 2\n"
+    path.write_text("".join([f"# fvbound-solution {version}\n", *lines[1:]]))
+    with pytest.raises(ValueError) as info:
+        load_solution(str(path))
+    assert str(info.value) == (f"{path}, line 1: a fvbound solution dump of format {version}, "
+                               f"and only format 2 is read: dump the solution again with "
+                               f"`fvbound run --dump-solution`")
+
+
+@pytest.mark.parametrize("time,message", [
+    ("same", "time {before!r} does not exceed the time before, {before!r}"),
+    ("earlier", "time -1.0 does not exceed the time before, {before!r}"),
+    ("nan", "time nan is not finite"),
+    ("first-nan", "time nan is not finite"),
+    ("first-inf", "time inf is not finite"),
+])
+def test_load_names_the_line_of_a_bad_time(tmp_path, time, message):
+    """A row whose time is not finite, or does not exceed the row before's,
+    is refused with the file and the line rather than by TimeLevels."""
+    path, lines = _dump_lines(tmp_path, right=(0.8, 0.3))
+    k = 6 if time.startswith("first") else 7
+    before = float(lines[k - 1].split(",")[0]) if k == 7 else None
+    new = {"same": repr(before), "earlier": "-1.0", "nan": "nan", "first-nan": "nan",
+           "first-inf": "inf"}[time]
+    lines[k] = ",".join([new, *lines[k].split(",")[1:]])
+    path.write_text("".join(lines))
+    with pytest.raises(ValueError) as info:
+        load_solution(str(path))
+    assert str(info.value) == f"{path}, line {k + 1}: " + message.format(before=before)
+
+
+@pytest.mark.parametrize("old,new,given,reason", [
+    ("x_max=5.0", "x_max=-6.0", "x_min='-5.0' x_max='-6.0'",
+     "need x_max > x_min, got [-5.0, -6.0]"),
+    ("x_min=-5.0", "x_min=nan", "x_min='nan' x_max='5.0'", "need x_max > x_min, got [nan, 5.0]"),
+    ("J=8", "J=0", "J='0'", "need at least one cell, got J=0"),
+    ("J=8", "J=-3", "J='-3'", "need at least one cell, got J=-3"),
+])
+@pytest.mark.parametrize("rows", [True, False], ids=["with-rows", "header-only"])
+def test_load_names_the_key_of_a_refused_grid(tmp_path, old, new, given, reason, rows):
+    path, lines = _dump_lines(tmp_path)
+    text = "".join(lines if rows else lines[:6])
+    assert f" {old} " in text
+    path.write_text(text.replace(f" {old} ", f" {new} ", 1))
+    with pytest.raises(ValueError) as info:
+        load_solution(str(path))
+    assert str(info.value) == f"{path}: header value {given} is refused: {reason}"
 def test_load_refuses_a_header_only_dump(tmp_path):
     path, lines = _dump_lines(tmp_path)
     path.write_text("".join(lines[:6]))
@@ -511,14 +645,15 @@ def test_load_names_a_ghost_of_the_wrong_length(tmp_path, key, bad):
 @pytest.mark.parametrize("whole", [False, True], ids=["header", "whole-dump"])
 def test_load_refuses_an_m_that_is_not_the_models(tmp_path, whole):
     """A p-system dump whose header says m=1, alone or with one-value ghosts
-    and J + 1 columns a row, is refused at its header, and so is a Burgers
+    and one value a hull cell, is refused at its header, and so is a Burgers
     dump that says m=2."""
-    path, lines = _dump_lines(tmp_path)
+    path, lines = _dump_lines(tmp_path, right=(0.8, 0.3))
     text = "".join(lines).replace(" m=2\n", " m=1\n", 1)
     if whole:
-        text = text.replace("=1.0,0.5\n", "=1.0\n")
-        text = "".join((line if line.startswith("#") else ",".join(line.split(",")[:9])) + "\n"
-                       for line in text.splitlines())  # t and J = 8 values a row
+        text = text.replace("=1.0,0.5\n", "=1.0\n").replace("=0.8,0.3\n", "=0.8\n")
+        rows = (line.split(",") for line in text.splitlines())
+        text = "".join(",".join(row if row[0].startswith("#") else row[:3] + row[3::2]) + "\n"
+                       for row in rows)  # t, lo, hi and each hull cell's rho
     path.write_text(text)
     with pytest.raises(ValueError) as info:
         load_solution(str(path))

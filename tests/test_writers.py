@@ -12,7 +12,7 @@ from fvbound import epsilon, make_model, residual, save_solution
 from fvbound.cli import CaseConfig, run_case
 from fvbound.grid import Grid1D, TimeLevels
 from fvbound.residual import level_entropy_triplets, level_residual_bounds
-from fvbound.solver import SpaceTimeSolution
+from fvbound.solver import LevelHistory, SpaceTimeSolution
 
 from test_residual import row_by_row_cells_csv
 from test_solver import one_string_dump, small_runs
@@ -52,8 +52,20 @@ def test_signed_zeros_and_returning_values_are_written_afresh(tmp_path):
     assert [rows[1 + 6 * n + 2] for n in range(3)] == [
         "0,2,0.0,0.0,0.0,0.0,0.0", "1,2,0.0,0.0,-0.0,0.0,0.0", "2,2,0.0,0.0,0.0,0.0,0.0"]
     assert dump.decode().splitlines()[6:] == [
-        "0.0,0.5,0.0,0.0,0.0,0.3,-0.2", "0.01,0.5,-0.0,-0.0,0.0,0.3,-0.2",
-        "0.02,0.5,0.0,0.0,0.0,0.45,-0.2", "0.03,0.5,0.0,0.0,0.0,0.3,-0.2"]
+        "0.0,1,5,0.0,0.0,0.0,0.3", "0.01,1,5,-0.0,-0.0,0.0,0.3",
+        "0.02,1,5,0.0,0.0,0.0,0.45", "0.03,1,5,0.0,0.0,0.0,0.3"]
+
+
+def _changed_hull_cells(sol) -> int:
+    """Hull cells of sol's levels whose bits differ from those the same cell
+    held when it was last in a hull, counting against zeros before."""
+    last = np.zeros((sol.grid.J, sol.model.m), dtype=np.int64)
+    count = 0
+    for (lo, hi), level in zip(sol.ghost_hulls.tolist(), sol.states):
+        bits = level[lo:hi].view(np.int64)
+        count += int((bits != last[lo:hi]).any(axis=1).sum())
+        last[lo:hi] = bits
+    return count
 
 
 def _changed_rows(blocks: np.ndarray) -> int:
@@ -65,8 +77,10 @@ def _changed_rows(blocks: np.ndarray) -> int:
 
 
 class TestFormatCount:
-    """The writers call repr on the values of the rows that changed since
-    the layer or level before, and on no other value."""
+    """The residuals writer calls repr on the values of the rows that
+    changed since the layer before, and the dump writer on the values of the
+    hull cells that changed since they were last written, and neither on any
+    other value."""
 
     def test_csv_and_dump_format_only_changed_rows(self, monkeypatch, tmp_path):
         sol = run_case(CaseConfig(case="psys-raref-shock", level=4, ref="none"))[0]
@@ -77,7 +91,7 @@ class TestFormatCount:
             layers.append(np.column_stack([level_residual_bounds(sol, sol.flux_kind, n),
                                            e1, e2, e3, lower]))
         csv_values = _changed_rows(np.array(layers)) * (m + 4)
-        dump_values = _changed_rows(np.asarray(sol.states)) * m
+        dump_values = _changed_hull_cells(sol) * m
         assert 0 < csv_values < sol.n_steps * J * (m + 4)
         assert 0 < dump_values < np.asarray(sol.states).size
 
@@ -93,3 +107,24 @@ class TestFormatCount:
         del calls[:]
         save_solution(sol, str(tmp_path / "dump.csv"))
         assert len(calls) == dump_values
+
+    def test_dump_keeps_a_cell_text_when_its_hull_moves(self, monkeypatch, tmp_path):
+        """A cell keeps its text by its index on the grid, not its place in
+        the hull: the hull grows left over cells 3 and 4, moves left so that
+        cell 4 leaves it, and moves back as cell 4 returns to its last
+        written value.  Only the cells that enter with a new value are
+        formatted: 2, then 1, 1 and none."""
+        history = LevelHistory(6, 1, [1.0], [0.0])
+        for lo, cells in [(3, [0.5, 0.25]), (2, [0.75, 0.5, 0.25]), (1, [0.9, 0.75, 0.5]),
+                          (2, [0.75, 0.5, 0.25])]:
+            history.append(np.reshape(cells, (-1, 1)), lo, lo + len(cells))
+        sol = SpaceTimeSolution(Grid1D(0.0, 1.0, 6), TimeLevels(np.arange(4) * 0.01),
+                                history.freeze(), history.ghost_left, history.ghost_right,
+                                make_model("burgers"), "llf", 0.5)
+        assert _changed_hull_cells(sol) == 4
+        calls = []
+        monkeypatch.setattr(residual, "repr", lambda value: calls.append(value) or repr(value),
+                            raising=False)
+        save_solution(sol, str(tmp_path / "dump.csv"))
+        assert calls == [0.5, 0.25, 0.75, 0.9]
+        assert (tmp_path / "dump.csv").read_bytes() == one_string_dump(sol)
