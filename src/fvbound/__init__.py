@@ -20,15 +20,7 @@ from .riemann import (
     solve_riemann,
 )
 from .solver import SpaceTimeSolution, load_solution, run, save_solution, step
-from .residual import (
-    ResidualReport,
-    SlabTestFunction,
-    TestFunctionCoefficients,
-    epsilon,
-    global_weak_residual,
-    projection_coefficients,
-    total_variation,
-)
+from .residual import ResidualReport, epsilon, total_variation
 from .partition import (
     JumpRegion,
     SlabPartition,

@@ -12,7 +12,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .estimator import EstimateReport, error_estimator
+from .estimator import SLAB_MODES, EstimateReport, error_estimator
 from .grid import Grid1D, build_grid, column_sums
 from .models import make_model, normalize_flux_kind, normalize_model_name
 from .partition import SLAB_FIGURES
@@ -60,8 +60,6 @@ _CASES = {
     "burgers-curved": (0.0, 1.0, "fine:14", ("burgers", None, None)),
     "custom": (0.0, 1.0, "exact", None),
 }
-
-_SLAB_MODES = ("eps13", "eps")
 
 
 def _check_sigma(sigma0: float) -> None:
@@ -115,7 +113,7 @@ def _resolve(config: CaseConfig) -> CaseConfig:
     _check_sigma(config.sigma0)
     if not config.t_final > config.t0:
         raise ConfigError(f"t_final must exceed t0, got t0={config.t0!r}, t_final={config.t_final!r}")
-    if config.slab_mode not in _SLAB_MODES:
+    if config.slab_mode not in SLAB_MODES:
         raise ConfigError(f"unknown slab mode '{config.slab_mode}'")
     if _parse_ref(config.ref) == "exact" and config.left is None:
         raise ConfigError("no exact solution available for this case")
@@ -567,7 +565,7 @@ _CONFIG_KEYS = {
     "case": ("case", _one_of(*_CASES)),
     "cfl": ("cfl", float),
     "sigma": ("sigma0", float),
-    "slab-size": ("slab_mode", _one_of(*_SLAB_MODES)),
+    "slab-size": ("slab_mode", _one_of(*SLAB_MODES)),
     "flux": ("flux", normalize_flux_kind),
     "ref": ("ref", _parse_ref),
     "t0": ("t0", float),

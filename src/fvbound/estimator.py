@@ -21,6 +21,9 @@ from .partition import SlabPartition, oscillation, partition_meso_slab, slab_blo
 from .residual import ResidualReport, epsilon
 from .solver import SpaceTimeSolution
 
+# The slab modes: slabs of target size eps^(1/3), or eps.
+SLAB_MODES = ("eps13", "eps")
+
 
 @dataclass
 class EstimateReport:
@@ -148,7 +151,7 @@ def error_estimator(
     slab's cover with its oscillations; a run with epsilon = 0 has no slabs.
     An unknown slab mode, or a sigma0 that is not finite and positive, is
     refused before anything is estimated."""
-    if slab_mode not in ("eps13", "eps"):
+    if slab_mode not in SLAB_MODES:
         raise ValueError(f"unknown slab mode '{slab_mode}'")
     if not (math.isfinite(sigma0) and sigma0 > 0):
         raise ValueError(f"sigma0 must be a finite positive number, got {sigma0!r}")

@@ -74,12 +74,9 @@ def detect_jumps(
         return []
     n = range(len(sol.ghost_hulls))[n]
     lo, hi = sol.ghost_hulls[n].tolist()
-    ghosts_left = [sol.ghost_left[None, :]] * (lo > 0)
-    ghosts_right = [sol.ghost_right[None, :]] * (hi < grid.J)
+    first = max(lo - 1, 0)
     # the cells first..first+len(states)-1 of level n
-    [(_, cells, _)] = sol.states.hull_cells(n, n + 1)
-    states = np.concatenate([*ghosts_left, cells.T, *ghosts_right])
-    first = lo - len(ghosts_left)
+    states = sol.states.columns(n, n + 1, first, min(hi + 1, grid.J))[:, 0]
     span = states.max(axis=0) - states.min(axis=0)
     # components that are constant up to roundoff cannot carry a jump
     scale = np.where(span > 1e-12 * (1.0 + np.abs(states).max(axis=0)), span, np.inf)

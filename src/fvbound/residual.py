@@ -23,59 +23,6 @@ from .models import interface_fluxes, normalize_flux_kind, numerical_entropy_flu
 if TYPE_CHECKING:  # solver imports this module to give each run its epsilon
     from .solver import SpaceTimeSolution
 
-# Maps the edge averages (left, top, right) of an affine test function
-# a1 + a2*(t^{n+1}-t)/dt + a3*(x-x_center)/dx  to its coefficients and back.
-PROJECTION_MATRIX = np.array([[1.0, 0.5, -0.5], [1.0, 0.0, 0.0], [1.0, 0.5, 0.5]])
-PROJECTION_INV = np.array([[0.0, 1.0, 0.0], [1.0, -2.0, 1.0], [-1.0, 0.0, 1.0]])
-
-
-@dataclass(frozen=True)
-class TestFunctionCoefficients:
-    """Coefficients of {1, backward time hat, centered x hat} on one cell."""
-
-    a1: float
-    a2: float
-    a3: float
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.a1, self.a2, self.a3])
-
-    def edge_averages(self) -> np.ndarray:
-        """Averages (left, top, right) of the induced affine function."""
-        return PROJECTION_MATRIX @ self.as_array()
-
-    def corner_values(self) -> np.ndarray:
-        return np.array(
-            [self.a1 + i * self.a2 + s * 0.5 * self.a3 for i in (0.0, 1.0) for s in (-1.0, 1.0)]
-        )
-
-    def w1inf_norm(self, dt: float, dx: float) -> float:
-        """W^{1,inf} norm on a dt-by-dx cell (sup-norm gradient)."""
-        return max(
-            float(np.abs(self.corner_values()).max()),
-            abs(self.a2) / dt,
-            abs(self.a3) / dx,
-        )
-
-
-def projection_coefficients(edge_averages) -> TestFunctionCoefficients:
-    """Affine function matching the given (left, top, right) edge averages."""
-    alpha = PROJECTION_INV @ np.asarray(edge_averages, dtype=float)
-    return TestFunctionCoefficients(*alpha)
-
-
-def _b_edge_form(dx, dt, u_n, u_np1, f_center, flux_l, flux_r, avg_l, avg_top, avg_r):
-    """Local weak residual from edge averages of the test function.
-
-    All state arguments may carry leading cell axes; the averages are scalars
-    or arrays broadcastable against them.
-    """
-    return (
-        dx * (u_n - u_np1) * np.asarray(avg_top)[..., None]
-        + dt * f_center * (np.asarray(avg_r) - np.asarray(avg_l))[..., None]
-        + dt * (flux_l * np.asarray(avg_l)[..., None] - flux_r * np.asarray(avg_r)[..., None])
-    )
-
 
 def _cell_bounds(dx, dt, fluxes, f_center):
     """Operator-norm bound per cell from the J+1 interface fluxes:
@@ -92,10 +39,16 @@ def _cell_bounds(dx, dt, fluxes, f_center):
     return bounds
 
 
+def _padded(sol: SpaceTimeSolution, n: int) -> np.ndarray:
+    """Level n with a ghost cell on each side, (J + 2, m)."""
+    return sol.states.columns(n, n + 1, -1, sol.grid.J + 1)[:, 0]
+
+
 def level_residual_bounds(sol: SpaceTimeSolution, kind: str, n: int) -> np.ndarray:
     """Componentwise operator-norm bounds for every cell of level n, (J, m)."""
-    return _cell_bounds(sol.grid.dx, sol.times.dt(n), sol.interface_fluxes(n, kind),
-                        sol.model.flux(sol.states[n]))
+    ext = _padded(sol, n)
+    return _cell_bounds(sol.grid.dx, sol.times.dt(n), interface_fluxes(kind, sol.model, ext),
+                        sol.model.flux(ext[1:-1]))
 
 
 def _entropy_e1(dx, dt, q_hat, de):
@@ -115,11 +68,11 @@ def level_entropy_triplets(sol: SpaceTimeSolution, n: int):
     """(E1, E2, E3) per cell of level n plus the lower bound
     min{0,E1} + min{0,E2} + min{0,E3}."""
     model = sol.model
-    ext = sol.extended_states(n)
+    ext = _padded(sol, n)
     e1, e2, e3 = _entropy_triplets(
         sol.grid.dx, sol.times.dt(n), numerical_entropy_flux(model, ext[:-1], ext[1:]),
-        model.entropy(sol.states[n]) - model.entropy(sol.states[n + 1]),
-        model.entropy_flux(sol.states[n]),
+        model.entropy(ext[1:-1]) - model.entropy(_padded(sol, n + 1)[1:-1]),
+        model.entropy_flux(ext[1:-1]),
     )
     return e1, e2, e3, _entropy_lower(e1, e2, e3)
 
@@ -132,99 +85,8 @@ def _entropy_lower(e1, e2, e3):
 def total_variation(sol: SpaceTimeSolution, n: int) -> tuple[np.ndarray, float]:
     """Per-component TV of level n (ghost interfaces included) and its
     sup-norm reduction."""
-    ext = sol.extended_states(n)
-    tv = np.abs(np.diff(ext, axis=0)).sum(axis=0)
+    tv = np.abs(np.diff(_padded(sol, n), axis=0)).sum(axis=0)
     return tv, float(tv.max())
-
-
-def level_corner_oracle(sol: SpaceTimeSolution, kind: str, n: int) -> np.ndarray:
-    """Exact sup of |B_j^n(phi)| over the 8 corner test functions of the
-    normalized affine box with zero mean coefficient, per cell (J, m).
-
-    Independent of the closed-form bound: evaluates the residual operator
-    through its edge-average form for each corner function.
-    """
-    dt = sol.times.dt(n)
-    dx = sol.grid.dx
-    fluxes = sol.interface_fluxes(n, kind)
-    flux_l, flux_r = fluxes[:-1], fluxes[1:]
-    u_n, u_np1 = sol.states[n], sol.states[n + 1]
-    f_center = sol.model.flux(u_n)
-    best = np.zeros_like(u_n)
-    for s2 in (-1.0, 0.0, 1.0):
-        for s3 in (-1.0, 0.0, 1.0):
-            if s2 == 0.0 and s3 == 0.0:
-                continue
-            # phi = s2*(t^{n+1}-t) + s3*(x - x_center)
-            avg_l = s2 * dt / 2.0 - s3 * dx / 2.0
-            avg_r = s2 * dt / 2.0 + s3 * dx / 2.0
-            val = _b_edge_form(dx, dt, u_n, u_np1, f_center, flux_l, flux_r,
-                               avg_l, 0.0, avg_r)
-            best = np.maximum(best, np.abs(val))
-    return best
-
-
-@dataclass(frozen=True)
-class SlabTestFunction:
-    """Globally Lipschitz test function, affine on every cell of a slab:
-    phi(t, x) = time_slope*(t - t^n) + pwl(x) with node values at the J+1
-    interfaces."""
-
-    time_slope: float
-    node_values: np.ndarray
-
-    @staticmethod
-    def constant(value: float, grid) -> "SlabTestFunction":
-        return SlabTestFunction(0.0, np.full(grid.J + 1, float(value)))
-
-    @staticmethod
-    def coordinate_x(grid) -> "SlabTestFunction":
-        return SlabTestFunction(0.0, grid.interfaces().copy())
-
-
-def global_weak_residual(
-    sol: SpaceTimeSolution,
-    kind: str,
-    n: int,
-    phi: SlabTestFunction,
-    method: str = "local",
-) -> np.ndarray:
-    """Weak residual of the slab [t^n, t^{n+1}] x Omega against phi.
-
-    method="local" sums the per-cell operators (interior numerical fluxes
-    telescope); method="direct" integrates the weak form exactly, keeping
-    only the two boundary flux terms.  Both agree for continuous phi.
-    """
-    dt = sol.times.dt(n)
-    dx = sol.grid.dx
-    psi = np.asarray(phi.node_values, dtype=float)
-    if psi.shape != (sol.grid.J + 1,):
-        raise ValueError(f"need {sol.grid.J + 1} node values, got {psi.shape}")
-    u_n, u_np1 = sol.states[n], sol.states[n + 1]
-    fluxes = sol.interface_fluxes(n, kind)
-
-    if method == "local":
-        avg_l = phi.time_slope * dt / 2.0 + psi[:-1]
-        avg_r = phi.time_slope * dt / 2.0 + psi[1:]
-        avg_top = phi.time_slope * dt + 0.5 * (psi[:-1] + psi[1:])
-        f_center = sol.model.flux(u_n)
-        cells = _b_edge_form(dx, dt, u_n, u_np1, f_center, fluxes[:-1], fluxes[1:],
-                             avg_l, avg_top, avg_r)
-        return cells.sum(axis=0)
-    if method != "direct":
-        raise ValueError(f"unknown method '{method}'")
-
-    psi_bar = 0.5 * (psi[:-1] + psi[1:])
-    slope = (psi[1:] - psi[:-1]) / dx
-    f_center = sol.model.flux(u_n)
-    total = (u_n * (dx * psi_bar)[:, None]).sum(axis=0)
-    total -= (u_np1 * (dx * (phi.time_slope * dt + psi_bar))[:, None]).sum(axis=0)
-    total += dx * dt * phi.time_slope * u_n.sum(axis=0)
-    total += dt * dx * (f_center * slope[:, None]).sum(axis=0)
-    avg_bl = phi.time_slope * dt / 2.0 + psi[0]
-    avg_br = phi.time_slope * dt / 2.0 + psi[-1]
-    total += dt * (fluxes[0] * avg_bl - fluxes[-1] * avg_br)
-    return total
 
 
 # The residual pass works a block of consecutive levels at a time: a

@@ -10,7 +10,9 @@ import numpy as np
 # perfbench/tracing.py wraps cfl_timestep here; the stepping core fuses its scan.
 from .grid import Grid1D, TimeLevels, cfl_timestep  # noqa: F401
 from .models import (DomainError, interface_fluxes, make_model, normalize_flux_kind,
-                     normalize_model_name, numerical_flux)
+                     normalize_model_name)
+# perfbench/tracing.py wraps numerical_flux here.
+from .models import numerical_flux  # noqa: F401
 from .residual import ResidualReport, _RowTexts, epsilon
 
 # march refuses to take more steps than this before reaching t_final.
@@ -34,12 +36,11 @@ class LevelHistory:
     the last.
 
     append builds the history level by level and freeze makes it read-only.
-    Readers walk the levels forward (walk); history[n] builds one level,
-    iteration yields each level as a read-only copy, and history[a:b] and
-    np.asarray(history) give the dense form, for tests and small studies
-    only.  hulls gives the (lo, hi) rows, hull_cells the runs of a range of
-    levels, one per chunk, and columns a dense block of levels over a range
-    of cells; every reader reaches the stored cells through _cells.
+    There are three readers: walk yields the levels forward, columns a dense
+    block of levels over a range of cells, and hull_cells the runs of a
+    range of levels, one per chunk; each reaches the stored cells through
+    _cells, and hulls gives the (lo, hi) rows.  The history has no dense
+    form: np.asarray(history) raises a TypeError.
     """
 
     def __init__(self, J: int, m: int, ghost_left, ghost_right):
@@ -161,54 +162,26 @@ class LevelHistory:
             raise IndexError(f"levels {start}..{stop} out of range for {self._n} levels")
         level = np.empty((self._J, self._m))
         view = _frozen(level.view())
-        before = 0, self._J  # every cell is written at start
-        for row in self._index[start:stop].tolist():
-            before = self._write(level, before, *row)
+        before_lo, before_hi = 0, self._J  # every cell is written at start
+        for lo, hi, chunk, at in self._index[start:stop].tolist():
+            level[before_lo:lo] = self.ghost_left
+            level[hi:before_hi] = self.ghost_right
+            level[lo:hi] = self._cells(chunk, at, at + (hi - lo) * self._m)
+            before_lo, before_hi = lo, hi
             yield view
 
-    def _write(self, level: np.ndarray, before: tuple[int, int], lo: int, hi: int,
-               chunk: int, at: int) -> tuple[int, int]:
-        """Turn level, whose cells outside its ghost hull before hold the
-        ghost states, into the level stored at (lo, hi, chunk, at)."""
-        level[before[0]:lo] = self.ghost_left
-        level[hi:before[1]] = self.ghost_right
-        level[lo:hi] = self._cells(chunk, at, at + (hi - lo) * self._m)
-        return lo, hi
-
-    def __iter__(self):
-        for level in self.walk():
-            yield _frozen(level.copy())
-
-    def __getitem__(self, key):
-        """Level key, built and read-only.  Any other key indexes the dense
-        form; a slice builds only the levels it names."""
-        if isinstance(key, slice):
-            return self._stack(range(*key.indices(self._n)))
-        if not isinstance(key, (int, np.integer)):
-            return self._stack(range(self._n))[key]
-        n = int(key)
-        if not -self._n <= n < self._n:
-            raise IndexError(f"level {n} out of range for {self._n} levels")
-        level = np.empty((self._J, self._m))
-        self._write(level, (0, self._J), *self._index[n % self._n].tolist())
-        return _frozen(level)
-
     def __array__(self, dtype=None, copy=None):
-        if copy is False:
-            raise ValueError("the dense form of a level history is always a copy")
-        dense = self._stack(range(self._n))
-        return dense if dtype is None else dense.astype(dtype, copy=False)
+        raise TypeError("a level history has no dense form: read its levels with walk, "
+                        "or a block of them with columns")
 
-    def _stack(self, rows: range) -> np.ndarray:
-        """The dense (len(rows), J, m) array of the levels in rows."""
-        out = np.empty((len(rows), self._J, self._m))
-        if rows:
-            lo, hi = min(rows[0], rows[-1]), max(rows[0], rows[-1])
-            for n, level in enumerate(self.walk(lo, hi + 1), start=lo):
-                k, off = divmod(n - rows[0], rows.step)
-                if not off:
-                    out[k] = level
-        return out
+    def __array_function__(self, func, types, args, kwargs):
+        """np.array_equal of two histories compares them level by level;
+        numpy refuses every other function, as np.asarray is refused."""
+        if func is np.array_equal and all(isinstance(a, LevelHistory) for a in args[:2]):
+            a, b = args[:2]
+            return a.shape == b.shape and all(
+                np.array_equal(u, v, **kwargs) for u, v in zip(a.walk(), b.walk()))
+        return NotImplemented
 
 
 def _runs(values: np.ndarray) -> list[tuple[int, int]]:
@@ -285,17 +258,6 @@ class SpaceTimeSolution:
     @property
     def t_final(self) -> float:
         return float(self.times.t[-1])
-
-    def extended_states(self, n: int) -> np.ndarray:
-        """Level-n states with the two ghost cells prepended/appended."""
-        return np.vstack([self.ghost_left[None, :], self.states[n], self.ghost_right[None, :]])
-
-    def interface_fluxes(self, n: int, kind: str | None = None) -> np.ndarray:
-        """Numerical fluxes at the J+1 interfaces for level n; for the marching
-        kind they equal the marching fluxes bit for bit."""
-        kind = normalize_flux_kind(kind or self.flux_kind)
-        ext = self.extended_states(n)
-        return numerical_flux(kind, self.model, ext[:-1], ext[1:])
 
 
 def step(
@@ -525,9 +487,11 @@ def load_solution(path: str) -> SpaceTimeSolution:
     """Read a save_solution dump of format 2, each row's hull cells appended
     straight into the history with the row's ghost hull.  Another format is
     refused with its version.  A malformed time-level row raises a
-    ValueError naming the file and the line; a missing or malformed header
-    entry, an m that is not the model's, or a grid that Grid1D refuses, one
-    naming the file and the key."""
+    ValueError naming the file and the line, and a hull cell outside the
+    model's domain a DomainError naming the file, the line and the cell; a
+    missing or malformed header entry, an m that is not the model's, a
+    ghost outside its domain, or a grid that Grid1D refuses, one naming the
+    file and the key."""
     header: dict[str, str] = {}
 
     def value(key: str, parse):
@@ -562,6 +526,11 @@ def load_solution(path: str) -> SpaceTimeSolution:
             if ghost.shape != (m,):
                 raise ValueError(f"{path}: header value {key}={header[key]!r} holds "
                                  f"{ghost.size} values, expected m = {m}")
+            try:
+                model.check_domain(ghost)
+            except DomainError as exc:
+                raise DomainError(f"{path}: header value {key}={header[key]!r} is refused: "
+                                  f"{exc}") from None
         return dict(
             model=model,
             grid=grid(),
@@ -591,10 +560,15 @@ def load_solution(path: str) -> SpaceTimeSolution:
                 continue
             if fields is None:  # the header precedes the rows
                 fields, m = record(), value("m", int)
-                J = fields["grid"].J
+                J, model = fields["grid"].J, fields["model"]
                 history = LevelHistory(J, m, fields["ghost_left"], fields["ghost_right"])
             try:
                 t, lo, hi, cells = _parse_row(line, J, m, times[-1] if times else None)
+                model.check_domain(cells)
+            except DomainError as exc:  # named by the first cell outside the domain
+                k = int(np.argmax(~model.in_domain(cells)))
+                raise DomainError(f"{path}, line {lineno}: cell j={lo + k} holds "
+                                  f"{cells[k].tolist()}: {exc}") from None
             except ValueError as exc:
                 raise ValueError(f"{path}, line {lineno}: {exc}") from None
             history.append(cells, lo, hi)

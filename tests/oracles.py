@@ -1,8 +1,14 @@
 """Reference code the tests check fvbound against and nothing in fvbound
-calls: pointwise sampling of an exact Riemann fan, its cell averages and L1
-distances built one level at a time, jump detection over a whole level,
-the per-cell cover counts of a slab partition, and the residual report and
-residuals CSV folded one level at a time."""
+calls: the dense form of a level history, pointwise sampling of an exact
+Riemann fan, its cell averages and L1 distances built one level at a time,
+jump detection over a whole level, the per-cell cover counts of a slab
+partition, the residual report and residuals CSV folded one level at a
+time, and the weak residual itself: the affine test functions of one cell
+and their edge-average projection, the residual's edge-average form, its
+exact sup over the corner test functions, and the weak residual of a whole
+slab against a globally Lipschitz test function."""
+
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -10,9 +16,17 @@ from fvbound.grid import Grid1D, column_sums
 from fvbound.models import Burgers, interface_fluxes, normalize_flux_kind
 from fvbound.partition import JumpRegion, SlabPartition, trapezoid_cell_ranges
 from fvbound.residual import (ResidualReport, _RowTexts, _cell_bounds, _entropy_e1,
-                              _entropy_lower, _entropy_triplets)
+                              _entropy_lower, _entropy_triplets, _padded)
 from fvbound.riemann import WaveFan, _fan_integral, _riemann_invariant
-from fvbound.solver import SpaceTimeSolution
+from fvbound.solver import LevelHistory, SpaceTimeSolution
+
+
+def dense(history: LevelHistory) -> np.ndarray:
+    """The dense (N+1, J, m) array of a history's levels, walked forward."""
+    out = np.empty(history.shape)
+    for level, stored in zip(out, history.walk()):
+        level[...] = stored
+    return out
 
 
 def _fan_profile(fan: WaveFan, family: int, xi: np.ndarray) -> np.ndarray:
@@ -53,7 +67,7 @@ def sample(fan: WaveFan, xi) -> np.ndarray:
 def whole_level_jumps(sol: SpaceTimeSolution, n: int, x_interval, sigma0: float) -> list:
     """detect_jumps over all J cells of level n, built in full: the value
     range, the details and the flags of every interface."""
-    states = sol.states[n]
+    states = dense(sol.states)[n]
     grid = sol.grid
     if grid.J < 2:
         return []
@@ -289,3 +303,151 @@ def per_level_cells_csv(sol: SpaceTimeSolution, path: str) -> None:
             e1, e2, e3 = _entropy_triplets(dx, dt, *entropy)
             block = np.column_stack([bounds, e1, e2, e3, _entropy_lower(e1, e2, e3)])
             fh.write(f"{n}," + f"\r\n{n},".join(rows.update(block)) + "\r\n")
+
+
+# Maps the edge averages (left, top, right) of an affine test function
+# a1 + a2*(t^{n+1}-t)/dt + a3*(x-x_center)/dx  to its coefficients and back.
+PROJECTION_MATRIX = np.array([[1.0, 0.5, -0.5], [1.0, 0.0, 0.0], [1.0, 0.5, 0.5]])
+PROJECTION_INV = np.array([[0.0, 1.0, 0.0], [1.0, -2.0, 1.0], [-1.0, 0.0, 1.0]])
+
+
+@dataclass(frozen=True)
+class TestFunctionCoefficients:
+    """Coefficients of {1, backward time hat, centered x hat} on one cell."""
+
+    a1: float
+    a2: float
+    a3: float
+
+    def as_array(self) -> np.ndarray:
+        return np.array([self.a1, self.a2, self.a3])
+
+    def edge_averages(self) -> np.ndarray:
+        """Averages (left, top, right) of the induced affine function."""
+        return PROJECTION_MATRIX @ self.as_array()
+
+    def corner_values(self) -> np.ndarray:
+        return np.array(
+            [self.a1 + i * self.a2 + s * 0.5 * self.a3 for i in (0.0, 1.0) for s in (-1.0, 1.0)]
+        )
+
+    def w1inf_norm(self, dt: float, dx: float) -> float:
+        """W^{1,inf} norm on a dt-by-dx cell (sup-norm gradient)."""
+        return max(
+            float(np.abs(self.corner_values()).max()),
+            abs(self.a2) / dt,
+            abs(self.a3) / dx,
+        )
+
+
+def projection_coefficients(edge_averages) -> TestFunctionCoefficients:
+    """Affine function matching the given (left, top, right) edge averages."""
+    alpha = PROJECTION_INV @ np.asarray(edge_averages, dtype=float)
+    return TestFunctionCoefficients(*alpha)
+
+
+def _b_edge_form(dx, dt, u_n, u_np1, f_center, flux_l, flux_r, avg_l, avg_top, avg_r):
+    """Local weak residual from edge averages of the test function.
+
+    All state arguments may carry leading cell axes; the averages are scalars
+    or arrays broadcastable against them.
+    """
+    return (
+        dx * (u_n - u_np1) * np.asarray(avg_top)[..., None]
+        + dt * f_center * (np.asarray(avg_r) - np.asarray(avg_l))[..., None]
+        + dt * (flux_l * np.asarray(avg_l)[..., None] - flux_r * np.asarray(avg_r)[..., None])
+    )
+
+
+def _layer(sol: SpaceTimeSolution, kind: str, n: int):
+    """Levels n and n + 1 of sol and level n's J + 1 interface fluxes of kind."""
+    u_n = _padded(sol, n)
+    return u_n[1:-1], _padded(sol, n + 1)[1:-1], interface_fluxes(kind, sol.model, u_n)
+
+
+def level_corner_oracle(sol: SpaceTimeSolution, kind: str, n: int) -> np.ndarray:
+    """Exact sup of |B_j^n(phi)| over the 8 corner test functions of the
+    normalized affine box with zero mean coefficient, per cell (J, m).
+
+    Independent of the closed-form bound: evaluates the residual operator
+    through its edge-average form for each corner function.
+    """
+    dt = sol.times.dt(n)
+    dx = sol.grid.dx
+    u_n, u_np1, fluxes = _layer(sol, kind, n)
+    flux_l, flux_r = fluxes[:-1], fluxes[1:]
+    f_center = sol.model.flux(u_n)
+    best = np.zeros_like(u_n)
+    for s2 in (-1.0, 0.0, 1.0):
+        for s3 in (-1.0, 0.0, 1.0):
+            if s2 == 0.0 and s3 == 0.0:
+                continue
+            # phi = s2*(t^{n+1}-t) + s3*(x - x_center)
+            avg_l = s2 * dt / 2.0 - s3 * dx / 2.0
+            avg_r = s2 * dt / 2.0 + s3 * dx / 2.0
+            val = _b_edge_form(dx, dt, u_n, u_np1, f_center, flux_l, flux_r,
+                               avg_l, 0.0, avg_r)
+            best = np.maximum(best, np.abs(val))
+    return best
+
+
+@dataclass(frozen=True)
+class SlabTestFunction:
+    """Globally Lipschitz test function, affine on every cell of a slab:
+    phi(t, x) = time_slope*(t - t^n) + pwl(x) with node values at the J+1
+    interfaces."""
+
+    time_slope: float
+    node_values: np.ndarray
+
+    @staticmethod
+    def constant(value: float, grid) -> "SlabTestFunction":
+        return SlabTestFunction(0.0, np.full(grid.J + 1, float(value)))
+
+    @staticmethod
+    def coordinate_x(grid) -> "SlabTestFunction":
+        return SlabTestFunction(0.0, grid.interfaces().copy())
+
+
+def global_weak_residual(
+    sol: SpaceTimeSolution,
+    kind: str,
+    n: int,
+    phi: SlabTestFunction,
+    method: str = "local",
+) -> np.ndarray:
+    """Weak residual of the slab [t^n, t^{n+1}] x Omega against phi.
+
+    method="local" sums the per-cell operators (interior numerical fluxes
+    telescope); method="direct" integrates the weak form exactly, keeping
+    only the two boundary flux terms.  Both agree for continuous phi.
+    """
+    dt = sol.times.dt(n)
+    dx = sol.grid.dx
+    psi = np.asarray(phi.node_values, dtype=float)
+    if psi.shape != (sol.grid.J + 1,):
+        raise ValueError(f"need {sol.grid.J + 1} node values, got {psi.shape}")
+    u_n, u_np1, fluxes = _layer(sol, kind, n)
+
+    if method == "local":
+        avg_l = phi.time_slope * dt / 2.0 + psi[:-1]
+        avg_r = phi.time_slope * dt / 2.0 + psi[1:]
+        avg_top = phi.time_slope * dt + 0.5 * (psi[:-1] + psi[1:])
+        f_center = sol.model.flux(u_n)
+        cells = _b_edge_form(dx, dt, u_n, u_np1, f_center, fluxes[:-1], fluxes[1:],
+                             avg_l, avg_top, avg_r)
+        return cells.sum(axis=0)
+    if method != "direct":
+        raise ValueError(f"unknown method '{method}'")
+
+    psi_bar = 0.5 * (psi[:-1] + psi[1:])
+    slope = (psi[1:] - psi[:-1]) / dx
+    f_center = sol.model.flux(u_n)
+    total = (u_n * (dx * psi_bar)[:, None]).sum(axis=0)
+    total -= (u_np1 * (dx * (phi.time_slope * dt + psi_bar))[:, None]).sum(axis=0)
+    total += dx * dt * phi.time_slope * u_n.sum(axis=0)
+    total += dt * dx * (f_center * slope[:, None]).sum(axis=0)
+    avg_bl = phi.time_slope * dt / 2.0 + psi[0]
+    avg_br = phi.time_slope * dt / 2.0 + psi[-1]
+    total += dt * (fluxes[0] * avg_bl - fluxes[-1] * avg_br)
+    return total

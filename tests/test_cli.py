@@ -36,7 +36,7 @@ from fvbound.cli import (
 )
 from fvbound.riemann import cell_average_exact, solve_riemann
 from fvbound.solver import LevelHistory, run
-from oracles import per_level_cell_averages, per_level_l1_distances, sample
+from oracles import dense, per_level_cell_averages, per_level_l1_distances, sample
 
 
 class TestEoC:
@@ -74,6 +74,7 @@ class SolutionReference:
 
     def __init__(self, fine):
         self.fine = fine
+        self.levels = dense(fine.states)
 
     def cell_averages(self, t: float, grid) -> np.ndarray:
         times = self.fine.times.t
@@ -83,11 +84,11 @@ class SolutionReference:
         idx = int(np.searchsorted(times, t))
         idx = min(max(idx, 0), len(times) - 1)
         if abs(times[idx] - t) <= slop:
-            states = self.fine.states[idx]
+            states = self.levels[idx]
         else:
             lo = idx - 1
             w = (t - times[lo]) / (times[idx] - times[lo])
-            states = (1.0 - w) * self.fine.states[lo] + w * self.fine.states[idx]
+            states = (1.0 - w) * self.levels[lo] + w * self.levels[idx]
         return restrict_to_coarse(states, self.fine.grid, grid)
 
 
@@ -162,8 +163,8 @@ def _per_level_error(sol, averages):
     """The per-level loop: max over levels of the componentwise L1 distance
     to averages(t), reduced by the sup norm over components."""
     worst = 0.0
-    for n, t in enumerate(sol.times.t):
-        diff = np.abs(sol.states[n] - averages(float(t)))
+    for t, level in zip(sol.times.t, dense(sol.states)):
+        diff = np.abs(level - averages(float(t)))
         worst = max(worst, float((diff.sum(axis=0) * sol.grid.dx).max()))
     return worst
 
@@ -558,7 +559,7 @@ class TestSvg:
     def raster_rows_oracle(sol, width=900, height=620):
         """The per-cell double loop the vectorised raster replaces."""
         pad = 40.0
-        raster = cli._downsample(sol.states[:, :, 0], 160, 240)
+        raster = cli._downsample(dense(sol.states)[:, :, 0], 160, 240)
         vmin, vmax = float(raster.min()), float(raster.max())
         vspan = vmax - vmin if vmax > vmin else 1.0
         n_rows, n_cols = raster.shape
@@ -599,7 +600,7 @@ class TestSvg:
                   0.9, 0.0, 1.0)
         row_stride = len(sol.states) // 160
         assert row_stride >= 2 and len(sol.states) % row_stride
-        want = cli._downsample(np.asarray(sol.states)[:, :, 0], 160, 240)
+        want = cli._downsample(dense(sol.states)[:, :, 0], 160, 240)
         got = cli._raster(sol, 160, 240)
         assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
@@ -686,6 +687,25 @@ class TestMain:
         capsys.readouterr()
         assert main(["audit", "--solution", str(dump)]) == 1
         assert "p-system state with rho <= 0" in capsys.readouterr().err
+
+    def test_audit_names_the_line_and_cell_of_a_non_finite_burgers_cell(self, capsys,
+                                                                         tmp_path):
+        code = main(["run", "--case", "burgers-curved", "--level", "4", "--out", str(tmp_path),
+                     "--dump-solution", "--ref", "none"])
+        assert code == 0
+        dump = tmp_path / "burgers-curved_L4_solution.csv"
+        lines = dump.read_text().splitlines(keepends=True)
+        k = [k for k, line in enumerate(lines) if not line.startswith("#")][3]
+        values = lines[k].rstrip("\n").split(",")  # t, lo, hi, then the hull cells
+        lo, hi = int(values[1]), int(values[2])
+        assert lo < hi
+        values[3] = "nan"  # hull cell j = lo
+        lines[k] = ",".join(values) + "\n"
+        dump.write_text("".join(lines))
+        capsys.readouterr()
+        assert main(["audit", "--solution", str(dump)]) == 1
+        assert (f"{dump}, line {k + 1}: cell j={lo} holds [nan]: non-finite Burgers state"
+                in capsys.readouterr().err)
 
     def test_audit_refuses_a_dump_without_a_header_key(self, capsys, tmp_path):
         code = main(["run", "--case", "psys-raref-shock", "--level", "3", "--out", str(tmp_path),

@@ -9,6 +9,8 @@ from fvbound.cli import ConfigError, restrict_to_coarse, streamed_fine_reference
 from fvbound.grid import column_sums
 from fvbound.solver import march, run
 
+from oracles import dense
+
 
 def _full_grid_reference(fine, runs):
     """Oracle: the reference's loop before it was windowed, over a stored
@@ -19,7 +21,8 @@ def _full_grid_reference(fine, runs):
     prev_t = None
     prev_states = None
     slop = 1e-12 * max(1.0, abs(fine.t_final))
-    for t, states in zip(fine.times.t.tolist(), fine.states):
+    levels = [dense(sol.states) for sol in runs]
+    for t, states in zip(fine.times.t.tolist(), dense(fine.states)):
         for k, sol in enumerate(runs):
             eval_times = sol.times.t
             while pending[k] < len(eval_times) and eval_times[pending[k]] <= t + slop:
@@ -30,7 +33,7 @@ def _full_grid_reference(fine, runs):
                     w = (wanted - prev_t) / (t - prev_t)
                     snap = (1.0 - w) * prev_states + w * states
                 averages = restrict_to_coarse(snap, fine.grid, sol.grid)
-                diff = np.abs(sol.states[pending[k]] - averages)
+                diff = np.abs(levels[k][pending[k]] - averages)
                 errors[k] = max(errors[k], float((column_sums(diff) * sol.grid.dx).max()))
                 pending[k] += 1
         prev_t, prev_states = t, states

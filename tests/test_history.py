@@ -1,6 +1,7 @@
-"""The level history: every way of reading it gives the dense stack of its
-levels bit for bit, it holds only each level's ghost-hull cells, and the
-main paths read it without building the dense form."""
+"""The level history: each of its readers (walk, columns, hull_cells) gives
+the dense stack of its levels bit for bit, it holds only each level's
+ghost-hull cells, and it has no dense form, so the main paths read it
+without one."""
 
 import tracemalloc
 from unittest import mock
@@ -15,6 +16,8 @@ from fvbound.grid import build_grid
 from fvbound.models import make_model
 from fvbound.riemann import cell_average_exact, solve_riemann
 from fvbound.solver import LevelHistory, load_solution, run, save_solution
+
+import oracles
 
 # Signed zeros apart, so a cell of -0.0 is no ghost 0.0.
 VALUES = (0.0, -0.0, 1.0, -1.5, 2.5e-300, 7.0)
@@ -88,30 +91,19 @@ def _appended(dense, hulls, ghost_left, ghost_right):
     return history.freeze()
 
 
-SLICES = (slice(None), slice(1, None), slice(None, -1), slice(None, None, 2),
-          slice(None, None, -1), slice(-3, -1), slice(5, 2, -2), slice(7, 99), slice(3, 1))
-
-
 def _assert_reads_the_dense_stack(history, dense, hulls):
     n_levels, J, m = dense.shape
     assert len(history) == n_levels and history.shape == dense.shape
     assert history.hulls.tolist() == [list(h) for h in hulls]
     assert not history.hulls.flags.writeable
     assert history.nbytes == 8 * m * sum(hi - lo for lo, hi in hulls)
-    for n in range(-n_levels, n_levels):
-        level = history[n]
-        assert _same(level, dense[n]) and not level.flags.writeable
-    levels = list(history)
-    assert len(levels) == n_levels
-    assert all(_same(a, b) and not a.flags.writeable for a, b in zip(levels, dense))
-    assert _same(np.asarray(history), dense)
-    for key in SLICES:
-        assert _same(history[key], dense[key]), key
+    assert _same(oracles.dense(history), dense)
     padded = np.concatenate([np.broadcast_to(history.ghost_left, (n_levels, 1, m)), dense,
                              np.broadcast_to(history.ghost_right, (n_levels, 1, m))], axis=1)
     for start in range(n_levels + 1):
         for stop in range(start, n_levels + 1):
             walked = [level.copy() for level in history.walk(start, stop)]
+            assert all(not level.flags.writeable for level in history.walk(start, stop))
             assert _same(np.array(walked).reshape(-1, J, m), dense[start:stop])
             assert _same(history.columns(start, stop, -1, J + 1),
                          padded[start:stop].transpose(1, 0, 2))
@@ -156,9 +148,9 @@ def _assert_hull_cells(history, dense, hulls, start, stop):
 @example(sequence=_sequence(3, 2, [(0, 3), (1, 2), (1, 3), (3, 3), (0, 1)]), chunk=1)
 def test_history_reads_the_dense_stack(sequence, chunk):
     """Built from each level's ghost hull, or from the dense stack with the
-    tightest hulls, in chunks of any size, the history gives every level,
-    the iteration, slices, walks, columns, hull_cells and np.asarray bit for
-    bit, and stores only the hull cells."""
+    tightest hulls, in chunks of any size, the history's walks, columns and
+    hull_cells give the levels bit for bit, and it stores only the hull
+    cells."""
     dense, hulls, ghost_left, ghost_right = sequence
     with mock.patch.object(solver, "CHUNK", chunk):
         _assert_reads_the_dense_stack(_appended(dense, hulls, ghost_left, ghost_right), dense,
@@ -186,7 +178,7 @@ def test_a_level_never_straddles_two_chunks(monkeypatch):
     assert history._index[:, 2:].tolist() == [[0, 0], [0, 0], [0, 5], [0, 8], [0, 8], [1, 0],
                                               [1, 1], [2, 0]]
     assert [len(chunk) for chunk in history._chunks] == [8, 8, 1]
-    assert _same(np.asarray(history), dense)
+    assert _same(oracles.dense(history), dense)
 
 
 def test_frozen_history_takes_no_more_levels():
@@ -197,12 +189,33 @@ def test_frozen_history_takes_no_more_levels():
     with pytest.raises(TypeError):
         history[0] = dense[0]
     with pytest.raises(IndexError):
-        history[2]
+        next(history.walk(0, 3))
 
 
-def test_dense_accessors_refuse_a_view():
-    with pytest.raises(ValueError, match="copy"):
-        np.asarray(_appended(*_sequence(2, 1, [(0, 2), (0, 1)])), copy=False)
+def test_the_dense_form_is_refused():
+    """The history has no dense form, no level by key and no iteration:
+    np.asarray names the readers to use instead."""
+    sol = run_case(CaseConfig(case="psys-raref-shock", level=3, ref="none"))[0]
+    with pytest.raises(TypeError, match="walk.*columns"):
+        np.asarray(sol.states)
+    with pytest.raises(TypeError):
+        sol.states[0]
+    with pytest.raises(TypeError):
+        iter(sol.states)
+
+
+def test_array_equal_compares_two_histories_level_by_level():
+    """np.array_equal of two histories compares their levels, whatever their
+    hulls; numpy refuses every other function of a history."""
+    dense, hulls, ghost_left, ghost_right = _sequence(4, 1, [(0, 2), (1, 4), (2, 3)])
+    history = _appended(dense, hulls, ghost_left, ghost_right)
+    assert np.array_equal(history, LevelHistory.from_levels(dense, ghost_left, ghost_right))
+    assert not np.array_equal(history, _appended(dense[:2], hulls[:2], ghost_left, ghost_right))
+    changed = dense.copy()
+    changed[1, 2] = -0.5
+    assert not np.array_equal(history, _appended(changed, hulls, ghost_left, ghost_right))
+    with pytest.raises(TypeError):
+        np.sum(history)
 
 
 def test_load_parses_rows_straight_into_the_history(tmp_path):
@@ -222,21 +235,14 @@ def test_load_parses_rows_straight_into_the_history(tmp_path):
     finally:
         tracemalloc.stop()
     level = grid.J * model.m * 8
-    assert back.states.nbytes < np.asarray(back.states).nbytes
+    assert back.states.nbytes < len(back.states) * level
     assert peak < back.states.nbytes + 2 * level + 2**20
 
 
-def test_main_paths_never_build_the_dense_history(monkeypatch, tmp_path):
+def test_main_paths_never_build_the_dense_history(tmp_path):
     """run_case, converge, and the CLI's run with every output file and a
-    solution dump followed by audit of that dump read the history level by
-    level: every dense accessor (slices, other keys, np.asarray) goes through
-    _stack, which raises here."""
-    def refuse(self, rows):
-        raise AssertionError("the dense history was built")
-
-    monkeypatch.setattr(LevelHistory, "_stack", refuse)
-    with pytest.raises(AssertionError, match="dense"):
-        np.asarray(run_case(CaseConfig(case="psys-raref-shock", level=3, ref="none"))[0].states)
+    solution dump followed by audit of that dump read the history through
+    its readers: np.asarray of it raises."""
     run_case(CaseConfig(case="psys-raref-shock", level=5))
     converge(CaseConfig(case="burgers-curved", level=4, ref="fine:7"), 4, 5)
     out = tmp_path / "out"

@@ -21,7 +21,11 @@ from fvbound import (
     solve_riemann,
 )
 from fvbound.grid import Grid1D, TimeLevels, cfl_timestep
+from fvbound.models import interface_fluxes
+from fvbound.residual import _padded
 from fvbound.solver import LevelHistory, SpaceTimeSolution, _window, march, run, step
+
+from oracles import dense
 
 
 def shock_profile(grid, left=1.0, right=-1.0, center_zero=True):
@@ -39,7 +43,7 @@ def test_constant_states_are_fixed_points():
         model = make_model(name)
         states = np.tile(state, (grid.J, 1))
         sol = run(states, model, "llf", grid, 0.9, 0.0, 0.5)
-        assert np.allclose(sol.states, states, atol=1e-14)
+        assert np.allclose(dense(sol.states), states, atol=1e-14)
 
 
 @pytest.mark.parametrize("kind", ["godunov", "eo"])
@@ -51,7 +55,7 @@ def test_stationary_three_cell_shock(kind):
     new, _ = step(states, model, kind, grid, 0.01, states[0], states[-1])
     assert np.array_equal(new, states)
     sol = run(states, model, kind, grid, 0.9, 0.0, 1.0)
-    assert np.all(sol.states == states)
+    assert np.all(dense(sol.states) == states)
 
 
 def test_stationary_two_cell_shock_godunov():
@@ -61,7 +65,7 @@ def test_stationary_two_cell_shock_godunov():
     model = make_model("burgers")
     states = np.where(grid.centers() < 0.0, 1.0, -1.0)[:, None]
     sol = run(states, model, "godunov", grid, 0.9, 0.0, 1.0)
-    assert np.all(sol.states == states)
+    assert np.all(dense(sol.states) == states)
 
 
 def test_discrete_conservation_every_step():
@@ -69,13 +73,14 @@ def test_discrete_conservation_every_step():
     fan = solve_riemann(model, [1.0, -2.0], [1.0, 2.0])
     grid = build_grid(-5.0, 5.0, 5)
     sol = run(cell_average_exact(fan, 0.0, 0.5, grid), model, "llf", grid, 0.9, 0.5, 1.0)
+    levels = dense(sol.states)
     for n in range(sol.n_steps):
         dt = sol.times.dt(n)
-        fluxes = sol.interface_fluxes(n)
-        change = grid.dx * (sol.states[n + 1].sum(axis=0) - sol.states[n].sum(axis=0))
+        fluxes = interface_fluxes(sol.flux_kind, model, _padded(sol, n))
+        change = grid.dx * (levels[n + 1].sum(axis=0) - levels[n].sum(axis=0))
         boundary = dt * (fluxes[0] - fluxes[-1])
         scale = np.maximum(np.abs(change), np.abs(boundary))
-        scale = np.maximum(scale, grid.dx * np.abs(sol.states[n]).sum(axis=0))
+        scale = np.maximum(scale, grid.dx * np.abs(levels[n]).sum(axis=0))
         assert np.all(np.abs(change - boundary) <= 1e-12 * scale)
 
 
@@ -100,19 +105,17 @@ def test_recorded_levels_are_immutable():
     with pytest.raises(TypeError):
         sol.states[0] = np.full((grid.J, 1), 99.0)
     with pytest.raises(ValueError):
-        sol.states[0][0, 0] = 99.0
+        next(sol.states.walk())[0, 0] = 99.0
     with pytest.raises(ValueError):
         sol.ghost_left[0] = 99.0
 
 
 def _assert_frozen(sol):
-    """The history has no item assignment, every level it returns is
+    """The history has no item assignment, every level it walks is
     read-only, and so are the ghost states and the times."""
     with pytest.raises(TypeError):
-        sol.states[0] = sol.states[0]
-    levels = [sol.states[n] for n in range(len(sol.states))] + list(sol.states)
-    levels += [level for level in sol.states.walk()]
-    for array in levels + [sol.ghost_left, sol.ghost_right, sol.times.t]:
+        sol.states[0] = np.zeros(sol.states.shape[1:])
+    for array in [*sol.states.walk(), sol.ghost_left, sol.ghost_right, sol.times.t]:
         with pytest.raises(ValueError):
             array[(0,) * array.ndim] = 99.0
 
@@ -123,7 +126,7 @@ def test_run_and_load_freeze_what_they_record(tmp_path):
     initial = np.tile([1.0, 0.5], (grid.J, 1))
     sol = run(initial, model, "llf", grid, 0.9, 0.0, 0.2)
     initial[0, 0] = 7.0  # the caller's data stays writable and unrecorded
-    assert sol.states[0, 0, 0] == 1.0
+    assert dense(sol.states)[0, 0, 0] == 1.0
     _assert_frozen(sol)
     path = tmp_path / "dump.csv"
     save_solution(sol, str(path))
@@ -146,7 +149,7 @@ def test_ghost_states_frozen_at_initial_values():
     sol = run(states, model, "llf", grid, 0.9, 0.0, 0.5)
     assert np.array_equal(sol.ghost_left, states[0])
     assert np.array_equal(sol.ghost_right, states[-1])
-    ext = sol.extended_states(sol.n_steps)
+    ext = _padded(sol, sol.n_steps)
     assert ext[0, 0] == 2.0 and ext[-1, 0] == -2.0
 
 
@@ -157,9 +160,9 @@ def test_march_agrees_with_run():
     sol = run(states, model, "llf", grid, 0.9, 0.0, 0.4)
     streamed = [(t, u.copy()) for t, u, _ in march(states, model, "llf", grid, 0.9, 0.0, 0.4)]
     assert len(streamed) == sol.n_steps + 1
-    for (t, u), n in zip(streamed, range(sol.n_steps + 1)):
+    for (t, u), n, level in zip(streamed, range(sol.n_steps + 1), dense(sol.states)):
         assert t == pytest.approx(float(sol.times.t[n]), abs=1e-15)
-        assert np.array_equal(u, sol.states[n])
+        assert np.array_equal(u, level)
 
 
 def _hand_march(states, model, kind, grid, cfl, t0, t_final):
@@ -199,10 +202,10 @@ def test_stepping_core_matches_hand_loop(name, kind):
         assert np.array_equal(u, u_ref)
     sol = run(states, model, kind, grid, 0.9, 0.0, 1.0)
     assert np.array_equal(sol.times.t, [t for t, _ in expected])
-    assert np.array_equal(sol.states, np.array([u for _, u in expected]))
+    assert np.array_equal(dense(sol.states), np.array([u for _, u in expected]))
     # fluxes recomputed from the recorded levels are the marching fluxes
     for n, flux in enumerate(expected_fluxes):
-        assert np.array_equal(sol.interface_fluxes(n), flux)
+        assert np.array_equal(interface_fluxes(kind, model, _padded(sol, n)), flux)
 
 
 def test_run_holds_the_history_once():
@@ -376,7 +379,7 @@ def test_dump_round_trip_is_bit_exact(sol):
         save_solution(sol, str(dump))
         back = load_solution(str(dump))
         for a, b in [(back.times.t, sol.times.t),
-                     (np.asarray(back.states), np.asarray(sol.states)),
+                     (dense(back.states), dense(sol.states)),
                      (back.ghost_left, sol.ghost_left), (back.ghost_right, sol.ghost_right)]:
             assert a.shape == b.shape and a.tobytes() == b.tobytes()
         assert (back.grid, back.model.name, back.model.params(), back.flux_kind, back.cfl) == (
@@ -395,12 +398,13 @@ def test_discrete_conservation_over_random_riemann_data(kind, data):
     """The cell sums change by the boundary fluxes to roundoff, every step."""
     sol = data.draw(small_runs(kinds=[kind]))
     grid = sol.grid
+    levels = dense(sol.states)
     for n in range(sol.n_steps):
-        fluxes = sol.interface_fluxes(n)
-        change = grid.dx * (sol.states[n + 1].sum(axis=0) - sol.states[n].sum(axis=0))
+        fluxes = interface_fluxes(sol.flux_kind, sol.model, _padded(sol, n))
+        change = grid.dx * (levels[n + 1].sum(axis=0) - levels[n].sum(axis=0))
         boundary = sol.times.dt(n) * (fluxes[0] - fluxes[-1])
         scale = np.maximum(np.abs(change), np.abs(boundary))
-        scale = np.maximum(scale, grid.dx * np.abs(sol.states[n]).sum(axis=0))
+        scale = np.maximum(scale, grid.dx * np.abs(levels[n]).sum(axis=0))
         assert np.all(np.abs(change - boundary) <= 1e-12 * scale)
 
 
@@ -416,9 +420,9 @@ def one_string_dump(sol: SpaceTimeSolution) -> bytes:
         f"# ghost_left={','.join(repr(float(v)) for v in sol.ghost_left)}",
         f"# ghost_right={','.join(repr(float(v)) for v in sol.ghost_right)}",
     ]
-    for n, (t, (lo, hi)) in enumerate(zip(sol.times.t, sol.ghost_hulls)):
+    for t, (lo, hi), level in zip(sol.times.t, sol.ghost_hulls, dense(sol.states)):
         lines.append(",".join([repr(float(t)), str(int(lo)), str(int(hi)),
-                               *(repr(float(v)) for v in sol.states[n][lo:hi].reshape(-1))]))
+                               *(repr(float(v)) for v in level[lo:hi].reshape(-1))]))
     return "".join(line + "\n" for line in lines).encode()
 
 
@@ -434,8 +438,12 @@ def test_dump_bytes_equal_the_one_string_writer(tmp_path):
     assert path.read_bytes() == one_string_dump(sol)
 
 
-# Cell values with both signed zeros, infinities and subnormals.
-_CELL_VALUES = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -2.5]), st.floats(allow_nan=False))
+# Finite cell values with both signed zeros and subnormals, and the positive
+# ones a p-system density takes: the dump is refused outside the domain.
+_CELL_VALUES = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -2.5]),
+                         st.floats(allow_nan=False, allow_infinity=False))
+_DENSITIES = st.one_of(st.sampled_from([1.0, 5e-324]),
+                       st.floats(0.0, exclude_min=True, allow_infinity=False))
 
 
 @st.composite
@@ -444,15 +452,17 @@ def hull_records(draw):
     one to six levels whose hulls may be empty or touch cell 0 or J, and
     whose hull cells may hold -0.0 or a ghost's bits."""
     m, J = draw(st.sampled_from([1, 2])), draw(st.integers(1, 6))
-    ghost = st.lists(_CELL_VALUES, min_size=m, max_size=m)
+    values = [_DENSITIES, _CELL_VALUES] if m == 2 else [_CELL_VALUES]
+    ghost = st.tuples(*values).map(list)
     ghost_left, ghost_right = draw(ghost), draw(ghost)
     times = draw(st.lists(st.floats(-1e3, 1e3), min_size=1, max_size=6, unique=True))
     history = LevelHistory(J, m, ghost_left, ghost_right)
-    cell = st.one_of(_CELL_VALUES, st.sampled_from(ghost_left + ghost_right))
+    cell = st.tuples(*(st.one_of(value, st.sampled_from([ghost_left[c], ghost_right[c]]))
+                       for c, value in enumerate(values)))
     for _ in times:
         lo = draw(st.sampled_from([0, J, draw(st.integers(0, J))]))
         hi = draw(st.sampled_from([lo, J, draw(st.integers(lo, J))]))
-        cells = draw(st.lists(cell, min_size=(hi - lo) * m, max_size=(hi - lo) * m))
+        cells = draw(st.lists(cell, min_size=hi - lo, max_size=hi - lo))
         history.append(np.reshape(cells, (hi - lo, m)), lo, hi)
     model = make_model("burgers") if m == 1 else make_model("psystem")
     return SpaceTimeSolution(Grid1D(-1.0, 1.0, J), TimeLevels(sorted(times)), history.freeze(),
@@ -475,6 +485,44 @@ def test_dump_round_trips_each_level_by_its_hull(sol):
     assert back.states.shape == sol.states.shape
     for a, b in zip(back.states.walk(), sol.states.walk()):
         assert a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("component,value", [(0, "nan"), (0, "inf"), (0, "-0.25"), (0, "0.0"),
+                                             (1, "-inf")],
+                         ids=["nan", "inf", "negative-rho", "zero-rho", "inf-q"])
+def test_load_names_the_line_and_cell_outside_the_domain(tmp_path, component, value):
+    """A hull cell outside the model's domain is refused with the file, the
+    line, the cell's index j and state, and the model's own message."""
+    path, lines = _dump_lines(tmp_path, right=(0.8, 0.3))
+    t, lo, hi, *cells = lines[7].rstrip("\n").split(",")
+    assert int(hi) > int(lo)
+    cells[component] = value  # the first hull cell, j = lo
+    lines[7] = ",".join([t, lo, hi, *cells]) + "\n"  # the second time level, line 8
+    path.write_text("".join(lines))
+    with pytest.raises(DomainError) as info:
+        load_solution(str(path))
+    state = [float(v) for v in cells[:2]]
+    assert str(info.value) == (f"{path}, line 8: cell j={lo} holds {state}: p-system state "
+                               f"with rho <= 0 or non-finite entries")
+
+
+@pytest.mark.parametrize("name,key,bad,message", [
+    ("psystem", "ghost_left", "-0.0,0.5", "p-system state with rho <= 0 or non-finite entries"),
+    ("psystem", "ghost_right", "1.0,nan", "p-system state with rho <= 0 or non-finite entries"),
+    ("burgers", "ghost_left", "inf", "non-finite Burgers state"),
+])
+def test_load_names_a_ghost_outside_the_domain(tmp_path, name, key, bad, message):
+    grid = build_grid(-5.0, 5.0, 2)
+    initial = np.tile([1.0, 0.5], (grid.J, 1)) if name == "psystem" else np.ones(grid.J)
+    sol = run(initial, make_model(name), "llf", grid, 0.9, 0.0, 0.2)
+    path = tmp_path / "dump.csv"
+    save_solution(sol, str(path))
+    text = path.read_text()
+    good = next(line for line in text.splitlines() if line.startswith(f"# {key}="))
+    path.write_text(text.replace(good, f"# {key}={bad}", 1))
+    with pytest.raises(DomainError) as info:
+        load_solution(str(path))
+    assert str(info.value) == f"{path}: header value {key}={bad!r} is refused: {message}"
 
 
 def test_load_rejects_other_files(tmp_path):
@@ -741,7 +789,7 @@ def test_windowed_run_equals_the_full_grid_loop_and_replay(case):
     sol = run(*args)
     expected, _ = _hand_march(*args)
     for got, want in ((sol.times.t, np.array([t for t, _ in expected])),
-                      (np.asarray(sol.states), np.array([u for _, u in expected]))):
+                      (dense(sol.states), np.array([u for _, u in expected]))):
         assert got.shape == want.shape and got.tobytes() == want.tobytes()
     replay = epsilon(dataclasses.replace(sol))
     assert replay is not sol.residual
@@ -753,7 +801,7 @@ def test_windowed_run_equals_the_full_grid_loop_and_replay(case):
 
 def _windows(sol):
     """The active window of every recorded level of sol."""
-    return [_window(sol.extended_states(n).view(np.int64), 0, sol.grid.J)
+    return [_window(_padded(sol, n).view(np.int64), 0, sol.grid.J)
             for n in range(sol.n_steps + 1)]
 
 
@@ -768,7 +816,7 @@ def test_windowed_examples_reach_their_edge_cases():
     assert any(0 < lo < hi == at_j.grid.J for lo, hi in _windows(at_j))
     windows = _windows(boundary)
     assert windows[0][1] < boundary.grid.J == windows[-1][1]
-    assert boundary.states[-1, -1] != boundary.ghost_right
+    assert dense(boundary.states)[-1, -1] != boundary.ghost_right
     for sol in shrinking:
         windows = _windows(sol)
         assert any(lo < next_lo or next_hi < hi
@@ -796,7 +844,7 @@ def test_march_yields_a_read_only_level_and_its_window():
         windows.append(window)
     sol = run(*args)
     assert np.array(times).tobytes() == sol.times.t.tobytes()
-    assert np.array(levels).tobytes() == np.asarray(sol.states).tobytes()
+    assert np.array(levels).tobytes() == dense(sol.states).tobytes()
     assert windows[0] is None
     for (lo, hi), before, level in zip(windows[1:], levels, levels[1:]):
         assert 0 <= lo <= hi <= grid.J
