@@ -9,6 +9,7 @@ import math
 import os
 import sys
 from dataclasses import dataclass, replace
+from typing import TextIO
 
 import numpy as np
 
@@ -319,7 +320,7 @@ def _write_level(config: CaseConfig, sol: SpaceTimeSolution, estimate: EstimateR
     write_slab_csv(estimate, paths["slabs"])
     paths["svg"] = f"{tag}_decomposition.svg"
     with open(paths["svg"], "w") as fh:
-        fh.write(render_decomposition_svg(sol, estimate))
+        render_decomposition_svg(sol, estimate, fh)
     if config.dump_solution:
         paths["solution"] = f"{tag}_solution.csv"
         save_solution(sol, paths["solution"])
@@ -437,20 +438,24 @@ def _downsample(states: np.ndarray, max_rows: int, max_cols: int) -> np.ndarray:
 
 def _raster(sol: SpaceTimeSolution, max_rows: int, max_cols: int) -> np.ndarray:
     """_downsample of the first component of sol's levels, taken one band of
-    row_stride levels at a time from a forward walk of the history; each
-    band's means are the same reduce over the same values."""
-    n = len(sol.states)
+    row_stride levels at a time from a forward walk of the history into a
+    preallocated raster; each band's means are the same reduce over the
+    same values."""
+    n, J = len(sol.states), sol.grid.J
     row_stride = max(1, n // max_rows)
-    band, rows = np.empty((row_stride, sol.grid.J)), []
-    for k, level in enumerate(sol.states.walk(0, n // row_stride * row_stride)):
+    band = np.empty((row_stride, J))
+    raster = np.empty((n // row_stride, J // max(1, J // max_cols)))
+    for k, level in enumerate(sol.states.walk(0, len(raster) * row_stride)):
         band[k % row_stride] = level[:, 0]
         if k % row_stride == row_stride - 1:
-            rows.append(_downsample(band, 1, max_cols)[0])
-    return np.array(rows)
+            raster[k // row_stride] = _downsample(band, 1, max_cols)[0]
+    return raster
 
 
-def render_decomposition_svg(sol: SpaceTimeSolution, estimate: EstimateReport) -> str:
-    """Cell raster of the first component with the trapezoid overlay."""
+def render_decomposition_svg(sol: SpaceTimeSolution, estimate: EstimateReport,
+                             fh: TextIO) -> None:
+    """Write the cell raster of the first component with the trapezoid
+    overlay into the open text file fh, one line at a time."""
     width, height, pad = 900, 620, 40.0
     grid = sol.grid
     t0, t1 = sol.t0, sol.t_final
@@ -462,11 +467,12 @@ def render_decomposition_svg(sol: SpaceTimeSolution, estimate: EstimateReport) -
     def sy(t: float) -> float:
         return height - pad - (t - t0) / span_t * (height - 2 * pad)
 
-    parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
-        f'width="{width}" height="{height}" viewBox="0 0 {width} {height}">',
-        f'<rect x="0" y="0" width="{width}" height="{height}" fill="white"/>',
-    ]
+    def line(text: str) -> None:
+        fh.write(text + "\n")
+
+    line(f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
+         f'width="{width}" height="{height}" viewBox="0 0 {width} {height}">')
+    line(f'<rect x="0" y="0" width="{width}" height="{height}" fill="white"/>')
 
     raster = _raster(sol, 160, 240)
     vmin, vmax = float(raster.min()), float(raster.max())
@@ -482,7 +488,7 @@ def render_decomposition_svg(sol: SpaceTimeSolution, estimate: EstimateReport) -
     for r in range(n_rows):
         y = f"{height - pad - (r + 1) * cell_h:.2f}{size_attrs}"
         row = zip(x_attrs, shades[r].tolist())
-        parts.append("".join(x + y + fills[s] for x, s in row))
+        line("".join(x + y + fills[s] for x, s in row))
 
     def polygon(trap, color: str, fill: str = "none", opacity: str = "1.0", dash: str = ""):
         pts = (
@@ -492,17 +498,13 @@ def render_decomposition_svg(sol: SpaceTimeSolution, estimate: EstimateReport) -
             f"{sx(trap.a_top):.2f},{sy(trap.t_top):.2f}"
         )
         extra = f' stroke-dasharray="{dash}"' if dash else ""
-        parts.append(
-            f'<polygon points="{pts}" fill="{fill}" fill-opacity="{opacity}" '
-            f'stroke="{color}" stroke-width="1.2"{extra}/>'
-        )
+        line(f'<polygon points="{pts}" fill="{fill}" fill-opacity="{opacity}" '
+             f'stroke="{color}" stroke-width="1.2"{extra}/>')
 
     for t in estimate.slab_times:
         y = sy(float(t))
-        parts.append(
-            f'<line x1="{pad:.2f}" y1="{y:.2f}" x2="{width - pad:.2f}" y2="{y:.2f}" '
-            f'stroke="#555555" stroke-width="0.8" stroke-dasharray="6,4"/>'
-        )
+        line(f'<line x1="{pad:.2f}" y1="{y:.2f}" x2="{width - pad:.2f}" y2="{y:.2f}" '
+             f'stroke="#555555" stroke-width="0.8" stroke-dasharray="6,4"/>')
 
     for part in estimate.slabs:
         for trap in part.smooth:
@@ -516,17 +518,12 @@ def render_decomposition_svg(sol: SpaceTimeSolution, estimate: EstimateReport) -
             )
             polygon(strip, "#d62728", fill="#d62728", opacity="0.25")
 
-    parts.append(
-        f'<rect x="{pad}" y="{pad}" width="{width - 2 * pad}" height="{height - 2 * pad}" '
-        f'fill="none" stroke="black" stroke-width="1"/>'
-    )
-    parts.append(
-        f'<text x="{pad}" y="{height - 8}" font-size="12" font-family="sans-serif">'
-        f"x in [{grid.x_min:g}, {grid.x_max:g}], t in [{t0:g}, {t1:g}]; "
-        f"surges outlined orange, strips red, smooth trapezoids blue</text>"
-    )
-    parts.append("</svg>\n")  # one join, no second copy for the final newline
-    return "\n".join(parts)
+    line(f'<rect x="{pad}" y="{pad}" width="{width - 2 * pad}" height="{height - 2 * pad}" '
+         f'fill="none" stroke="black" stroke-width="1"/>')
+    line(f'<text x="{pad}" y="{height - 8}" font-size="12" font-family="sans-serif">'
+         f"x in [{grid.x_min:g}, {grid.x_max:g}], t in [{t0:g}, {t1:g}]; "
+         f"surges outlined orange, strips red, smooth trapezoids blue</text>")
+    line("</svg>")
 
 
 # ---------------------------------------------------------------------------
@@ -671,7 +668,7 @@ def main(argv=None) -> int:
                                              "estimate": estimate.to_json_dict()})
                 write_slab_csv(estimate, f"{base}_slabs.csv")
                 with open(f"{base}.svg", "w") as fh:
-                    fh.write(render_decomposition_svg(sol, estimate))
+                    render_decomposition_svg(sol, estimate, fh)
                 print(f"  wrote report under {out}")
         elif args.command == "run":
             config = _config_from_args(args, _parse_level(args.level))

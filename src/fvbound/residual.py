@@ -150,6 +150,7 @@ class ResidualReport:
                 for k, n in enumerate(range(block.first, block.first + len(block.dt))):
                     layer[block.cells] = cells[:, k]
                     fh.write(f"{n}," + f"\r\n{n},".join(rows.update(layer)) + "\r\n")
+                del block, cells, e1, e2, e3  # before the next block is built
 
 
 class _RowTexts:

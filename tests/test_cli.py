@@ -1,3 +1,4 @@
+import io
 import json
 import os
 import re
@@ -542,6 +543,12 @@ class TestConverge:
 
 
 class TestSvg:
+    @staticmethod
+    def svg_text(sol, est) -> str:
+        fh = io.StringIO()
+        render_decomposition_svg(sol, est, fh)
+        return fh.getvalue()
+
     def test_render_contains_overlay(self):
         model = make_model("psystem", C=1.0, gamma=1.4)
         fan = solve_riemann(model, [0.15, 0.0], [0.1, 0.0])
@@ -550,7 +557,7 @@ class TestSvg:
         from fvbound import error_estimator
 
         est = error_estimator(sol, 0.1)
-        svg = render_decomposition_svg(sol, est)
+        svg = self.svg_text(sol, est)
         assert svg.startswith("<svg")
         assert svg.rstrip().endswith("</svg>")
         assert "polygon" in svg and "rect" in svg
@@ -583,26 +590,63 @@ class TestSvg:
     def test_raster_bytes_equal_the_double_loop(self, case, level):
         sol, est, _, _ = run_case(CaseConfig(case=case, level=level, ref="none"))
         rows = self.raster_rows_oracle(sol)
-        svg = render_decomposition_svg(sol, est)
+        svg = self.svg_text(sol, est)
         lines = svg.split("\n")
         assert len(rows) > 10
         assert lines[2 : 2 + len(rows)] == rows
         assert lines[2 + len(rows)].startswith("<line")  # the overlay follows the raster
         assert svg.endswith("</svg>\n")
 
+    @pytest.mark.parametrize("case,level", [("psys-raref-shock", 6), ("burgers-curved", 5)])
+    def test_run_and_audit_write_the_same_svg(self, case, level, tmp_path):
+        """The SVG of `run --out` and that of `audit --out` on its dump hold
+        the same bytes, which are the text rendered into a StringIO."""
+        sol, est, _, paths = run_case(CaseConfig(case=case, level=level, ref="none",
+                                                 out_dir=str(tmp_path / "run"),
+                                                 dump_solution=True))
+        assert main(["audit", "--solution", paths["solution"],
+                     "--out", str(tmp_path / "audit")]) == 0
+        audit_svg = tmp_path / "audit" / f"{case}_L{level}_solution_audit.svg"
+        text = self.svg_text(sol, est).encode()
+        assert Path(paths["svg"]).read_bytes() == text
+        assert audit_svg.read_bytes() == text
+
+    def test_writing_holds_one_row_of_the_file(self, tmp_path):
+        """psys-raref-shock L9: the raster and one row of text are alive at a
+        time.  The whole text held as lines and joined into one string
+        traced 6.9 MB, about twice the file."""
+        sol, est, _, _ = run_case(CaseConfig(case="psys-raref-shock", level=9, ref="none"))
+        path = tmp_path / "decomposition.svg"
+        tracemalloc.start()
+        try:
+            with open(path, "w") as fh:
+                render_decomposition_svg(sol, est, fh)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert path.stat().st_size > 1.5 * 2**20  # so one copy of the text exceeds the bound
+        assert peak < 1.5 * 2**20
+
     def test_raster_bands_equal_the_dense_downsample(self):
         """Past 320 levels each raster row is the mean of a band of
         row_stride >= 2 levels taken from a walk of the history; it equals
         the mean over the dense array bit for bit, with the levels past the
-        last whole band dropped."""
+        last whole band dropped.  The bands fill one preallocated raster:
+        a list of rows stacked at the end traced 1.11 MB beside its 0.33 MB."""
         grid = build_grid(-5.0, 5.0, 9)
         sol = run(_burgers_curved_averages(grid), make_model("burgers"), "llf", grid,
                   0.9, 0.0, 1.0)
         row_stride = len(sol.states) // 160
         assert row_stride >= 2 and len(sol.states) % row_stride
         want = cli._downsample(dense(sol.states)[:, :, 0], 160, 240)
-        got = cli._raster(sol, 160, 240)
+        tracemalloc.start()
+        try:
+            got = cli._raster(sol, 160, 240)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
         assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        assert peak < got.nbytes + 2**19
 
 
 class TestMain:

@@ -3,6 +3,7 @@ layer or level to the next and format again only the rows whose bits
 changed; their bytes must equal writers that format every value."""
 
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -55,6 +56,19 @@ def test_signed_zeros_and_returning_values_are_written_afresh(tmp_path):
     assert dump.decode().splitlines()[6:] == [
         "0.0,1,5,0.0,0.0,0.0,0.3", "0.01,1,5,-0.0,-0.0,0.0,0.3",
         "0.02,1,5,0.0,0.0,0.0,0.45", "0.03,1,5,0.0,0.0,0.0,0.3"]
+
+
+def test_cells_csv_holds_one_block_at_a_time(tmp_path):
+    """psys-raref-shock L9: a block of the residual pass is dropped before
+    the next is built.  With two blocks alive the write traced 2.20 MB."""
+    sol, estimate, _, _ = run_case(CaseConfig(case="psys-raref-shock", level=9, ref="none"))
+    tracemalloc.start()
+    try:
+        estimate.residual.write_cells_csv(sol, str(tmp_path / "cells.csv"))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.75 * 2**20
 
 
 def _changed_hull_cells(sol) -> int:
