@@ -166,12 +166,6 @@ def _restrict(states: np.ndarray, ratio: int) -> np.ndarray:
     return np.add.reduce(states.reshape(len(states) // ratio, ratio, -1), axis=1) / ratio
 
 
-def restrict_to_coarse(states: np.ndarray, fine_grid: Grid1D, coarse_grid: Grid1D) -> np.ndarray:
-    """Conservative restriction: mean over the fine cells nested in each
-    coarse cell."""
-    return _restrict(states, _nesting_ratio(fine_grid, coarse_grid))
-
-
 # Both references give each run's per-level sums over cells of |u_j - ubar_j|;
 # the L-inf/L1 error is the largest of them times dx.
 def streamed_fine_reference(
@@ -210,7 +204,8 @@ def streamed_fine_reference(
     prev_states = np.empty((fine_grid.J, model.m))
     slop = 1e-12 * max(1.0, abs(t_final))
     for t, states, window in march(initial_fine, model, flux_kind, fine_grid, cfl, t0, t_final):
-        lo, hi = window or (0, fine_grid.J)
+        # the whole grid at t0, so that prev_states is filled whole once
+        lo, hi = (0, fine_grid.J) if prev_t is None else window
         if upcoming <= t + slop:
             for k, (sol, ratio, ubar, times) in enumerate(zip(runs, ratios, averages,
                                                                eval_times)):
@@ -480,8 +475,14 @@ def render_decomposition_svg(sol: SpaceTimeSolution, estimate: EstimateReport,
     n_rows, n_cols = raster.shape
     cell_w = (width - 2 * pad) / n_cols
     cell_h = (height - 2 * pad) / n_rows
-    # np.rint rounds half to even, like round(); shades lie in [40, 235]
-    shades = np.rint(235 - 195 * (raster - vmin) / vspan).astype(np.uint8)
+    # rint(235 - 195 * (raster - vmin) / vspan) in place, the same ufuncs in
+    # the same order; np.rint rounds half to even, like round(); shades lie
+    # in [40, 235]
+    np.subtract(raster, vmin, out=raster)
+    np.multiply(195, raster, out=raster)
+    np.divide(raster, vspan, out=raster)
+    np.subtract(235, raster, out=raster)
+    shades = np.rint(raster, out=raster).astype(np.uint8)
     x_attrs = [f'<rect x="{pad + c * cell_w:.2f}" y="' for c in range(n_cols)]
     size_attrs = f'" width="{cell_w + 0.5:.2f}" height="{cell_h + 0.5:.2f}" fill="rgb('
     fills = [f'{s},{s},{s})"/>' for s in range(256)]

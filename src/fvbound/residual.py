@@ -14,14 +14,12 @@ the scalar consistency parameter epsilon.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
 from .models import interface_fluxes, normalize_flux_kind, numerical_entropy_flux
-
-if TYPE_CHECKING:  # solver imports this module to give each run its epsilon
-    from .solver import SpaceTimeSolution
+from .solver import SpaceTimeSolution, _RowTexts
 
 
 def _cell_bounds(dx, dt, fluxes, f_center):
@@ -153,40 +151,6 @@ class ResidualReport:
                 del block, cells, e1, e2, e3  # before the next block is built
 
 
-class _RowTexts:
-    """The text of each row of a sequence of (rows, width) float blocks, or
-    of runs of their rows: its head, if given, and its values by repr,
-    joined by commas, kept from block to block.  A row is formatted again
-    only where its int64 bit pattern differs from the one it was last
-    formatted with (all +0.0 before the first), so -0.0 and 0.0 stay apart
-    and the texts equal formatting every row afresh."""
-
-    def __init__(self, rows: int, width: int, heads: list[str] | None = None):
-        zeros = ",".join(["0.0"] * width)
-        if heads is None:
-            self._heads, texts = None, [zeros] * rows
-        else:
-            self._heads = np.array(heads, dtype=object)
-            texts = [f"{head},{zeros}" for head in heads]
-        self._texts = np.array(texts, dtype=object)
-        self._bits = np.zeros((rows, width), dtype=np.int64)
-
-    def update(self, block: np.ndarray, start: int = 0) -> list[str]:
-        """The texts of the rows start..start+len(block)-1, whose values block
-        holds; block may change after the call."""
-        rows = slice(start, start + len(block))
-        bits = block.view(np.int64)
-        changed = np.flatnonzero((bits != self._bits[rows]).any(axis=1))
-        values = map(repr, block[changed].ravel().tolist())
-        columns = [values] * block.shape[1]  # one iterator: zip takes width values per row
-        at = changed + start
-        if self._heads is not None:
-            columns.insert(0, self._heads[at])
-        self._texts[at] = list(map(",".join, zip(*columns)))
-        self._bits[at] = bits[changed]
-        return self._texts[rows].tolist()
-
-
 class _Block(NamedTuple):
     """One block of the residual pass: its levels first..first+B-1 over the
     grid cells cells = [c0, c1), W = c1 - c0 + 2 cells with the cell on
@@ -316,13 +280,7 @@ def epsilon(sol: SpaceTimeSolution) -> ResidualReport:
     functional); both maxima exclude the very first layer, where the freshly
     projected initial data still carries unresolved jumps, whenever the run
     has more than one step.
-
-    A solution recorded by run carries the report run computed; any other (a
-    loaded dump, a hand-built or dataclasses.replace'd record) gets it from
-    the same residual pass over its stored levels.
     """
-    if sol.residual is not None:
-        return sol.residual
     n_steps, J, m = sol.n_steps, sol.grid.J, sol.model.m
     tv = np.empty((n_steps + 1, m))
     speed_range = np.empty((n_steps + 1, 2))

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -13,7 +13,6 @@ from .models import (DomainError, interface_fluxes, make_model, normalize_flux_k
                      normalize_model_name)
 # perfbench/tracing.py wraps numerical_flux here.
 from .models import numerical_flux  # noqa: F401
-from .residual import ResidualReport, _RowTexts, epsilon
 
 # march refuses to take more steps than this before reaching t_final.
 MAX_STEPS = 10_000_000
@@ -219,10 +218,6 @@ class SpaceTimeSolution:
     level's ghost hull [lo, hi): every cell outside it holds the bits of the
     ghost state on its side, so a reader that needs the cells' values reads
     only the hull.
-
-    residual is the ResidualReport that run computed from the history.  It
-    is not an init argument, so dataclasses.replace and hand-built records
-    leave it None, and epsilon computes theirs the same way.
     """
 
     grid: Grid1D
@@ -233,8 +228,6 @@ class SpaceTimeSolution:
     model: object
     flux_kind: str
     cfl: float
-    residual: ResidualReport | None = field(default=None, init=False, repr=False,
-                                            compare=False)
 
     def __post_init__(self):
         if not (isinstance(self.states, LevelHistory)
@@ -318,8 +311,9 @@ def march(
     to exactly t_final (last step clipped) without storing the history.
     states is the core's level, updated in place, as a read-only view that
     is valid until the next resume.  window (lo, hi) holds the cells the step
-    into the level updated; every other cell equals the ghost state on its
-    side, in this level and the one before.  window is None at t0.
+    into the level updated, and at t0 the initial active window; every other
+    cell equals the ghost state on its side, in this level and the one
+    before.
 
     Each step touches only its active window: the cells whose stencil is not
     constant (_window).  Every cell outside it equals the ghost state on its
@@ -353,9 +347,9 @@ def march(
     tol = 1e-14 * max(1.0, abs(t_final))
     t = t0
     view = _frozen(states.view())
-    yield t, view, None
     bits = padded.view(np.int64)
     lo, hi = _window(bits, 0, J)
+    yield t, view, (lo, hi)
     n = 0
     while t < t_final - tol:
         if n >= MAX_STEPS:
@@ -390,20 +384,15 @@ def run(
     t_final: float,
 ) -> SpaceTimeSolution:
     """March from t0 to exactly t_final (last step clipped) on the stepping
-    core, record each level in the history by its ghost hull, then compute
-    epsilon's residual report from the history.  A level's ghost hull is the
-    window of the step into it, and level 0's the initial active window.
-    The record is frozen."""
-    times = []
-    for t, states, window in march(initial, model, flux_kind, grid, cfl, t0, t_final):
-        if window is None:  # level 0: the ghosts are its first and last cell
+    core and record each level in the history by its ghost hull, the window
+    that march yields with it.  The record is frozen."""
+    history, times = None, []
+    for t, states, (lo, hi) in march(initial, model, flux_kind, grid, cfl, t0, t_final):
+        if history is None:  # level 0: the ghosts are its first and last cell
             history = LevelHistory(grid.J, model.m, states[0], states[-1])
-            padded = np.vstack([states[:1], states, states[-1:]])
-            window = _window(padded.view(np.int64), 0, grid.J)
-        lo, hi = window
         history.append(states[lo:hi], lo, hi)
         times.append(t)
-    sol = SpaceTimeSolution(
+    return SpaceTimeSolution(
         grid=grid,
         times=TimeLevels(times),
         states=history.freeze(),
@@ -413,8 +402,40 @@ def run(
         flux_kind=normalize_flux_kind(flux_kind),
         cfl=cfl,
     )
-    sol.residual = epsilon(sol)
-    return sol
+
+
+class _RowTexts:
+    """The text of each row of a sequence of (rows, width) float blocks, or
+    of runs of their rows: its head, if given, and its values by repr,
+    joined by commas, kept from block to block.  A row is formatted again
+    only where its int64 bit pattern differs from the one it was last
+    formatted with (all +0.0 before the first), so -0.0 and 0.0 stay apart
+    and the texts equal formatting every row afresh."""
+
+    def __init__(self, rows: int, width: int, heads: list[str] | None = None):
+        zeros = ",".join(["0.0"] * width)
+        if heads is None:
+            self._heads, texts = None, [zeros] * rows
+        else:
+            self._heads = np.array(heads, dtype=object)
+            texts = [f"{head},{zeros}" for head in heads]
+        self._texts = np.array(texts, dtype=object)
+        self._bits = np.zeros((rows, width), dtype=np.int64)
+
+    def update(self, block: np.ndarray, start: int = 0) -> list[str]:
+        """The texts of the rows start..start+len(block)-1, whose values block
+        holds; block may change after the call."""
+        rows = slice(start, start + len(block))
+        bits = block.view(np.int64)
+        changed = np.flatnonzero((bits != self._bits[rows]).any(axis=1))
+        values = map(repr, block[changed].ravel().tolist())
+        columns = [values] * block.shape[1]  # one iterator: zip takes width values per row
+        at = changed + start
+        if self._heads is not None:
+            columns.insert(0, self._heads[at])
+        self._texts[at] = list(map(",".join, zip(*columns)))
+        self._bits[at] = bits[changed]
+        return self._texts[rows].tolist()
 
 
 # The first line of a solution dump: the format that save_solution writes and
@@ -436,8 +457,8 @@ def save_solution(sol: SpaceTimeSolution, path: str) -> None:
         fh.write(f"# flux={sol.flux_kind} cfl={sol.cfl!r}\n")
         fh.write(f"# x_min={sol.grid.x_min!r} x_max={sol.grid.x_max!r} J={sol.grid.J} "
                  f"m={sol.model.m}\n")
-        fh.write(f"# ghost_left={','.join(repr(float(v)) for v in sol.ghost_left)}\n")
-        fh.write(f"# ghost_right={','.join(repr(float(v)) for v in sol.ghost_right)}\n")
+        for key, ghost in (("ghost_left", sol.ghost_left), ("ghost_right", sol.ghost_right)):
+            fh.write(f"# {key}=" + ",".join(f"{v!r}" for v in ghost.tolist()) + "\n")
         cells = _RowTexts(sol.grid.J, sol.model.m)
         rows = zip(sol.times.t.tolist(), sol.ghost_hulls.tolist(), sol.states.walk())
         for t, (lo, hi), level in rows:

@@ -1,6 +1,7 @@
 """Reference code the tests check fvbound against and nothing in fvbound
 calls: the dense form of a level history, pointwise sampling of an exact
 Riemann fan, its cell averages and L1 distances built one level at a time,
+the restriction of a fine level to a coarse grid that nests in it,
 jump detection over a whole level, the per-cell cover counts of a slab
 partition, the residual report and residuals CSV folded one level at a
 time, and the weak residual itself: the affine test functions of one cell
@@ -12,13 +13,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from fvbound.cli import _nesting_ratio, _restrict
 from fvbound.grid import Grid1D, column_sums
 from fvbound.models import Burgers, interface_fluxes, normalize_flux_kind
 from fvbound.partition import JumpRegion, SlabPartition, trapezoid_cell_ranges
-from fvbound.residual import (ResidualReport, _RowTexts, _cell_bounds, _entropy_e1,
-                              _entropy_lower, _entropy_triplets, _padded)
+from fvbound.residual import (ResidualReport, _cell_bounds, _entropy_e1, _entropy_lower,
+                              _entropy_triplets, _padded)
 from fvbound.riemann import WaveFan, _fan_integral, _riemann_invariant
-from fvbound.solver import LevelHistory, SpaceTimeSolution
+from fvbound.solver import LevelHistory, SpaceTimeSolution, _RowTexts
 
 
 def dense(history: LevelHistory) -> np.ndarray:
@@ -27,6 +29,13 @@ def dense(history: LevelHistory) -> np.ndarray:
     for level, stored in zip(out, history.walk()):
         level[...] = stored
     return out
+
+
+def restrict(states: np.ndarray, fine_grid: Grid1D, coarse_grid: Grid1D) -> np.ndarray:
+    """Conservative restriction: the mean over the fine cells nested in each
+    coarse cell, as the fine reference restricts; grids that do not nest are
+    refused."""
+    return _restrict(states, _nesting_ratio(fine_grid, coarse_grid))
 
 
 def _fan_profile(fan: WaveFan, family: int, xi: np.ndarray) -> np.ndarray:

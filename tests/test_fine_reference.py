@@ -5,11 +5,11 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from fvbound import build_grid, cli, make_model
-from fvbound.cli import ConfigError, restrict_to_coarse, streamed_fine_reference
+from fvbound.cli import ConfigError, streamed_fine_reference
 from fvbound.grid import column_sums
 from fvbound.solver import march, run
 
-from oracles import dense
+from oracles import dense, restrict
 
 
 def _full_grid_reference(fine, runs):
@@ -32,7 +32,7 @@ def _full_grid_reference(fine, runs):
                 else:
                     w = (wanted - prev_t) / (t - prev_t)
                     snap = (1.0 - w) * prev_states + w * states
-                averages = restrict_to_coarse(snap, fine.grid, sol.grid)
+                averages = restrict(snap, fine.grid, sol.grid)
                 diff = np.abs(levels[k][pending[k]] - averages)
                 errors[k] = max(errors[k], float((column_sums(diff) * sol.grid.dx).max()))
                 pending[k] += 1

@@ -1,3 +1,4 @@
+import ast
 import dataclasses
 import json
 import tempfile
@@ -25,7 +26,7 @@ from fvbound.models import interface_fluxes
 from fvbound.residual import _padded
 from fvbound.solver import LevelHistory, SpaceTimeSolution, _window, march, run, step
 
-from oracles import dense
+from oracles import dense, per_level_epsilon
 
 
 def shock_profile(grid, left=1.0, right=-1.0, center_zero=True):
@@ -208,6 +209,22 @@ def test_stepping_core_matches_hand_loop(name, kind):
         assert np.array_equal(interface_fluxes(kind, model, _padded(sol, n)), flux)
 
 
+def test_solver_imports_no_stage_that_reads_its_record():
+    """solver.py, which marches and records, imports nothing from residual,
+    partition, estimator or cli, so the modules depend in one direction."""
+    import fvbound.solver
+
+    names = set()
+    for node in ast.walk(ast.parse(Path(fvbound.solver.__file__).read_text())):
+        if isinstance(node, ast.ImportFrom):
+            names.update((node.module or "").split("."))
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Import):
+            names.update(part for alias in node.names for part in alias.name.split("."))
+    assert "models" in names
+    assert not names & {"residual", "partition", "estimator", "cli"}
+
+
 def test_run_holds_the_history_once():
     from fvbound.cli import _burgers_curved_averages
 
@@ -224,8 +241,9 @@ def test_run_holds_the_history_once():
 
 
 def test_run_peak_stays_at_the_per_level_fold():
-    """At burgers-curved L10 run's traced peak, the history plus the residual
-    pass over its blocks of levels, stays at or below the 3,956,556 bytes
+    """At burgers-curved L10 the traced peak of run and then epsilon, the
+    history plus the residual pass over its blocks of levels, stays at or
+    below the 3,956,556 bytes
     that run traced when it folded epsilon one level at a time while
     marching (4,039,530 in a process's first run)."""
     from fvbound.cli import _burgers_curved_averages
@@ -235,6 +253,7 @@ def test_run_peak_stays_at_the_per_level_fold():
     tracemalloc.start()
     try:
         sol = run(initial, make_model("burgers"), "llf", grid, 0.9, 0.0, 1.0)
+        epsilon(sol)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -242,12 +261,12 @@ def test_run_peak_stays_at_the_per_level_fold():
     assert peak <= 3_956_556
 
 
-def test_run_holds_the_history_and_one_chunk_while_marching(monkeypatch):
-    """At burgers-curved L11, run's traced peak up to the residual pass is
-    at most the history's values, the chunk tails left by levels that did
-    not fit (each less than a level, J values), one chunk, and 2**19 bytes
-    for the index, the times and the stepping core's level; the residual
-    pass adds its blocks, 2**20 bytes, after that.  One buffer grown by half
+def test_run_holds_the_history_and_one_chunk_while_marching():
+    """At burgers-curved L11, run's traced peak is at most the history's
+    values, the chunk tails left by levels that did not fit (each less than
+    a level, J values), one chunk, and 2**19 bytes for the index, the times
+    and the stepping core's level; the residual pass of epsilon after it
+    adds its blocks, 2**20 bytes.  One buffer grown by half
     peaked at about 14.75 MB while marching, for a 9,767,160-byte history
     (this bound at CHUNK = 2**16: 11,471,096 bytes)."""
     from fvbound import solver
@@ -255,16 +274,11 @@ def test_run_holds_the_history_and_one_chunk_while_marching(monkeypatch):
 
     grid = build_grid(-5.0, 5.0, 11)
     initial = _burgers_curved_averages(grid)
-    marching = []
-
-    def traced_epsilon(sol):
-        marching.append(tracemalloc.get_traced_memory()[1])
-        return epsilon(sol)
-
-    monkeypatch.setattr(solver, "epsilon", traced_epsilon)
     tracemalloc.start()
     try:
         sol = run(initial, make_model("burgers"), "llf", grid, 0.9, 0.0, 1.0)
+        _, marching = tracemalloc.get_traced_memory()
+        epsilon(sol)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -272,7 +286,7 @@ def test_run_holds_the_history_and_one_chunk_while_marching(monkeypatch):
     chunk = 8 * max(solver.CHUNK, grid.J)
     tails = (history // (chunk - level) + 1) * level
     assert history == 9_767_160
-    assert marching[0] <= history + tails + chunk + 2**19
+    assert marching <= history + tails + chunk + 2**19
     assert peak <= history + tails + chunk + 2**19 + 2**20
 
 
@@ -782,20 +796,19 @@ def _windowed_case(name, flux, level, left, right, at, width, cfl, t0, duration)
 @example(case=_RAMP_TO_REST)
 @example(case=_STEP_TO_REST)
 def test_windowed_run_equals_the_full_grid_loop_and_replay(case):
-    """run steps and folds only each step's active window; its times and
-    states are the full-grid hand loop's and its report the full-grid
-    replay's, bit for bit."""
+    """run steps only each step's active window; its times and states are
+    the full-grid hand loop's, and epsilon's report of it the per-level
+    fold's over the whole grid, bit for bit."""
     args = _windowed_case(*case)
     sol = run(*args)
     expected, _ = _hand_march(*args)
     for got, want in ((sol.times.t, np.array([t for t, _ in expected])),
                       (dense(sol.states), np.array([u for _, u in expected]))):
         assert got.shape == want.shape and got.tobytes() == want.tobytes()
-    replay = epsilon(dataclasses.replace(sol))
-    assert replay is not sol.residual
-    assert json.dumps(sol.residual.to_json_dict()) == json.dumps(replay.to_json_dict())
+    report, fold = epsilon(sol), per_level_epsilon(sol)
+    assert json.dumps(report.to_json_dict()) == json.dumps(fold.to_json_dict())
     for name in ("tv", "tv_scalar", "beta_levels", "eta_levels", "speed_range"):
-        got, want = getattr(sol.residual, name), getattr(replay, name)
+        got, want = getattr(report, name), getattr(fold, name)
         assert got.shape == want.shape and got.tobytes() == want.tobytes(), name
 
 
@@ -825,10 +838,10 @@ def test_windowed_examples_reach_their_edge_cases():
 
 def test_march_yields_a_read_only_level_and_its_window():
     """march yields the core's in-place level as a read-only view and the
-    window of the step into it, None at t0: a copy taken at each yield is
-    run's record bit for bit, and every cell outside the window equals the
-    level before and the ghost state on its side, on a run whose window
-    moves."""
+    window of the step into it, at t0 the initial active window: a copy
+    taken at each yield is run's record bit for bit, every cell outside the
+    window equals the ghost state on its side, and after t0 also the level
+    before, on a run whose window moves."""
     from fvbound.cli import _burgers_curved_averages
 
     grid = build_grid(-5.0, 5.0, 6)
@@ -845,11 +858,12 @@ def test_march_yields_a_read_only_level_and_its_window():
     sol = run(*args)
     assert np.array(times).tobytes() == sol.times.t.tobytes()
     assert np.array(levels).tobytes() == dense(sol.states).tobytes()
-    assert windows[0] is None
-    for (lo, hi), before, level in zip(windows[1:], levels, levels[1:]):
+    assert windows[0] == _windows(sol)[0]
+    for n, ((lo, hi), level) in enumerate(zip(windows, levels)):
         assert 0 <= lo <= hi <= grid.J
         for cells, ghost in ((slice(0, lo), sol.ghost_left), (slice(hi, None), sol.ghost_right)):
-            assert level[cells].tobytes() == before[cells].tobytes()
+            if n:
+                assert level[cells].tobytes() == levels[n - 1][cells].tobytes()
             assert level[cells].tobytes() == np.tile(ghost, (len(level[cells]), 1)).tobytes()
     assert len({lo for lo, _ in windows[1:]}) > 1 and len({hi for _, hi in windows[1:]}) > 1
 

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 from hypothesis import given, settings
 
-from fvbound import epsilon, make_model, residual, save_solution
+from fvbound import epsilon, make_model, save_solution, solver
 from fvbound.cli import CaseConfig, run_case
 from fvbound.grid import Grid1D, TimeLevels
 from fvbound.residual import level_entropy_triplets, level_residual_bounds
@@ -116,7 +116,7 @@ class TestFormatCount:
             calls.append(value)
             return repr(value)
 
-        monkeypatch.setattr(residual, "repr", counting_repr, raising=False)
+        monkeypatch.setattr(solver, "repr", counting_repr, raising=False)
         epsilon(sol).write_cells_csv(sol, str(tmp_path / "cells.csv"))
         assert len(calls) == csv_values
         del calls[:]
@@ -138,7 +138,7 @@ class TestFormatCount:
                                 make_model("burgers"), "llf", 0.5)
         assert _changed_hull_cells(sol) == 4
         calls = []
-        monkeypatch.setattr(residual, "repr", lambda value: calls.append(value) or repr(value),
+        monkeypatch.setattr(solver, "repr", lambda value: calls.append(value) or repr(value),
                             raising=False)
         save_solution(sol, str(tmp_path / "dump.csv"))
         assert calls == [0.5, 0.25, 0.75, 0.9]
