@@ -18,6 +18,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .grid import window_sums
 from .models import interface_fluxes, normalize_flux_kind, numerical_entropy_flux
 from .solver import SpaceTimeSolution, _RowTexts
 
@@ -89,11 +90,8 @@ def total_variation(sol: SpaceTimeSolution, n: int) -> tuple[np.ndarray, float]:
 
 # The residual pass works a block of consecutive levels at a time: a
 # block's dense (cells, levels, m) array of states holds at most
-# BLOCK_CELLS cells (cells x levels), and the zero-padded rows that its
-# m = 1 sums go through (levels x (J + 1)) at most BLOCK_ROWS values at a
-# time.  A block holds at least one level.
+# BLOCK_CELLS cells (cells x levels).  A block holds at least one level.
 BLOCK_CELLS = 1 << 13
-BLOCK_ROWS = 1 << 15
 
 
 @dataclass
@@ -220,7 +218,7 @@ def _layer_block(sol: SpaceTimeSolution, first: int, stop: int, c0: int, c1: int
     u = sol.states.columns(first, min(stop + 1, last + 1), c0 - 1, c1 + 1)
     f, ent, ent_flux, speeds, low, high = model.level_terms(u[:, :n_levels])
     jumps = u[1:, :n_levels] - u[:-1, :n_levels]
-    tv = _sums(np.abs(jumps, out=jumps), c0, J + 1)
+    tv = window_sums(np.abs(jumps, out=jumps), c0, J + 1)
     del jumps
     # each level's speeds over the grid cells; min and max may take either
     # signed zero of tied cells, by layout: + 0.0 makes it +0.0
@@ -246,27 +244,6 @@ def _layer_block(sol: SpaceTimeSolution, first: int, stop: int, c0: int, c1: int
     return _Block(first, slice(c0, c1), tv, speed_range, dt, bounds, (q_hat, de, ent_flux[1:-1]))
 
 
-def _sums(block: np.ndarray, first: int, length: int) -> np.ndarray:
-    """Per level, the column sums of a zero (length, m) array whose rows
-    first.. hold the level's (W, m) slice of a (W, B, m) block of terms, bit
-    for bit.  numpy sums a single column pairwise, grouped by position, so at
-    m = 1 each level's terms go into a zero row of the whole length, at most
-    BLOCK_ROWS values of rows at a time; at m >= 2 the einsum of
-    grid.column_sums adds rows in order, so the zero rows, the terms being
-    non-negative, add nothing and only the block is summed."""
-    width, levels, m = block.shape
-    if m >= 2:
-        return np.einsum("wbm->bm", block)
-    out = np.empty((levels, 1))
-    chunk = max(1, min(levels, BLOCK_ROWS // length))
-    rows = np.zeros((chunk, length))  # only the block's columns are ever written
-    for a in range(0, levels, chunk):
-        b = min(a + chunk, levels)
-        rows[:b - a, first:first + width] = block[:, a:b, 0].T
-        out[a:b, 0] = rows[:b - a].sum(axis=1)
-    return out
-
-
 def epsilon(sol: SpaceTimeSolution) -> ResidualReport:
     """The ResidualReport of sol: the smallest computed constant bounding
     the weak and entropy residuals of the recorded marching flux, with the
@@ -290,9 +267,9 @@ def epsilon(sol: SpaceTimeSolution) -> ResidualReport:
         c0, levels = block.cells.start, slice(block.first, block.first + len(block.tv))
         tv[levels], speed_range[levels] = block.tv, block.speed_range
         layers = slice(block.first, block.first + len(block.dt))
-        beta_levels[layers] = _sums(block.bounds, c0, J).max(axis=1) / block.dt
+        beta_levels[layers] = window_sums(block.bounds, c0, J).max(axis=1) / block.dt
         deficit = np.abs(np.minimum(_entropy_e1(sol.grid.dx, block.dt, *block.entropy[:2]), 0.0))
-        eta_levels[layers] = _sums(deficit[..., None], c0, J)[:, 0] / block.dt
+        eta_levels[layers] = window_sums(deficit[..., None], c0, J)[:, 0] / block.dt
         del block, deficit  # before the next block is built
     c_max = float(np.diff(sol.times.t).max(initial=0.0)) / sol.grid.dx
     tv_scalar = tv.max(axis=1)

@@ -10,16 +10,17 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grid import Grid1D, column_sums
+from .grid import Grid1D, window_sums
 from .models import Burgers, PSystem
 
 RH_TOL = 1e-10
 STAR_ATOL = 1e-13
 MAX_ITER = 200
 
-# Cells per block of levels in exact_l1_distances: a block's averages hold
-# BLOCK_CELLS * m floats (256 KiB at m = 2), and a rarefaction's cells in it
-# about as much again in temporaries.
+# Cells (cells x levels) per block of levels in exact_l1_distances: a
+# block's averages hold BLOCK_CELLS * m floats (256 KiB at m = 2), its
+# levels as many, and a rarefaction's cells in it about as much again in
+# temporaries.
 BLOCK_CELLS = 1 << 14
 
 
@@ -281,9 +282,17 @@ def _ragged(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _average_blocks(fan: WaveFan, origin: float, t: np.ndarray, edges: np.ndarray,
-                    dx: float, per_block: int):
-    """Yield the cell averages of the self-similar solution at the times t,
-    per_block levels at a time, each block (levels, J, m).
+                    dx: float, needed: np.ndarray):
+    """Yield (levels, cells, averages) per block of consecutive levels: two
+    slices, and the cell averages of the self-similar solution at the times
+    t[levels] over the grid cells in cells, a (levels, cells, m) array.
+
+    Each level's cells are its row [lo, hi) of needed joined with the fan's
+    band, the cells not wholly inside one of the fan's two outer constant
+    states (outside the band each average holds the bits of the outer state
+    on its side); at t = 0 they are the whole grid.  A block's cells are the
+    union of its levels', and it holds at most BLOCK_CELLS cells (cells x
+    levels) unless one level alone is wider.
 
     At t > 0 the breakpoints x_k = origin + t*xi_k split each level: the
     cells wholly inside a constant state get that state, the cells wholly
@@ -309,16 +318,17 @@ def _average_blocks(fan: WaveFan, origin: float, t: np.ndarray, edges: np.ndarra
 
     # Each level in runs: segment 0's whole cells, the cell that breakpoint
     # x[:, 1] cuts (or none), segment 1's whole cells, ...; a run that would
-    # end before the one ahead of it is empty.
-    ends = np.empty((N, 2 * len(fan.segments) - 1), dtype=np.intp)
-    ends[:, 0::2], ends[:, 1::2] = stops, firsts[:, 1:]
-    lengths = np.diff(np.maximum.accumulate(ends, axis=1), axis=1, prepend=0)
+    # end before the one ahead of it is empty.  ends[:, r]..ends[:, r + 1]
+    # are run r's cells.
+    ends = np.zeros((N, 2 * len(fan.segments)), dtype=np.intp)
+    ends[:, 1::2], ends[:, 2::2] = stops, firsts[:, 1:]
+    ends = np.maximum.accumulate(ends, axis=1)
     runs = np.zeros((len(fan.segments), 2, m))  # a segment's state, then its cut cell's 0.0
     states = runs[:, 0]
     for k, (_, _, kind, payload) in enumerate(fan.segments):
         if kind == "const":
             states[k] = payload
-    runs = np.tile(runs.reshape(-1, m)[:-1], (min(per_block, N), 1))
+    runs = runs.reshape(-1, m)[:-1]
 
     # The inner breakpoints x[:, 1:-1]: the cell each cuts, and its pieces in
     # the segments up to its left (read only from the leftmost breakpoint in
@@ -355,20 +365,41 @@ def _average_blocks(fan: WaveFan, origin: float, t: np.ndarray, edges: np.ndarra
         left_w = np.clip(origin, edges[:-1], edges[1:]) - edges[:-1]
         mix = (left_w[:, None] * fan.left + (dx - left_w)[:, None] * fan.right) / dx
 
-    for start in range(0, N, per_block):
-        stop = min(start + per_block, N)
-        run_lengths = lengths[start:stop].ravel()
-        out = np.repeat(runs[:run_lengths.size], run_lengths, axis=0).reshape(stop - start, J, m)
+    # Each level's cells: its needed cells and its band, from the end of
+    # segment 0's whole cells to the start of the last segment's.
+    lo = np.where(zero, 0, np.minimum(needed[:, 0], stops[:, 0]))
+    hi = np.where(zero, J, np.maximum(needed[:, 1], firsts[:, -1]))
+    for start, stop, a, b in _blocks(lo.tolist(), hi.tolist()):
+        lengths = np.diff(np.clip(ends[start:stop], a, b), axis=1).ravel()
+        out = np.repeat(np.tile(runs, (stop - start, 1)), lengths, axis=0)
+        out = out.reshape(stop - start, b - a, m)
         for k, family in fans:
             rows, cells = _ragged(firsts[start:stop, k], stops[start:stop, k])
-            out[rows, cells] = _fan_integral(fan, family, edges[cells], edges[cells + 1],
-                                             origin, t[start:stop][rows]) / dx
-        a, b = cut_rows.searchsorted([start, stop])
-        out[cut_rows[a:b] - start, cut_cells[a:b]] = cut_averages[a:b]
+            out[rows, cells - a] = _fan_integral(fan, family, edges[cells], edges[cells + 1],
+                                                 origin, t[start:stop][rows]) / dx
+        i, j = cut_rows.searchsorted([start, stop])
+        out[cut_rows[i:j] - start, cut_cells[i:j] - a] = cut_averages[i:j]
         if zero[start:stop].any():
-            out[zero[start:stop]] = mix
-        yield out
+            out[zero[start:stop]] = mix[a:b]
+        yield slice(start, stop), slice(a, b), out
         del out  # with the caller's, so that one block at a time is held
+
+
+def _blocks(lo: list[int], hi: list[int]):
+    """Split the levels, whose cells are lo[n]..hi[n]-1, into runs of
+    consecutive levels: yield (start, stop, a, b) per run, whose cells
+    a..b-1 are the union of its levels' and hold at most BLOCK_CELLS cells
+    (cells x levels) unless one level alone is wider."""
+    if not lo:
+        return
+    start, a, b = 0, lo[0], hi[0]
+    for n in range(1, len(lo)):
+        a_n, b_n = min(a, lo[n]), max(b, hi[n])
+        if (n + 1 - start) * (b_n - a_n) > BLOCK_CELLS:
+            yield start, n, a, b
+            start, a_n, b_n = n, lo[n], hi[n]
+        a, b = a_n, b_n
+    yield start, len(lo), a, b
 
 
 def _check_times(origin: float, times: np.ndarray) -> None:
@@ -393,38 +424,43 @@ def cell_average_exact(fan: WaveFan, origin: float, t: float, grid: Grid1D) -> n
     """
     times = np.array([t], dtype=float)
     _check_times(origin, times)
-    return next(_average_blocks(fan, origin, times, grid.interfaces(), grid.dx, 1))[0]
+    blocks = _average_blocks(fan, origin, times, grid.interfaces(), grid.dx,
+                             np.array([[0, grid.J]]))
+    return next(blocks)[2][0]
 
 
 def exact_l1_distances(fan: WaveFan, origin: float, grid: Grid1D, times: np.ndarray,
-                       levels) -> np.ndarray:
+                       history) -> np.ndarray:
     """Per time level and component, the sum over cells of |u - exact cell
-    averages|, (N+1, m), where levels yields the (J, m) level u at each of
-    times in turn; a ValueError names both counts when it yields fewer or
-    more levels than there are times.
+    averages|, (N+1, m), where history is the LevelHistory of the levels u
+    at times; a ValueError names both counts when it holds fewer or more
+    levels than there are times.
 
-    The exact averages (those of cell_average_exact) come a block of
-    BLOCK_CELLS cells' levels at a time; each level then takes one subtract
-    and one sum over its cells.
+    The exact averages (those of cell_average_exact) come a block of levels
+    at a time, over the union of the levels' ghost hulls and the fan's band
+    (_average_blocks).  Outside it each level u holds its ghost state and
+    the averages the fan's outer state on that side, so where their bits
+    agree every term there is +0.0; on a side where they differ the block
+    runs out to the end of the grid.  The block's u comes from
+    history.columns, and each level's sum of |u - averages| from
+    grid.window_sums, with the bits of one subtract and one sum over all the
+    level's cells.
     """
     times = np.asarray(times, dtype=float)
     _check_times(origin, times)
-    blocks = _average_blocks(fan, origin, times, grid.interfaces(), grid.dx,
-                             max(1, BLOCK_CELLS // grid.J))
+    if len(history) != len(times):
+        raise ValueError(f"the history holds {len(history)} levels for {len(times)} times")
+    J = grid.J
+    needed = history.hulls.copy()
+    if history.ghost_left.tobytes() != fan.segments[0][3].tobytes():
+        needed[:, 0] = 0
+    if history.ghost_right.tobytes() != fan.segments[-1][3].tobytes():
+        needed[:, 1] = J
     out = np.empty((len(times), fan.model.m))
-    diff = np.empty((grid.J, fan.model.m))
-    n = walked = 0
-    levels = iter(levels)
-    for block in blocks:
-        for b, u in zip(range(len(block)), levels):
-            np.subtract(u, block[b], out=diff)
-            out[walked] = column_sums(np.abs(diff, out=diff))
-            walked += 1
-        n += len(block)
-        if walked < n:  # levels ran out
-            break
-        del block  # so that the next block is built in this one's place
-    walked += sum(1 for _ in levels)
-    if walked != len(times):
-        raise ValueError(f"levels yields {walked} levels for {len(times)} times")
+    for levels, cells, averages in _average_blocks(fan, origin, times, grid.interfaces(),
+                                                   grid.dx, needed):
+        diff = history.columns(levels.start, levels.stop, cells.start, cells.stop)
+        diff -= averages.transpose(1, 0, 2)
+        out[levels] = window_sums(np.abs(diff, out=diff), cells.start, J)
+        del averages, diff  # so that the next block is built in this one's place
     return out

@@ -267,21 +267,39 @@ def _edge_times(draw, fan, origin, grid):
     return times
 
 
+def _ghost_pair(fan, kind, states):
+    """The ghosts of a history of states against fan: the fan's outer
+    states, the first and last cell of the first level (as a run keys its
+    history), the outer states with each +0.0 made -0.0 (equal values,
+    other bits), or the outer states swapped."""
+    left, right = fan.segments[0][3], fan.segments[-1][3]
+    return {"fan": (left, right), "run": (states[0, 0], states[0, -1]),
+            "signed": tuple(np.where(g == 0.0, -0.0, g) for g in (left, right)),
+            "swapped": (right, left)}[kind]
+
+
 class TestBlockedExactPass:
-    """The exact averages come a block of levels at a time; the distances
-    and the averages must be the per-level loop's (oracles.per_level_*) as
-    float hex."""
+    """The exact averages come a block of levels at a time, over the cells
+    where a level or the fan is not constant; the distances and the averages
+    must be the per-level loop's (oracles.per_level_*) as float hex."""
 
     @settings(max_examples=150, deadline=None)
     @given(name=st.sampled_from(sorted(_FANS)), origin=st.floats(-7.0, 7.0),
-           J=st.integers(1, 40), block=st.integers(1, 120), data=st.data(),
+           J=st.integers(1, 40), block=st.integers(1, 120),
+           ghosts=st.sampled_from(["fan", "run", "signed", "swapped"]), data=st.data(),
            seed=st.integers(0, 2**32 - 1))
-    @example(name="psystem-2raref", origin=0.0, J=32, block=96, data=None, seed=0)
-    def test_random_levels_equal_the_per_level_oracle(self, name, origin, J, block, data, seed):
+    @example(name="psystem-2raref", origin=0.0, J=32, block=96, ghosts="fan", data=None, seed=0)
+    def test_random_levels_equal_the_per_level_oracle(self, name, origin, J, block, ghosts, data,
+                                                      seed):
         """Any grid and block size, so that the level count may end a block,
         fall short of one or run past it; times at 0, 1e-9 (a fan inside one
         cell), with a breakpoint on a cell edge, and late enough (or from an
-        origin far enough out) that waves leave the grid."""
+        origin far enough out) that waves leave the grid.  Each level is
+        its exact averages, some with noise, and holds the left ghost left
+        of a random cell and the right ghost from another on, so that hulls
+        lie anywhere, reach cell 0 or J, or are empty there or between; the
+        ghosts are the fan's outer states, a run's, or states whose bits
+        differ from the fan's on one side or both."""
         fan = _FANS[name]
         grid = Grid1D(-5.0, 5.0, J)
         if data is None:  # the example: 3 levels of 32 cells a block, 7 levels
@@ -295,11 +313,37 @@ class TestBlockedExactPass:
         rng = np.random.default_rng(seed)
         noise = rng.uniform(-1.0, 1.0, exact.shape) * rng.integers(0, 2, (len(times), 1, 1))
         states = exact + 0.1 * (1.0 + np.abs(exact)) * noise  # some levels exact
+        ghost_left, ghost_right = _ghost_pair(fan, ghosts, states)
+        for level in states:
+            lo = int(rng.choice([0, J, rng.integers(0, J + 1)]))
+            hi = int(rng.choice([lo, J, rng.integers(lo, J + 1)]))
+            level[:lo], level[hi:] = ghost_left, ghost_right
+        history = LevelHistory.from_levels(states, ghost_left, ghost_right)
         with patch.object(riemann, "BLOCK_CELLS", block):
-            got = riemann.exact_l1_distances(fan, origin, grid, times, iter(states))
-        assert _hex(got) == _hex(per_level_l1_distances(fan, origin, grid, times, iter(states)))
+            got = riemann.exact_l1_distances(fan, origin, grid, times, history)
+        assert _hex(got) == _hex(per_level_l1_distances(fan, origin, grid, times, history.walk()))
         for t, averages in zip(times.tolist(), exact):
             assert _hex(cell_average_exact(fan, origin, t, grid)) == _hex(averages)
+
+    @pytest.mark.parametrize("name", ["psystem-raref-shock", "burgers-rarefaction"])
+    def test_a_record_with_other_ghosts_keeps_its_distances(self, name):
+        """A marched run whose waves reach the edge of the grid by its last
+        level, and the same record with other ghosts (dataclasses.replace):
+        the same levels give the per-level loop's distances as float hex,
+        whether the ghosts' bits are the fan's outer states' or not."""
+        fan = _FANS[name]
+        grid = build_grid(-5.0, 5.0, 5)
+        sol = run(per_level_cell_averages(fan, 0.0, 0.0, grid), fan.model, "llf", grid, 0.9,
+                  0.0, 12.0)
+        hulls = sol.ghost_hulls
+        assert hulls[-1, 0] == 0 or hulls[-1, 1] == grid.J  # the run reaches an edge
+        want = _hex(per_level_l1_distances(fan, 0.0, grid, sol.times.t, sol.states.walk()))
+        for kind in ("fan", "run", "signed", "swapped"):
+            ghost_left, ghost_right = _ghost_pair(fan, kind, dense(sol.states))
+            other = replace(sol, ghost_left=ghost_left, ghost_right=ghost_right)
+            assert other.states.keyed_on(ghost_left, ghost_right)
+            assert _hex(riemann.exact_l1_distances(fan, 0.0, grid, sol.times.t,
+                                                   other.states)) == want
 
     @pytest.mark.parametrize("name",
                              ["psystem-raref-shock", "psystem-2raref", "burgers-rarefaction"])
@@ -311,8 +355,9 @@ class TestBlockedExactPass:
         times = np.linspace(0.0, 1.5, n_levels)
         exact = np.array([per_level_cell_averages(fan, 0.1, t, grid) for t in times.tolist()])
         states = exact + np.random.default_rng(n_levels).uniform(-0.01, 0.01, exact.shape)
-        assert _hex(riemann.exact_l1_distances(fan, 0.1, grid, times, iter(states))) == _hex(
-            per_level_l1_distances(fan, 0.1, grid, times, iter(states)))
+        history = LevelHistory.from_levels(states, states[0, 0], states[0, -1])
+        assert _hex(riemann.exact_l1_distances(fan, 0.1, grid, times, history)) == _hex(
+            per_level_l1_distances(fan, 0.1, grid, times, history.walk()))
 
 
 def test_exact_error_holds_little_beyond_the_per_level_pass():
@@ -510,6 +555,27 @@ class TestLevelTermsCount:
                                 fine_grid, config.cfl, config.t0, config.t_final, [coarse])
         assert len(lengths) == coarse.n_steps + 1
         assert np.mean(lengths) < fine_grid.J / 4
+
+    def test_exact_error_builds_window_sized_blocks(self, monkeypatch):
+        """On psys-raref-shock L10 against the exact fan, the cells that the
+        exact pass builds averages for, and reads the run's levels over,
+        average below a quarter of the grid per level: each block spans its
+        levels' ghost hulls and the fan's band."""
+        sol, _, err, _ = run_case(CaseConfig(case="psys-raref-shock", level=10))
+        fan = solve_riemann(make_model("psystem"), [0.15, 0.0], [0.1, 0.0])
+        built = []
+        inner = riemann._average_blocks
+
+        def counting_average_blocks(*args):
+            for levels, cells, averages in inner(*args):
+                assert averages.shape[:2] == (levels.stop - levels.start, cells.stop - cells.start)
+                built.extend([cells.stop - cells.start] * len(averages))
+                yield levels, cells, averages
+
+        monkeypatch.setattr(riemann, "_average_blocks", counting_average_blocks)
+        assert linf_l1_error(sol, fan, 0.0) == err
+        assert len(built) == sol.n_steps + 1
+        assert np.mean(built) < sol.grid.J / 4
 
     def test_fine_reference_marches_without_level_terms(self):
         counts = []

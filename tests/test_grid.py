@@ -2,10 +2,10 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from fvbound import Grid1D, TimeLevels, build_grid, cfl_timestep, make_model
-from fvbound.grid import column_sums
+from fvbound.grid import column_sums, window_sums
 from fvbound.residual import _padded
 from fvbound.solver import run
 
@@ -113,3 +113,44 @@ def test_column_sums_equal_axis0_sum_bit_for_bit(m, J, low, span, seed):
     magnitudes = 10.0 ** rng.uniform(low, low + span, size=(J, m))
     a = rng.standard_normal((J, m)) * magnitudes
     assert column_sums(a).tobytes() == a.sum(axis=0).tobytes()
+
+
+def _window_block(W, B, m, low, span, zeros, seed):
+    """A (W, B, m) block whose levels each lie contiguous in memory, as the
+    residual and exact passes hold them."""
+    rng = np.random.default_rng(seed)
+    magnitudes = 10.0 ** rng.uniform(low, low + span, size=(B, W, m))
+    values = rng.standard_normal((B, W, m)) * magnitudes + 0.0  # no -0.0
+    values[rng.random((B, W, m)) < zeros] = 0.0
+    return values.transpose(1, 0, 2)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), J=st.integers(1, 40_000), B=st.integers(1, 6), m=st.sampled_from([1, 2]),
+       low=st.integers(-330, 6), span=st.integers(0, 12), zeros=st.sampled_from([0.0, 0.5, 1.0]),
+       contiguous=st.booleans(), seed=st.integers(0, 2**32 - 1))
+@example(data=None, J=16_385, B=2, m=1, low=-3, span=6, zeros=0.0, contiguous=False, seed=0)
+def test_window_sums_equal_the_zero_padded_rows_bit_for_bit(data, J, B, m, low, span, zeros,
+                                                            contiguous, seed):
+    """Per level, window_sums of a (W, B, m) block placed at rows
+    first..first+W-1 gives the sum of the zero (J, m) rows holding it, as
+    float hex: any J past numpy's 8,192-value buffer, windows at cell 0 and
+    at the end down to one cell, subnormal and +0.0 terms; the example is
+    the wide, few-level shape (W = 3000, B = 2).  The block's levels lie
+    contiguous, or (contiguous) the block is C-contiguous."""
+    if data is None:
+        W, first = 3000, 5000
+    else:
+        W = data.draw(st.one_of(st.just(1), st.just(J), st.integers(1, J)))
+        first = data.draw(st.one_of(st.just(0), st.just(J - W), st.integers(0, J - W)))
+    block = _window_block(W, B, m, low, span, zeros, seed)
+    if contiguous:
+        block = np.ascontiguousarray(block)
+    want = []
+    for b in range(B):
+        rows = np.zeros((J, m))
+        rows[first:first + W] = block[:, b]
+        want.append([float(v).hex() for v in np.sum(rows, axis=0)])
+    got = window_sums(block, first, J)
+    assert got.shape == (B, m)
+    assert [[float(v).hex() for v in row] for row in got] == want

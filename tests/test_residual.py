@@ -422,14 +422,12 @@ def pass_records(draw):
     return sol
 
 
-def _assert_pass_equals_the_per_level_fold(sol, cells, rows):
-    """With blocks of at most cells cells and sum rows of at most rows
-    values, epsilon's report and the residuals CSV equal the per-level
-    fold's, bit for bit."""
+def _assert_pass_equals_the_per_level_fold(sol, cells):
+    """With blocks of at most cells cells, epsilon's report and the
+    residuals CSV equal the per-level fold's, bit for bit."""
     want = per_level_epsilon(sol)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(residual, "BLOCK_CELLS", cells)
-        patch.setattr(residual, "BLOCK_ROWS", rows)
         _assert_reports_identical(epsilon(dataclasses.replace(sol)), want)
         with tempfile.TemporaryDirectory() as tmp:
             got, ref = Path(tmp, "got.csv"), Path(tmp, "ref.csv")
@@ -439,19 +437,19 @@ def _assert_pass_equals_the_per_level_fold(sol, cells, rows):
 
 
 @settings(max_examples=200, deadline=None)
-@given(sol=pass_records(), cells=st.integers(1, 80), rows=st.integers(1, 80))
+@given(sol=pass_records(), cells=st.integers(1, 80))
 @example(sol=_hand_built("burgers", "llf", 4, [0.0, 0.5, 1.0], (0.0,), (-0.0,),
                          [(0, 0, []), (4, 4, []), (0, 4, [(-0.0,), (0.0,), (-0.0,), (0.0,)])]),
-         cells=1, rows=1)
+         cells=1)
 @example(sol=_hand_built("burgers", "godunov", 3, [0.0], (1.0,), (-1.0,), [(1, 2, [(0.0,)])]),
-         cells=64, rows=64)
+         cells=64)
 @example(sol=_hand_built("psystem", "llf", 5, [0.0, 0.1], (1.0, 0.0), (0.5, -0.0),
-                         [(0, 5, [(1.0, -0.0)] * 5), (5, 5, [])]), cells=3, rows=5)
-def test_blocked_pass_equals_the_per_level_fold(sol, cells, rows):
+                         [(0, 5, [(1.0, -0.0)] * 5), (5, 5, [])]), cells=3)
+def test_blocked_pass_equals_the_per_level_fold(sol, cells):
     """The blocked residual pass, over any split of the levels into blocks
     (a block per level at cells = 1), gives every field of the report and
     every byte of the residuals CSV that the per-level fold gives."""
-    _assert_pass_equals_the_per_level_fold(sol, cells, rows)
+    _assert_pass_equals_the_per_level_fold(sol, cells)
 
 
 def test_pass_splits_the_levels_where_the_constants_say():
@@ -470,7 +468,7 @@ def test_pass_splits_the_levels_where_the_constants_say():
             assert c1 == min(int(hulls[first:last + 1, 1].max()) + 2, J)
             assert stop - first == 1 or (c1 - c0 + 2) * (last + 1 - first) <= residual.BLOCK_CELLS
         assert len(blocks) > 1
-        _assert_pass_equals_the_per_level_fold(sol, residual.BLOCK_CELLS, residual.BLOCK_ROWS)
+        _assert_pass_equals_the_per_level_fold(sol, residual.BLOCK_CELLS)
 
 
 class TestCornerOracle:

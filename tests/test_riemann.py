@@ -13,6 +13,7 @@ from fvbound import (
     solve_riemann,
 )
 from fvbound.riemann import exact_l1_distances
+from fvbound.solver import LevelHistory
 from oracles import sample
 
 
@@ -267,14 +268,14 @@ def test_non_finite_time_or_origin_is_refused(psystem, bad):
     breakpoint off the grid; both are refused by name, not averaged."""
     fan = solve_riemann(psystem, [0.15, 0.0], [0.1, 0.0])
     grid = build_grid(-5.0, 5.0, 3)
-    levels = np.tile(fan.left, (2, grid.J, 1))
+    history = LevelHistory.from_levels(np.tile(fan.left, (2, grid.J, 1)), fan.left, fan.right)
     calls = {
         "time": (lambda: cell_average_exact(fan, 0.0, bad, grid),
                  lambda: riemann.exact_l1_distances(fan, 0.0, grid, np.array([0.0, bad]),
-                                                    iter(levels))),
+                                                    history)),
         "origin": (lambda: cell_average_exact(fan, bad, 0.5, grid),
                    lambda: riemann.exact_l1_distances(fan, bad, grid, np.array([0.0, 0.5]),
-                                                      iter(levels))),
+                                                      history)),
     }
     for name, pair in calls.items():
         for call in pair:
@@ -289,21 +290,29 @@ def test_negative_time_is_refused(psystem):
         cell_average_exact(fan, 0.0, -0.5, grid)
     with pytest.raises(ValueError, match="time must be non-negative, got -0.5"):
         riemann.exact_l1_distances(fan, 0.0, grid, np.array([0.0, -0.5]),
-                                   iter(np.tile(fan.left, (2, grid.J, 1))))
+                                   LevelHistory.from_levels(np.tile(fan.left, (2, grid.J, 1)),
+                                                            fan.left, fan.right))
 
 
 @pytest.mark.parametrize("walked", [0, 2, 5, 9])
 def test_a_walk_of_the_wrong_length_is_refused(walked):
-    """exact_l1_distances refuses levels that yield fewer or more levels than
-    there are times, naming both counts, whether the walk ends inside the
-    first block of levels, at a block's end, or runs past the last."""
+    """exact_l1_distances refuses a history whose walk holds fewer or more
+    levels than there are times, naming both counts, whether it ends
+    inside the first block of levels, at a block's end, or runs past the
+    last, before any level is read."""
     model = make_model("psystem")
     fan = solve_riemann(model, [0.15, 0.0], [0.1, 0.0])
     grid = build_grid(-5.0, 5.0, 3)
     times = [0.0, 0.1, 0.2, 0.3]
     level = np.full((grid.J, 2), 0.12)
+
+    def history(n):
+        return LevelHistory.from_levels(np.array([level] * n).reshape(n, grid.J, 2),
+                                        fan.left, fan.right)
+
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(riemann, "BLOCK_CELLS", 2 * grid.J)  # blocks of two levels
-        with pytest.raises(ValueError, match=f"yields {walked} levels for 4 times"):
-            exact_l1_distances(fan, 0.0, grid, times, iter([level] * walked))
-        assert exact_l1_distances(fan, 0.0, grid, times, iter([level] * 4)).shape == (4, 2)
+        patch.setattr(LevelHistory, "columns", None)  # a level read would raise a TypeError
+        with pytest.raises(ValueError, match=f"history holds {walked} levels for 4 times"):
+            exact_l1_distances(fan, 0.0, grid, times, history(walked))
+    assert exact_l1_distances(fan, 0.0, grid, times, history(4)).shape == (4, 2)
