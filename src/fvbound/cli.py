@@ -13,11 +13,13 @@ from typing import TextIO
 
 import numpy as np
 
+from . import riemann
 from .estimator import SLAB_MODES, EstimateReport, error_estimator
-from .grid import Grid1D, build_grid, column_sums
+from .grid import Grid1D, build_grid
 from .models import make_model, normalize_flux_kind, normalize_model_name
 from .partition import SLAB_FIGURES
-from .riemann import WaveFan, cell_average_exact, exact_l1_distances, solve_riemann
+from .riemann import (WaveFan, cell_average_exact, exact_l1_distances, level_blocks,
+                      solve_riemann)
 from .solver import SpaceTimeSolution, march, run, save_solution
 
 SCHEMA_VERSION = 1
@@ -166,8 +168,71 @@ def _restrict(states: np.ndarray, ratio: int) -> np.ndarray:
     return np.add.reduce(states.reshape(len(states) // ratio, ratio, -1), axis=1) / ratio
 
 
-# Both references give each run's per-level sums over cells of |u_j - ubar_j|;
-# the L-inf/L1 error is the largest of them times dx.
+class _CoarseRun:
+    """A coarse run in the fine reference: the fine slices of its levels,
+    collected level by level as the fine run marches, and its per-level L1
+    distances to their restrictions, restricted and summed a batch of levels
+    at a time.
+
+    Level n's slice holds the fine cells of the coarse cells a_n..b_n-1, and
+    its restriction ubar_n is their means there, the first one's left of a_n
+    and the last one's right of b_n - 1.  A batch holds at most
+    riemann.BLOCK_CELLS fine cells, or one fine grid's (the fine run's first
+    level is one).  Its levels' distances come from one restriction of all
+    its slices and, per block of levels (riemann.level_blocks), one gather
+    of ubar and the history's l1_distances over the union of the levels'
+    hulls and their a_n..b_n-1.  On a side where ubar_n's outer mean differs
+    in its bits from the run's ghost, level n's cells run out to the end of
+    the grid.
+    """
+
+    def __init__(self, sol: SpaceTimeSolution, fine_grid: Grid1D):
+        self.sol, self.ratio = sol, _nesting_ratio(fine_grid, sol.grid)
+        self.distances = np.empty((len(sol.states), sol.model.m))
+        self._snaps = np.empty((max(fine_grid.J, riemann.BLOCK_CELLS), sol.model.m))
+        self._cells, self._used, self._first = [], 0, 0  # the batch's (a, b), fine cells, level
+
+    def add(self, a: int, b: int, states: np.ndarray, before: np.ndarray | None = None,
+            w: float = 1.0) -> None:
+        """Collect the next level: the fine states of the coarse cells
+        a..b-1, or, given the fine states before, (1 - w)*before + w*states."""
+        size = len(states)
+        if self._used + size > len(self._snaps):
+            self.flush()
+        snap = self._snaps[self._used:self._used + size]
+        if before is None:
+            snap[...] = states
+        else:
+            np.multiply(1.0 - w, before, out=snap)
+            snap += w * states
+        self._cells.append((a, b))
+        self._used += size
+
+    def flush(self) -> None:
+        """Sum the distances of the batch's levels and start a new batch."""
+        if not self._cells:
+            return
+        history, first, J = self.sol.states, self._first, self.sol.grid.J
+        a, b = np.array(self._cells).T
+        ubar = _restrict(self._snaps[:self._used], self.ratio)
+        at = np.cumsum(b - a) - (b - a)  # each level's first row of ubar
+        hulls = history.hulls[first:first + len(a)]
+        lo = np.where(_same_bits(ubar[at], history.ghost_left), np.minimum(hulls[:, 0], a), 0)
+        hi = np.where(_same_bits(ubar[at + b - a - 1], history.ghost_right),
+                      np.maximum(hulls[:, 1], b), J)
+        for start, stop, c0, c1 in level_blocks(lo.tolist(), hi.tolist()):
+            rows = np.clip(np.arange(c0, c1), a[start:stop, None], b[start:stop, None] - 1)
+            rows += (at - a)[start:stop, None]
+            self.distances[first + start:first + stop] = history.l1_distances(
+                first + start, first + stop, c0, c1, ubar[rows])
+        self._cells, self._used, self._first = [], 0, first + len(a)
+
+
+def _same_bits(rows: np.ndarray, state: np.ndarray) -> np.ndarray:
+    """Whether each (m,) row of rows holds the bits of state."""
+    return (rows.view(np.int64) == state.view(np.int64)).all(axis=1)
+
+
 def streamed_fine_reference(
     initial_fine: np.ndarray,
     model,
@@ -177,9 +242,10 @@ def streamed_fine_reference(
     t0: float,
     t_final: float,
     runs: list[SpaceTimeSolution],
-) -> list[float]:
-    """Each run's L-inf/L1 error against a fine run marched once without
-    storing it: at each of a run's time levels, the fine solution (linear
+) -> list[np.ndarray]:
+    """Each run's per-level L1 distances, (N+1, m), to a fine run marched
+    once without storing it: at each of a run's time levels, the sum over
+    cells of |u_j - ubar_j|, where ubar is the fine solution (linear
     interpolation between fine levels) restricted to the run's grid.
 
     Only the coarse cells whose fine cells meet the window of the step into
@@ -187,16 +253,13 @@ def streamed_fine_reference(
     with one more coarse cell on each side where one exists.  Outside the
     window the fine level and the one before both equal the ghost state on
     their side, so that outer cell's mean, the same reduce over the same
-    values, is the mean of every coarse cell beyond it.  The differences,
-    their sums and the running max stay over the whole coarse grid, and each
-    run's levels come from one forward walk of its history.  A fine level
-    before the earliest eval time still pending visits no run.
+    values, is the mean of every coarse cell beyond it.  Each run collects
+    these slices and sums its distances a batch of levels at a time
+    (_CoarseRun).  A fine level before the earliest eval time still
+    pending visits no run.
     """
-    ratios = [_nesting_ratio(fine_grid, sol.grid) for sol in runs]
-    averages = [np.empty(sol.states.shape[1:]) for sol in runs]
-    walks = [sol.states.walk() for sol in runs]
+    coarse_runs = [_CoarseRun(sol, fine_grid) for sol in runs]
     eval_times = [sol.times.t.tolist() for sol in runs]
-    errors = [0.0] * len(runs)
     pending = [0] * len(runs)
     # the earliest eval time still pending
     upcoming = min((times[0] for times in eval_times), default=math.inf)
@@ -207,21 +270,17 @@ def streamed_fine_reference(
         # the whole grid at t0, so that prev_states is filled whole once
         lo, hi = (0, fine_grid.J) if prev_t is None else window
         if upcoming <= t + slop:
-            for k, (sol, ratio, ubar, times) in enumerate(zip(runs, ratios, averages,
-                                                               eval_times)):
+            for k, (coarse, times) in enumerate(zip(coarse_runs, eval_times)):
+                ratio = coarse.ratio
                 while pending[k] < len(times) and times[pending[k]] <= t + slop:
                     wanted = times[pending[k]]
-                    a, b = max(lo // ratio - 1, 0), min(-(-hi // ratio) + 1, sol.grid.J)
+                    a, b = max(lo // ratio - 1, 0), min(-(-hi // ratio) + 1, coarse.sol.grid.J)
                     cells = slice(a * ratio, b * ratio)
                     if prev_t is None or abs(t - wanted) <= slop:
-                        snap = states[cells]
+                        coarse.add(a, b, states[cells])
                     else:
-                        w = (wanted - prev_t) / (t - prev_t)
-                        snap = (1.0 - w) * prev_states[cells] + w * states[cells]
-                    ubar[a:b] = _restrict(snap, ratio)
-                    ubar[:a], ubar[b:] = ubar[a], ubar[b - 1]
-                    diff = np.abs(next(walks[k]) - ubar)
-                    errors[k] = max(errors[k], float((column_sums(diff) * sol.grid.dx).max()))
+                        coarse.add(a, b, states[cells], prev_states[cells],
+                                   (wanted - prev_t) / (t - prev_t))
                     pending[k] += 1
             upcoming = min((times[done] for times, done in zip(eval_times, pending)
                             if done < len(times)), default=math.inf)
@@ -229,7 +288,9 @@ def streamed_fine_reference(
         prev_states[lo:hi] = states[lo:hi]
     if any(done < len(times) for done, times in zip(pending, eval_times)):
         raise ConfigError("fine reference run ended before the last eval time")
-    return errors
+    for coarse in coarse_runs:
+        coarse.flush()
+    return [coarse.distances for coarse in coarse_runs]
 
 
 def linf_l1_error(sol: SpaceTimeSolution, fan: WaveFan, origin: float = 0.0) -> float:
@@ -275,8 +336,9 @@ def _study(config: CaseConfig, levels: list[int]) -> list[tuple]:
     if fine_level is not None:
         fine_grid = build_grid(*DOMAIN, fine_level)
         model, initial, _ = _case_setup(config, fine_grid)
-        errors = streamed_fine_reference(initial, model, flux_kind, fine_grid, config.cfl,
-                                         config.t0, config.t_final, runs)
+        distances = streamed_fine_reference(initial, model, flux_kind, fine_grid, config.cfl,
+                                            config.t0, config.t_final, runs)
+        errors = [float((d * sol.grid.dx).max()) for d, sol in zip(distances, runs)]
     elif config.ref == "exact":
         errors = [linf_l1_error(sol, fan, config.origin) for sol in runs]
     else:

@@ -64,12 +64,6 @@ class TimeLevels:
         return float(self.t[n + 1] - self.t[n])
 
 
-def column_sums(a: np.ndarray) -> np.ndarray:
-    """a.sum(axis=0) of a (J, m) array, bit for bit, off numpy's slow strided path."""
-    # einsum keeps sum(axis=0)'s sequential column order only for m >= 2; m == 1 sums pairwise.
-    return np.einsum("jm->m", a) if a.shape[1] >= 2 else a.sum(axis=0)
-
-
 # numpy sums a contiguous float64 run pairwise: a run of at most _LEAF values
 # is one leaf, whose whole groups of 8 go into eight interleaved
 # accumulators, added in a fixed tree, and whose last n % 8 values are then
@@ -111,11 +105,13 @@ def _pairwise_plan(start: int, n: int, lo: int, hi: int, program: list) -> None:
 
 
 def window_sums(block: np.ndarray, first: int, length: int) -> np.ndarray:
-    """Per level, column_sums of a zero (length, m) array whose rows
-    first..first+W-1 hold the level's slice of a (W, B, m) block, bit for
-    bit, as a (B, m) array, at the block's cost; the block holds no -0.0.
+    """Per level, the column sums, sum(axis=0), of a zero (length, m) array
+    whose rows first..first+W-1 hold the level's slice of a (W, B, m) block,
+    bit for bit, as a (B, m) array, at the block's cost; the block holds no
+    -0.0.
 
-    At m >= 2 the einsum adds rows in order, so the zero rows add nothing
+    At m >= 2 numpy adds the rows in order, and so does the einsum over the
+    block, off numpy's slow strided path; the zero rows add nothing
     and only the block is summed.  At m = 1 numpy sums the row pairwise, and
     every node of its tree outside the block sums to +0.0, which adds
     nothing: so the tree is evaluated only over the nodes that meet the

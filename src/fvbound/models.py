@@ -3,12 +3,21 @@
 States are arrays whose last axis holds the m conserved components, so the
 scalar Burgers equation uses shape (..., 1).  All model operations are
 vectorized over leading axes.  `flux` and `max_wave_speed` take check=False
-from the stepping core, which checks every new level once itself.
+from the stepping core, and an out array from its workspace, which each of
+their ufuncs writes into.  A model whose speeds_check_domain is true has a
+non-finite max wave speed at every state outside its domain, so the core's
+scan of the speeds checks each new level for it.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+
+# 0.5 as a 0-d array: numpy multiplies by it as by an array, at the cost of a
+# ufunc on two arrays, where a Python float is converted on every call.
+_HALF = np.array(0.5)
+_HALF.setflags(write=False)
 
 
 class DomainError(ValueError):
@@ -24,16 +33,18 @@ class Burgers:
 
     m = 1
     name = "burgers"
+    speeds_check_domain = True  # |u| is finite exactly where u is
 
-    def flux(self, u: np.ndarray, check: bool = True) -> np.ndarray:
-        return 0.5 * u * u
+    def flux(self, u: np.ndarray, check: bool = True, out: np.ndarray | None = None) -> np.ndarray:
+        return np.multiply(np.multiply(_HALF, u, out=out), u, out=out)
 
     def wave_speeds(self, u: np.ndarray) -> np.ndarray:
         return np.array(u, dtype=float, copy=True)
 
-    def max_wave_speed(self, u: np.ndarray, check: bool = True) -> np.ndarray:
+    def max_wave_speed(self, u: np.ndarray, check: bool = True,
+                       out: np.ndarray | None = None) -> np.ndarray:
         """Sup-norm of the wave speeds, shape = leading axes of u."""
-        return np.abs(u[..., 0])
+        return np.abs(u[..., 0], out=out)
 
     def entropy(self, u: np.ndarray) -> np.ndarray:
         return 0.5 * u[..., 0] ** 2
@@ -71,6 +82,8 @@ class PSystem:
 
     m = 2
     name = "psystem"
+    # rho < 0 has finite speeds when gamma - 1 is an even integer
+    speeds_check_domain = False
 
     def __init__(self, C: float = 1.0, gamma: float = 1.4):
         if C <= 0:
@@ -86,11 +99,20 @@ class PSystem:
     def sound_speed(self, rho: np.ndarray) -> np.ndarray:
         return np.sqrt(self.C * self.gamma * rho ** (self.gamma - 1.0))
 
-    def flux(self, u: np.ndarray, check: bool = True) -> np.ndarray:
+    def flux(self, u: np.ndarray, check: bool = True, out: np.ndarray | None = None) -> np.ndarray:
+        """(q, q*q/rho + C*rho^gamma); an out array holds the pressure in
+        its first column until q goes there."""
         if check:
             self.check_domain(u)
         rho, q = u[..., 0], u[..., 1]
-        return np.stack([q, q * q / rho + self.pressure(rho)], axis=-1)
+        if out is None:
+            return np.stack([q, q * q / rho + self.pressure(rho)], axis=-1)
+        p, f = out[..., 0], out[..., 1]
+        np.multiply(self.C, np.power(rho, self.gamma, out=p), out=p)
+        np.divide(np.multiply(q, q, out=f), rho, out=f)
+        np.add(f, p, out=f)
+        p[...] = q
+        return out
 
     def wave_speeds(self, u: np.ndarray) -> np.ndarray:
         self.check_domain(u)
@@ -99,11 +121,17 @@ class PSystem:
         c = self.sound_speed(rho)
         return np.stack([v - c, v + c], axis=-1)
 
-    def max_wave_speed(self, u: np.ndarray, check: bool = True) -> np.ndarray:
+    def max_wave_speed(self, u: np.ndarray, check: bool = True,
+                       out: np.ndarray | None = None) -> np.ndarray:
+        """|v| + c, shape = leading axes of u."""
         if check:
             self.check_domain(u)
         rho, q = u[..., 0], u[..., 1]
-        return np.abs(q / rho) + self.sound_speed(rho)
+        if out is None:
+            return np.abs(q / rho) + self.sound_speed(rho)
+        c = np.multiply(self.C * self.gamma, np.power(rho, self.gamma - 1.0, out=out), out=out)
+        v = np.abs(q / rho)
+        return np.add(v, np.sqrt(c, out=c), out=out)
 
     def entropy(self, u: np.ndarray) -> np.ndarray:
         self.check_domain(u)
@@ -176,21 +204,32 @@ def _llf_lambda(model, uL: np.ndarray, uR: np.ndarray) -> np.ndarray:
 
 
 def interface_fluxes(kind: str, model, padded: np.ndarray, f: np.ndarray | None = None,
-                     speeds: np.ndarray | None = None) -> np.ndarray:
-    """Numerical fluxes at the interfaces of a ghost-padded level, bit-identical
+                     speeds: np.ndarray | None = None, out: tuple | None = None) -> np.ndarray:
+    """Numerical fluxes at the n interfaces of a ghost-padded level, bit-identical
     to the pairwise numerical_flux.  LLF evaluates each cell's flux and max
     wave speed once for its two interfaces; a caller that has them (and has
-    checked the level) passes them as f and speeds."""
-    kind = normalize_flux_kind(kind)
-    if kind != "llf":
+    checked the level) passes them as f and speeds.
+
+    The stepping core passes out, its buffers (f, lam, fluxes, diff) of n + 1,
+    n, n and n rows, and LLF's ufuncs write into them: the cells' fluxes, the
+    interfaces' halved speeds, the fluxes returned, and the jumps scaled by
+    the speeds.  Without out, each array is allocated by its first ufunc;
+    Godunov and Engquist-Osher allocate either way."""
+    if kind != "llf" and normalize_flux_kind(kind) != "llf":
         return numerical_flux(kind, model, padded[:-1], padded[1:])
+    f_out, lam, fluxes, diff = (None,) * 4 if out is None else out
     check = speeds is None
     if check:
         speeds = model.max_wave_speed(padded)
     if f is None:
-        f = model.flux(padded, check=check)
-    lam = np.maximum(speeds[:-1], speeds[1:])
-    return 0.5 * (f[:-1] + f[1:]) - 0.5 * lam[..., None] * (padded[1:] - padded[:-1])
+        f = model.flux(padded, check=check, out=f_out)
+    lam = np.maximum(speeds[:-1], speeds[1:], out=lam)
+    np.multiply(_HALF, lam, out=lam)
+    fluxes = np.add(f[:-1], f[1:], out=fluxes)
+    np.multiply(_HALF, fluxes, out=fluxes)
+    diff = np.subtract(padded[1:], padded[:-1], out=diff)
+    np.multiply(lam[..., None], diff, out=diff)
+    return np.subtract(fluxes, diff, out=fluxes)
 
 
 def numerical_flux(kind: str, model, uL: np.ndarray, uR: np.ndarray) -> np.ndarray:

@@ -182,8 +182,12 @@ def _block_ranges(hulls: np.ndarray, J: int):
     first, (lo, hi) = 0, next(rows)  # the union of the hulls of levels first..k-1
     before = lo, hi  # the hull of level k - 1
     for k, (row_lo, row_hi) in enumerate(rows, start=1):
-        next_lo, next_hi = min(lo, row_lo), max(hi, row_hi)
-        if too_big(k - first, k - first + 1, next_lo, next_hi):
+        # too_big(k - first, k - first + 1, next_lo, next_hi) without a call:
+        # this runs once per level
+        next_lo = lo if lo < row_lo else row_lo
+        next_hi = hi if hi > row_hi else row_hi
+        width = (next_hi + 2 if next_hi + 2 < J else J) - (next_lo - 2 if next_lo > 2 else 0) + 2
+        if k - first > 1 and (k - first + 1) * width > BLOCK_CELLS:
             # levels first..k-2 close with level k - 1, which starts the next block
             yield first, k - 1, max(lo - 2, 0), min(hi + 2, J)
             first, next_lo, next_hi = k - 1, min(before[0], row_lo), max(before[1], row_hi)

@@ -10,17 +10,17 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grid import Grid1D, window_sums
+from .grid import Grid1D
 from .models import Burgers, PSystem
 
 RH_TOL = 1e-10
 STAR_ATOL = 1e-13
 MAX_ITER = 200
 
-# Cells (cells x levels) per block of levels in exact_l1_distances: a
-# block's averages hold BLOCK_CELLS * m floats (256 KiB at m = 2), its
-# levels as many, and a rarefaction's cells in it about as much again in
-# temporaries.
+# Cells (cells x levels) per block of levels in exact_l1_distances and the
+# fine reference (level_blocks): a block's averages hold BLOCK_CELLS * m
+# floats (256 KiB at m = 2), its levels as many, and a rarefaction's cells
+# in it about as much again in temporaries.
 BLOCK_CELLS = 1 << 14
 
 
@@ -298,8 +298,9 @@ def _average_blocks(fan: WaveFan, origin: float, t: np.ndarray, edges: np.ndarra
     cells wholly inside a constant state get that state, the cells wholly
     inside a rarefaction their closed-form averages, and each cell that
     breakpoints cut the sum of its pieces in segment order, from 0.0; a
-    breakpoint on an edge cuts no cell.  At t = 0 the cell straddling the
-    origin gets the width-weighted mix of the two states.  What is per
+    breakpoint on an edge cuts no cell.  At t = 0 each cell wholly on one
+    side of the origin gets the outer state on that side, and the cell
+    straddling it the width-weighted mix of the two states.  What is per
     breakpoint is found for all the levels at once, and what is per cell one
     block at a time.
     """
@@ -364,12 +365,14 @@ def _average_blocks(fan: WaveFan, origin: float, t: np.ndarray, edges: np.ndarra
     if zero.any():
         left_w = np.clip(origin, edges[:-1], edges[1:]) - edges[:-1]
         mix = (left_w[:, None] * fan.left + (dx - left_w)[:, None] * fan.right) / dx
+        mix[edges[1:] <= origin] = fan.segments[0][3]
+        mix[edges[:-1] >= origin] = fan.segments[-1][3]
 
     # Each level's cells: its needed cells and its band, from the end of
     # segment 0's whole cells to the start of the last segment's.
     lo = np.where(zero, 0, np.minimum(needed[:, 0], stops[:, 0]))
     hi = np.where(zero, J, np.maximum(needed[:, 1], firsts[:, -1]))
-    for start, stop, a, b in _blocks(lo.tolist(), hi.tolist()):
+    for start, stop, a, b in level_blocks(lo.tolist(), hi.tolist()):
         lengths = np.diff(np.clip(ends[start:stop], a, b), axis=1).ravel()
         out = np.repeat(np.tile(runs, (stop - start, 1)), lengths, axis=0)
         out = out.reshape(stop - start, b - a, m)
@@ -385,7 +388,7 @@ def _average_blocks(fan: WaveFan, origin: float, t: np.ndarray, edges: np.ndarra
         del out  # with the caller's, so that one block at a time is held
 
 
-def _blocks(lo: list[int], hi: list[int]):
+def level_blocks(lo: list[int], hi: list[int]):
     """Split the levels, whose cells are lo[n]..hi[n]-1, into runs of
     consecutive levels: yield (start, stop, a, b) per run, whose cells
     a..b-1 are the union of its levels' and hold at most BLOCK_CELLS cells
@@ -419,8 +422,11 @@ def cell_average_exact(fan: WaveFan, origin: float, t: float, grid: Grid1D) -> n
     Cells wholly inside a constant state get that state.  Rarefaction
     profiles are integrated in closed form: xi^2/2 for Burgers, powers of the
     sound speed (linear in xi) for the p-system.  Cells that a shock, a
-    contact or a fan edge cuts sum the pieces on either side.  At t = 0 the
-    cell straddling the origin gets the width-weighted mix of the two states.
+    contact or a fan edge cuts sum the pieces on either side.  At t = 0 each
+    cell wholly on one side of the origin gets the outer state on that side
+    (segments[0] or segments[-1]; fan.left and fan.right may differ from
+    them in the sign of a zero), and the cell straddling the origin the
+    width-weighted mix of the two states.
     """
     times = np.array([t], dtype=float)
     _check_times(origin, times)
@@ -441,26 +447,22 @@ def exact_l1_distances(fan: WaveFan, origin: float, grid: Grid1D, times: np.ndar
     (_average_blocks).  Outside it each level u holds its ghost state and
     the averages the fan's outer state on that side, so where their bits
     agree every term there is +0.0; on a side where they differ the block
-    runs out to the end of the grid.  The block's u comes from
-    history.columns, and each level's sum of |u - averages| from
-    grid.window_sums, with the bits of one subtract and one sum over all the
-    level's cells.
+    runs out to the end of the grid.  Each block's sums come from
+    history.l1_distances.
     """
     times = np.asarray(times, dtype=float)
     _check_times(origin, times)
     if len(history) != len(times):
         raise ValueError(f"the history holds {len(history)} levels for {len(times)} times")
-    J = grid.J
     needed = history.hulls.copy()
     if history.ghost_left.tobytes() != fan.segments[0][3].tobytes():
         needed[:, 0] = 0
     if history.ghost_right.tobytes() != fan.segments[-1][3].tobytes():
-        needed[:, 1] = J
+        needed[:, 1] = grid.J
     out = np.empty((len(times), fan.model.m))
     for levels, cells, averages in _average_blocks(fan, origin, times, grid.interfaces(),
                                                    grid.dx, needed):
-        diff = history.columns(levels.start, levels.stop, cells.start, cells.stop)
-        diff -= averages.transpose(1, 0, 2)
-        out[levels] = window_sums(np.abs(diff, out=diff), cells.start, J)
-        del averages, diff  # so that the next block is built in this one's place
+        out[levels] = history.l1_distances(levels.start, levels.stop, cells.start, cells.stop,
+                                           averages)
+        del averages  # so that the next block is built in this one's place
     return out

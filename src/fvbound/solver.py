@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 # perfbench/tracing.py wraps cfl_timestep here; the stepping core fuses its scan.
-from .grid import Grid1D, TimeLevels, cfl_timestep  # noqa: F401
+from .grid import Grid1D, TimeLevels, cfl_timestep, window_sums  # noqa: F401
 from .models import (DomainError, interface_fluxes, make_model, normalize_flux_kind,
                      normalize_model_name)
 # perfbench/tracing.py wraps numerical_flux here.
@@ -38,8 +38,9 @@ class LevelHistory:
     There are three readers: walk yields the levels forward, columns a dense
     block of levels over a range of cells, and hull_cells the runs of a
     range of levels, one per chunk; each reaches the stored cells through
-    _cells, and hulls gives the (lo, hi) rows.  The history has no dense
-    form: np.asarray(history) raises a TypeError.
+    _cells, and hulls gives the (lo, hi) rows.  l1_distances sums the
+    distances of a block of levels to other values, read with columns.  The
+    history has no dense form: np.asarray(history) raises a TypeError.
     """
 
     def __init__(self, J: int, m: int, ghost_left, ghost_right):
@@ -148,6 +149,19 @@ class LevelHistory:
             level[hi - a:] = self.ghost_right
         return out.transpose(1, 0, 2)
 
+    def l1_distances(self, start: int, stop: int, a: int, b: int,
+                     values: np.ndarray) -> np.ndarray:
+        """Per level start..stop-1 and component, the sum over the J cells of
+        |level - values|, (stop - start, m), where values (stop - start,
+        b - a, m) holds each level's values over the cells a..b-1, which
+        hold its hull, and every other cell's values are the level's own.
+        The block's levels come from columns and each level's sum from
+        grid.window_sums, with the bits of one subtract and one sum over all
+        the level's cells."""
+        diff = self.columns(start, stop, a, b)
+        diff -= values.transpose(1, 0, 2)
+        return window_sums(np.abs(diff, out=diff), a, self._J)
+
     def __len__(self) -> int:
         return self._n
 
@@ -253,6 +267,20 @@ class SpaceTimeSolution:
         return float(self.times.t[-1])
 
 
+class _Workspace:
+    """The buffers of one step over at most J cells with m components,
+    which march allocates once per run: the padded window's max wave speeds
+    and fluxes (J + 2 rows), and its interfaces' halved LLF speeds, fluxes
+    and differences (J + 1 rows)."""
+
+    def __init__(self, J: int, m: int):
+        self.speeds = np.empty(J + 2)
+        self.f = np.empty((J + 2, m))
+        self.lam = np.empty(J + 1)
+        self.fluxes = np.empty((J + 1, m))
+        self.diff = np.empty((J + 1, m))
+
+
 def step(
     states: np.ndarray,
     model,
@@ -263,18 +291,31 @@ def step(
     ghost_right: np.ndarray,
     padded: np.ndarray | None = None,
     speeds: np.ndarray | None = None,
+    work: _Workspace | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """One conservative update; returns (new states, interface fluxes).
+    """One conservative update of the W cells states; returns (new states,
+    interface fluxes).
 
-    The stepping core passes its ghost-padded copy of the states and their
-    max wave speeds, already scanned for the CFL step and checked.
+    The stepping core passes its ghost-padded slice of the level, whose
+    inner rows are states, their max wave speeds, already scanned for the
+    CFL step and checked, and its workspace: the new states are written
+    into the inner rows, and the fluxes are the workspace's, valid until the
+    next step.  Called with the states alone, step pads a copy of them and
+    gives the copy and a workspace of its own the same ufuncs, so the
+    states stay as they are.
     """
+    W = len(states)
     if padded is None:
         padded = np.vstack([np.asarray(ghost_left)[None, :], states,
                             np.asarray(ghost_right)[None, :]])
-    fluxes = interface_fluxes(flux_kind, model, padded, speeds=speeds)
-    new = states - (dt / grid.dx) * (fluxes[1:] - fluxes[:-1])
-    return new, fluxes
+    if work is None:
+        work = _Workspace(W, model.m)
+    fluxes = interface_fluxes(flux_kind, model, padded, speeds=speeds, out=(
+        work.f[:W + 2], work.lam[:W + 1], work.fluxes[:W + 1], work.diff[:W + 1]))
+    new, diff = padded[1:-1], work.diff[:W]
+    np.subtract(fluxes[1:], fluxes[:-1], out=diff)
+    np.multiply(dt / grid.dx, diff, out=diff)
+    return np.subtract(new, diff, out=new), fluxes
 
 
 def _left_domain(model, states: np.ndarray, lo: int, n: int, t: float) -> DomainError:
@@ -322,8 +363,17 @@ def march(
     level's, and max does not round: dt is bit for bit the full scan's.  The
     next window lies within this one grown by a cell on each side, and is
     found there.  One max-wave-speed scan of the window's padded slice per
-    step gives both dt and the LLF lambda, and each level's updated cells
-    are checked against the domain once.
+    step gives both dt and the LLF lambda.  It is made as soon as the window
+    is found, before the level is yielded, and the updated cells are checked
+    against the domain then.  For a model whose speeds_check_domain is true
+    the scan is the check: a state outside the domain has a non-finite max
+    wave speed, and each run of equal updated cells that left the domain
+    ends next to a cell with other bits, so the next window's padded slice
+    holds a cell of it; only a non-finite max makes march check the cells
+    themselves.
+
+    The step's buffers are allocated once per run (_Workspace), and at
+    m = 1 the window scan reads the level's bits as a 1-D view.
     """
     if not 0.0 < cfl <= 1.0:
         raise ValueError(f"cfl must lie in (0, 1], got {cfl!r}")
@@ -348,25 +398,32 @@ def march(
     t = t0
     view = _frozen(states.view())
     bits = padded.view(np.int64)
+    if model.m == 1:
+        bits = bits[:, 0]
+    work = _Workspace(J, model.m)
+    dx = grid.dx
     lo, hi = _window(bits, 0, J)
     yield t, view, (lo, hi)
+    speeds = model.max_wave_speed(padded[lo:hi + 2], check=False, out=work.speeds[:hi - lo + 2])
+    lam = float(np.maximum.reduce(speeds))
     n = 0
     while t < t_final - tol:
         if n >= MAX_STEPS:
             raise RuntimeError(f"exceeded {MAX_STEPS} time steps before reaching t={t_final}")
-        pad = padded[lo:hi + 2]
-        speeds = model.max_wave_speed(pad, check=False)
-        lam = float(speeds.max())
-        dt = t_final - t if lam == 0.0 else min(cfl * grid.dx / lam, t_final - t)
+        dt = t_final - t if lam == 0.0 else min(cfl * dx / lam, t_final - t)
         new, _ = step(states[lo:hi], model, flux_kind, grid, dt, ghost_left, ghost_right,
-                      pad, speeds)
-        states[lo:hi] = new
-        if not model.in_domain(new).all():
-            raise _left_domain(model, new, lo, n, t + dt)
+                      padded[lo:hi + 2], speeds, work)
+        updated = lo, hi
+        lo, hi = _window(bits, lo, hi)
+        speeds = model.max_wave_speed(padded[lo:hi + 2], check=False,
+                                      out=work.speeds[:hi - lo + 2])
+        lam = float(np.maximum.reduce(speeds))
+        checked = model.speeds_check_domain and math.isfinite(lam)
+        if not checked and not model.in_domain(new).all():
+            raise _left_domain(model, new, updated[0], n, t + dt)
         t = t_final if t_final - (t + dt) <= tol else t + dt
         n += 1
-        yield t, view, (lo, hi)
-        lo, hi = _window(bits, lo, hi)
+        yield t, view, updated
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:

@@ -1,5 +1,6 @@
 """Reference code the tests check fvbound against and nothing in fvbound
-calls: the dense form of a level history, pointwise sampling of an exact
+calls: the stepping core as a whole-grid loop that allocates every array,
+the column sums of one level, the dense form of a level history, pointwise sampling of an exact
 Riemann fan, its cell averages and L1 distances built one level at a time,
 the restriction of a fine level to a coarse grid that nests in it,
 jump detection over a whole level, the per-cell cover counts of a slab
@@ -14,13 +15,55 @@ from dataclasses import dataclass
 import numpy as np
 
 from fvbound.cli import _nesting_ratio, _restrict
-from fvbound.grid import Grid1D, column_sums
-from fvbound.models import Burgers, interface_fluxes, normalize_flux_kind
+from fvbound.grid import Grid1D, cfl_timestep
+from fvbound.models import Burgers, interface_fluxes, normalize_flux_kind, numerical_flux
 from fvbound.partition import JumpRegion, SlabPartition, trapezoid_cell_ranges
 from fvbound.residual import (ResidualReport, _cell_bounds, _entropy_e1, _entropy_lower,
                               _entropy_triplets, _padded)
 from fvbound.riemann import WaveFan, _fan_integral, _riemann_invariant
 from fvbound.solver import LevelHistory, SpaceTimeSolution, _RowTexts
+
+
+def column_sums(a: np.ndarray) -> np.ndarray:
+    """a.sum(axis=0) of a (J, m) array, bit for bit, off numpy's slow strided path."""
+    # einsum keeps sum(axis=0)'s sequential column order only for m >= 2; m == 1 sums pairwise.
+    return np.einsum("jm->m", a) if a.shape[1] >= 2 else a.sum(axis=0)
+
+
+def hand_march(states, model, kind, grid, cfl, t0, t_final):
+    """The stepping core as a whole-grid loop that allocates every array: a
+    separate CFL scan, the pairwise numerical flux at every interface of the
+    ghost-padded level, and the update.  Returns each level's (t, states,
+    window), where window is the active window of the level before (the
+    cells from the left cell of its first interface whose two states differ
+    in some bit to the right cell of the last), at t0 the level's own, and
+    an empty window is (lo, lo) at the lo of the window before; and the
+    interface fluxes of each step."""
+    ghost_left, ghost_right = states[0].copy(), states[-1].copy()
+    J = len(states)
+
+    def active(level, lo_before):
+        padded = np.vstack([ghost_left[None, :], level, ghost_right[None, :]])
+        bits = padded.view(np.int64)
+        differ = np.flatnonzero((bits[1:] != bits[:-1]).any(axis=1))
+        if not len(differ):
+            return lo_before, lo_before
+        return max(int(differ[0]) - 1, 0), min(int(differ[-1]) + 1, J)
+
+    tol = 1e-14 * max(1.0, abs(t_final))
+    t, window = t0, active(states, 0)
+    out, fluxes = [(t0, states, window)], []
+    while t < t_final - tol:
+        dt = cfl_timestep(states, model, grid, cfl, ghost_left, ghost_right, max_dt=t_final - t)
+        ext = np.vstack([ghost_left[None, :], states, ghost_right[None, :]])
+        flux = numerical_flux(kind, model, ext[:-1], ext[1:])
+        step_window = active(states, window[0])
+        states = states - (dt / grid.dx) * (flux[1:] - flux[:-1])
+        fluxes.append(flux)
+        t = t_final if t_final - (t + dt) <= tol else t + dt
+        window = step_window
+        out.append((t, states, window))
+    return out, fluxes
 
 
 def dense(history: LevelHistory) -> np.ndarray:
@@ -176,12 +219,21 @@ def _average_pieces(fan: WaveFan, origin: float, t: float, edges: np.ndarray, dx
 
 
 def per_level_cell_averages(fan: WaveFan, origin: float, t: float, grid: Grid1D) -> np.ndarray:
-    """The exact fan's cell averages at time t >= 0, built piece by piece."""
+    """The exact fan's cell averages at time t >= 0, built piece by piece;
+    at t = 0 each cell wholly on one side of the origin holds the outer
+    segment's state on that side, and the cell straddling it the
+    width-weighted mix of the two states."""
     edges = grid.interfaces()
     if t == 0.0:
-        left_w = np.clip(origin, edges[:-1], edges[1:]) - edges[:-1]
-        out = (left_w[:, None] * fan.left + (grid.dx - left_w)[:, None] * fan.right)
-        return out / grid.dx
+        out = np.empty((grid.J, fan.model.m))
+        for j, (a, b) in enumerate(zip(edges[:-1].tolist(), edges[1:].tolist())):
+            if b <= origin:
+                out[j] = fan.segments[0][3]
+            elif a >= origin:
+                out[j] = fan.segments[-1][3]
+            else:
+                out[j] = ((origin - a) * fan.left + (grid.dx - (origin - a)) * fan.right) / grid.dx
+        return out
     out = np.empty((grid.J, fan.model.m))
     for cells, averages in _average_pieces(fan, origin, t, edges, grid.dx,
                                            _constant_rows(fan, grid.J)):

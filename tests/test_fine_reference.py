@@ -1,22 +1,23 @@
 """The windowed fine reference against the full-grid loop it replaced."""
 
+from unittest.mock import patch
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from fvbound import build_grid, cli, make_model
+from fvbound import build_grid, cli, make_model, riemann
 from fvbound.cli import ConfigError, streamed_fine_reference
-from fvbound.grid import column_sums
 from fvbound.solver import march, run
 
-from oracles import dense, restrict
+from oracles import column_sums, dense, restrict
 
 
-def _full_grid_reference(fine, runs):
-    """Oracle: the reference's loop before it was windowed, over a stored
-    fine run.  At each of a run's time levels the whole fine level is
-    interpolated in time and restricted to the run's grid."""
-    errors = [0.0] * len(runs)
+def _restricted_levels(fine, runs):
+    """Yield (run index, level index, the run's level, the fine solution
+    restricted to the run's grid at the level's time): the reference's loop
+    before it was windowed, over a stored fine run.  At each of a run's time
+    levels the whole fine level is interpolated in time and restricted."""
     pending = [0] * len(runs)
     prev_t = None
     prev_states = None
@@ -32,13 +33,23 @@ def _full_grid_reference(fine, runs):
                 else:
                     w = (wanted - prev_t) / (t - prev_t)
                     snap = (1.0 - w) * prev_states + w * states
-                averages = restrict(snap, fine.grid, sol.grid)
-                diff = np.abs(levels[k][pending[k]] - averages)
-                errors[k] = max(errors[k], float((column_sums(diff) * sol.grid.dx).max()))
+                yield k, pending[k], levels[k][pending[k]], restrict(snap, fine.grid, sol.grid)
                 pending[k] += 1
         prev_t, prev_states = t, states
     assert all(done == len(sol.times.t) for done, sol in zip(pending, runs))
-    return errors
+
+
+def _full_grid_reference(fine, runs):
+    """Oracle: each run's per-level L1 distances, (N+1, m), summed over the
+    whole grid level by level."""
+    distances = [np.empty((len(sol.times.t), sol.model.m)) for sol in runs]
+    for k, n, level, averages in _restricted_levels(fine, runs):
+        distances[k][n] = column_sums(np.abs(level - averages))
+    return distances
+
+
+def _hex(values) -> list[str]:
+    return [float(v).hex() for v in np.ravel(values)]
 
 
 # (model, left, right, jump position as a share of the domain, ramp width as a
@@ -51,6 +62,9 @@ _AT_CELL_0 = ("psystem", (1.0, 0.3), (0.6, -0.2), 0.01, 0.0, 4, 3, 1, 0.9, 0.0, 
 # and the run's interior levels fall on fine levels.
 _ON_FINE_TIMES = ("burgers", (1.0,), (0.0,), 0.3, 0.0, 4, 1, 1, 0.5, 0.0, 1.0)
 _TWO_RUNS = ("psystem", (0.15, 0.0), (0.1, 0.0), 0.5, 0.0, 4, 2, 2, 0.9, 0.0, 1.0)
+# Interpolated in time, the fine left ghost restricts to other bits than the
+# run's at a level, whose cells then run to the grid's start.
+_GHOST_OFF_BITS = ("psystem", (0.15, 0.0), (0.1, 0.0), 0.5, 0.0, 4, 2, 1, 0.9, 0.0, 1.0)
 
 
 @st.composite
@@ -89,25 +103,31 @@ def _reference_case(name, left, right, at, width, level, log_ratio, n_runs, cfl,
 
 
 @settings(max_examples=60, deadline=None)
-@given(case=reference_cases())
-@example(case=_CONSTANT)
-@example(case=_INTO_THE_RIGHT_BOUNDARY)
-@example(case=_AT_CELL_0)
-@example(case=_ON_FINE_TIMES)
-@example(case=_TWO_RUNS)
-def test_windowed_reference_equals_the_full_grid_loop(case):
+@given(case=reference_cases(), block=st.integers(1, 64))
+@example(case=_CONSTANT, block=64)
+@example(case=_INTO_THE_RIGHT_BOUNDARY, block=64)
+@example(case=_AT_CELL_0, block=64)
+@example(case=_ON_FINE_TIMES, block=64)
+@example(case=_TWO_RUNS, block=64)
+@example(case=_GHOST_OFF_BITS, block=1)
+@example(case=_GHOST_OFF_BITS, block=64)
+def test_windowed_reference_equals_the_full_grid_loop(case, block):
     """The reference interpolates and restricts only the fine cells of each
-    step's window; every error is the full-grid loop's, in float hex."""
+    step's window, and sums a batch of levels at a time in blocks of at most
+    block cells x levels; every run's per-level distances are the full-grid
+    loop's, in float hex."""
     runs, fine_args = _reference_case(*case)
-    got = streamed_fine_reference(*fine_args, runs)
+    with patch.object(riemann, "BLOCK_CELLS", block):
+        got = streamed_fine_reference(*fine_args, runs)
     want = _full_grid_reference(run(*fine_args), runs)
-    assert [err.hex() for err in got] == [err.hex() for err in want]
+    assert [_hex(d) for d in got] == [_hex(d) for d in want]
 
 
 def test_reference_examples_reach_their_edge_cases():
     """The examples above reach what they name: only empty fine windows, a
     window at the fine grid's last cell, one at its cell 0, interior run
-    levels on fine levels, and two runs in one stream."""
+    levels on fine levels, two runs in one stream, and a restricted fine
+    ghost whose bits are not the run's."""
     def fine_windows(case):
         runs, fine_args = _reference_case(*case)
         return runs, fine_args[3].J, [w for _, _, w in march(*fine_args)][1:]
@@ -125,6 +145,10 @@ def test_reference_examples_reach_their_edge_cases():
     assert len(on_fine) > 2 and all(on_fine)
     runs, _ = _reference_case(*_TWO_RUNS)
     assert len(runs) == 2
+    (coarse,), fine_args = _reference_case(*_GHOST_OFF_BITS)
+    ends = [(averages[0].tobytes(), averages[-1].tobytes())
+            for _, _, _, averages in _restricted_levels(run(*fine_args), [coarse])]
+    assert any(left != coarse.ghost_left.tobytes() for left, _ in ends)
 
 
 def test_nesting_is_checked_before_the_fine_march(monkeypatch):

@@ -13,7 +13,7 @@ from fvbound import (
     solve_riemann,
 )
 from fvbound.riemann import exact_l1_distances
-from fvbound.solver import LevelHistory
+from fvbound.solver import LevelHistory, run
 from oracles import sample
 
 
@@ -131,6 +131,29 @@ def test_cell_average_burgers_shock(burgers):
     avg = cell_average_exact(fan, 0.0, 1.0, grid)
     assert np.all(avg[: grid.J // 2] == 1.0)
     assert np.all(avg[grid.J // 2:] == -1.0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(rho_l=st.floats(0.05, 2.0), q_l=st.floats(-0.3, 0.3), rho_r=st.floats(0.05, 2.0),
+       q_r=st.floats(-0.3, 0.3), origin=st.floats(-4.0, 4.0), level=st.integers(3, 11))
+# the benchmark's perturbed seed 1, whose right cells held (dx*R)/dx
+@example(rho_l=0.1478061854646744, q_l=0.0, rho_r=0.10138973494774893, q_r=0.0, origin=0.0,
+         level=9)
+def test_a_run_from_the_riemann_step_has_the_fans_outer_states_as_ghosts(rho_l, q_l, rho_r, q_r,
+                                                                         origin, level):
+    """At t = 0 a cell wholly on one side of the origin holds the fan's
+    outer state on that side bit for bit, so a run marched from the Riemann
+    step has them as its ghosts, and the exact pass needs no cells beyond
+    the run's hulls and the fan's band."""
+    model = make_model("psystem")
+    try:
+        fan = solve_riemann(model, [rho_l, q_l], [rho_r, q_r])
+    except riemann.VacuumError:
+        assume(False)
+    grid = build_grid(-5.0, 5.0, level)
+    sol = run(cell_average_exact(fan, origin, 0.0, grid), model, "llf", grid, 0.9, 0.0, 1e-3)
+    assert sol.ghost_left.tobytes() == fan.segments[0][3].tobytes()
+    assert sol.ghost_right.tobytes() == fan.segments[-1][3].tobytes()
 
 
 def test_cell_average_matches_adaptive_quadrature(psystem):

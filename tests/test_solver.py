@@ -17,16 +17,15 @@ from fvbound import (
     error_estimator,
     load_solution,
     make_model,
-    numerical_flux,
     save_solution,
     solve_riemann,
 )
-from fvbound.grid import Grid1D, TimeLevels, cfl_timestep
+from fvbound.grid import Grid1D, TimeLevels
 from fvbound.models import interface_fluxes
 from fvbound.residual import _padded
 from fvbound.solver import LevelHistory, SpaceTimeSolution, _window, march, run, step
 
-from oracles import dense, per_level_epsilon
+from oracles import dense, hand_march, per_level_epsilon
 
 
 def shock_profile(grid, left=1.0, right=-1.0, center_zero=True):
@@ -164,49 +163,6 @@ def test_march_agrees_with_run():
     for (t, u), n, level in zip(streamed, range(sol.n_steps + 1), dense(sol.states)):
         assert t == pytest.approx(float(sol.times.t[n]), abs=1e-15)
         assert np.array_equal(u, level)
-
-
-def _hand_march(states, model, kind, grid, cfl, t0, t_final):
-    """Reference loop: a separate CFL scan, then a step that pads and scans
-    on its own; its fluxes must equal the pairwise numerical flux."""
-    ghost_left, ghost_right = states[0].copy(), states[-1].copy()
-    tol = 1e-14 * max(1.0, abs(t_final))
-    t, out, fluxes = t0, [(t0, states)], []
-    while t < t_final - tol:
-        dt = cfl_timestep(states, model, grid, cfl, ghost_left, ghost_right, max_dt=t_final - t)
-        ext = np.vstack([ghost_left[None, :], states, ghost_right[None, :]])
-        new, flux = step(states, model, kind, grid, dt, ghost_left, ghost_right)
-        assert np.array_equal(flux, numerical_flux(kind, model, ext[:-1], ext[1:]))
-        states = new
-        fluxes.append(flux)
-        t = t_final if t_final - (t + dt) <= tol else t + dt
-        out.append((t, states))
-    return out, fluxes
-
-
-@pytest.mark.parametrize("name,kind", [
-    ("burgers", "llf"), ("psystem", "llf"), ("burgers", "godunov"), ("burgers", "eo"),
-])
-def test_stepping_core_matches_hand_loop(name, kind):
-    model = make_model(name)
-    grid = build_grid(-5.0, 5.0, 6)
-    if name == "burgers":
-        x = grid.centers()[:, None]
-        states = np.where(x < 0.0, 1.5, -0.5) + 0.1 * np.sin(x)
-    else:
-        states = cell_average_exact(solve_riemann(model, [0.15, 0.0], [0.1, 0.0]), 0.0, 0.0, grid)
-    expected, expected_fluxes = _hand_march(states, model, kind, grid, 0.9, 0.0, 1.0)
-    streamed = [(t, u.copy()) for t, u, _ in march(states, model, kind, grid, 0.9, 0.0, 1.0)]
-    assert len(streamed) == len(expected) > 10
-    for (t, u), (t_ref, u_ref) in zip(streamed, expected):
-        assert t == t_ref
-        assert np.array_equal(u, u_ref)
-    sol = run(states, model, kind, grid, 0.9, 0.0, 1.0)
-    assert np.array_equal(sol.times.t, [t for t, _ in expected])
-    assert np.array_equal(dense(sol.states), np.array([u for _, u in expected]))
-    # fluxes recomputed from the recorded levels are the marching fluxes
-    for n, flux in enumerate(expected_fluxes):
-        assert np.array_equal(interface_fluxes(kind, model, _padded(sol, n)), flux)
 
 
 def test_solver_imports_no_stage_that_reads_its_record():
@@ -763,19 +719,22 @@ _STEP_TO_REST = ("burgers", "llf", 5, (1.25,), (0.0,), 0.5, 0.0, 1.0, 0.0, 1.0)
 
 
 @st.composite
-def windowed_cases(draw):
+def windowed_cases(draw, kinds=RUN_KINDS):
     """Random Riemann or ramp data under every marching flux: Burgers with
-    LLF, Godunov or Engquist-Osher, or the p-system under LLF."""
-    name, flux = draw(st.sampled_from(RUN_KINDS))
+    LLF, Godunov or Engquist-Osher, or the p-system under LLF; some data
+    are constant, and some jumps lie in the first or the last cell."""
+    name, flux = draw(st.sampled_from(kinds))
     if name == "burgers":
         left, right = ((draw(st.floats(-2.0, 2.0)),) for _ in range(2))
     else:
         left, right = ((draw(st.floats(0.5, 2.0)), draw(st.floats(-0.5, 0.5)))
                        for _ in range(2))
+    if draw(st.integers(0, 5)) == 0:
+        right = left
     width = draw(st.sampled_from([0.0, draw(st.floats(0.01, 1.0))]))
-    return (name, flux, draw(st.integers(3, 6)), left, right, draw(st.floats(0.0, 1.0)),
-            width, draw(st.floats(0.05, 1.0)), draw(st.floats(-1.0, 1.0)),
-            draw(st.floats(0.05, 1.5)))
+    at = draw(st.one_of(st.floats(0.0, 1.0), st.sampled_from([0.01, 0.99])))
+    return (name, flux, draw(st.integers(3, 6)), left, right, at, width,
+            draw(st.floats(0.05, 1.0)), draw(st.floats(-1.0, 1.0)), draw(st.floats(0.05, 1.5)))
 
 
 def _windowed_case(name, flux, level, left, right, at, width, cfl, t0, duration):
@@ -785,6 +744,46 @@ def _windowed_case(name, flux, level, left, right, at, width, cfl, t0, duration)
     share = (x >= at).astype(float) if width == 0.0 else np.clip((x - at) / width, 0.0, 1.0)
     initial = (1.0 - share) * np.array(left) + share * np.array(right)
     return initial, model, flux, grid, cfl, t0, t0 + duration
+
+
+def _hex_stream(levels) -> list:
+    return [(t.hex(), [v.hex() for v in np.ravel(u)], tuple(window)) for t, u, window in levels]
+
+
+@settings(max_examples=40, deadline=None)
+@pytest.mark.parametrize("name,kind", [
+    ("burgers", "llf"), ("psystem", "llf"), ("burgers", "godunov"), ("burgers", "eo"),
+])
+@given(data=st.data())
+@example(data=None)
+def test_stepping_core_matches_hand_loop(name, kind, data):
+    """Every (t, level, window) that march yields, in float hex, is the
+    allocating whole-grid loop's (oracles.hand_march), on random Riemann or
+    ramp data whose windows reach cell 0 or cell J or are empty, and on one
+    fixed case; run records the same levels, and the interface fluxes of
+    its levels are the loop's."""
+    if data is None:
+        model = make_model(name)
+        grid = build_grid(-5.0, 5.0, 6)
+        if name == "burgers":
+            x = grid.centers()[:, None]
+            states = np.where(x < 0.0, 1.5, -0.5) + 0.1 * np.sin(x)
+        else:
+            states = cell_average_exact(solve_riemann(model, [0.15, 0.0], [0.1, 0.0]), 0.0, 0.0,
+                                        grid)
+        args = (states, model, kind, grid, 0.9, 0.0, 1.0)
+    else:
+        args = _windowed_case(*data.draw(windowed_cases(kinds=[(name, kind)])))
+    expected, expected_fluxes = hand_march(*args)
+    streamed = [(t, u.copy(), window) for t, u, window in march(*args)]
+    assert _hex_stream(streamed) == _hex_stream(expected)
+    if data is None:
+        assert len(streamed) > 10
+    sol = run(*args)
+    assert sol.times.t.tobytes() == np.array([t for t, _, _ in expected]).tobytes()
+    assert dense(sol.states).tobytes() == np.array([u for _, u, _ in expected]).tobytes()
+    for n, flux in enumerate(expected_fluxes):
+        assert interface_fluxes(kind, sol.model, _padded(sol, n)).tobytes() == flux.tobytes()
 
 
 @settings(max_examples=60, deadline=None)
@@ -801,9 +800,9 @@ def test_windowed_run_equals_the_full_grid_loop_and_replay(case):
     fold's over the whole grid, bit for bit."""
     args = _windowed_case(*case)
     sol = run(*args)
-    expected, _ = _hand_march(*args)
-    for got, want in ((sol.times.t, np.array([t for t, _ in expected])),
-                      (dense(sol.states), np.array([u for _, u in expected]))):
+    expected, _ = hand_march(*args)
+    for got, want in ((sol.times.t, np.array([t for t, _, _ in expected])),
+                      (dense(sol.states), np.array([u for _, u, _ in expected]))):
         assert got.shape == want.shape and got.tobytes() == want.tobytes()
     report, fold = epsilon(sol), per_level_epsilon(sol)
     assert json.dumps(report.to_json_dict()) == json.dumps(fold.to_json_dict())
