@@ -13,13 +13,12 @@ from typing import TextIO
 
 import numpy as np
 
-from . import riemann
+from . import grid as grid_module
 from .estimator import SLAB_MODES, EstimateReport, error_estimator
-from .grid import Grid1D, build_grid
+from .grid import Grid1D, build_grid, level_blocks
 from .models import make_model, normalize_flux_kind, normalize_model_name
 from .partition import SLAB_FIGURES
-from .riemann import (WaveFan, cell_average_exact, exact_l1_distances, level_blocks,
-                      solve_riemann)
+from .riemann import WaveFan, cell_average_exact, exact_l1_distances, solve_riemann
 from .solver import SpaceTimeSolution, march, run, save_solution
 
 SCHEMA_VERSION = 1
@@ -56,7 +55,7 @@ class CaseConfig:
 # Each case once: (t0, t_final, default reference, (model, left, right)).  A
 # case with states starts from the exact fan's averages at t0 and has it as
 # its exact reference; burgers-curved has no states and starts from its
-# cut-off ramp; custom takes model, left and right from the config.
+# cut-off ramp at t = 0; custom takes model, left and right from the config.
 _CASES = {
     "psys-2raref": (0.5, 1.0, "exact", ("psystem", (1.0, -2.0), (1.0, 2.0))),
     "psys-raref-shock": (0.0, 1.5, "exact", ("psystem", (0.15, 0.0), (0.1, 0.0))),
@@ -83,7 +82,8 @@ def _resolve(config: CaseConfig) -> CaseConfig:
     slab mode or reference mode, an exact reference for a case without one, a
     named case given a model or states, a custom case without states or with
     a state that does not hold the model's m values, non-finite cfl, sigma0,
-    t0 or t_final, sigma0 <= 0 and t_final <= t0 before anything is marched."""
+    t0 or t_final, sigma0 <= 0, t_final <= t0 and burgers-curved at t0 != 0
+    (its data are the ramp at t = 0) before anything is marched."""
     if config.case not in _CASES:
         raise ConfigError(f"unknown case '{config.case}'")
     t0, t_final, ref, data = _CASES[config.case]
@@ -116,6 +116,9 @@ def _resolve(config: CaseConfig) -> CaseConfig:
     _check_sigma(config.sigma0)
     if not config.t_final > config.t0:
         raise ConfigError(f"t_final must exceed t0, got t0={config.t0!r}, t_final={config.t_final!r}")
+    if config.left is None and config.t0 != 0.0:
+        raise ConfigError(f"case '{config.case}' starts from its ramp at t = 0, "
+                          f"got t0={config.t0!r}")
     if config.slab_mode not in SLAB_MODES:
         raise ConfigError(f"unknown slab mode '{config.slab_mode}'")
     if _parse_ref(config.ref) == "exact" and config.left is None:
@@ -177,9 +180,9 @@ class _CoarseRun:
     Level n's slice holds the fine cells of the coarse cells a_n..b_n-1, and
     its restriction ubar_n is their means there, the first one's left of a_n
     and the last one's right of b_n - 1.  A batch holds at most
-    riemann.BLOCK_CELLS fine cells, or one fine grid's (the fine run's first
+    grid.BLOCK_CELLS fine cells, or one fine grid's (the fine run's first
     level is one).  Its levels' distances come from one restriction of all
-    its slices and, per block of levels (riemann.level_blocks), one gather
+    its slices and, per block of levels (grid.level_blocks), one gather
     of ubar and the history's l1_distances over the union of the levels'
     hulls and their a_n..b_n-1.  On a side where ubar_n's outer mean differs
     in its bits from the run's ghost, level n's cells run out to the end of
@@ -189,7 +192,7 @@ class _CoarseRun:
     def __init__(self, sol: SpaceTimeSolution, fine_grid: Grid1D):
         self.sol, self.ratio = sol, _nesting_ratio(fine_grid, sol.grid)
         self.distances = np.empty((len(sol.states), sol.model.m))
-        self._snaps = np.empty((max(fine_grid.J, riemann.BLOCK_CELLS), sol.model.m))
+        self._snaps = np.empty((max(fine_grid.J, grid_module.BLOCK_CELLS), sol.model.m))
         self._cells, self._used, self._first = [], 0, 0  # the batch's (a, b), fine cells, level
 
     def add(self, a: int, b: int, states: np.ndarray, before: np.ndarray | None = None,
@@ -220,7 +223,7 @@ class _CoarseRun:
         lo = np.where(_same_bits(ubar[at], history.ghost_left), np.minimum(hulls[:, 0], a), 0)
         hi = np.where(_same_bits(ubar[at + b - a - 1], history.ghost_right),
                       np.maximum(hulls[:, 1], b), J)
-        for start, stop, c0, c1 in level_blocks(lo.tolist(), hi.tolist()):
+        for start, stop, c0, c1 in level_blocks(lo, hi):
             rows = np.clip(np.arange(c0, c1), a[start:stop, None], b[start:stop, None] - 1)
             rows += (at - a)[start:stop, None]
             self.distances[first + start:first + stop] = history.l1_distances(
@@ -304,13 +307,13 @@ def linf_l1_error(sol: SpaceTimeSolution, fan: WaveFan, origin: float = 0.0) -> 
 
 def eoc(values) -> list[float | None]:
     """Empirical orders of convergence -log2(v_{k+1}/v_k); None where a value
-    is non-positive."""
+    is non-positive.  Two equal values give +0.0, not -0.0."""
     out: list[float | None] = []
     for a, b in zip(values, values[1:]):
         if a is None or b is None or a <= 0 or b <= 0:
             out.append(None)
         else:
-            out.append(-math.log2(b / a))
+            out.append(-math.log2(b / a) + 0.0)
     return out
 
 

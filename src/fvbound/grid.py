@@ -142,6 +142,36 @@ def window_sums(block: np.ndarray, first: int, length: int) -> np.ndarray:
     return stack[0][:, None]
 
 
+# Cells (cells x levels) per block of levels in each pass that reads the
+# history a block at a time: the residual pass, the exact error and the fine
+# reference (level_blocks).
+BLOCK_CELLS = 1 << 13
+
+
+def level_blocks(lo: np.ndarray, hi: np.ndarray):
+    """Split the levels, whose cells are lo[n]..hi[n]-1, into runs of
+    consecutive levels: yield (start, stop, a, b) per run, whose cells
+    a..b-1 span its levels' (min lo to max hi) and hold at most BLOCK_CELLS
+    cells (cells x levels) unless one level alone is wider.  A run ends
+    only where its next level would take it past BLOCK_CELLS."""
+    count = len(lo)
+    if not count:
+        return
+    # 256 levels at a time as Python ints, so no list of all of them is held
+    rows = (row for s in range(0, count, 256)
+            for row in zip(lo[s:s + 256].tolist(), hi[s:s + 256].tolist()))
+    start, (a, b) = 0, next(rows)
+    for n, (lo_n, hi_n) in enumerate(rows, start=1):
+        # min and max without a call: this runs once per level
+        a_n = a if a < lo_n else lo_n
+        b_n = b if b > hi_n else hi_n
+        if (n + 1 - start) * (b_n - a_n) > BLOCK_CELLS:
+            yield start, n, a, b
+            start, a_n, b_n = n, lo_n, hi_n
+        a, b = a_n, b_n
+    yield start, count, a, b
+
+
 def build_grid(x_min: float, x_max: float, level: int) -> Grid1D:
     """Grid with 2 * 2**level cells; level 0 gives the two-cell grid."""
     if level < 0:

@@ -18,7 +18,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .grid import window_sums
+from .grid import level_blocks, window_sums
 from .models import interface_fluxes, normalize_flux_kind, numerical_entropy_flux
 from .solver import SpaceTimeSolution, _RowTexts
 
@@ -86,12 +86,6 @@ def total_variation(sol: SpaceTimeSolution, n: int) -> tuple[np.ndarray, float]:
     sup-norm reduction."""
     tv = np.abs(np.diff(_padded(sol, n), axis=0)).sum(axis=0)
     return tv, float(tv.max())
-
-
-# The residual pass works a block of consecutive levels at a time: a
-# block's dense (cells, levels, m) array of states holds at most
-# BLOCK_CELLS cells (cells x levels).  A block holds at least one level.
-BLOCK_CELLS = 1 << 13
 
 
 @dataclass
@@ -163,45 +157,21 @@ class _Block(NamedTuple):
     entropy: tuple  # q_hat (W - 1, L), entropy decrease and cell entropy flux (W - 2, L)
 
 
-def _block_ranges(hulls: np.ndarray, J: int):
-    """Split the levels into blocks: yield (first, stop, c0, c1) per block,
-    whose levels first..stop-1 get their terms, while level stop, when there
-    is one, gives only the entropy that closes the block's last layer.  The
-    cells c0..c1-1 are the union of the hulls of levels first..stop grown by
-    two cells and clipped to the grid, so they hold every cell whose stencil
-    is not constant in any of the block's layers, and a ghost cell on each
-    side of each hull where the grid has one."""
-    count = len(hulls)
-
-    def too_big(levels: int, slots: int, lo: int, hi: int) -> bool:
-        width = min(hi + 2, J) - max(lo - 2, 0) + 2
-        return levels > 1 and slots * width > BLOCK_CELLS
-
-    # 256 hulls at a time as Python ints, so no list of all N + 1 is held
-    rows = (row for start in range(0, count, 256) for row in hulls[start:start + 256].tolist())
-    first, (lo, hi) = 0, next(rows)  # the union of the hulls of levels first..k-1
-    before = lo, hi  # the hull of level k - 1
-    for k, (row_lo, row_hi) in enumerate(rows, start=1):
-        # too_big(k - first, k - first + 1, next_lo, next_hi) without a call:
-        # this runs once per level
-        next_lo = lo if lo < row_lo else row_lo
-        next_hi = hi if hi > row_hi else row_hi
-        width = (next_hi + 2 if next_hi + 2 < J else J) - (next_lo - 2 if next_lo > 2 else 0) + 2
-        if k - first > 1 and (k - first + 1) * width > BLOCK_CELLS:
-            # levels first..k-2 close with level k - 1, which starts the next block
-            yield first, k - 1, max(lo - 2, 0), min(hi + 2, J)
-            first, next_lo, next_hi = k - 1, min(before[0], row_lo), max(before[1], row_hi)
-        lo, hi, before = next_lo, next_hi, (row_lo, row_hi)
-    if too_big(count - first, count - first, lo, hi):  # the last level on its own
-        yield first, count - 1, max(lo - 2, 0), min(hi + 2, J)
-        first, (lo, hi) = count - 1, before
-    yield first, count, max(lo - 2, 0), min(hi + 2, J)
-
-
 def _layer_blocks(sol: SpaceTimeSolution):
     """The residual pass: yield the _Block of each block of consecutive
-    levels of sol (_block_ranges), one at a time."""
-    for first, stop, c0, c1 in _block_ranges(sol.ghost_hulls, sol.grid.J):
+    levels of sol (grid.level_blocks), one at a time.  Layer n's cells are
+    the union of the hulls of levels n and n + 1 (the last level's, its own
+    hull) grown by two cells and clipped to the grid, so a block's cells
+    hold every cell whose stencil is not constant in any of its layers, and
+    a ghost cell on each side of each hull where the grid has one.  Level
+    stop of a block, when there is one, gives only the entropy that closes
+    the block's last layer."""
+    hulls, J = sol.ghost_hulls, sol.grid.J
+    ahead = np.concatenate([hulls[1:], hulls[-1:]])  # level n + 1's hull, the last level's own
+    lo = np.maximum(np.minimum(hulls[:, 0], ahead[:, 0]) - 2, 0)
+    hi = np.minimum(np.maximum(hulls[:, 1], ahead[:, 1]) + 2, J)
+    del ahead
+    for first, stop, c0, c1 in level_blocks(lo, hi):
         yield _layer_block(sol, first, stop, c0, c1)
 
 

@@ -10,18 +10,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grid import Grid1D
+from .grid import Grid1D, level_blocks
 from .models import Burgers, PSystem
 
 RH_TOL = 1e-10
 STAR_ATOL = 1e-13
 MAX_ITER = 200
-
-# Cells (cells x levels) per block of levels in exact_l1_distances and the
-# fine reference (level_blocks): a block's averages hold BLOCK_CELLS * m
-# floats (256 KiB at m = 2), its levels as many, and a rarefaction's cells
-# in it about as much again in temporaries.
-BLOCK_CELLS = 1 << 14
 
 
 class VacuumError(ValueError):
@@ -290,9 +284,10 @@ def _average_blocks(fan: WaveFan, origin: float, t: np.ndarray, edges: np.ndarra
     Each level's cells are its row [lo, hi) of needed joined with the fan's
     band, the cells not wholly inside one of the fan's two outer constant
     states (outside the band each average holds the bits of the outer state
-    on its side); at t = 0 they are the whole grid.  A block's cells are the
-    union of its levels', and it holds at most BLOCK_CELLS cells (cells x
-    levels) unless one level alone is wider.
+    on its side); at t = 0 they are the whole grid.  The blocks are
+    grid.level_blocks of the levels' cells: a block's cells are the union of
+    its levels', and it holds at most grid.BLOCK_CELLS cells (cells x levels)
+    unless one level alone is wider.
 
     At t > 0 the breakpoints x_k = origin + t*xi_k split each level: the
     cells wholly inside a constant state get that state, the cells wholly
@@ -372,7 +367,7 @@ def _average_blocks(fan: WaveFan, origin: float, t: np.ndarray, edges: np.ndarra
     # segment 0's whole cells to the start of the last segment's.
     lo = np.where(zero, 0, np.minimum(needed[:, 0], stops[:, 0]))
     hi = np.where(zero, J, np.maximum(needed[:, 1], firsts[:, -1]))
-    for start, stop, a, b in level_blocks(lo.tolist(), hi.tolist()):
+    for start, stop, a, b in level_blocks(lo, hi):
         lengths = np.diff(np.clip(ends[start:stop], a, b), axis=1).ravel()
         out = np.repeat(np.tile(runs, (stop - start, 1)), lengths, axis=0)
         out = out.reshape(stop - start, b - a, m)
@@ -386,23 +381,6 @@ def _average_blocks(fan: WaveFan, origin: float, t: np.ndarray, edges: np.ndarra
             out[zero[start:stop]] = mix[a:b]
         yield slice(start, stop), slice(a, b), out
         del out  # with the caller's, so that one block at a time is held
-
-
-def level_blocks(lo: list[int], hi: list[int]):
-    """Split the levels, whose cells are lo[n]..hi[n]-1, into runs of
-    consecutive levels: yield (start, stop, a, b) per run, whose cells
-    a..b-1 are the union of its levels' and hold at most BLOCK_CELLS cells
-    (cells x levels) unless one level alone is wider."""
-    if not lo:
-        return
-    start, a, b = 0, lo[0], hi[0]
-    for n in range(1, len(lo)):
-        a_n, b_n = min(a, lo[n]), max(b, hi[n])
-        if (n + 1 - start) * (b_n - a_n) > BLOCK_CELLS:
-            yield start, n, a, b
-            start, a_n, b_n = n, lo[n], hi[n]
-        a, b = a_n, b_n
-    yield start, len(lo), a, b
 
 
 def _check_times(origin: float, times: np.ndarray) -> None:
@@ -443,12 +421,12 @@ def exact_l1_distances(fan: WaveFan, origin: float, grid: Grid1D, times: np.ndar
     levels than there are times.
 
     The exact averages (those of cell_average_exact) come a block of levels
-    at a time, over the union of the levels' ghost hulls and the fan's band
-    (_average_blocks).  Outside it each level u holds its ghost state and
-    the averages the fan's outer state on that side, so where their bits
-    agree every term there is +0.0; on a side where they differ the block
-    runs out to the end of the grid.  Each block's sums come from
-    history.l1_distances.
+    at a time (grid.level_blocks), over the union of the levels' ghost hulls
+    and the fan's band (_average_blocks).  Outside it each level u holds its
+    ghost state and the averages the fan's outer state on that side, so
+    where their bits agree every term there is +0.0; on a side where they
+    differ the block runs out to the end of the grid.  Each block's sums
+    come from history.l1_distances.
     """
     times = np.asarray(times, dtype=float)
     _check_times(origin, times)

@@ -1,5 +1,6 @@
 import io
 import json
+import math
 import os
 import re
 import subprocess
@@ -30,6 +31,7 @@ import fvbound
 from fvbound import cli, error_estimator, estimator, riemann, save_solution, solver
 from fvbound.cli import (
     ConfigError,
+    EoCTable,
     _burgers_curved_averages,
     main,
     render_decomposition_svg,
@@ -53,6 +55,16 @@ class TestEoC:
 
     def test_nonpositive_entries_are_missing(self):
         assert eoc([1.0, 0.0, 0.5]) == [None, None]
+
+    def test_equal_values_give_positive_zero(self, tmp_path):
+        """Two equal values (psys-raref-shock's err at levels 0 and 1) give
+        +0.0, which the table and its CSV print as 0, not -0."""
+        (value,) = eoc([0.0036162, 0.0036162])
+        assert value == 0.0 and math.copysign(1.0, value) == 1.0
+        table = EoCTable([0, 1], [0.5, 0.25], [0.5, 0.25], [0.5, 0.25], [0.0036162, 0.0036162])
+        assert table.format().splitlines()[-1].split()[-1] == "0"
+        table.to_csv(str(tmp_path / "eoc.csv"))
+        assert (tmp_path / "eoc.csv").read_text().splitlines()[-1].endswith(",0.0036162,0")
 
 
 class TestBurgersCurvedInitialData:
@@ -321,7 +333,7 @@ class TestBlockedExactPass:
             hi = int(rng.choice([lo, J, rng.integers(lo, J + 1)]))
             level[:lo], level[hi:] = ghost_left, ghost_right
         history = LevelHistory.from_levels(states, ghost_left, ghost_right)
-        with patch.object(riemann, "BLOCK_CELLS", block):
+        with patch.object(fvbound.grid, "BLOCK_CELLS", block):
             got = riemann.exact_l1_distances(fan, origin, grid, times, history)
         assert _hex(got) == _hex(per_level_l1_distances(fan, origin, grid, times, history.walk()))
         for t, averages in zip(times.tolist(), exact):
@@ -353,7 +365,7 @@ class TestBlockedExactPass:
     def test_level_counts_around_the_block_size(self, name, n_levels):
         """At BLOCK_CELLS itself, on the grid whose blocks hold 8 levels."""
         fan = _FANS[name]
-        grid = Grid1D(-5.0, 5.0, riemann.BLOCK_CELLS // 8)
+        grid = Grid1D(-5.0, 5.0, fvbound.grid.BLOCK_CELLS // 8)
         times = np.linspace(0.0, 1.5, n_levels)
         exact = np.array([per_level_cell_averages(fan, 0.1, t, grid) for t in times.tolist()])
         states = exact + np.random.default_rng(n_levels).uniform(-0.01, 0.01, exact.shape)
@@ -369,7 +381,7 @@ def test_exact_error_holds_little_beyond_the_per_level_pass():
     model = make_model("psystem")
     fan = solve_riemann(model, [0.15, 0.0], [0.1, 0.0])
     sol = run(cell_average_exact(fan, 0.0, 0.0, grid), model, "llf", grid, 0.9, 0.0, 1.5)
-    assert len(sol.times.t) > 8 * max(1, riemann.BLOCK_CELLS // grid.J)
+    assert len(sol.times.t) > 8 * max(1, fvbound.grid.BLOCK_CELLS // grid.J)
     tracemalloc.start()
     try:
         linf_l1_error(sol, fan, 0.0)
@@ -777,6 +789,21 @@ class TestMain:
         code = main(["run", "--case", "custom", "--level", "3"])
         assert code == 1
         assert "error:" in capsys.readouterr().err
+
+    def test_burgers_curved_refuses_a_later_start(self, capsys, monkeypatch):
+        """burgers-curved's data are its ramp at t = 0: t0 = 0.5 is refused
+        before anything is marched, and t0 = 0 still runs."""
+        def no_marching(*args, **kwargs):
+            raise AssertionError("marched burgers-curved from a later t0")
+
+        argv = ["run", "--case", "burgers-curved", "--level", "3", "--ref", "none"]
+        with monkeypatch.context() as patch_run:
+            patch_run.setattr(cli, "run", no_marching)
+            assert main([*argv, "--t0", "0.5", "--T", "1.0"]) == 1
+        assert capsys.readouterr().err == (
+            "error: case 'burgers-curved' starts from its ramp at t = 0, got t0=0.5\n")
+        assert main([*argv, "--t0", "0", "--T", "0.5"]) == 0
+        assert "case=burgers-curved" in capsys.readouterr().out
 
     @pytest.mark.parametrize("levels", ["6-8", "8..6", "7..7", "a..b", "6.5..8", "7..", "²..3"])
     def test_malformed_levels(self, capsys, levels):

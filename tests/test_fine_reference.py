@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from fvbound import build_grid, cli, make_model, riemann
+import fvbound.grid
+from fvbound import build_grid, cli, make_model
 from fvbound.cli import ConfigError, streamed_fine_reference
 from fvbound.solver import march, run
 
@@ -117,7 +118,7 @@ def test_windowed_reference_equals_the_full_grid_loop(case, block):
     block cells x levels; every run's per-level distances are the full-grid
     loop's, in float hex."""
     runs, fine_args = _reference_case(*case)
-    with patch.object(riemann, "BLOCK_CELLS", block):
+    with patch.object(fvbound.grid, "BLOCK_CELLS", block):
         got = streamed_fine_reference(*fine_args, runs)
     want = _full_grid_reference(run(*fine_args), runs)
     assert [_hex(d) for d in got] == [_hex(d) for d in want]

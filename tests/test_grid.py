@@ -1,11 +1,13 @@
 import math
+from unittest.mock import patch
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import fvbound.grid
 from fvbound import Grid1D, TimeLevels, build_grid, cfl_timestep, make_model
-from fvbound.grid import window_sums
+from fvbound.grid import level_blocks, window_sums
 from fvbound.residual import _padded
 from fvbound.solver import run
 
@@ -156,3 +158,42 @@ def test_window_sums_equal_the_zero_padded_rows_bit_for_bit(data, J, B, m, low, 
     got = window_sums(block, first, J)
     assert got.shape == (B, m)
     assert [[float(v).hex() for v in row] for row in got] == want
+
+
+@st.composite
+def level_ranges(draw):
+    """Per-level cell ranges lo[n]..hi[n]-1 on a grid of J cells, empty
+    ones and the whole grid among them."""
+    J = draw(st.integers(0, 60))
+    count = draw(st.integers(0, 30))
+    lo, hi = [], []
+    for _ in range(count):
+        a = draw(st.integers(0, J))
+        lo_n, hi_n = draw(st.sampled_from([(a, a), (0, J), (a, draw(st.integers(a, J)))]))
+        lo.append(lo_n)
+        hi.append(hi_n)
+    return np.array(lo, dtype=np.int64), np.array(hi, dtype=np.int64)
+
+
+@settings(max_examples=300, deadline=None)
+@given(ranges=level_ranges(), budget=st.integers(1, 200))
+@example(ranges=(np.array([0, 3, 3]), np.array([0, 3, 9])), budget=1)
+@example(ranges=(np.array([0] * 600), np.array([4] * 600)), budget=40)
+def test_level_blocks_cover_the_levels_within_the_budget(ranges, budget):
+    """level_blocks splits the levels into consecutive blocks that cover
+    them once and in order, each over the span of its levels' ranges (min
+    lo to max hi), a block of two or more levels within the budget, and a
+    block ending only where its next level would take it past the budget;
+    the second example crosses the 256-level chunks the ranges are read in."""
+    lo, hi = ranges
+    with patch.object(fvbound.grid, "BLOCK_CELLS", budget):
+        blocks = list(level_blocks(lo, hi))
+    starts, stops = [block[0] for block in blocks], [block[1] for block in blocks]
+    assert starts + [len(lo)] == [0] + stops
+    for start, stop, a, b in blocks:
+        assert stop > start
+        assert (a, b) == (lo[start:stop].min(), hi[start:stop].max())
+        assert stop - start == 1 or (stop - start) * (b - a) <= budget
+        if stop < len(lo):
+            wider = max(b, hi[stop]) - min(a, lo[stop])
+            assert (stop + 1 - start) * wider > budget

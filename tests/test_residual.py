@@ -15,6 +15,7 @@ from fvbound import (
     solve_riemann,
     total_variation,
 )
+import fvbound.grid
 from fvbound.grid import Grid1D, TimeLevels
 from fvbound import residual
 from fvbound.models import interface_fluxes
@@ -427,7 +428,7 @@ def _assert_pass_equals_the_per_level_fold(sol, cells):
     residuals CSV equal the per-level fold's, bit for bit."""
     want = per_level_epsilon(sol)
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(residual, "BLOCK_CELLS", cells)
+        patch.setattr(fvbound.grid, "BLOCK_CELLS", cells)
         _assert_reports_identical(epsilon(dataclasses.replace(sol)), want)
         with tempfile.TemporaryDirectory() as tmp:
             got, ref = Path(tmp, "got.csv"), Path(tmp, "ref.csv")
@@ -453,22 +454,24 @@ def test_blocked_pass_equals_the_per_level_fold(sol, cells):
 
 
 def test_pass_splits_the_levels_where_the_constants_say():
-    """At the module's block sizes, on burgers-curved L7 and the p-system's
-    rarefaction-shock L9, the blocks cover every level once, in more than
-    one block, each over the union of its levels' hulls grown by two cells,
-    and hold at most BLOCK_CELLS cells unless one level alone is wider."""
+    """At the module's block size, on burgers-curved L7 and the p-system's
+    rarefaction-shock L9, the pass's blocks cover every level once, in more
+    than one block, each over the union of the hulls of its levels and the
+    level that closes it grown by two cells, and hold at most BLOCK_CELLS
+    cells (cells x levels) unless one level alone is wider."""
     for sol in (small_run("burgers", level=7), small_run("psystem", level=9)):
         hulls, J = sol.ghost_hulls, sol.grid.J
-        blocks = list(residual._block_ranges(hulls, J))
+        blocks = [(block.first, block.first + len(block.tv), block.cells.start, block.cells.stop)
+                  for block in residual._layer_blocks(sol)]
         assert blocks[0][0] == 0 and blocks[-1][1] == sol.n_steps + 1
         assert all(a[1] == b[0] for a, b in zip(blocks, blocks[1:]))
         for first, stop, c0, c1 in blocks:
             last = min(stop, sol.n_steps)  # the level that closes the block, or its last
             assert c0 == max(int(hulls[first:last + 1, 0].min()) - 2, 0)
             assert c1 == min(int(hulls[first:last + 1, 1].max()) + 2, J)
-            assert stop - first == 1 or (c1 - c0 + 2) * (last + 1 - first) <= residual.BLOCK_CELLS
+            assert stop - first == 1 or (c1 - c0) * (stop - first) <= fvbound.grid.BLOCK_CELLS
         assert len(blocks) > 1
-        _assert_pass_equals_the_per_level_fold(sol, residual.BLOCK_CELLS)
+        _assert_pass_equals_the_per_level_fold(sol, fvbound.grid.BLOCK_CELLS)
 
 
 class TestCornerOracle:

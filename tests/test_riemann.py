@@ -3,6 +3,7 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 from scipy.integrate import quad
 
+import fvbound.grid
 import fvbound.riemann as riemann
 from fvbound import (
     Grid1D,
@@ -334,7 +335,7 @@ def test_a_walk_of_the_wrong_length_is_refused(walked):
                                         fan.left, fan.right)
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(riemann, "BLOCK_CELLS", 2 * grid.J)  # blocks of two levels
+        patch.setattr(fvbound.grid, "BLOCK_CELLS", 2 * grid.J)  # blocks of two levels
         patch.setattr(LevelHistory, "columns", None)  # a level read would raise a TypeError
         with pytest.raises(ValueError, match=f"history holds {walked} levels for 4 times"):
             exact_l1_distances(fan, 0.0, grid, times, history(walked))

@@ -181,6 +181,24 @@ def test_solver_imports_no_stage_that_reads_its_record():
     assert not names & {"residual", "partition", "estimator", "cli"}
 
 
+def test_only_grid_sets_the_block_budget():
+    """Of the package's modules only grid.py assigns a module-level
+    BLOCK_CELLS or defines level_blocks, so every pass that reads the
+    history a block of levels at a time splits it by one rule."""
+    import fvbound
+
+    owners = set()
+    for path in sorted(Path(fvbound.__file__).parent.glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            targets = (node.targets if isinstance(node, ast.Assign)
+                       else [node.target] if isinstance(node, ast.AnnAssign) else [])
+            if any(isinstance(t, ast.Name) and t.id == "BLOCK_CELLS" for t in targets):
+                owners.add((path.name, "BLOCK_CELLS"))
+            if isinstance(node, ast.FunctionDef) and node.name == "level_blocks":
+                owners.add((path.name, "level_blocks"))
+    assert owners == {("grid.py", "BLOCK_CELLS"), ("grid.py", "level_blocks")}
+
+
 def test_run_holds_the_history_once():
     from fvbound.cli import _burgers_curved_averages
 
