@@ -64,82 +64,19 @@ class TimeLevels:
         return float(self.t[n + 1] - self.t[n])
 
 
-# numpy sums a contiguous float64 run pairwise: a run of at most _LEAF values
-# is one leaf, whose whole groups of 8 go into eight interleaved
-# accumulators, added in a fixed tree, and whose last n % 8 values are then
-# added in order; a longer run splits at half its length rounded down to a
-# multiple of 8.
-_LEAF = 128
+def window_sums(block: np.ndarray) -> np.ndarray:
+    """Per level, the column sums of a (W, B, m) block, as a (B, m) array:
+    the level's rows added in order, from the first.  A row-order sum has
+    the same bits wherever the block's window sits on the grid, since the
+    zero rows around it add exactly +0.0 (the block holds no -0.0).
 
-
-def _pairwise_plan(start: int, n: int, lo: int, hi: int, program: list) -> None:
-    """Append to program, in postfix order, numpy's pairwise tree over the
-    values start..start+n-1 pruned to the nodes that meet lo..hi-1, which
-    must meet it, with every other value +0.0: a (start, n) for each run
-    that numpy's own sum of its values gives a node's sum from, and a None
-    for each node both of whose halves meet lo..hi-1, to add their sums.
-
-    A node inside lo..hi-1 is its own run.  A leaf that is not is cut to
-    its groups of 8 that meet lo..hi-1, and to its last n % 8 values up to
-    hi: the zero groups cut off add +0.0 to each accumulator, and the zeros
-    after hi +0.0 to the sum.  If only the last n % 8 values meet it, the
-    run is those values alone, which numpy adds in order from 0.0, as the
-    leaf adds them to the sum of its zero groups."""
-    if lo <= start and start + n <= hi:
-        program.append((start, n))
-        return
-    if n <= _LEAF:
-        body = start + n - n % 8  # past the leaf's groups of 8
-        a = max(start + (lo - start) // 8 * 8, start) if lo < body else lo
-        b = min(hi, start + n) if hi > body else start - (start - hi) // 8 * 8
-        program.append((a, b - a))
-        return
-    half = n // 2 - n // 2 % 8
-    left, right = start + half > lo, start + half < hi
-    if left:
-        _pairwise_plan(start, half, lo, hi, program)
-    if right:
-        _pairwise_plan(start + half, n - half, lo, hi, program)
-    if left and right:
-        program.append(None)
-
-
-def window_sums(block: np.ndarray, first: int, length: int) -> np.ndarray:
-    """Per level, the column sums, sum(axis=0), of a zero (length, m) array
-    whose rows first..first+W-1 hold the level's slice of a (W, B, m) block,
-    bit for bit, as a (B, m) array, at the block's cost; the block holds no
-    -0.0.
-
-    At m >= 2 numpy adds the rows in order, and so does the einsum over the
-    block, off numpy's slow strided path; the zero rows add nothing
-    and only the block is summed.  At m = 1 numpy sums the row pairwise, and
-    every node of its tree outside the block sums to +0.0, which adds
-    nothing: so the tree is evaluated only over the nodes that meet the
-    block (_pairwise_plan), each run by numpy's own sum over all levels at
-    once, and a run that reaches past the block on zeros padded to it."""
-    width, levels, m = block.shape
-    if m >= 2:
+    At m >= 2 the einsum adds the rows in order; at m = 1 it, like numpy's
+    sum, would add them pairwise, so the rows are accumulated instead."""
+    if block.shape[2] >= 2:
         return np.einsum("wbm->bm", block)
-    if width == 0:
-        return np.zeros((levels, 1))
-    program = []
-    _pairwise_plan(0, length, first, first + width, program)
-    rows = np.ascontiguousarray(block[:, :, 0].T)  # each level's terms one contiguous row
-    stack = []
-    for node in program:
-        if node is None:
-            right = stack.pop()
-            stack[-1] = stack[-1] + right
-            continue
-        start, n = node
-        a, b = max(start, first), min(start + n, first + width)
-        run = rows[:, a - first:b - first]
-        if b - a < n:  # the run reaches past the block
-            padded = np.zeros((levels, n))
-            padded[:, a - start:b - start] = run
-            run = padded
-        stack.append(np.add.reduce(run, axis=1))
-    return stack[0][:, None]
+    if not len(block):
+        return np.zeros(block.shape[1:])
+    return np.cumsum(block, axis=0)[-1]
 
 
 # Cells (cells x levels) per block of levels in each pass that reads the

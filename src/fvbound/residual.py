@@ -84,7 +84,7 @@ def _entropy_lower(e1, e2, e3):
 def total_variation(sol: SpaceTimeSolution, n: int) -> tuple[np.ndarray, float]:
     """Per-component TV of level n (ghost interfaces included) and its
     sup-norm reduction."""
-    tv = np.abs(np.diff(_padded(sol, n), axis=0)).sum(axis=0)
+    tv = window_sums(np.abs(np.diff(_padded(sol, n), axis=0))[:, None])[0]
     return tv, float(tv.max())
 
 
@@ -187,12 +187,12 @@ def _layer_block(sol: SpaceTimeSolution, first: int, stop: int, c0: int, c1: int
     non-constant stencils every layer term is exactly +0.0 (F(u, u) = f(u)
     and x - x = +0), so the block's cells hold all that is not.  Each
     array is dropped once used, to keep the block's peak low."""
-    model, J, t, last = sol.model, sol.grid.J, sol.times.t, sol.n_steps
+    model, t, last = sol.model, sol.times.t, sol.n_steps
     n_levels, n_layers = stop - first, min(stop, last) - first
     u = sol.states.columns(first, min(stop + 1, last + 1), c0 - 1, c1 + 1)
     f, ent, ent_flux, speeds, low, high = model.level_terms(u[:, :n_levels])
     jumps = u[1:, :n_levels] - u[:-1, :n_levels]
-    tv = window_sums(np.abs(jumps, out=jumps), c0, J + 1)
+    tv = window_sums(np.abs(jumps, out=jumps))
     del jumps
     # each level's speeds over the grid cells; min and max may take either
     # signed zero of tied cells, by layout: + 0.0 makes it +0.0
@@ -232,18 +232,18 @@ def epsilon(sol: SpaceTimeSolution) -> ResidualReport:
     projected initial data still carries unresolved jumps, whenever the run
     has more than one step.
     """
-    n_steps, J, m = sol.n_steps, sol.grid.J, sol.model.m
+    n_steps, m = sol.n_steps, sol.model.m
     tv = np.empty((n_steps + 1, m))
     speed_range = np.empty((n_steps + 1, 2))
     beta_levels = np.empty(n_steps)
     eta_levels = np.empty(n_steps)
     for block in _layer_blocks(sol):
-        c0, levels = block.cells.start, slice(block.first, block.first + len(block.tv))
+        levels = slice(block.first, block.first + len(block.tv))
         tv[levels], speed_range[levels] = block.tv, block.speed_range
         layers = slice(block.first, block.first + len(block.dt))
-        beta_levels[layers] = window_sums(block.bounds, c0, J).max(axis=1) / block.dt
+        beta_levels[layers] = window_sums(block.bounds).max(axis=1) / block.dt
         deficit = np.abs(np.minimum(_entropy_e1(sol.grid.dx, block.dt, *block.entropy[:2]), 0.0))
-        eta_levels[layers] = window_sums(deficit[..., None], c0, J)[:, 0] / block.dt
+        eta_levels[layers] = window_sums(deficit[..., None])[:, 0] / block.dt
         del block, deficit  # before the next block is built
     c_max = float(np.diff(sol.times.t).max(initial=0.0)) / sol.grid.dx
     tv_scalar = tv.max(axis=1)

@@ -156,11 +156,11 @@ class LevelHistory:
         b - a, m) holds each level's values over the cells a..b-1, which
         hold its hull, and every other cell's values are the level's own.
         The block's levels come from columns and each level's sum from
-        grid.window_sums, with the bits of one subtract and one sum over all
-        the level's cells."""
+        grid.window_sums, the row-order sum, which has the same bits as
+        over all the level's cells, where the others add +0.0."""
         diff = self.columns(start, stop, a, b)
         diff -= values.transpose(1, 0, 2)
-        return window_sums(np.abs(diff, out=diff), a, self._J)
+        return window_sums(np.abs(diff, out=diff))
 
     def __len__(self) -> int:
         return self._n

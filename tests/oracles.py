@@ -25,9 +25,9 @@ from fvbound.solver import LevelHistory, SpaceTimeSolution, _RowTexts
 
 
 def column_sums(a: np.ndarray) -> np.ndarray:
-    """a.sum(axis=0) of a (J, m) array, bit for bit, off numpy's slow strided path."""
-    # einsum keeps sum(axis=0)'s sequential column order only for m >= 2; m == 1 sums pairwise.
-    return np.einsum("jm->m", a) if a.shape[1] >= 2 else a.sum(axis=0)
+    """The column sums of a (J >= 1, m) array in row order, one row added at
+    a time from the first, as every per-level sum of fvbound adds them."""
+    return np.add.accumulate(a, axis=0)[-1]
 
 
 def hand_march(states, model, kind, grid, cfl, t0, t_final):
@@ -291,7 +291,7 @@ class ResidualFold:
         bounds = _cell_bounds(dx, dt, fluxes, f[1:-1])
         e1 = _entropy_e1(dx, dt, q_hat, de)
         self.beta_levels.append(float(column_sums(bounds).max() / dt))
-        self.eta_levels.append(float(np.abs(np.minimum(e1, 0.0)).sum() / dt))
+        self.eta_levels.append(float(column_sums(np.abs(np.minimum(e1, 0.0))[:, None])[0] / dt))
         return dt, bounds, (q_hat, de, ent_flux[1:-1])
 
     def report(self, sol: SpaceTimeSolution) -> ResidualReport:

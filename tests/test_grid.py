@@ -1,4 +1,7 @@
+import functools
 import math
+import operator
+from fractions import Fraction
 from unittest.mock import patch
 
 import numpy as np
@@ -109,14 +112,20 @@ def test_run_respects_cfl_and_partitions_time():
         assert sol.times.dt(n) * lam / grid.dx <= 0.9 + 1e-12
 
 
+def _row_order_fold(column) -> float:
+    """A column's terms added one at a time, in order, in Python floats."""
+    return functools.reduce(operator.add, column)
+
+
 @settings(max_examples=150, deadline=None)
 @given(m=st.sampled_from([1, 2, 3]), J=st.integers(1, 9000),
        low=st.integers(-12, 6), span=st.integers(0, 12), seed=st.integers(0, 2**32 - 1))
-def test_column_sums_equal_axis0_sum_bit_for_bit(m, J, low, span, seed):
+def test_column_sums_equal_the_row_order_fold_bit_for_bit(m, J, low, span, seed):
     rng = np.random.default_rng(seed)
     magnitudes = 10.0 ** rng.uniform(low, low + span, size=(J, m))
     a = rng.standard_normal((J, m)) * magnitudes
-    assert column_sums(a).tobytes() == a.sum(axis=0).tobytes()
+    want = [_row_order_fold(column) for column in a.T.tolist()]
+    assert column_sums(a).tobytes() == np.array(want).tobytes()
 
 
 def _window_block(W, B, m, low, span, zeros, seed):
@@ -129,35 +138,65 @@ def _window_block(W, B, m, low, span, zeros, seed):
     return values.transpose(1, 0, 2)
 
 
-@settings(max_examples=150, deadline=None)
-@given(data=st.data(), J=st.integers(1, 40_000), B=st.integers(1, 6), m=st.sampled_from([1, 2]),
-       low=st.integers(-330, 6), span=st.integers(0, 12), zeros=st.sampled_from([0.0, 0.5, 1.0]),
-       contiguous=st.booleans(), seed=st.integers(0, 2**32 - 1))
-@example(data=None, J=16_385, B=2, m=1, low=-3, span=6, zeros=0.0, contiguous=False, seed=0)
-def test_window_sums_equal_the_zero_padded_rows_bit_for_bit(data, J, B, m, low, span, zeros,
-                                                            contiguous, seed):
-    """Per level, window_sums of a (W, B, m) block placed at rows
-    first..first+W-1 gives the sum of the zero (J, m) rows holding it, as
-    float hex: any J past numpy's 8,192-value buffer, windows at cell 0 and
-    at the end down to one cell, subnormal and +0.0 terms; the example is
-    the wide, few-level shape (W = 3000, B = 2).  The block's levels lie
-    contiguous, or (contiguous) the block is C-contiguous."""
+# A window of J cells holding a block of B levels: any J past numpy's
+# 8,192-value buffer, subnormal and +0.0 terms.
+_WINDOWS = dict(
+    data=st.data(), J=st.integers(1, 40_000), B=st.integers(1, 6), m=st.sampled_from([1, 2]),
+    low=st.integers(-330, 6), span=st.integers(0, 12), zeros=st.sampled_from([0.0, 0.5, 1.0]),
+    contiguous=st.booleans(), seed=st.integers(0, 2**32 - 1))
+# the wide, few-level shape (W = 3000 at row 5000, B = 2)
+_WIDE_WINDOW = dict(data=None, J=16_385, B=2, m=1, low=-3, span=6, zeros=0.0,
+                    contiguous=False, seed=0)
+
+
+def _drawn_window(data, J, B, m, low, span, zeros, contiguous, seed):
+    """(first, block): a (W, B, m) block at rows first..first+W-1 of J,
+    down to one row and at either end; its levels lie contiguous, or
+    (contiguous) it is C-contiguous.  data None gives _WIDE_WINDOW's."""
     if data is None:
         W, first = 3000, 5000
     else:
         W = data.draw(st.one_of(st.just(1), st.just(J), st.integers(1, J)))
         first = data.draw(st.one_of(st.just(0), st.just(J - W), st.integers(0, J - W)))
     block = _window_block(W, B, m, low, span, zeros, seed)
-    if contiguous:
-        block = np.ascontiguousarray(block)
-    want = []
-    for b in range(B):
-        rows = np.zeros((J, m))
-        rows[first:first + W] = block[:, b]
-        want.append([float(v).hex() for v in np.sum(rows, axis=0)])
-    got = window_sums(block, first, J)
+    return first, np.ascontiguousarray(block) if contiguous else block
+
+
+@settings(max_examples=150, deadline=None)
+@given(**_WINDOWS)
+@example(**_WIDE_WINDOW)
+def test_window_sums_equal_the_zero_padded_rows_bit_for_bit(data, J, B, m, low, span, zeros,
+                                                            contiguous, seed):
+    """Per level and component, window_sums of a block placed at rows
+    first..first+W-1 gives the row-order fold of the zero (J, m) rows
+    holding it, as float hex."""
+    first, block = _drawn_window(data, J, B, m, low, span, zeros, contiguous, seed)
+    pad_left, pad_right = [0.0] * first, [0.0] * (J - first - len(block))
+    want = [[_row_order_fold(pad_left + column + pad_right).hex() for column in level]
+            for level in block.transpose(1, 2, 0).tolist()]
+    got = window_sums(block)
     assert got.shape == (B, m)
     assert [[float(v).hex() for v in row] for row in got] == want
+
+
+@settings(max_examples=150, deadline=None)
+@given(**_WINDOWS)
+@example(**_WIDE_WINDOW)
+def test_window_sums_are_within_the_recursive_summation_bound(data, J, B, m, low, span, zeros,
+                                                              contiguous, seed):
+    """Per level and component, window_sums of W terms x lies within
+    gamma_(W-1) * sum |x| of their correctly rounded sum (math.fsum), with
+    gamma_k = k u / (1 - k u) and u = 2^-53: the error bound of a row-order
+    sum (N. J. Higham, Accuracy and Stability of Numerical Algorithms, 2nd
+    ed., SIAM 2002, section 4.2).  Both sides are compared exactly."""
+    _, block = _drawn_window(data, J, B, m, low, span, zeros, contiguous, seed)
+    k, u = len(block) - 1, Fraction(1, 2**53)
+    gamma = k * u / (1 - k * u)
+    got = window_sums(block)
+    for level, sums in zip(block.transpose(1, 2, 0).tolist(), got.tolist()):
+        for column, total in zip(level, sums):
+            error = abs(Fraction(total) - Fraction(math.fsum(column)))
+            assert error <= gamma * Fraction(math.fsum(map(abs, column)))
 
 
 @st.composite

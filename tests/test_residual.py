@@ -30,9 +30,9 @@ from fvbound.estimator import error_estimator
 from fvbound.solver import SpaceTimeSolution, load_solution, run, save_solution
 
 from oracles import (PROJECTION_INV, PROJECTION_MATRIX, ResidualFold, SlabTestFunction,
-                     _b_edge_form, dense, global_weak_residual, level_corner_oracle,
-                     per_level_cells_csv, per_level_epsilon, projection_coefficients,
-                     stored_levels)
+                     _b_edge_form, column_sums, dense, global_weak_residual,
+                     level_corner_oracle, per_level_cells_csv, per_level_epsilon,
+                     projection_coefficients, stored_levels)
 from test_solver import RUN_KINDS, _windowed_case, shock_profile, small_runs, windowed_cases
 
 GL_NODES, GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
@@ -301,8 +301,9 @@ class TestEpsilon:
             ref_e1, ref_e2, ref_e3, _ = level_entropy_triplets(sol, n)
             assert np.array_equal(e1, ref_e1) and np.array_equal(e2, ref_e2)
             assert np.array_equal(e3, ref_e3)
-            assert report.beta_levels[n] == bounds.sum(axis=0).max() / dt
-            assert report.eta_levels[n] == np.abs(np.minimum(e1, 0.0)).sum() / dt
+            assert report.beta_levels[n] == column_sums(bounds).max() / dt
+            deficit = np.abs(np.minimum(e1, 0.0))[:, None]
+            assert report.eta_levels[n] == column_sums(deficit)[0] / dt
         rate = max(report.beta_levels[1:].max(), report.eta_levels[1:].max())
         assert report.epsilon == report.stability_constant * rate / report.tv_max > 0.0
         speeds = sol.model.wave_speeds(dense(sol.states)).reshape(n_steps + 1, -1)

@@ -199,6 +199,21 @@ def test_only_grid_sets_the_block_budget():
     assert owners == {("grid.py", "BLOCK_CELLS"), ("grid.py", "level_blocks")}
 
 
+def test_only_grid_sums_columns():
+    """Of the package's modules only grid.py calls .sum, np.sum or
+    np.einsum, so every per-level sum adds its cells in the one order that
+    grid.window_sums defines."""
+    import fvbound
+
+    callers = set()
+    for path in sorted(Path(fvbound.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                    and node.func.attr in ("sum", "einsum")):
+                callers.add(path.name)
+    assert callers == {"grid.py"}
+
+
 def test_run_holds_the_history_once():
     from fvbound.cli import _burgers_curved_averages
 
