@@ -100,13 +100,13 @@ class PSystem:
         return np.sqrt(self.C * self.gamma * rho ** (self.gamma - 1.0))
 
     def flux(self, u: np.ndarray, check: bool = True, out: np.ndarray | None = None) -> np.ndarray:
-        """(q, q*q/rho + C*rho^gamma); an out array holds the pressure in
-        its first column until q goes there."""
+        """(q, q*q/rho + C*rho^gamma); out, allocated when not given, holds
+        the pressure in its first column until q goes there."""
         if check:
             self.check_domain(u)
         rho, q = u[..., 0], u[..., 1]
         if out is None:
-            return np.stack([q, q * q / rho + self.pressure(rho)], axis=-1)
+            out = np.empty(np.shape(u))
         p, f = out[..., 0], out[..., 1]
         np.multiply(self.C, np.power(rho, self.gamma, out=p), out=p)
         np.divide(np.multiply(q, q, out=f), rho, out=f)
@@ -123,12 +123,12 @@ class PSystem:
 
     def max_wave_speed(self, u: np.ndarray, check: bool = True,
                        out: np.ndarray | None = None) -> np.ndarray:
-        """|v| + c, shape = leading axes of u."""
+        """|v| + c, shape = leading axes of u (0-d for a single state)."""
         if check:
             self.check_domain(u)
         rho, q = u[..., 0], u[..., 1]
         if out is None:
-            return np.abs(q / rho) + self.sound_speed(rho)
+            out = np.empty(np.shape(rho))
         c = np.multiply(self.C * self.gamma, np.power(rho, self.gamma - 1.0, out=out), out=out)
         v = np.abs(q / rho)
         return np.add(v, np.sqrt(c, out=c), out=out)

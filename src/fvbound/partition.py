@@ -88,20 +88,12 @@ def detect_jumps(
         x_lo, x_hi = x_interval
         flagged &= (pos >= x_lo) & (pos <= x_hi)
 
-    regions: list[JumpRegion] = []
-    idx = np.nonzero(flagged)[0] + first
-    if idx.size == 0:
-        return regions
-    run_start = idx[0]
-    prev = idx[0]
-    for i in list(idx[1:]) + [None]:
-        if i is not None and i == prev + 1:
-            prev = i
-            continue
-        j1, j2 = int(run_start), int(prev) + 1
+    idx = np.flatnonzero(flagged) + first
+    cells = idx.tolist()
+    regions = []
+    for a, b in _runs(idx - np.arange(len(idx))):  # runs of consecutive interfaces
+        j1, j2 = cells[a], cells[b - 1] + 1
         regions.append(JumpRegion(j1, j2, float(edges[j1]), float(edges[j2 + 1])))
-        if i is not None:
-            run_start = prev = i
     return regions
 
 

@@ -20,7 +20,7 @@ import numpy as np
 
 from .grid import level_blocks, window_sums
 from .models import interface_fluxes, normalize_flux_kind, numerical_entropy_flux
-from .solver import SpaceTimeSolution, _RowTexts
+from .solver import SpaceTimeSolution
 
 
 def _cell_bounds(dx, dt, fluxes, f_center):
@@ -123,11 +123,11 @@ class ResidualReport:
     def write_cells_csv(self, sol: SpaceTimeSolution, path: str) -> None:
         """One row per layer and cell of sol: the bound per component, E1, E2,
         E3 and their lower bound, from the residual pass that gives epsilon.
-        Every cell outside a block's cells is +0.0.  A row whose bits equal
-        the same cell's row of the layer before is not formatted again."""
+        Every cell outside a block's cells is +0.0, so its row is the same
+        text at every layer; a block's cells are formatted by repr."""
         dx, J, m = sol.grid.dx, sol.grid.J, sol.model.m
-        rows = _RowTexts(J, m + 4, [str(j) for j in range(J)])
-        layer = np.zeros((J, m + 4))
+        heads = [str(j) for j in range(J)]
+        zero_rows = [f"{head}," + ",".join(["0.0"] * (m + 4)) for head in heads]
         with open(path, "w", newline="") as fh:
             cols = ["n", "j"] + [f"bound_{c}" for c in range(m)]
             fh.write(",".join(cols + ["E1", "E2", "E3", "ent_lower"]) + "\r\n")
@@ -136,10 +136,13 @@ class ResidualReport:
                 cells = np.concatenate(
                     [block.bounds, np.stack([e1, e2, e3, _entropy_lower(e1, e2, e3)], axis=-1)],
                     axis=-1)
-                layer[:] = 0.0
+                c0, c1 = block.cells.start, block.cells.stop
                 for k, n in enumerate(range(block.first, block.first + len(block.dt))):
-                    layer[block.cells] = cells[:, k]
-                    fh.write(f"{n}," + f"\r\n{n},".join(rows.update(layer)) + "\r\n")
+                    values = map(repr, cells[:, k].ravel().tolist())
+                    # one iterator: zip takes m + 4 values per row
+                    rows = map(",".join, zip(heads[c0:c1], *[values] * (m + 4)))
+                    fh.write(f"{n}," + f"\r\n{n},".join([*zero_rows[:c0], *rows, *zero_rows[c1:]])
+                             + "\r\n")
                 del block, cells, e1, e2, e3  # before the next block is built
 
 

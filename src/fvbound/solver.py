@@ -461,40 +461,6 @@ def run(
     )
 
 
-class _RowTexts:
-    """The text of each row of a sequence of (rows, width) float blocks, or
-    of runs of their rows: its head, if given, and its values by repr,
-    joined by commas, kept from block to block.  A row is formatted again
-    only where its int64 bit pattern differs from the one it was last
-    formatted with (all +0.0 before the first), so -0.0 and 0.0 stay apart
-    and the texts equal formatting every row afresh."""
-
-    def __init__(self, rows: int, width: int, heads: list[str] | None = None):
-        zeros = ",".join(["0.0"] * width)
-        if heads is None:
-            self._heads, texts = None, [zeros] * rows
-        else:
-            self._heads = np.array(heads, dtype=object)
-            texts = [f"{head},{zeros}" for head in heads]
-        self._texts = np.array(texts, dtype=object)
-        self._bits = np.zeros((rows, width), dtype=np.int64)
-
-    def update(self, block: np.ndarray, start: int = 0) -> list[str]:
-        """The texts of the rows start..start+len(block)-1, whose values block
-        holds; block may change after the call."""
-        rows = slice(start, start + len(block))
-        bits = block.view(np.int64)
-        changed = np.flatnonzero((bits != self._bits[rows]).any(axis=1))
-        values = map(repr, block[changed].ravel().tolist())
-        columns = [values] * block.shape[1]  # one iterator: zip takes width values per row
-        at = changed + start
-        if self._heads is not None:
-            columns.insert(0, self._heads[at])
-        self._texts[at] = list(map(",".join, zip(*columns)))
-        self._bits[at] = bits[changed]
-        return self._texts[rows].tolist()
-
-
 # The first line of a solution dump: the format that save_solution writes and
 # load_solution reads.
 _MAGIC = "# fvbound-solution "
@@ -504,9 +470,8 @@ _VERSION = "2"
 def save_solution(sol: SpaceTimeSolution, path: str) -> None:
     """Dump the solution to a single text file, format 2: header, then one
     row per time level, t, the level's ghost hull lo and hi, and its
-    (hi - lo) x m hull cells row-major (no trailing comma when the hull is
-    empty), written row by row rather than held as one string.  A hull cell
-    whose bits equal those it was last written with keeps that text."""
+    (hi - lo) x m hull cells row-major by repr (no trailing comma when the
+    hull is empty), written row by row rather than held as one string."""
     params = ",".join(f"{k}={v!r}" for k, v in sorted(sol.model.params().items()))
     with open(path, "w") as fh:
         fh.write(f"{_MAGIC}{_VERSION}\n")
@@ -516,10 +481,10 @@ def save_solution(sol: SpaceTimeSolution, path: str) -> None:
                  f"m={sol.model.m}\n")
         for key, ghost in (("ghost_left", sol.ghost_left), ("ghost_right", sol.ghost_right)):
             fh.write(f"# {key}=" + ",".join(f"{v!r}" for v in ghost.tolist()) + "\n")
-        cells = _RowTexts(sol.grid.J, sol.model.m)
         rows = zip(sol.times.t.tolist(), sol.ghost_hulls.tolist(), sol.states.walk())
         for t, (lo, hi), level in rows:
-            fh.write(",".join([f"{t!r},{lo},{hi}", *cells.update(level[lo:hi], lo)]) + "\n")
+            fh.write(",".join([f"{t!r},{lo},{hi}", *map(repr, level[lo:hi].ravel().tolist())])
+                     + "\n")
 
 
 # Header entries save_solution writes and load_solution needs (params is optional).

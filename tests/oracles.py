@@ -21,7 +21,7 @@ from fvbound.partition import JumpRegion, SlabPartition, trapezoid_cell_ranges
 from fvbound.residual import (ResidualReport, _cell_bounds, _entropy_e1, _entropy_lower,
                               _entropy_triplets, _padded)
 from fvbound.riemann import WaveFan, _fan_integral, _riemann_invariant
-from fvbound.solver import LevelHistory, SpaceTimeSolution, _RowTexts
+from fvbound.solver import LevelHistory, SpaceTimeSolution
 
 
 def column_sums(a: np.ndarray) -> np.ndarray:
@@ -349,10 +349,9 @@ def per_level_epsilon(sol: SpaceTimeSolution) -> ResidualReport:
 
 def per_level_cells_csv(sol: SpaceTimeSolution, path: str) -> None:
     """ResidualReport.write_cells_csv(sol, path), each layer folded one
-    level at a time over the whole grid."""
+    level at a time over the whole grid, every row formatted value by value."""
     dx = sol.grid.dx
     fold = ResidualFold(dx)
-    rows = _RowTexts(sol.grid.J, sol.model.m + 4, [str(j) for j in range(sol.grid.J)])
     with open(path, "w", newline="") as fh:
         cols = ["n", "j"] + [f"bound_{c}" for c in range(sol.model.m)]
         fh.write(",".join(cols + ["E1", "E2", "E3", "ent_lower"]) + "\r\n")
@@ -363,7 +362,8 @@ def per_level_cells_csv(sol: SpaceTimeSolution, path: str) -> None:
             dt, bounds, entropy = layer
             e1, e2, e3 = _entropy_triplets(dx, dt, *entropy)
             block = np.column_stack([bounds, e1, e2, e3, _entropy_lower(e1, e2, e3)])
-            fh.write(f"{n}," + f"\r\n{n},".join(rows.update(block)) + "\r\n")
+            for j, row in enumerate(block.tolist()):
+                fh.write(",".join([str(n), str(j), *map(repr, row)]) + "\r\n")
 
 
 # Maps the edge averages (left, top, right) of an affine test function
