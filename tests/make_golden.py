@@ -32,6 +32,8 @@ GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden.json")
 CASES = (
     ("psys-raref-shock", 6, ()),
     ("burgers-curved", 6, ("--ref", "none")),
+    ("psys-raref-shock", 9, ()),
+    ("burgers-curved", 9, ("--ref", "none")),
 )
 
 # Report JSON key of each figure.
