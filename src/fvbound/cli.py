@@ -193,7 +193,7 @@ class _CoarseRun:
         self.sol, self.ratio = sol, _nesting_ratio(fine_grid, sol.grid)
         self.distances = np.empty((len(sol.states), sol.model.m))
         self._snaps = np.empty((max(fine_grid.J, grid_module.BLOCK_CELLS), sol.model.m))
-        self._cells, self._used, self._first = [], 0, 0  # the batch's (a, b), fine cells, level
+        self._spans, self._used, self._first = [], 0, 0  # the batch's (a, b), fine cells, level
 
     def add(self, a: int, b: int, states: np.ndarray, before: np.ndarray | None = None,
             w: float = 1.0) -> None:
@@ -208,15 +208,15 @@ class _CoarseRun:
         else:
             np.multiply(1.0 - w, before, out=snap)
             snap += w * states
-        self._cells.append((a, b))
+        self._spans.append((a, b))
         self._used += size
 
     def flush(self) -> None:
         """Sum the distances of the batch's levels and start a new batch."""
-        if not self._cells:
+        if not self._spans:
             return
         history, first, J = self.sol.states, self._first, self.sol.grid.J
-        a, b = np.array(self._cells).T
+        a, b = np.array(self._spans).T
         ubar = _restrict(self._snaps[:self._used], self.ratio)
         at = np.cumsum(b - a) - (b - a)  # each level's first row of ubar
         hulls = history.hulls[first:first + len(a)]
@@ -228,7 +228,7 @@ class _CoarseRun:
             rows += (at - a)[start:stop, None]
             self.distances[first + start:first + stop] = history.l1_distances(
                 first + start, first + stop, c0, c1, ubar[rows])
-        self._cells, self._used, self._first = [], 0, first + len(a)
+        self._spans, self._used, self._first = [], 0, first + len(a)
 
 
 def _same_bits(rows: np.ndarray, state: np.ndarray) -> np.ndarray:

@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .partition import SlabPartition, oscillation, partition_meso_slab, slab_block
+from .partition import SlabPartition, oscillation, partition_meso_slab
 from .residual import ResidualReport, epsilon
 from .solver import SpaceTimeSolution
 
@@ -162,9 +162,7 @@ def error_estimator(
     bounds = slab_boundaries(sol.times.t, report.tau_target)
     report.slab_times = sol.times.t[np.array(bounds)]
     for n_lo, n_hi in zip(bounds[:-1], bounds[1:]):
-        block = slab_block(sol, n_lo, n_hi)
-        part = partition_meso_slab(sol, n_lo, n_hi, res.epsilon, sigma0, res.speed_range, block)
-        kappa = max((oscillation(sol, g, n_lo, n_hi, block) for g in part.smooth), default=0.0)
-        del block  # dropped before the next slab's block is built
+        part = partition_meso_slab(sol, n_lo, n_hi, res.epsilon, sigma0, res.speed_range)
+        kappa = max(oscillation(sol, part.smooth, n_lo, n_hi).tolist(), default=0.0)
         report.slabs.append(replace(part, kappa=kappa, c0=_slab_c0(sigma0, res.epsilon, part)))
     return report

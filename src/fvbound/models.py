@@ -82,8 +82,6 @@ class PSystem:
 
     m = 2
     name = "psystem"
-    # rho < 0 has finite speeds when gamma - 1 is an even integer
-    speeds_check_domain = False
 
     def __init__(self, C: float = 1.0, gamma: float = 1.4):
         if C <= 0:
@@ -92,6 +90,11 @@ class PSystem:
             raise ValueError(f"adiabatic exponent must exceed 1, got {gamma}")
         self.C = float(C)
         self.gamma = float(gamma)
+        # |q/rho| + c is not finite at rho = +-0 or a non-finite rho or q; at
+        # rho < 0, c is NaN unless gamma is an integer: rho^(gamma-1) > 0 for
+        # an odd gamma, and for an even one it or C*gamma*rho^(gamma-1) may
+        # underflow to -0.0, whose square root is -0.0
+        self.speeds_check_domain = not self.gamma.is_integer()
 
     def pressure(self, rho: np.ndarray) -> np.ndarray:
         return self.C * rho**self.gamma

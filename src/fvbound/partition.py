@@ -5,15 +5,12 @@ surge trapezoids around sufficiently isolated strong discontinuities and by
 smooth trapezoids everywhere else.  Trapezoid slopes come from the extreme
 wave speeds observed in the slab, which the residual pass records per level.
 
-The cells a trapezoid meets are (levels, j_lo, j_hi) arrays computed for all
-of a slab's levels at once.  A slab's block (SlabBlock) is the history's runs
-of its levels' ghost-hull cells, one piece per chunk of the history, the
-cells between the runs holding the ghost states' bits; each piece is one
-component-major array of per-level segments with an offset table.  A
-trapezoid's min and max clip each level's range to the hull, reduce each
-piece's clipped segments with one reduceat each and join the pieces'
-results; a ghost state joins wherever a range reaches past the hull on its
-side.
+The cells a trapezoid meets are (K, levels) arrays of closed ranges,
+computed for K trapezoids and all of a slab's levels at once.  Their min and
+max come from LevelHistory.range_minmax: one reduction of the history for
+all of a slab's smooth trapezoids, and one for each batch of a surge
+candidate's strip iterations, whose trapezoids do not depend on the data:
+only the stop rule does, and it reads the running unions afterwards.
 """
 
 from __future__ import annotations
@@ -22,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import Grid1D
+from .grid import BLOCK_CELLS, Grid1D
 from .solver import SpaceTimeSolution, _runs
 
 
@@ -127,121 +124,51 @@ class Trapezoid:
 
 
 def trapezoid_cell_ranges(
-    trap: Trapezoid, sol: SpaceTimeSolution, n_lo: int, n_hi: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(levels, j_lo, j_hi) arrays: on each listed level of n_lo..n_hi-1, the
-    closed range of cells whose closed space-time rectangle meets the
-    trapezoid; boundary touching counts."""
-    levels = np.arange(n_lo, n_hi)
-    if trap.t_top - trap.t_bot <= 0:
-        return levels[:0], levels[:0], levels[:0]
+    traps, sol: SpaceTimeSolution, n_lo: int, n_hi: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """(j_lo, j_hi), two (K, n_hi - n_lo) arrays: on level n_lo + l, the
+    closed range of cells whose closed space-time rectangle meets the k-th of
+    the K trapezoids; boundary touching counts.  A level the trapezoid does
+    not meet has j_lo > j_hi."""
+    # the K trapezoids as one whose corners are (K, 1) columns
+    trap = Trapezoid(*np.array([(g.t_bot, g.t_top, g.a_bot, g.b_bot, g.a_top, g.b_top)
+                                for g in traps], dtype=float).reshape(-1, 6, 1).transpose(1, 0, 2))
     times = sol.times.t
     w_lo = np.maximum(times[n_lo:n_hi], trap.t_bot)
     w_hi = np.minimum(times[n_lo + 1 : n_hi + 1], trap.t_top)
-    # restrict to the sub-window where the trapezoid is non-degenerate
-    g_lo = trap.right_at(w_lo) - trap.left_at(w_lo)
-    g_hi = trap.right_at(w_hi) - trap.left_at(w_hi)
-    keep = (w_lo <= w_hi) & ((g_lo >= 0.0) | (g_hi >= 0.0))
-    levels, w_lo, w_hi, g_lo, g_hi = (a[keep] for a in (levels, w_lo, w_hi, g_lo, g_hi))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        # linear in t, single sign change
-        t_root = w_lo + (w_hi - w_lo) * g_lo / (g_lo - g_hi)
-    w_lo, w_hi = np.where(g_lo < 0.0, t_root, w_lo), np.where(g_hi < 0.0, t_root, w_hi)
-    xlo = np.minimum(trap.left_at(w_lo), trap.left_at(w_hi))
-    xhi = np.maximum(trap.right_at(w_lo), trap.right_at(w_hi))
     grid = sol.grid
     slop = 1e-9
-    j_lo = np.maximum(np.ceil((xlo - grid.x_min) / grid.dx - 1.0 - slop), 0).astype(np.intp)
-    j_hi = np.minimum(np.floor((xhi - grid.x_min) / grid.dx + slop), grid.J - 1).astype(np.intp)
-    keep = j_lo <= j_hi
-    return levels[keep], j_lo[keep], j_hi[keep]
+    # a trapezoid without height meets nothing; its entries are dropped
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        left_lo, right_lo = trap.left_at(w_lo), trap.right_at(w_lo)
+        left_hi, right_hi = trap.left_at(w_hi), trap.right_at(w_hi)
+        # restrict to the sub-window where the trapezoid is non-degenerate
+        g_lo, g_hi = right_lo - left_lo, right_hi - left_hi
+        keep = (trap.t_top - trap.t_bot > 0) & (w_lo <= w_hi) & ((g_lo >= 0.0) | (g_hi >= 0.0))
+        cut_lo, cut_hi = g_lo < 0.0, g_hi < 0.0
+        if cut_lo.any() or cut_hi.any():  # the edges cross inside a level
+            t_root = w_lo + (w_hi - w_lo) * g_lo / (g_lo - g_hi)  # linear in t, one sign change
+            left, right = trap.left_at(t_root), trap.right_at(t_root)
+            left_lo, right_lo = np.where(cut_lo, left, left_lo), np.where(cut_lo, right, right_lo)
+            left_hi, right_hi = np.where(cut_hi, left, left_hi), np.where(cut_hi, right, right_hi)
+        xlo, xhi = np.minimum(left_lo, left_hi), np.maximum(right_lo, right_hi)
+        j_lo = np.maximum(np.ceil((xlo - grid.x_min) / grid.dx - 1.0 - slop), 0).astype(np.intp)
+        j_hi = np.minimum(np.floor((xhi - grid.x_min) / grid.dx + slop),
+                          grid.J - 1).astype(np.intp)
+    return np.where(keep, j_lo, 0), np.where(keep, j_hi, -1)
 
 
-@dataclass(frozen=True)
-class SlabBlock:
-    """The ghost-hull cells of levels n_lo..n_hi-1, one piece per chunk of
-    the history they lie in: piece p holds the levels n_lo + first[p] up to
-    the next piece's first, level after level, as one component-major
-    (m, S) array, and cell j of level n_lo + k sits at column start[k] + j -
-    lo[k] of its piece for lo[k] <= j < hi[k].  Every other cell of the
-    level holds the bits of the ghost state on its side."""
-
-    pieces: tuple[np.ndarray, ...]  # (m, S) each
-    first: np.ndarray  # (P,) each piece's first level, counted from n_lo
-    lo: np.ndarray  # (L,) each level's ghost hull [lo, hi)
-    hi: np.ndarray
-    start: np.ndarray  # (L,) the column of each level's first hull cell in its piece
+def _oscillations(mins: np.ndarray, maxs: np.ndarray) -> np.ndarray:
+    """Per set, the sup-norm range max - min of its (..., m) min and max:
+    0.0 for a set without cells, whose min and max are +inf and -inf."""
+    return np.maximum((maxs - mins).max(axis=-1), 0.0)
 
 
-def slab_block(sol: SpaceTimeSolution, n_lo: int, n_hi: int) -> SlabBlock:
-    """The SlabBlock of levels n_lo..n_hi-1, read in place from the history,
-    which stores the hull cells of the levels in one chunk as one run: each
-    piece is a view of its chunk at m = 1."""
-    first, pieces, start = zip(*sol.states.hull_cells(n_lo, n_hi))
-    lo, hi = sol.ghost_hulls[n_lo:n_hi].T
-    return SlabBlock(pieces, np.array(first), lo, hi, np.concatenate(start))
-
-
-def trapezoid_minmax(sol: SpaceTimeSolution, trap: Trapezoid, n_lo: int, n_hi: int,
-                     block: SlabBlock) -> tuple[np.ndarray, np.ndarray] | None:
-    """Componentwise (min, max) over all cells meeting the trapezoid, None if
-    it meets none; block is slab_block(sol, n_lo, n_hi).  Each level's range
-    is clipped to the level's ghost hull, each piece's clipped segments are
-    reduced in place and the pieces' results joined, and a ghost state joins
-    wherever a range reaches past the hull on its side; min and max do not
-    round, so this is the min and max over the ranges."""
-    levels, j_lo, j_hi = trapezoid_cell_ranges(trap, sol, n_lo, n_hi)
-    if levels.size == 0:
-        return None
-    k = levels - n_lo
-    lo, hi = block.lo[k], block.hi[k]
-    shift = block.start[k] - lo
-    starts, stops = np.maximum(j_lo, lo) + shift, np.minimum(j_hi + 1, hi) + shift
-    keep = starts < stops
-    k, starts, stops = k[keep], starts[keep], stops[keep]
-    piece = np.searchsorted(block.first, k, side="right") - 1
-    mm = None
-    for a, b in _runs(piece):
-        mm = _join(mm, _segments_minmax(block.pieces[piece[a]], starts[a:b], stops[a:b]))
-    # a range that misses the hull reaches past it on one side, so mm is set
-    for reaches, ghost in ((j_lo < lo, sol.ghost_left), (j_hi >= hi, sol.ghost_right)):
-        if reaches.any():
-            ghost = np.asarray(ghost, dtype=float)
-            mm = _join(mm, (ghost, ghost))
-    return mm
-
-
-def _join(mm, new):
-    """The componentwise (min, max) of two, either of which may be None."""
-    if mm is None or new is None:
-        return mm or new
-    return np.minimum(mm[0], new[0]), np.maximum(mm[1], new[1])
-
-
-def _segments_minmax(values: np.ndarray, starts: np.ndarray,
-                     stops: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Componentwise (min, max) over the ascending, disjoint column segments
-    [starts, stops) of values: one reduceat each over interleaved start/stop
-    offsets on the columns from the first start to the last stop, keeping
-    the segments' results and dropping those of the gaps between them."""
-    first = int(starts[0])
-    offsets = np.empty(2 * len(starts) - 1, dtype=np.intp)
-    offsets[0::2] = starts - first
-    offsets[1::2] = stops[:-1] - first
-    span = values[:, first:int(stops[-1])]
-    return (np.minimum.reduceat(span, offsets, axis=1)[:, ::2].min(axis=1),
-            np.maximum.reduceat(span, offsets, axis=1)[:, ::2].max(axis=1))
-
-
-def _range_osc(mm) -> float:
-    return float((mm[1] - mm[0]).max()) if mm is not None else 0.0
-
-
-def oscillation(sol: SpaceTimeSolution, trap: Trapezoid, n_lo: int, n_hi: int,
-                block: SlabBlock) -> float:
-    """Sup-norm range of the solution over all cells meeting the trapezoid;
-    block is slab_block(sol, n_lo, n_hi)."""
-    return _range_osc(trapezoid_minmax(sol, trap, n_lo, n_hi, block))
+def oscillation(sol: SpaceTimeSolution, traps, n_lo: int, n_hi: int) -> np.ndarray:
+    """Per trapezoid, the sup-norm range of the solution over all cells of
+    levels n_lo..n_hi-1 meeting it: one reduction of the history for all."""
+    ranges = trapezoid_cell_ranges(traps, sol, n_lo, n_hi)
+    return _oscillations(*sol.states.range_minmax(n_lo, n_hi, *ranges))
 
 
 @dataclass(frozen=True)
@@ -336,22 +263,41 @@ def merge_close_regions(regions: list[JumpRegion], min_distance: float) -> list[
     return merged
 
 
+def _half_widths(eps13: float, eps23: float):
+    """Each strip iteration's half-width per side: from max(eps^(1/3) -
+    eps^(2/3), eps^(2/3)/2) down by eps^(2/3) to that floor, where the total
+    width reaches eps^(2/3), or until it no longer changes."""
+    floor = 0.5 * eps23
+    delta = max(eps13 - eps23, floor)
+    yield delta
+    while delta + delta > eps23 > 0.0:
+        new = max(delta - eps23, floor)
+        if new == delta:
+            return
+        delta = new
+        yield delta
+
+
 def detect_surges(
     sol: SpaceTimeSolution, n_lo: int, n_hi: int, sigma0: float, lam_minus: float,
-    lam_plus: float, eps: float, block: SlabBlock,
+    lam_plus: float, eps: float,
 ) -> tuple[list[SurgeTrapezoid], list[float]]:
     """Confirmed surge trapezoids of a slab and their oscillations kappa'.
 
     A bottom candidate is confirmed as a surge when the cone of extreme wave
     speeds emanating from it contains exactly one jump region at the top
     level; jump regions closer than the minimal surge distance are merged
-    into one candidate first.  The strip half-widths start at
-    eps^(1/3) - eps^(2/3) per side and shrink by eps^(2/3) per side while
-    the sub-trapezoid oscillations stay below tau, stopping once the total
-    width reaches eps^(2/3).  kappa' is the oscillation over the union of the
-    sub-trapezoids of every iteration: the outer edges move inward as the
-    strip shrinks, so the union can hold cells the final sub-trapezoids no
-    longer meet.  block is slab_block(sol, n_lo, n_hi).
+    into one candidate first.  The strip half-widths (_half_widths) shrink
+    while the sub-trapezoid oscillations stay below tau.  kappa' is the
+    oscillation over the union of the sub-trapezoids of every iteration:
+    the outer edges move inward as the strip shrinks, so the union can hold
+    cells the final sub-trapezoids no longer meet.
+
+    The half-widths depend on eps alone, so a candidate reduces its
+    iterations' sub-trapezoids a batch at a time, in one call: 8, then twice
+    as many each batch, and at most BLOCK_CELLS range entries (2 sides x 2
+    ranges x iterations x levels) unless one iteration needs more.  It stops
+    at its first iteration whose running union oscillates more than tau.
     """
     grid = sol.grid
     times = sol.times.t
@@ -363,38 +309,48 @@ def detect_surges(
 
     eps13 = eps ** (1.0 / 3.0)
     eps23 = eps ** (2.0 / 3.0)
+    L, m = n_hi - n_lo, sol.states.shape[2]
     surges: list[SurgeTrapezoid] = []
     oscs: list[float] = []
-
-    def union(mm, trap: Trapezoid):
-        """Running (min, max) extended by the cells meeting trap."""
-        return _join(mm, trapezoid_minmax(sol, trap, n_lo, n_hi, block))
-
     for region in bottom:
         cone = (region.x_left + lam_minus * tau, region.x_right + lam_plus * tau)
         top_jumps = merge_close_regions(detect_jumps(sol, n_hi, cone, sigma0), sep)
         if len(top_jumps) != 1:
             continue
-        top = top_jumps[0]
-
-        floor = 0.5 * eps23  # per side, so the total width stops at eps^(2/3)
-        delta_l = delta_r = max(eps13 - eps23, floor)
-        trap = build_surge_trapezoid(tau, region, top, delta_l, delta_r,
-                                     lam_minus, lam_plus, grid, eps13, t_bot, t_top)
-        mm_l, mm_r = union(None, trap.left), union(None, trap.right)
-        while (max(_range_osc(mm_l), _range_osc(mm_r)) <= tau
-               and delta_l + delta_r > eps23 > 0.0):
-            new_l = max(delta_l - eps23, floor)
-            new_r = max(delta_r - eps23, floor)
-            if new_l == delta_l and new_r == delta_r:
+        # per side, the running union's min and max and the last iteration's ranges
+        low, high = np.full((2, 1, m), np.inf), np.full((2, 1, m), -np.inf)
+        last_lo, last_hi = np.zeros((2, 1, L), dtype=np.intp), np.full((2, 1, L), -1)
+        widths, batch = _half_widths(eps13, eps23), 8
+        while deltas := [d for _, d in zip(range(min(batch, max(1, BLOCK_CELLS // (4 * L)))),
+                                           widths)]:
+            traps = [build_surge_trapezoid(tau, region, top_jumps[0], delta, delta, lam_minus,
+                                           lam_plus, grid, eps13, t_bot, t_top)
+                     for delta in deltas]
+            j_lo, j_hi = (a.reshape(2, len(deltas), L) for a in trapezoid_cell_ranges(
+                [t.left for t in traps] + [t.right for t in traps], sol, n_lo, n_hi))
+            # The union of a side's iterations up to i is that up to i - 1 and
+            # the cells of iteration i outside iteration i - 1's range: two
+            # ranges per level, of a few cells as the strip shrinks.
+            before_lo = np.concatenate([last_lo, j_lo[:, :-1]], axis=1)
+            before_hi = np.concatenate([last_hi, j_hi[:, :-1]], axis=1)
+            pieces = (np.stack([j_lo, np.maximum(j_lo, before_hi + 1)], axis=2),
+                      np.stack([np.minimum(j_hi, before_lo - 1), j_hi], axis=2))
+            mins, maxs = sol.states.range_minmax(n_lo, n_hi, *(a.reshape(-1, L) for a in pieces))
+            low = np.minimum.accumulate(np.concatenate([low, mins.reshape(2, -1, m)], axis=1),
+                                        axis=1)[:, 2::2]
+            high = np.maximum.accumulate(np.concatenate([high, maxs.reshape(2, -1, m)], axis=1),
+                                         axis=1)[:, 2::2]
+            # per iteration, the larger side's oscillation over its union so far
+            kappa = _oscillations(low, high).max(axis=0)
+            over = ~(kappa <= tau)
+            i = int(over.argmax()) if over.any() else len(deltas) - 1
+            trap, osc = traps[i], float(kappa[i])
+            if over.any():
                 break
-            delta_l, delta_r = new_l, new_r
-            trap = build_surge_trapezoid(tau, region, top, delta_l, delta_r,
-                                         lam_minus, lam_plus, grid, eps13, t_bot, t_top)
-            mm_l, mm_r = union(mm_l, trap.left), union(mm_r, trap.right)
-
+            low, high, last_lo, last_hi = low[:, -1:], high[:, -1:], j_lo[:, -1:], j_hi[:, -1:]
+            batch *= 2
         surges.append(trap)
-        oscs.append(max(_range_osc(mm_l), _range_osc(mm_r)))
+        oscs.append(osc)
     return surges, oscs
 
 
@@ -460,14 +416,13 @@ def _span_union(t1: Trapezoid, t2: Trapezoid) -> Trapezoid:
 
 def partition_meso_slab(
     sol: SpaceTimeSolution, n_lo: int, n_hi: int, eps: float, sigma0: float,
-    speed_range: np.ndarray, block: SlabBlock,
+    speed_range: np.ndarray,
 ) -> SlabPartition:
     """Cover the slab by surge trapezoids plus gap-filling smooth trapezoids.
 
     The slopes lam_minus/lam_plus are the extreme signed wave speeds over
     levels n_lo..n_hi, read from rows n_lo..n_hi of speed_range, the (N+1, 2)
-    per-level (min, max) that epsilon records.  block is
-    slab_block(sol, n_lo, n_hi).  Without surges a single smooth trapezoid
+    per-level (min, max) that epsilon records.  Without surges a single smooth trapezoid
     covers the whole slab.  Smooth trapezoids between two close surges whose
     bottom width is at most 2*tau*(lam_plus - lam_minus) are merged into a
     neighbor so no point ends up in more than two smooth trapezoids.
@@ -481,7 +436,7 @@ def partition_meso_slab(
     lam_minus = float(speed_range[n_lo : n_hi + 1, 0].min())
     lam_plus = float(speed_range[n_lo : n_hi + 1, 1].max())
 
-    surges, oscs = detect_surges(sol, n_lo, n_hi, sigma0, lam_minus, lam_plus, eps, block)
+    surges, oscs = detect_surges(sol, n_lo, n_hi, sigma0, lam_minus, lam_plus, eps)
     eps23 = eps ** (2.0 / 3.0)
 
     if not surges:

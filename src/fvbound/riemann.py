@@ -15,6 +15,10 @@ from .models import Burgers, PSystem
 
 RH_TOL = 1e-10
 STAR_ATOL = 1e-13
+# The velocity mismatch the star density may leave.  Near vacuum the
+# mismatch's slope grows like rho^-0.8, so a step below STAR_ATOL can still
+# leave more than RH_TOL across a rarefaction.
+STAR_GTOL = 1e-12
 MAX_ITER = 200
 
 
@@ -149,7 +153,7 @@ def _solve_star_density(model: PSystem, rho_l, v_l, rho_r, v_r) -> float:
                 x_new = 0.5 * (lo + hi)
         else:
             x_new = 0.5 * (lo + hi)
-        if abs(x_new - x) <= STAR_ATOL:
+        if abs(x_new - x) <= STAR_ATOL and abs(g(x_new)[0]) <= STAR_GTOL:
             return x_new
         x = x_new
     raise ConvergenceError(f"star density iteration did not converge in {MAX_ITER} steps")

@@ -35,12 +35,11 @@ class LevelHistory:
     the last.
 
     append builds the history level by level and freeze makes it read-only.
-    There are three readers: walk yields the levels forward, columns a dense
-    block of levels over a range of cells, and hull_cells the runs of a
-    range of levels, one per chunk; each reaches the stored cells through
-    _cells, and hulls gives the (lo, hi) rows.  l1_distances sums the
-    distances of a block of levels to other values, read with columns.  The
-    history has no dense form: np.asarray(history) raises a TypeError.
+    Two readers, walk (the levels forward) and columns (a dense block of
+    levels over a range of cells), and two reductions, l1_distances (read
+    with columns) and range_minmax (min and max over sets of cell ranges),
+    reach the stored cells through _cells; hulls gives the (lo, hi) rows.
+    The history has no dense form: np.asarray(history) raises a TypeError.
     """
 
     def __init__(self, J: int, m: int, ghost_left, ghost_right):
@@ -120,21 +119,6 @@ class LevelHistory:
         hull cells, or those of a run of levels that lie in the chunk."""
         return self._chunks[chunk][at:end].reshape(-1, self._m)
 
-    def hull_cells(self, start: int, stop: int) -> list[tuple[int, np.ndarray, np.ndarray]]:
-        """The hull cells of levels start..stop-1 as one piece per chunk
-        they lie in: (the piece's first level, counted from start; its
-        levels' hull cells, level after level, as one component-major
-        (m, S) array, a view of the chunk at m = 1 and a copy at m >= 2;
-        the column of each of its levels' first hull cell)."""
-        rows = self._index[start:stop]
-        pieces = []
-        for a, b in _runs(rows[:, 2]):
-            lo, hi, chunk, at = rows[b - 1].tolist()
-            first = int(rows[a, 3])
-            cells = self._cells(chunk, first, at + (hi - lo) * self._m)
-            pieces.append((a, np.ascontiguousarray(cells.T), (rows[a:b, 3] - first) // self._m))
-        return pieces
-
     def columns(self, start: int, stop: int, a: int, b: int) -> np.ndarray:
         """The cells a..b-1 of levels start..stop-1 as one (b - a, stop -
         start, m) array whose levels each lie contiguous in memory; the cells
@@ -161,6 +145,63 @@ class LevelHistory:
         diff = self.columns(start, stop, a, b)
         diff -= values.transpose(1, 0, 2)
         return window_sums(np.abs(diff, out=diff))
+
+    def range_minmax(self, start: int, stop: int, j_lo: np.ndarray,
+                     j_hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Per set k of closed cell ranges [j_lo[k, l], j_hi[k, l]] on the
+        levels start + l, given as (K, stop - start) arrays in which a range
+        with j_lo > j_hi is empty, the componentwise min and max over the
+        set's cells, as two (K, m) arrays: +inf and -inf for a set with no
+        cell.  Wherever a range passes the level's hull, the ghost state on
+        that side joins.
+
+        The ranges clipped to the hulls of the levels in one chunk are
+        reduced with one reduceat each for min and max, on the chunk in place
+        at m = 1 and on one component-major copy of their span at m >= 2.
+        Sorted by their ends, the segments of a cover each start within the
+        one before, so only cells that no segment meets are reduced in vain.
+        A segment that ends at the span's end, which no offset may be, stops
+        a cell short and takes that cell back from its odd entry."""
+        m, K = self._m, len(j_lo)
+        rows, per_chunk = self._index[start:stop], self._capacity // m
+        met = np.flatnonzero(j_lo <= j_hi)
+        sets, levels = np.divmod(met, stop - start)
+        j_lo, j_hi = np.take(j_lo, met), np.take(j_hi, met)
+        lo, hi = rows[levels, 0], rows[levels, 1]
+        mins, maxs = np.full((K + 1, m), np.inf), np.full((K + 1, m), -np.inf)
+        for passes, ghost in ((j_lo < lo, self.ghost_left), (j_hi >= hi, self.ghost_right)):
+            reaches = np.bincount(sets[passes], minlength=K + 1) > 0
+            mins[reaches] = np.minimum(mins[reaches], ghost)
+            maxs[reaches] = np.maximum(maxs[reaches], ghost)
+        first, end = np.maximum(j_lo, lo), np.minimum(j_hi + 1, hi)
+        keep = np.flatnonzero(first < end)
+        # each segment's rows [first, end) over the chunks laid end to end,
+        # per_chunk rows each, sorted by their ends
+        row = rows[:, 2] * per_chunk + rows[:, 3] // m - rows[:, 0]
+        first, end = first[keep] + row[levels[keep]], end[keep] + row[levels[keep]]
+        order = np.argsort(end, kind="stable")
+        sets, first, end = sets[keep][order], first[order], end[order]
+        chunk = first // per_chunk
+        labels, low, high = [], [], []
+        for a, b in _runs(chunk):
+            r0, r1 = int(first[a:b].min()), int(end[b - 1])
+            at = int(chunk[a]) * per_chunk
+            span = self._cells(int(chunk[a]), (r0 - at) * m, (r1 - at) * m).T
+            if m > 1:
+                span = np.ascontiguousarray(span)
+            offsets = np.empty(2 * (b - a), dtype=np.intp)
+            offsets[0::2] = first[a:b] - r0
+            offsets[1::2] = np.minimum(end[a:b], r1 - 1) - r0
+            low.append(np.minimum.reduceat(span, offsets, axis=1))
+            high.append(np.maximum.reduceat(span, offsets, axis=1))
+            label = np.repeat(sets[a:b], 2)
+            label[1::2][end[a:b] < r1] = K  # an odd entry that holds no cell of the set
+            labels.append(label)
+        if labels:
+            labels = np.concatenate(labels)
+            np.minimum.at(mins, labels, np.concatenate(low, axis=1).T)
+            np.maximum.at(maxs, labels, np.concatenate(high, axis=1).T)
+        return mins[:K], maxs[:K]
 
     def __len__(self) -> int:
         return self._n

@@ -3,7 +3,9 @@ calls: the stepping core as a whole-grid loop that allocates every array,
 the column sums of one level, the dense form of a level history, pointwise sampling of an exact
 Riemann fan, its cell averages and L1 distances built one level at a time,
 the restriction of a fine level to a coarse grid that nests in it,
-jump detection over a whole level, the per-cell cover counts of a slab
+jump detection over a whole level, a trapezoid's cell ranges and their
+min and max one level at a time, the surge detector's strip search one
+iteration at a time, the per-cell cover counts of a slab
 partition, the residual report and residuals CSV folded one level at a
 time, and the weak residual itself: the affine test functions of one cell
 and their edge-average projection, the residual's edge-average form, its
@@ -17,7 +19,8 @@ import numpy as np
 from fvbound.cli import _nesting_ratio, _restrict
 from fvbound.grid import Grid1D, cfl_timestep
 from fvbound.models import Burgers, interface_fluxes, normalize_flux_kind, numerical_flux
-from fvbound.partition import JumpRegion, SlabPartition, trapezoid_cell_ranges
+from fvbound.partition import (JumpRegion, SlabPartition, SurgeTrapezoid, build_surge_trapezoid,
+                               detect_jumps, merge_close_regions, trapezoid_cell_ranges)
 from fvbound.residual import (ResidualReport, _cell_bounds, _entropy_e1, _entropy_lower,
                               _entropy_triplets, _padded)
 from fvbound.riemann import WaveFan, _fan_integral, _riemann_invariant
@@ -140,6 +143,109 @@ def whole_level_jumps(sol: SpaceTimeSolution, n: int, x_interval, sigma0: float)
     return [JumpRegion(j1, j2, float(edges[j1]), float(edges[j2 + 1])) for j1, j2 in regions]
 
 
+def ranges_oracle(trap, sol, n_lo, n_hi):
+    """The per-level loop the range arrays replace: (level, j_lo, j_hi) for
+    cells whose closed space-time rectangle meets the trapezoid."""
+    grid = sol.grid
+    out = []
+    if trap.t_top - trap.t_bot <= 0:
+        return out
+    for level in range(n_lo, n_hi):
+        w_lo = max(float(sol.times.t[level]), trap.t_bot)
+        w_hi = min(float(sol.times.t[level + 1]), trap.t_top)
+        if w_lo > w_hi:
+            continue
+        g_lo = trap.right_at(w_lo) - trap.left_at(w_lo)
+        g_hi = trap.right_at(w_hi) - trap.left_at(w_hi)
+        if g_lo < 0.0 and g_hi < 0.0:
+            continue
+        if g_lo < 0.0 or g_hi < 0.0:
+            t_root = w_lo + (w_hi - w_lo) * g_lo / (g_lo - g_hi)
+            if g_lo < 0.0:
+                w_lo = t_root
+            else:
+                w_hi = t_root
+        xlo = min(trap.left_at(w_lo), trap.left_at(w_hi))
+        xhi = max(trap.right_at(w_lo), trap.right_at(w_hi))
+        j_lo = max(int(np.ceil((xlo - grid.x_min) / grid.dx - 1.0 - 1e-9)), 0)
+        j_hi = min(int(np.floor((xhi - grid.x_min) / grid.dx + 1e-9)), grid.J - 1)
+        if j_lo <= j_hi:
+            out.append((level, j_lo, j_hi))
+    return out
+
+
+def minmax_oracle(sol, ranges):
+    """Per-level loop over the ranges: componentwise (min, max), or None."""
+    if not ranges:
+        return None
+    levels = dense(sol.states)
+    mins = np.min([levels[n][a : b + 1].min(axis=0) for n, a, b in ranges], axis=0)
+    maxs = np.max([levels[n][a : b + 1].max(axis=0) for n, a, b in ranges], axis=0)
+    return mins, maxs
+
+
+def _range_osc(mm) -> float:
+    return float((mm[1] - mm[0]).max()) if mm is not None else 0.0
+
+
+def _join(mm, new):
+    """The componentwise (min, max) of two, either of which may be None."""
+    if mm is None or new is None:
+        return mm or new
+    return np.minimum(mm[0], new[0]), np.maximum(mm[1], new[1])
+
+
+def strip_search(sol: SpaceTimeSolution, n_lo: int, n_hi: int, sigma0: float,
+                 lam_minus: float, lam_plus: float,
+                 eps: float) -> tuple[list[SurgeTrapezoid], list[float], list[int]]:
+    """detect_surges one strip iteration at a time: per confirmed candidate,
+    rebuild the surge trapezoid at each half-width and join the min and max
+    over its sub-trapezoids' cells (ranges_oracle, minmax_oracle) into each
+    side's running union, while the unions oscillate at most tau and the
+    strip still shrinks.  Returns the surges, their kappa' and the number of
+    iterations each took."""
+    grid = sol.grid
+    times = sol.times.t
+    t_bot, t_top = float(times[n_lo]), float(times[n_hi])
+    tau = t_top - t_bot
+    sep = (lam_plus - lam_minus) * tau
+    bottom = merge_close_regions(detect_jumps(sol, n_lo, None, sigma0), sep)
+    eps13 = eps ** (1.0 / 3.0)
+    eps23 = eps ** (2.0 / 3.0)
+
+    def union(mm, trap):
+        return _join(mm, minmax_oracle(sol, ranges_oracle(trap, sol, n_lo, n_hi)))
+
+    surges, oscs, iterations = [], [], []
+    for region in bottom:
+        cone = (region.x_left + lam_minus * tau, region.x_right + lam_plus * tau)
+        top_jumps = merge_close_regions(detect_jumps(sol, n_hi, cone, sigma0), sep)
+        if len(top_jumps) != 1:
+            continue
+        top = top_jumps[0]
+        floor = 0.5 * eps23
+        delta_l = delta_r = max(eps13 - eps23, floor)
+        trap = build_surge_trapezoid(tau, region, top, delta_l, delta_r,
+                                     lam_minus, lam_plus, grid, eps13, t_bot, t_top)
+        mm_l, mm_r = union(None, trap.left), union(None, trap.right)
+        count = 1
+        while (max(_range_osc(mm_l), _range_osc(mm_r)) <= tau
+               and delta_l + delta_r > eps23 > 0.0):
+            new_l = max(delta_l - eps23, floor)
+            new_r = max(delta_r - eps23, floor)
+            if new_l == delta_l and new_r == delta_r:
+                break
+            delta_l, delta_r = new_l, new_r
+            trap = build_surge_trapezoid(tau, region, top, delta_l, delta_r,
+                                         lam_minus, lam_plus, grid, eps13, t_bot, t_top)
+            mm_l, mm_r = union(mm_l, trap.left), union(mm_r, trap.right)
+            count += 1
+        surges.append(trap)
+        oscs.append(max(_range_osc(mm_l), _range_osc(mm_r)))
+        iterations.append(count)
+    return surges, oscs, iterations
+
+
 def cover_counts(sol: SpaceTimeSolution, part: SlabPartition) -> tuple[np.ndarray, np.ndarray]:
     """Per-cell intersection counts with (surge, smooth) trapezoids; rows are
     the slab's cell levels."""
@@ -150,10 +256,10 @@ def cover_counts(sol: SpaceTimeSolution, part: SlabPartition) -> tuple[np.ndarra
         (surge_counts, [s.outer for s in part.surges]),
         (smooth_counts, part.smooth),
     ):
-        for trap in traps:
-            levels, j_lo, j_hi = trapezoid_cell_ranges(trap, sol, part.n_lo, part.n_hi)
-            for level, a, b in zip(levels - part.n_lo, j_lo, j_hi + 1):
-                counts[level, a:b] += 1
+        j_lo, j_hi = trapezoid_cell_ranges(traps, sol, part.n_lo, part.n_hi)
+        for ranges_lo, ranges_hi in zip(j_lo.tolist(), j_hi.tolist()):
+            for level, (a, b) in enumerate(zip(ranges_lo, ranges_hi)):
+                counts[level, a:b + 1] += 1
     return surge_counts, smooth_counts
 
 

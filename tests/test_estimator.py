@@ -256,8 +256,8 @@ def test_run_and_its_dump_give_the_same_report(tmp_path, case, level, slab_mode)
 def test_estimator_holds_little_beyond_the_history():
     """At burgers-curved L10 the largest slab spans 867 levels of J = 1024
     (7.1 MB dense, against a 2.6 MB history); the estimator's traced peak
-    stays below a few levels, since at m = 1 a slab's block is the history's
-    own run of its levels' ghost-hull cells."""
+    stays below a few levels, since at m = 1 range_minmax reduces the
+    history's own run of a chunk's ghost-hull cells in place."""
     grid = build_grid(-5.0, 5.0, 10)
     sol = run(_burgers_curved_averages(grid), make_model("burgers"), "llf", grid,
               0.9, 0.0, 1.0)

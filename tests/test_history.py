@@ -1,7 +1,7 @@
-"""The level history: each of its readers (walk, columns, hull_cells) gives
-the dense stack of its levels bit for bit, it holds only each level's
-ghost-hull cells, and it has no dense form, so the main paths read it
-without one."""
+"""The level history: each of its readers (walk, columns) gives the dense
+stack of its levels bit for bit, range_minmax the min and max of the dense
+stack over any cell ranges, it holds only each level's ghost-hull cells,
+and it has no dense form, so the main paths read it without one."""
 
 import tracemalloc
 from unittest import mock
@@ -107,21 +107,28 @@ def _assert_reads_the_dense_stack(history, dense, hulls):
             assert _same(np.array(walked).reshape(-1, J, m), dense[start:stop])
             assert _same(history.columns(start, stop, -1, J + 1),
                          padded[start:stop].transpose(1, 0, 2))
-            _assert_hull_cells(history, dense, hulls, start, stop)
+        _assert_range_minmax(history, dense, start, n_levels)
 
 
-def _assert_hull_cells(history, dense, hulls, start, stop):
-    """hull_cells gives each level's hull cells, one piece per chunk of
-    consecutive levels, at the columns it names."""
-    pieces = history.hull_cells(start, stop)
-    firsts = [first for first, _, _ in pieces]
-    assert firsts == sorted(set(firsts)) and firsts[:1] == [0] * (stop > start)
-    for (first, values, columns), end in zip(pieces, firsts[1:] + [stop - start]):
-        assert values.shape[0] == history.shape[2] and len(columns) == end - first
-        for k, column in zip(range(start + first, start + end), columns.tolist()):
-            lo, hi = hulls[k]
-            assert _same(values[:, column:column + hi - lo], dense[k, lo:hi].T)
-        assert values.shape[1] == sum(hi - lo for lo, hi in hulls[start + first:start + end])
+def _assert_range_minmax(history, dense, start, stop):
+    """range_minmax gives the min and max of the dense cells of each set:
+    every range a..b on every level, on one level at a time, and the
+    levels' hull cells (none for an empty hull); an empty set gives +inf
+    and -inf.  Wherever signed zeros tie, max - min is still +0.0."""
+    n_levels, J, m = dense.shape
+    L = stop - start
+    sets = [np.full((L, 2), (a, b)) for a in range(J) for b in range(a, J)]
+    sets += [np.where(np.arange(L)[:, None] == k, (0, J - 1), (0, -1)) for k in range(L)]
+    sets += [history.hulls[start:stop] - (0, 1), np.full((L, 2), (0, -1))]
+    ranges = np.array(sets, dtype=np.intp).reshape(len(sets), L, 2)
+    mins, maxs = history.range_minmax(start, stop, ranges[..., 0], ranges[..., 1])
+    j = np.arange(J)
+    inside = ((j >= ranges[..., :1]) & (j <= ranges[..., 1:]))[..., None]  # (sets, L, J, 1)
+    want_min = np.where(inside, dense[start:stop], np.inf).min(axis=(1, 2), initial=np.inf)
+    want_max = np.where(inside, dense[start:stop], -np.inf).max(axis=(1, 2), initial=-np.inf)
+    assert np.array_equal(mins, want_min) and np.array_equal(maxs, want_max)
+    met = inside.any(axis=(1, 2, 3))
+    assert _same((maxs - mins)[met], (want_max - want_min)[met])
 
 
 @settings(max_examples=150, deadline=None)
@@ -148,9 +155,9 @@ def _assert_hull_cells(history, dense, hulls, start, stop):
 @example(sequence=_sequence(3, 2, [(0, 3), (1, 2), (1, 3), (3, 3), (0, 1)]), chunk=1)
 def test_history_reads_the_dense_stack(sequence, chunk):
     """Built from each level's ghost hull, or from the dense stack with the
-    tightest hulls, in chunks of any size, the history's walks, columns and
-    hull_cells give the levels bit for bit, and it stores only the hull
-    cells."""
+    tightest hulls, in chunks of any size, the history's walks and columns
+    give the levels bit for bit, range_minmax their min and max over any
+    ranges, and it stores only the hull cells."""
     dense, hulls, ghost_left, ghost_right = sequence
     with mock.patch.object(solver, "CHUNK", chunk):
         _assert_reads_the_dense_stack(_appended(dense, hulls, ghost_left, ghost_right), dense,

@@ -242,3 +242,68 @@ def test_psystem_llf_flux_is_consistent(states, params):
     psystem = make_model("psystem", C=params[0], gamma=params[1])
     u = np.array(states)
     assert np.array_equal(numerical_flux("llf", psystem, u, u), psystem.flux(u))
+
+
+_GAMMAS = (1.4, 5.0 / 3.0, 2.0, 2.5, 3.0, 5.0)
+# Densities outside the domain, subnormal and overflowing ones included.
+_BAD_RHO = st.one_of(st.sampled_from([0.0, -0.0, np.nan, np.inf, -np.inf, -5e-324, -1e-200]),
+                     st.floats(max_value=0.0, allow_infinity=False))
+
+
+@settings(max_examples=300, deadline=None)
+@given(gamma=st.sampled_from(_GAMMAS), C=st.sampled_from([1.0, 0.1, 0.25, 3.0]),
+       rho=st.one_of(_BAD_RHO, st.floats(1e-300, 1e300)),
+       q=st.one_of(st.floats(allow_nan=True, allow_infinity=True),
+                   st.sampled_from([0.0, -0.0, np.nan, np.inf])))
+def test_psystem_speeds_are_not_finite_outside_the_domain(gamma, C, rho, q):
+    """Wherever speeds_check_domain is true, every state outside the
+    domain has a non-finite max wave speed, so the stepping core's speed
+    scan is its domain check.  It is false for an integer gamma, where
+    rho < 0 may give a finite speed."""
+    psystem = make_model("psystem", C=C, gamma=gamma)
+    assert psystem.speeds_check_domain == (not float(gamma).is_integer())
+    state = np.array([rho, q])
+    if psystem.speeds_check_domain and not psystem.in_domain(state):
+        with np.errstate(all="ignore"):
+            assert not np.isfinite(psystem.max_wave_speed(state, check=False))
+
+
+def test_psystem_integer_gamma_has_finite_speeds_below_zero_density():
+    """At gamma = 3, rho^(gamma-1) > 0 for rho < 0; at gamma = 4 and gamma
+    = 2 (with C*gamma < 1/2), rho^(gamma-1) or C*gamma*rho underflows to
+    -0.0: the speed is finite outside the domain, so the core checks the
+    cells."""
+    for C, gamma, rho in ((1.0, 3.0, -1.0), (1.0, 4.0, -1e-200), (0.1, 2.0, -5e-324)):
+        psystem = make_model("psystem", C=C, gamma=gamma)
+        state = np.array([rho, 0.0])
+        assert not psystem.speeds_check_domain and not psystem.in_domain(state)
+        with np.errstate(all="ignore"):
+            assert np.isfinite(psystem.max_wave_speed(state, check=False))
+
+
+@settings(max_examples=60, deadline=None)
+@given(gamma=st.sampled_from(_GAMMAS), J=st.integers(2, 16), data=st.data())
+def test_psystem_march_leaves_the_domain_as_with_the_cell_check(gamma, J, data):
+    """A p-system march whose momentum flux overflows leaves the domain with
+    the DomainError text of a march that checks every step's cells (the
+    flag forced false), and one that stays inside gives the same levels."""
+    from fvbound.grid import Grid1D
+    from fvbound.solver import march
+
+    rho = data.draw(st.lists(st.floats(0.5, 2.0), min_size=J, max_size=J))
+    q = data.draw(st.lists(st.one_of(st.floats(-1.0, 1.0), st.floats(1e160, 1e300),
+                                     st.floats(-1e300, -1e160)), min_size=J, max_size=J))
+    initial = np.stack([rho, q], axis=1)
+
+    def outcome(checks):
+        psystem = make_model("psystem", gamma=gamma)
+        if not checks:
+            psystem.speeds_check_domain = False
+        try:
+            with np.errstate(all="ignore"):
+                return [level.tobytes() for _, level, _ in
+                        march(initial, psystem, "llf", Grid1D(0.0, 1.0, J), 0.9, 0.0, 0.05)]
+        except DomainError as exc:
+            return str(exc)
+
+    assert outcome(True) == outcome(False)

@@ -21,16 +21,11 @@ from fvbound import (
     solve_riemann,
 )
 from fvbound.grid import Grid1D, TimeLevels
-from fvbound.partition import (
-    JumpRegion,
-    merge_close_regions,
-    slab_block,
-    trapezoid_cell_ranges,
-    trapezoid_minmax,
-)
+from fvbound.partition import JumpRegion, merge_close_regions, trapezoid_cell_ranges
 from fvbound import solver
 from fvbound.solver import SpaceTimeSolution, load_solution, march, run, save_solution
-from oracles import cover_counts, dense, whole_level_jumps
+from oracles import (cover_counts, dense, minmax_oracle, ranges_oracle, strip_search,
+                     whole_level_jumps)
 
 
 def manual_solution(grid, times, levels, model=None):
@@ -58,12 +53,12 @@ def speed_range(sol):
 
 
 def slab_partition(sol, n_lo, n_hi, eps, sigma0):
-    return partition_meso_slab(sol, n_lo, n_hi, eps, sigma0, speed_range(sol),
-                               slab_block(sol, n_lo, n_hi))
+    return partition_meso_slab(sol, n_lo, n_hi, eps, sigma0, speed_range(sol))
 
 
 def slab_oscillation(sol, trap, n_lo, n_hi):
-    return oscillation(sol, trap, n_lo, n_hi, slab_block(sol, n_lo, n_hi))
+    (osc,) = oscillation(sol, [trap], n_lo, n_hi).tolist()
+    return osc
 
 
 def step_levels(grid, n_levels, height=1.0, position=0.0):
@@ -214,8 +209,8 @@ class TestOscillation:
         sol = manual_solution(grid, [0.0, 0.1], [level, level])
         # trapezoid that only touches cell 1 at its right edge x = 0.25
         trap = Trapezoid(0.0, 0.1, 0.0, 0.25, 0.0, 0.25)
-        levels, j_lo, j_hi = trapezoid_cell_ranges(trap, sol, 0, 1)
-        assert (levels.tolist(), j_lo.tolist(), j_hi.tolist()) == ([0], [0], [1])
+        j_lo, j_hi = trapezoid_cell_ranges([trap], sol, 0, 1)
+        assert (j_lo.tolist(), j_hi.tolist()) == ([[0]], [[1]])
         assert slab_oscillation(sol, trap, 0, 1) == pytest.approx(1.0)
 
 
@@ -223,7 +218,7 @@ class TestDetectSurges:
     def test_constant_solution_has_no_surges(self):
         grid = build_grid(-5.0, 5.0, 5)
         sol = manual_solution(grid, [0.0, 0.1, 0.2], [np.full(grid.J, 1.0)] * 3)
-        surges, oscs = detect_surges(sol, 0, 2, 0.1, -1.0, 1.0, 0.01, slab_block(sol, 0, 2))
+        surges, oscs = detect_surges(sol, 0, 2, 0.1, -1.0, 1.0, 0.01)
         assert surges == [] and oscs == []
 
     def test_two_rarefactions_has_no_surges(self):
@@ -233,8 +228,7 @@ class TestDetectSurges:
         sol = run(cell_average_exact(fan, 0.0, 0.5, grid), model, "llf", grid, 0.9, 0.5, 1.0)
         speeds = model.wave_speeds(dense(sol.states))
         surges, _ = detect_surges(sol, 0, sol.n_steps, 0.1,
-                                  float(speeds.min()), float(speeds.max()), 0.19,
-                                  slab_block(sol, 0, sol.n_steps))
+                                  float(speeds.min()), float(speeds.max()), 0.19)
         assert surges == []
 
     def test_moving_step_is_confirmed(self):
@@ -244,8 +238,7 @@ class TestDetectSurges:
         sol = run(states, model, "llf", grid, 0.9, 0.0, 1.0)
         speeds = model.wave_speeds(dense(sol.states))
         surges, oscs = detect_surges(sol, 0, sol.n_steps, 0.1,
-                                     float(speeds.min()), float(speeds.max()), 0.05,
-                                     slab_block(sol, 0, sol.n_steps))
+                                     float(speeds.min()), float(speeds.max()), 0.05)
         assert len(surges) == 1
         s = surges[0]
         assert s.x0 == pytest.approx(0.0, abs=3 * grid.dx)
@@ -328,47 +321,6 @@ def test_detect_jumps_rejects_bad_threshold():
         detect_jumps(sol, 0, None, 0.0)
     with pytest.raises(ValueError):
         detect_jumps(sol, 0, None, float("nan"))
-
-
-def ranges_oracle(trap, sol, n_lo, n_hi):
-    """The per-level loop the range arrays replace: (level, j_lo, j_hi) for
-    cells whose closed space-time rectangle meets the trapezoid."""
-    grid = sol.grid
-    out = []
-    if trap.t_top - trap.t_bot <= 0:
-        return out
-    for level in range(n_lo, n_hi):
-        w_lo = max(float(sol.times.t[level]), trap.t_bot)
-        w_hi = min(float(sol.times.t[level + 1]), trap.t_top)
-        if w_lo > w_hi:
-            continue
-        g_lo = trap.right_at(w_lo) - trap.left_at(w_lo)
-        g_hi = trap.right_at(w_hi) - trap.left_at(w_hi)
-        if g_lo < 0.0 and g_hi < 0.0:
-            continue
-        if g_lo < 0.0 or g_hi < 0.0:
-            t_root = w_lo + (w_hi - w_lo) * g_lo / (g_lo - g_hi)
-            if g_lo < 0.0:
-                w_lo = t_root
-            else:
-                w_hi = t_root
-        xlo = min(trap.left_at(w_lo), trap.left_at(w_hi))
-        xhi = max(trap.right_at(w_lo), trap.right_at(w_hi))
-        j_lo = max(int(np.ceil((xlo - grid.x_min) / grid.dx - 1.0 - 1e-9)), 0)
-        j_hi = min(int(np.floor((xhi - grid.x_min) / grid.dx + 1e-9)), grid.J - 1)
-        if j_lo <= j_hi:
-            out.append((level, j_lo, j_hi))
-    return out
-
-
-def minmax_oracle(sol, ranges):
-    """Per-level loop over the ranges: componentwise (min, max), or None."""
-    if not ranges:
-        return None
-    levels = dense(sol.states)
-    mins = np.min([levels[n][a : b + 1].min(axis=0) for n, a, b in ranges], axis=0)
-    maxs = np.max([levels[n][a : b + 1].max(axis=0) for n, a, b in ranges], axis=0)
-    return mins, maxs
 
 
 # Cell values that include the ghost candidates, signed zeros apart.
@@ -499,39 +451,56 @@ def _record(draw):
 
 @st.composite
 def slabs_and_trapezoids(draw):
-    """A random record with a trapezoid that may stick out of the domain or
-    the slab, degenerate, cross inside a level, or have no height."""
+    """A random record with up to five trapezoids, each of which may stick
+    out of the domain or the slab, degenerate, cross inside a level, or have
+    no height."""
     sol, source = draw(records())
     J, times = sol.grid.J, sol.times.t
     # x on the cell edges too, where the 1e-9 slop decides touching
     x = st.one_of(st.floats(-0.3, 1.3), st.integers(-2, J + 2).map(lambda k: k / J))
     t = st.one_of(st.floats(-0.2, float(times[-1]) + 0.2), st.sampled_from(list(times)))
-    t_bot = draw(t)
-    t_top = t_bot if draw(st.booleans()) and draw(st.booleans()) else draw(t)
-    trap = Trapezoid(t_bot, t_top, draw(x), draw(x), draw(x), draw(x))
+    traps = []
+    for _ in range(draw(st.integers(0, 5))):
+        t_bot = draw(t)
+        t_top = t_bot if draw(st.booleans()) and draw(st.booleans()) else draw(t)
+        traps.append(Trapezoid(t_bot, t_top, draw(x), draw(x), draw(x), draw(x)))
     n_lo = draw(st.integers(0, len(times) - 2))
     n_hi = draw(st.integers(n_lo + 1, len(times) - 1))
-    return sol, source, trap, n_lo, n_hi
+    return sol, source, traps, n_lo, n_hi
+
+
+def _assert_minmax(mins, maxs, want):
+    """One set's (min, max) from range_minmax equals the per-level loop's,
+    or is (+inf, -inf) where the loop finds no cell; their difference has
+    the loop's bits, so a tie between signed zeros gives +0.0 either way."""
+    if want is None:
+        assert np.isposinf(mins).all() and np.isneginf(maxs).all()
+    else:
+        assert np.array_equal(mins, want[0]) and np.array_equal(maxs, want[1])
+        assert (maxs - mins).tobytes() == (want[1] - want[0]).tobytes()
 
 
 @settings(max_examples=400, deadline=None)
 @given(case=slabs_and_trapezoids())
-def test_range_arrays_and_block_minmax_equal_the_per_level_loop(case):
-    """With the ghost hulls of each source, the min and max over the hull
-    segments and the ghosts the ranges reach are the per-level loop's."""
-    sol, source, trap, n_lo, n_hi = case
+def test_range_arrays_and_minmax_equal_the_per_level_loop(case):
+    """With the ghost hulls of each source, in histories of chunks of 1 to 8
+    values, the (K, levels) range arrays of K trapezoids and the min and max
+    that one range_minmax call gives for them are the per-level loop's,
+    trapezoid by trapezoid."""
+    sol, source, traps, n_lo, n_hi = case
     _assert_ghost_hulls(sol)
     if source != "run":  # run's hulls are its windows
         assert sol.ghost_hulls.tolist() == tightest_hulls(sol)
-    levels, j_lo, j_hi = trapezoid_cell_ranges(trap, sol, n_lo, n_hi)
-    ranges = ranges_oracle(trap, sol, n_lo, n_hi)
-    assert list(zip(levels.tolist(), j_lo.tolist(), j_hi.tolist())) == ranges
-    got = trapezoid_minmax(sol, trap, n_lo, n_hi, slab_block(sol, n_lo, n_hi))
-    want = minmax_oracle(sol, ranges)
-    if want is None:
-        assert got is None
-    else:
-        assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+    j_lo, j_hi = trapezoid_cell_ranges(traps, sol, n_lo, n_hi)
+    assert j_lo.shape == j_hi.shape == (len(traps), n_hi - n_lo)
+    mins, maxs = sol.states.range_minmax(n_lo, n_hi, j_lo, j_hi)
+    assert mins.shape == maxs.shape == (len(traps), sol.model.m)
+    for k, trap in enumerate(traps):
+        ranges = ranges_oracle(trap, sol, n_lo, n_hi)
+        assert [(n_lo + level, a, b) for level, (a, b) in enumerate(zip(j_lo[k].tolist(),
+                                                                         j_hi[k].tolist()))
+                if a <= b] == ranges
+        _assert_minmax(mins[k], maxs[k], minmax_oracle(sol, ranges))
 
 
 @settings(max_examples=300, deadline=None)
@@ -589,10 +558,27 @@ def test_run_records_its_windows_as_ghost_hulls():
     assert not np.array_equal(tight.ghost_hulls, sol.ghost_hulls)
 
 
-def test_slab_block_layout(monkeypatch):
-    """The block holds each level's ghost-hull cells, component-major, one
-    level after the other, in one piece per chunk of the history; an empty
-    hull adds no column; at m = 1 each piece is its chunk."""
+def _assert_range_minmax(sol, start, stop, sets):
+    """range_minmax over the sets, each a list of (level, j_lo, j_hi)
+    ranges, equals the per-level loop set by set."""
+    j_lo = np.zeros((len(sets), stop - start), dtype=np.intp)
+    j_hi = np.full_like(j_lo, -1)
+    for k, ranges in enumerate(sets):
+        for n, a, b in ranges:
+            j_lo[k, n - start], j_hi[k, n - start] = a, b
+    mins, maxs = sol.states.range_minmax(start, stop, j_lo, j_hi)
+    for k, ranges in enumerate(sets):
+        _assert_minmax(mins[k], maxs[k], minmax_oracle(sol, ranges))
+    return mins, maxs
+
+
+def test_range_minmax_over_hulls_ghosts_and_chunk_runs(monkeypatch):
+    """range_minmax joins a level's hull cells and the ghost state its
+    ranges pass on each side; an empty hull gives only ghosts, an empty set
+    +inf and -inf.  The -0.0 of the right ghost's momentum and the 0.0 of a
+    hull cell differ in bits only, and their range is +0.0.  It reads the
+    levels of one chunk or of several, at m = 1 and 2, and a range that
+    ends at a chunk's last stored cell, where no reduceat offset may lie."""
     grid = Grid1D(0.0, 1.0, 5)
     ghost_left, ghost_right = np.array([1.0, 0.0]), np.array([2.0, -0.0])
     levels = np.empty((4, 5, 2))
@@ -604,31 +590,42 @@ def test_slab_block_layout(monkeypatch):
     sol = SpaceTimeSolution(grid, TimeLevels([0.0, 0.1, 0.2, 0.3]), levels, ghost_left,
                             ghost_right, make_model("psystem"), "llf", 0.9)
     assert sol.ghost_hulls.tolist() == [[2, 2], [1, 4], [0, 2], [2, 5]]
-    block = slab_block(sol, 0, 4)
-    assert len(block.pieces) == 1 and block.pieces[0].flags.c_contiguous
-    assert (block.first.tolist(), block.lo.tolist(), block.hi.tolist(),
-            block.start.tolist()) == ([0], [2, 1, 0, 2], [2, 4, 2, 5], [0, 0, 3, 5])
-    want = np.concatenate([levels[1, 1:4], levels[2, 0:2], levels[3, 2:5]]).T
-    assert block.pieces[0].tobytes() == want.tobytes()
-    later = slab_block(sol, 2, 4)
-    assert later.start.tolist() == [0, 2] and later.pieces[0].tobytes() == want[:, 3:].tobytes()
-    # chunks of 10 values: level 3 does not fit after levels 0..2 and starts the next
-    monkeypatch.setattr(solver, "CHUNK", 10)
-    chunked = dataclasses.replace(sol, states=levels)
-    block = slab_block(chunked, 0, 4)
-    assert (block.first.tolist(), block.start.tolist()) == ([0, 3], [0, 0, 3, 0])
-    assert [p.tobytes() for p in block.pieces] == [want[:, :5].tobytes(),
-                                                   want[:, 5:].tobytes()]
-    scalar = manual_solution(grid, [0.0, 0.1, 0.2], [[1.0, 1.0, 4.0, 3.0, 3.0]] * 3)
-    block = slab_block(scalar, 0, 3)  # chunks of 10 values at J = 5: one piece
-    assert block.pieces[0].tobytes() == np.array([[4.0, 4.0, 4.0]]).tobytes()
-    assert np.shares_memory(block.pieces[0], scalar.states._chunks[0])  # in place at m = 1
-    monkeypatch.setattr(solver, "CHUNK", 2)  # chunks of J = 5 values: one 3-cell hull each
-    scalar = manual_solution(grid, [0.0, 0.1, 0.2], [[1.0, 4.0, 5.0, 6.0, 3.0]] * 3)
-    block = slab_block(scalar, 0, 3)
-    assert block.first.tolist() == [0, 1, 2] and block.start.tolist() == [0, 0, 0]
-    assert [p.tobytes() for p in block.pieces] == [np.array([[4.0, 5.0, 6.0]]).tobytes()] * 3
-    assert all(np.shares_memory(p, c) for p, c in zip(block.pieces, scalar.states._chunks))
+    sets = [
+        [(n, 0, 4) for n in range(4)],  # every cell of every level
+        [(1, 1, 3)],  # level 1's hull cells only
+        [(0, 2, 4)],  # level 0's empty hull: the right ghost only
+        [],  # no cell
+        [(3, 2, 4)],  # the ghost's -0.0 momentum beside a 0.0
+        [(1, 0, 0), (2, 4, 4)],  # outside the hulls: both ghosts
+        [(2, 0, 1), (3, 4, 4)],  # each level's last stored cell
+    ]
+    for chunk, n_chunks in ((solver.CHUNK, 1), (10, 2)):  # level 3 starts a second chunk
+        monkeypatch.setattr(solver, "CHUNK", chunk)
+        chunked = dataclasses.replace(sol, states=levels)
+        assert len(chunked.states._chunks) == n_chunks
+        mins, maxs = _assert_range_minmax(chunked, 0, 4, sets)
+        assert (mins[0].tolist(), maxs[0].tolist()) == ([0.0, 0.0], [11.0, 12.0])
+        assert (mins[2].tobytes(), maxs[2].tobytes()) == (ghost_right.tobytes(),) * 2
+        assert np.isposinf(mins[3]).all() and np.isneginf(maxs[3]).all()
+        assert (maxs[4] - mins[4]).tolist() == [2.0, 0.0]
+        assert not np.signbit(maxs[4] - mins[4]).any()
+        _assert_range_minmax(chunked, 2, 4, [[(2, 0, 4), (3, 0, 4)], [(3, 3, 4)]])
+    # m = 1, one 3-cell hull a level: chunks of 10 values hold three levels,
+    # and chunks of 2 values (at least a level's J = 5) one level each, the
+    # last trimmed to the level's 3 values
+    for chunk, n_chunks in ((10, 1), (2, 3)):
+        monkeypatch.setattr(solver, "CHUNK", chunk)
+        scalar = manual_solution(grid, [0.0, 0.1, 0.2], [[1.0, 4.0, 5.0, 6.0, 3.0],
+                                                         [1.0, 6.0, 4.0, 5.0, 3.0],
+                                                         [1.0, 5.0, 6.0, 4.0, 3.0]])
+        assert len(scalar.states._chunks) == n_chunks
+        _assert_range_minmax(scalar, 0, 3, [
+            [(0, 3, 3), (1, 3, 3), (2, 3, 3)],  # each level's last stored cell
+            [(0, 1, 3), (2, 2, 3)],
+            [(n, 0, 4) for n in range(3)],
+            [(1, 1, 2), (2, 3, 4)],
+            [(0, 2, 2)],
+        ])
 
 
 def test_surge_oscillation_keeps_cells_the_shrinking_strip_drops():
@@ -640,15 +637,77 @@ def test_surge_oscillation_keeps_cells_the_shrinking_strip_drops():
     bumped = level.copy()
     bumped[97] = 1.05  # cell [-1.211, -1.172]: below the detector, left of the final edge
     sol = manual_solution(grid, [0.0, 0.5], [bumped, level])
-    block = slab_block(sol, 0, 1)
     first = build_surge_trapezoid(0.5, JumpRegion(127, 128, -grid.dx, grid.dx),
                                   JumpRegion(127, 128, -grid.dx, grid.dx), 0.09, 0.09,
                                   -1.0, 1.0, grid, 0.1, 0.0, 0.5)
-    assert oscillation(sol, first.left, 0, 1, block) == pytest.approx(0.05)
+    assert slab_oscillation(sol, first.left, 0, 1) == pytest.approx(0.05)
 
-    surges, oscs = detect_surges(sol, 0, 1, 0.1, -1.0, 1.0, 1e-3, block)
+    surges, oscs = detect_surges(sol, 0, 1, 0.1, -1.0, 1.0, 1e-3)
     assert len(surges) == 1
     assert surges[0].delta == pytest.approx(0.01)  # the strip shrank to its floor
-    assert oscillation(sol, surges[0].left, 0, 1, block) == 0.0
-    assert oscillation(sol, surges[0].right, 0, 1, block) == 0.0
+    assert oscillation(sol, [surges[0].left, surges[0].right], 0, 1).tolist() == [0.0, 0.0]
     assert oscs == [1.05 - 1.0]
+
+
+def _moving_step(m, J, n_levels, dt, height, bump, seed, chunk):
+    """Levels 0..n_levels on [0, 1] of a step down by height, one cell to
+    the right a level, from cell J // 3, with random bumps of at most bump
+    on both sides; at m = 2 a p-system state of density rho and momentum
+    rho / 2.  The history is built in chunks of chunk values."""
+    rng = np.random.default_rng(seed)
+    levels = []
+    for n in range(n_levels + 1):
+        rho = 1.0 + height * (np.arange(J) < J // 3 + n) + bump * rng.random(J)
+        levels.append(rho[:, None] if m == 1 else np.stack([rho, 0.5 * rho], axis=1))
+    model = make_model("burgers") if m == 1 else make_model("psystem")
+    with mock.patch.object(solver, "CHUNK", chunk):
+        return manual_solution(Grid1D(0.0, 1.0, J), dt * np.arange(n_levels + 1), levels, model)
+
+
+def _assert_detect_surges_is_the_loop(sol, n_hi, sigma0, lam_minus, lam_plus, eps):
+    """detect_surges gives the strip search's surges field by field and its
+    kappa' bit for bit; returns the loop's iteration count per surge."""
+    surges, kappa = detect_surges(sol, 0, n_hi, sigma0, lam_minus, lam_plus, eps)
+    want, want_kappa, iterations = strip_search(sol, 0, n_hi, sigma0, lam_minus, lam_plus, eps)
+    assert surges == want
+    assert [k.hex() for k in kappa] == [k.hex() for k in want_kappa]
+    return surges, iterations
+
+
+@settings(max_examples=150, deadline=None)
+@given(m=st.sampled_from([1, 2]), J=st.integers(12, 48), n_levels=st.integers(1, 3),
+       dt=st.floats(0.05, 0.2), height=st.sampled_from([0.01, 1.0]),
+       bump=st.sampled_from([0.0, 1e-3, 0.3]), seed=st.integers(0, 2**16),
+       chunk=st.integers(1, 16),
+       eps=st.one_of(st.sampled_from([0.0, 1e-60, 1e-3, 0.05, 0.5]), st.floats(1e-5, 1.0)),
+       sigma0=st.sampled_from([0.3, 0.5]), lam_minus=st.floats(-2.0, 0.0),
+       lam_plus=st.floats(0.5, 3.0))
+def test_detect_surges_equals_the_strip_search_loop(m, J, n_levels, dt, height, bump, seed,
+                                                    chunk, eps, sigma0, lam_minus, lam_plus):
+    """Reducing every strip iteration's sub-trapezoids at once and stopping
+    on the running unions afterwards gives the surges and kappa' of the loop
+    that rebuilt and reduced one iteration at a time."""
+    sol = _moving_step(m, J, n_levels, dt, height, bump, seed, chunk)
+    _assert_detect_surges_is_the_loop(sol, n_levels, sigma0, lam_minus, lam_plus, eps)
+
+
+@pytest.mark.parametrize("m", [1, 2])
+@pytest.mark.parametrize("stop", ["first", "floor", "unchanged"])
+def test_detect_surges_stops_where_the_loop_stops(m, stop):
+    """The three ways the strip search ends: its first sub-trapezoids
+    oscillate more than tau; the strip shrinks to its floor, eps^(2/3) in
+    all; eps^(2/3) is below the rounding of the half-width, which no longer
+    changes."""
+    height, bump, eps = {"first": (1.0, 0.3, 0.05), "floor": (0.01, 1e-3, 0.05),
+                         "unchanged": (0.01, 1e-3, 1e-60)}[stop]
+    sol = _moving_step(m, 24, 2, 0.05, height, bump, 1, 8)
+    surges, iterations = _assert_detect_surges_is_the_loop(sol, 2, 0.3, -1.0, 2.0, eps)
+    eps13, eps23 = eps ** (1.0 / 3.0), eps ** (2.0 / 3.0)
+    assert len(surges) == 1
+    delta = surges[0].delta_l
+    if stop == "first":
+        assert iterations == [1] and delta == eps13 - eps23 > 0.5 * eps23
+    elif stop == "floor":
+        assert iterations == [3] and delta == 0.5 * eps23
+    else:
+        assert iterations == [1] and delta == eps13 and delta + delta > eps23 > 0.0

@@ -214,6 +214,21 @@ def test_only_grid_sums_columns():
     assert callers == {"grid.py"}
 
 
+def test_only_solver_reads_the_history_storage():
+    """Of the package's modules only solver.py reads a LevelHistory's
+    _chunks, _index or _cells, so one module knows how the history stores
+    its levels, and every other reads it through walk, columns,
+    l1_distances, range_minmax and hulls."""
+    import fvbound
+
+    readers = set()
+    for path in sorted(Path(fvbound.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Attribute) and node.attr in ("_chunks", "_index", "_cells"):
+                readers.add(path.name)
+    assert readers == {"solver.py"}
+
+
 def test_run_holds_the_history_once():
     from fvbound.cli import _burgers_curved_averages
 
